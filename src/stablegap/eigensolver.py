@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import bessel_zero, besselj
-from .errors import UnsupportedConfigurationError, ValidationError
+from .errors import NumericalBudgetError, UnsupportedConfigurationError, ValidationError
 from .geometry import Domain
 
 _DEGENERACY_TOL = 1e-9
@@ -370,7 +370,7 @@ def solve_spectrum(domain, alpha, n_basis, tail_factor=None, n_report=None):
     A, basis = assemble_form_matrix(domain, alpha, n_basis, tail_factor=tail_factor)
     evals, evecs = np.linalg.eigh(A)
     if evals[0] <= 0:
-        raise RuntimeError("projected form lost positivity; increase tail_factor")
+        raise NumericalBudgetError("projected form lost positivity; increase tail_factor")
     coeffs = evecs.T  # row n = mode n
     symmetric = domain.summarize().symmetric_x1
     symmetry = ["none"] * len(evals)

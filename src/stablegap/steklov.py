@@ -9,7 +9,8 @@ into the weighted Dirichlet energy
     Q(w, w) = integral over the half-space of |grad w|^2 u_1^2,
 
 evaluated here for w = u_n / u_1 on a truncated box with graded tensor
-quadrature and finite-difference gradients.
+quadrature and analytic gradients: one engine pass returns each extension's
+value together with its x- and t-derivatives.
 
 Extensions are evaluated through Gaussian subordination: smoothing a sine
 mode by the heat kernel has a closed form in the complex error function, and
@@ -27,7 +28,6 @@ from scipy.special import wofz
 
 from ._quad import log_panels, panel_gauss
 from .errors import ValidationError
-from .geometry import Domain
 from .eigensolver import SpectralResult, evaluate_basis_sum
 from .kernels import subordination_grid, subordinator_density_half
 
@@ -66,26 +66,72 @@ def _scaled_erf(r, omega, s):
     return np.where(r >= 0, E, -np.conj(E))
 
 
-def smoothed_sine_mode(x, s, omega, center, half):
+def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     """Heat-kernel smoothing of the unit sine mode of an interval:
 
     (4 pi s)^(-1/2) * integral over (c-h, c+h) of
         exp(-(x-y)^2 / (4 s)) sin(omega (y - c + h)) / sqrt(h) dy.
 
-    Broadcasts over all arguments.
+    Broadcasts over all arguments. With grad=True returns the pair
+    (value, d/dx value), valid for the basis frequencies omega = k pi / (2 h):
+    such a mode vanishes at both ends of its window, so the x-derivative is
+    the smoothing of omega cos(omega (y - c + h)) / sqrt(h), the real part of
+    the complex expression whose imaginary part is the value.
     """
     u = np.asarray(x, dtype=float) - center
     E2 = _scaled_erf(half - u, omega, s)
     E1 = _scaled_erf(-half - u, omega, s)
-    return (1.0 / np.sqrt(half)) * np.imag(np.exp(1j * omega * (u + half)) * 0.5 * (E2 - E1))
+    Z = np.exp(1j * omega * (u + half)) * 0.5 * (E2 - E1)
+    scale = 1.0 / np.sqrt(half)
+    if grad:
+        return scale * np.imag(Z), scale * omega * np.real(Z)
+    return scale * np.imag(Z)
 
 
 # ---------------- evaluation engine ----------------
 
+_S_CHUNK = 24  # subordination nodes per pass of the mode kernel
+
+
+def _contract(C, factors):
+    """Sum the coefficient tensor C (rows, m_1, ..., m_d) against per-axis
+    mode arrays factors[i] of shape (m_i, n_i, s): returns (rows, n_1, ..., n_d, s)."""
+    m, p = "jk"[: len(factors)], "ab"[: len(factors)]
+    spec = f"f{m}," + ",".join(f"{mi}{pi}s" for mi, pi in zip(m, p)) + f"->f{p}s"
+    return np.einsum(spec, C, *factors, optimize=True)
+
+
+def _time_contract(M, G):
+    """Contract the trailing s axis of M with G (nt, ns) in one matrix product."""
+    return (M.reshape(-1, M.shape[-1]) @ G.T).reshape(M.shape[:-1] + (G.shape[0],))
+
+
+def _axes(xs, dim):
+    """Point axes as a list of 1D arrays: [xs] in 1D, [x1s, x2s] in 2D."""
+    axes = [xs] if dim == 1 else list(xs)
+    return [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
+
+
+def _xs(axes):
+    """Inverse of _axes: the point argument of the field samplers."""
+    return axes[0] if len(axes) == 1 else tuple(axes)
+
+
+def _grid_points(axes):
+    """The tensor grid of the axes as points: an array in 1D, (n, 2) in 2D."""
+    if len(axes) == 1:
+        return axes[0]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _require_positive_times(ts):
+    if np.any(np.asarray(ts) <= 0.0):
+        raise ValidationError("gradients need t > 0")
+
 
 class ExtensionEngine:
     """Evaluates P_t applied to arbitrary coefficient vectors of a sine basis,
-    batched over tensor grids of points and times."""
+    and its gradient, batched over tensor grids of points and times."""
 
     def __init__(self, basis):
         if basis.kind not in ("sine", "sine2d"):
@@ -101,82 +147,76 @@ class ExtensionEngine:
         g[ts == 0] = 0.0
         return g * self.s_weights[None, :]
 
-    def values(self, coeff_rows, xs, ts, s_chunk=24):
+    def _modes(self, rows):
+        """Per-axis (centers, halves, omegas) of the modes in use and the
+        coefficient tensor (rows, m_1, ..., m_d) over them."""
+        meta = self.basis.meta
+        if self.basis.kind == "sine":
+            used = np.nonzero(np.max(np.abs(rows), axis=0) > 1e-15 * np.max(np.abs(rows)))[0]
+            c, h, _, om = (np.array([meta[p][i] for p in used]) for i in range(4))
+            return [(c, h, om)], rows[:, used]
+        (c1, h1), (c2, h2), n1, n2 = meta
+        axes = [
+            (np.full(n, c), np.full(n, h), np.arange(1, n + 1) * np.pi / (2 * h))
+            for c, h, n in ((c1, h1, n1), (c2, h2, n2))
+        ]
+        return axes, rows.reshape(rows.shape[0], n1, n2)
+
+    def values(self, coeff_rows, xs, ts, grad=False):
         """Extensions of several coefficient vectors on a tensor grid.
 
         1D: xs is an array of points; returns (n_rows, len(xs), len(ts)).
         2D: xs = (x1s, x2s); returns (n_rows, len(x1s), len(x2s), len(ts)).
         Entries with t = 0 are the boundary values (the functions themselves).
+
+        With grad=True an axis of length dim + 2 follows the rows, holding the
+        value, d/dx (or d/dx1, d/dx2) and d/dt, all from the same mode arrays:
+        the x-derivatives come with the smoothed modes, and d/dt is the same
+        subordination sum taken against dg/dt = g (1/t - t / (2 s)). Gradients
+        need every t > 0.
         """
-        coeff_rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
+        rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         gw = self._time_weights(ts)
-        if self.basis.kind == "sine":
-            out = self._values_1d(coeff_rows, np.atleast_1d(xs), gw)
-        else:
-            out = self._values_2d(coeff_rows, xs, gw)
+        nt = ts.size
+        if grad:
+            _require_positive_times(ts)
+            dg = 1.0 / ts[:, None] - ts[:, None] / (2.0 * self.s_nodes[None, :])
+            gw = np.concatenate([gw, gw * dg])
+        points = _axes(xs, 1 if self.basis.kind == "sine" else 2)
+        modes, C = self._modes(rows)
+        grid = tuple(p.size for p in points)
+        out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1) + grid + (nt,))
+        for i0 in range(0, self.s_nodes.size, _S_CHUNK):
+            sl = slice(i0, i0 + _S_CHUNK)
+            sc = self.s_nodes[None, None, sl]
+            per_axis = [
+                smoothed_sine_mode(p[None, :, None], sc, om[:, None, None],
+                                   c[:, None, None], h[:, None, None], grad=grad)
+                for p, (c, h, om) in zip(points, modes)
+            ]
+            if not grad:
+                out[:, 0] += _time_contract(_contract(C, per_axis), gw[:, sl])
+                continue
+            vals = [v for v, _ in per_axis]
+            both = _time_contract(_contract(C, vals), gw[:, sl])
+            out[:, 0] += both[..., :nt]
+            out[:, -1] += both[..., nt:]
+            for i, (_, dx) in enumerate(per_axis):
+                factors = vals[:i] + [dx] + vals[i + 1 :]
+                out[:, 1 + i] += _time_contract(_contract(C, factors), gw[:nt, sl])
+        if grad:
+            return out
+        out = out[:, 0]
         if np.any(ts == 0.0):
-            self._fill_boundary(out, coeff_rows, xs, ts)
+            self._fill_boundary(out, rows, points, ts)
         return out
 
-    def _values_1d(self, rows, xs, gw):
-        meta = self.basis.meta
-        used = np.nonzero(np.max(np.abs(rows), axis=0) > 1e-15 * np.max(np.abs(rows)))[0]
-        cc = np.array([meta[p][0] for p in used])
-        hh = np.array([meta[p][1] for p in used])
-        om = np.array([meta[p][3] for p in used])
-        rows_u = rows[:, used]
-        nx, nt = xs.size, gw.shape[0]
-        acc = np.zeros((rows.shape[0], nx, nt))
-        s, _ = self.s_nodes, self.s_weights
-        for i0 in range(0, s.size, 24):
-            sc = s[i0 : i0 + 24]
-            V = smoothed_sine_mode(
-                xs[None, :, None], sc[None, None, :], om[:, None, None],
-                cc[:, None, None], hh[:, None, None],
-            )
-            Vc = np.tensordot(rows_u, V, axes=(1, 0))  # (nf, nx, nsc)
-            acc += Vc @ gw[:, i0 : i0 + 24].T
-        return acc
-
-    def _values_2d(self, rows, xs, gw):
-        (c1, h1), (c2, h2), n1, n2 = self.basis.meta
-        x1s = np.atleast_1d(xs[0])
-        x2s = np.atleast_1d(xs[1])
-        om1 = np.arange(1, n1 + 1) * np.pi / (2 * h1)
-        om2 = np.arange(1, n2 + 1) * np.pi / (2 * h2)
-        C = rows.reshape(rows.shape[0], n1, n2)
-        nf = rows.shape[0]
-        acc = np.zeros((nf, x1s.size, x2s.size, gw.shape[0]))
-        s = self.s_nodes
-        for i0 in range(0, s.size, 24):
-            sc = s[i0 : i0 + 24]
-            V1 = smoothed_sine_mode(
-                x1s[None, :, None], sc[None, None, :], om1[:, None, None], c1, h1
-            )
-            V2 = smoothed_sine_mode(
-                x2s[None, :, None], sc[None, None, :], om2[:, None, None], c2, h2
-            )
-            M = np.einsum("jas,fjm,mbs->fabs", V1, C, V2, optimize=True)
-            acc += M @ gw[:, i0 : i0 + 24].T
-        return acc
-
-    def _fill_boundary(self, out, rows, xs, ts):
-        idx = np.nonzero(ts == 0.0)[0]
-        if self.basis.kind == "sine":
-            pts = np.atleast_1d(xs)
-        else:
-            x1s, x2s = np.atleast_1d(xs[0]), np.atleast_1d(xs[1])
-            pts = np.column_stack(
-                [g.ravel() for g in np.meshgrid(x1s, x2s, indexing="ij")]
-            )
+    def _fill_boundary(self, out, rows, points, ts):
+        pts = _grid_points(points)
         for f in range(rows.shape[0]):
             vals = evaluate_basis_sum(self.basis, rows[f], pts)
-            for i in idx:
-                if self.basis.kind == "sine":
-                    out[f, :, i] = vals
-                else:
-                    out[f, :, :, i] = vals.reshape(len(np.atleast_1d(xs[0])), -1)
+            out[f][..., ts == 0.0] = vals.reshape(out.shape[1:-1] + (1,))
 
 
 class HarmonicExtension:
@@ -191,6 +231,10 @@ class HarmonicExtension:
     def values(self, xs, ts):
         return self.engine.values(self.coeffs[None, :], xs, ts)[0]
 
+    def values_and_grad(self, xs, ts):
+        """Value and gradient stacked on the first axis (see ExtensionEngine.values)."""
+        return self.engine.values(self.coeffs[None, :], xs, ts, grad=True)[0]
+
     def __call__(self, x, t):
         if self.dim == 1:
             return float(self.values(np.array([float(x)]), np.array([float(t)]))[0, 0])
@@ -200,28 +244,16 @@ class HarmonicExtension:
         )
 
 
-_ENGINE_CACHE = {}
-
-
-def _engine_for(basis):
-    key = id(basis)
-    hit = _ENGINE_CACHE.get(key)
-    if hit is None or hit.basis is not basis:
-        hit = ExtensionEngine(basis)
-        _ENGINE_CACHE[key] = hit
-    return hit
-
-
 def extend(result: SpectralResult, n: int) -> HarmonicExtension:
     """Harmonic extension of mode n (1-based) of a Cauchy-process result.
 
-    Extensions of the same result share one evaluation engine, so batched
-    energy quadratures reuse the per-mode smoothing arrays.
+    Extensions of the same result share its basis, so energy quadratures
+    evaluate them together in one engine pass.
     """
     if result.alpha != 1.0:
         raise ValidationError("harmonic extensions apply to alpha = 1 results")
     return HarmonicExtension(
-        _engine_for(result.basis),
+        ExtensionEngine(result.basis),
         result.coefficients[n - 1],
         result.eigenvalues[n - 1],
         result.domain.dim,
@@ -340,16 +372,12 @@ def check_boundary_derivative(result, n, x, h=1e-4):
     return abs((u_h - phi_v) / h + lam * phi_v)
 
 
-def _interior_points_1d(domain, n):
-    pts = []
-    for a, b in domain.intervals:
-        pts.append(np.linspace(a, b, n + 2)[1:-1])
-    return np.concatenate(pts)
-
-
-def _interior_axes_2d(domain, n):
-    (a1, b1), (a2, b2) = domain.params
-    return np.linspace(a1, b1, n + 2)[1:-1], np.linspace(a2, b2, n + 2)[1:-1]
+def _interior_axes(domain, n):
+    """n evenly spaced interior points per interval component (1D) or per
+    rectangle side (2D), as a list of axes."""
+    if domain.dim == 1:
+        return [np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in domain.intervals])]
+    return [np.linspace(a, b, n + 2)[1:-1] for a, b in domain.params]
 
 
 def ground_state_domination_check(result, xs=None, ts=None):
@@ -363,24 +391,16 @@ def ground_state_domination_check(result, xs=None, ts=None):
     basis) swamps the slack, which is why the default grid starts above it.
     """
     ext = extend(result, 1)
-    lam1 = result.lambda1
     phi1 = result.eigenfunction(1)
     if xs is None or ts is None:
         gx, gt = default_field_grid(result.domain)
         xs = gx if xs is None else xs
         ts = gt if ts is None else ts
     ts = np.asarray(ts, dtype=float)
-    if result.domain.dim == 1:
-        xs = np.asarray(xs, dtype=float)
-        u = ext.values(xs, ts)
-        phiv = np.where(result.domain.contains(xs), phi1(xs), 0.0)
-        lower = np.exp(-lam1 * ts)[None, :] * phiv[:, None]
-    else:
-        u = ext.values(xs, ts)
-        g1, g2 = np.meshgrid(xs[0], xs[1], indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-        phiv = np.where(result.domain.contains(pts), phi1(pts), 0.0).reshape(u.shape[:2])
-        lower = np.exp(-lam1 * ts)[None, None, :] * phiv[:, :, None]
+    u = ext.values(xs, ts)
+    pts = _grid_points(_axes(xs, result.domain.dim))
+    phiv = np.where(result.domain.contains(pts), phi1(pts), 0.0).reshape(u.shape[:-1])
+    lower = np.exp(-result.lambda1 * ts) * phiv[..., None]
     return float(np.min(u - lower))
 
 
@@ -432,6 +452,25 @@ def _x_grid_1d(domain, x_max, n_inner=49, nodes_per_panel=6, axis=0):
     return panel_gauss(np.array(edges), nodes_per_panel)
 
 
+def _energy_grid(domain, trunc):
+    """Per-axis x rules and the t rule of the truncated box: ([x rules], t rule)."""
+    if domain.dim == 1:
+        return [_x_grid_1d(domain, trunc.x_max)], _t_grid(trunc)
+    # coarser rules in 2d: the field arrays grow with the square of the
+    # per-axis node count
+    return (
+        [_x_grid_1d(domain, trunc.x_max, n_inner=17, nodes_per_panel=4, axis=i) for i in (0, 1)],
+        _t_grid(trunc, nodes_per_panel=4, panels_per_decade=3),
+    )
+
+
+def _integrate(f, weights):
+    """Tensor quadrature: contract each leading axis of f with its weights."""
+    for w in weights:
+        f = np.tensordot(w, f, axes=(0, 0))
+    return float(f)
+
+
 class ConstantField:
     """Trivial field sampler u(x, t) = value, for degenerate test inputs."""
 
@@ -440,12 +479,21 @@ class ConstantField:
         self.value = float(value)
 
     def values(self, xs, ts):
-        ts = np.atleast_1d(ts)
-        if self.dim == 1:
-            shape = (np.atleast_1d(xs).size, ts.size)
-        else:
-            shape = (np.atleast_1d(xs[0]).size, np.atleast_1d(xs[1]).size, ts.size)
+        shape = tuple(a.size for a in _axes(xs, self.dim)) + (np.atleast_1d(ts).size,)
         return np.full(shape, self.value)
+
+    def values_and_grad(self, xs, ts):
+        _require_positive_times(ts)
+        v = self.values(xs, ts)
+        out = np.zeros((self.dim + 2,) + v.shape)
+        out[0] = v
+        return out
+
+
+def _quotient(a, b):
+    """Value and gradient of a / b from those of a and b (stacked on axis 0)."""
+    w = a[0] / b[0]
+    return np.concatenate([w[None], (a[1:] - w * b[1:]) / b[0]])
 
 
 class RatioField:
@@ -459,6 +507,9 @@ class RatioField:
     def values(self, xs, ts):
         return self.num.values(xs, ts) / self.den.values(xs, ts)
 
+    def values_and_grad(self, xs, ts):
+        return _quotient(self.num.values_and_grad(xs, ts), self.den.values_and_grad(xs, ts))
+
 
 def extend_ratio(result, n):
     """The bounded field u_n / u_1 whose energy gives the gap to lambda_1."""
@@ -470,135 +521,111 @@ def _atoms(f):
 
 
 def _eval_fields(fields, xs, ts):
-    """Evaluate several field samplers, collapsing to one engine pass (with
-    deduplicated coefficient rows) when every ingredient is an extension of
-    the same spectral result."""
-    atoms = [a for f in fields for a in _atoms(f)]
-    engines = {getattr(a, "engine", None) for a in atoms}
-    if len(engines) == 1 and None not in engines:
-        engine = engines.pop()
-        index = {}
-        rows = []
-        for a in atoms:
-            if id(a.coeffs) not in index:
-                index[id(a.coeffs)] = len(rows)
+    """Values and gradients (values_and_grad) of several fields on one grid.
+
+    Extensions are batched by basis identity: all extensions of one spectral
+    result go through one engine pass, with duplicate coefficient rows
+    evaluated once. Other fields evaluate themselves; a field passed twice
+    is evaluated once."""
+    batches = {}  # id(basis) -> (engine, {coefficient bytes: row}, [rows])
+    for a in (a for f in fields for a in _atoms(f)):
+        if isinstance(a, HarmonicExtension):
+            engine, index, rows = batches.setdefault(id(a.engine.basis), (a.engine, {}, []))
+            index.setdefault(a.coeffs.tobytes(), len(rows))
+            if len(index) > len(rows):
                 rows.append(a.coeffs)
-        vals = engine.values(np.vstack(rows), xs, ts)
+    vals = {
+        key: engine.values(np.vstack(rows), xs, ts, grad=True)
+        for key, (engine, _, rows) in batches.items()
+    }
 
-        def val(a):
-            return vals[index[id(a.coeffs)]]
+    def val(a):
+        if not isinstance(a, HarmonicExtension):
+            return a.values_and_grad(xs, ts)
+        key = id(a.engine.basis)
+        return vals[key][batches[key][1][a.coeffs.tobytes()]]
 
-    else:
-
-        def val(a):
-            return a.values(xs, ts)
-
-    out = []
+    out = {}
     for f in fields:
-        if isinstance(f, RatioField):
-            out.append(val(f.num) / val(f.den))
-        else:
-            out.append(val(f))
-    return out
+        if id(f) not in out:
+            out[id(f)] = _quotient(val(f.num), val(f.den)) if isinstance(f, RatioField) else val(f)
+    return [out[id(f)] for f in fields]
 
 
-def q_functional(u, v, u1, trunc=None, h=1e-4):
+def q_functional(u, v, u1, trunc=None):
     """Energy pairing of two fields with the squared ground extension weight:
 
         Q(u, v) = integral over [-R, R]^d x [eps, T] of grad u . grad v * u1^2,
 
-    by tensor Gauss quadrature with central-difference gradients (step h).
-    For u = v = u_n/u_1 (see extend_ratio) this equals the eigenvalue gap
+    by tensor Gauss quadrature of the analytic gradients (values_and_grad);
+    u1 must carry a basis (a harmonic extension), whose domain sets the x
+    rules. For
+    u = v = u_n/u_1 (see extend_ratio) this equals the eigenvalue gap
     lambda_n - lambda_1. The reported tail_bound integrates a fitted envelope
-    K (t^2 + |x|^2)^(-(d+1)) over the omitted region.
+    K (t^2 + |x|^2)^(-(d+1)) over the omitted region. diagnostics holds
+    "constant_field", the pairing of ConstantField with itself against the
+    same weight on the same grid, which is zero unless the gradients are wrong.
     """
+    basis = getattr(getattr(u1, "engine", None), "basis", None)
+    if basis is None:
+        raise ValidationError("u1 carries no basis to set the quadrature grid")
     dim = u1.dim
     if trunc is None:
         trunc = default_truncation(dim)
     trunc.validate()
-    basis = getattr(getattr(u1, "engine", None), "basis", None)
-    domain = basis.domain if basis is not None else Domain.interval(-1, 1)
-    tq, tw = _t_grid(trunc)
-    ts_all = np.concatenate([tq, tq - h, tq + h])
-    if dim == 1:
-        xq, xw = _x_grid_1d(domain, trunc.x_max)
-        xs_all = np.concatenate([xq, xq - h, xq + h])
-        wu, wv, f1 = [
-            a.reshape(3, xq.size, 3, tq.size)
-            for a in _eval_fields((u, v, u1), xs_all, ts_all)
-        ]
-        gdot = (
-            (wu[2, :, 0] - wu[1, :, 0]) * (wv[2, :, 0] - wv[1, :, 0])
-            + (wu[0, :, 2] - wu[0, :, 1]) * (wv[0, :, 2] - wv[0, :, 1])
-        ) / (2 * h) ** 2
-        weight = f1[0, :, 0] ** 2
-        integrand = gdot * weight
-        value = float(xw @ integrand @ tw)
-        tail = _tail_bound_1d(xq, tq, np.abs(integrand), trunc)
-        return QResult(value, tail, trunc, xq.size, tq.size)
-    # coarser tensor grids in 2d keep the memory footprint of the
-    # stencil tensor (3 fields x grid x grid x times) manageable
-    tq, tw = _t_grid(trunc, nodes_per_panel=4, panels_per_decade=3)
-    ts_all = np.concatenate([tq, tq - h, tq + h])
-    x1q, x1w = _x_grid_1d(domain, trunc.x_max, n_inner=17, nodes_per_panel=4, axis=0)
-    x2q, x2w = _x_grid_1d(domain, trunc.x_max, n_inner=17, nodes_per_panel=4, axis=1)
-    x1_all = np.concatenate([x1q, x1q - h, x1q + h])
-    x2_all = np.concatenate([x2q, x2q - h, x2q + h])
-    n1, n2, nt = x1q.size, x2q.size, tq.size
-    wu, wv, f1 = [
-        a.reshape(3, n1, 3, n2, 3, nt)
-        for a in _eval_fields((u, v, u1), (x1_all, x2_all), ts_all)
-    ]
-    gdot = (
-        (wu[2, :, 0, :, 0] - wu[1, :, 0, :, 0]) * (wv[2, :, 0, :, 0] - wv[1, :, 0, :, 0])
-        + (wu[0, :, 2, :, 0] - wu[0, :, 1, :, 0]) * (wv[0, :, 2, :, 0] - wv[0, :, 1, :, 0])
-        + (wu[0, :, 0, :, 2] - wu[0, :, 0, :, 1]) * (wv[0, :, 0, :, 2] - wv[0, :, 0, :, 1])
-    ) / (2 * h) ** 2
-    weight = f1[0, :, 0, :, 0] ** 2
-    integrand = gdot * weight
-    value = float(np.einsum("a,b,t,abt->", x1w, x2w, tw, integrand))
-    tail = _tail_bound_2d(x1q, x2q, tq, np.abs(integrand), trunc)
-    return QResult(value, tail, trunc, n1 * n2, nt)
+    x_rules, (tq, tw) = _energy_grid(basis.domain, trunc)
+    axes = [x for x, _ in x_rules]
+    weights = [w for _, w in x_rules] + [tw]
+    gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(dim)), _xs(axes), tq)
+    weight = g1[0] ** 2
+    integrand = np.sum(gu[1:] * gv[1:], axis=0) * weight
+    return QResult(
+        _integrate(integrand, weights),
+        _tail_bound(axes, tq, np.abs(integrand), trunc),
+        trunc,
+        int(np.prod([x.size for x in axes])),
+        tq.size,
+        {"constant_field": _integrate(np.sum(gc[1:] ** 2, axis=0) * weight, weights)},
+    )
 
 
-def _tail_bound_1d(xq, tq, integrand, trunc):
-    # calibrate integrand <= K (t^2 + x^2)^(-2) on the outer shell, then
+# envelope integrals outside the box, per dimension: (t-side, x-side) constants
+_TAIL_CONSTANTS = {1: (np.pi / 4, np.pi / 4), 2: (np.pi / 6, np.pi**2 / 8)}
+
+
+def _tail_bound(axes, tq, integrand, trunc):
+    # calibrate integrand <= K (t^2 + |x|^2)^(-(d+1)) on the outer shell, then
     # integrate that envelope outside the box
-    X, T = np.meshgrid(xq, tq, indexing="ij")
-    shell = (np.abs(X) > 0.8 * trunc.x_max) | (T > 0.8 * trunc.t_max)
-    if not np.any(shell):
-        return float("inf")
-    K = float(np.max(integrand[shell] * (T[shell] ** 2 + X[shell] ** 2) ** 2))
-    return K * (np.pi / (4 * trunc.t_max**2) + np.pi / (4 * trunc.x_max**2))
-
-
-def _tail_bound_2d(x1q, x2q, tq, integrand, trunc):
-    X1, X2, T = np.meshgrid(x1q, x2q, tq, indexing="ij")
-    R2 = X1**2 + X2**2
+    d = len(axes)
+    *X, T = np.meshgrid(*axes, tq, indexing="ij")
+    R2 = sum(x**2 for x in X)
     shell = (np.sqrt(R2) > 0.8 * trunc.x_max) | (T > 0.8 * trunc.t_max)
     if not np.any(shell):
         return float("inf")
-    K = float(np.max(integrand[shell] * (T[shell] ** 2 + R2[shell]) ** 3))
-    return K * (np.pi / (6 * trunc.t_max**3) + np.pi**2 / (8 * trunc.x_max**3))
+    K = float(np.max(integrand[shell] * (T[shell] ** 2 + R2[shell]) ** (d + 1)))
+    c_t, c_x = _TAIL_CONSTANTS[d]
+    return K * (c_t / trunc.t_max ** (d + 1) + c_x / trunc.x_max ** (d + 1))
 
 
 def gap_identity_check(result, n=None, trunc=None):
     """Compare the energy Q(u_n/u_1, u_n/u_1) with lambda_n - lambda_1.
 
-    Returns {"lhs": eigenvalue gap, "rhs": energy, "relative_error", ...};
+    Returns {"lhs": eigenvalue gap, "rhs": energy, "relative_error", ...,
+    "constant_field_Q": the constant field's energy on the same pass};
     n defaults to the star mode.
     """
     if n is None:
         n = result.star_index
     gap = float(result.eigenvalues[n - 1] - result.lambda1)
     w = extend_ratio(result, n)
-    q = q_functional(w, w, extend(result, 1), trunc=trunc)
+    q = q_functional(w, w, w.den, trunc=trunc)
     return {
         "mode": n,
         "lhs": gap,
         "rhs": q.value,
         "relative_error": abs(q.value - gap) / gap,
         "tail_bound": q.tail_bound,
+        "constant_field_Q": q.diagnostics["constant_field"],
     }
 
 
@@ -610,56 +637,26 @@ def ratio_boundedness_check(result, n=None, t_max=20.0):
     """
     if n is None:
         n = result.star_index
-    engine = _engine_for(result.basis)
     rows = np.vstack([result.coefficients[n - 1], result.coefficients[0]])
-    ts = np.geomspace(1e-3, t_max, 25)
-    if result.domain.dim == 1:
-        xs = _interior_points_1d(result.domain, 40)
-        vals = engine.values(rows, xs, ts)
-    else:
-        vals = engine.values(rows, _interior_axes_2d(result.domain, 24), ts)
+    axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
+    vals = ExtensionEngine(result.basis).values(rows, _xs(axes), np.geomspace(1e-3, t_max, 25))
     return float(np.max(np.abs(vals[0] / vals[1])))
 
 
-def gradient_scale_fit(result, n=None, trunc=None, h=1e-4):
+def gradient_scale_fit(result, n=None, trunc=None):
     """Fit the constant c in |grad(u_n/u_1)| <= c / t on a probe grid of the
     half-space above D; returns max over the grid of t * |grad(u_n/u_1)|."""
     if n is None:
         n = result.star_index
     if trunc is None:
         trunc = default_truncation(result.domain.dim)
-    engine = _engine_for(result.basis)
-    rows = np.vstack([result.coefficients[n - 1], result.coefficients[0]])
     tq = np.geomspace(trunc.eps, trunc.t_max, 25)
-    ts_all = np.concatenate([tq, tq - h, tq + h])
-    if result.domain.dim == 1:
-        xq = _interior_points_1d(result.domain, 30)
-        xs_all = np.concatenate([xq, xq - h, xq + h])
-        vals = engine.values(rows, xs_all, ts_all)
-        u = vals[0].reshape(3, xq.size, 3, tq.size)
-        u1 = vals[1].reshape(3, xq.size, 3, tq.size)
-        w = u / u1
-        g = np.hypot(
-            (w[2, :, 0] - w[1, :, 0]) / (2 * h), (w[0, :, 2] - w[0, :, 1]) / (2 * h)
-        )
-        return float(np.max(g * tq[None, :]))
-    x1q, x2q = _interior_axes_2d(result.domain, 14)
-    x1_all = np.concatenate([x1q, x1q - h, x1q + h])
-    x2_all = np.concatenate([x2q, x2q - h, x2q + h])
-    vals = engine.values(rows, (x1_all, x2_all), ts_all)
-    n1, n2, nt = x1q.size, x2q.size, tq.size
-    u = vals[0].reshape(3, n1, 3, n2, 3, nt)
-    u1 = vals[1].reshape(3, n1, 3, n2, 3, nt)
-    w = u / u1
-    g = np.sqrt(
-        ((w[2, :, 0, :, 0] - w[1, :, 0, :, 0]) / (2 * h)) ** 2
-        + ((w[0, :, 2, :, 0] - w[0, :, 1, :, 0]) / (2 * h)) ** 2
-        + ((w[0, :, 0, :, 2] - w[0, :, 0, :, 1]) / (2 * h)) ** 2
-    )
-    return float(np.max(g * tq[None, None, :]))
+    axes = _interior_axes(result.domain, 30 if result.domain.dim == 1 else 14)
+    (gw,) = _eval_fields((extend_ratio(result, n),), _xs(axes), tq)
+    return float(np.max(np.sqrt(np.sum(gw[1:] ** 2, axis=0)) * tq))
 
 
-def d01_lower_bound_check(result, trunc=None, h=1e-4):
+def d01_lower_bound_check(result, trunc=None):
     """Evaluate the explicit lower-bound integral for the gap:
 
         integral over D x (0, T] of |grad (u*/u_1)|^2 exp(-2 lambda_1 t) phi_1^2,
@@ -675,67 +672,28 @@ def d01_lower_bound_check(result, trunc=None, h=1e-4):
         trunc = default_truncation(result.domain.dim)
     n = result.star_index
     lam1 = result.lambda1
-    engine = ExtensionEngine(result.basis)
-    rows = np.vstack([result.coefficients[n - 1], result.coefficients[0]])
     tq, tw = log_panels(1e-6, trunc.t_max, panels_per_decade=3, nodes_per_panel=6)
-    ts_all = np.concatenate([tq, tq - h * (tq > h * 2), tq + h])
-    phi1 = result.eigenfunction(1)
-    if result.domain.dim == 1:
-        xq, xw = _interior_quadrature_1d(result.domain)
-        xs_all = np.concatenate([xq, xq - h, xq + h])
-        vals = engine.values(rows, xs_all, ts_all)
-        nx, nt = xq.size, tq.size
-        u = vals[0].reshape(3, nx, 3, nt)
-        u1 = vals[1].reshape(3, nx, 3, nt)
-        w = u / u1
-        dx = (w[2, :, 0] - w[1, :, 0]) / (2 * h)
-        dt = (w[0, :, 2] - w[0, :, 1]) / np.where(tq > 2 * h, 2 * h, h)[None, :]
-        grad2 = dx**2 + dt**2
-        phi2 = phi1(xq)[:, None] ** 2
-        weight = np.exp(-2 * lam1 * tq)[None, :] * phi2
-        value = float(xw @ (grad2 * weight) @ tw)
-        slack = float(np.min(u1[0, :, 0] ** 2 - weight))
-    else:
-        (x1q, x1w), (x2q, x2w) = _interior_quadrature_2d(result.domain)
-        x1_all = np.concatenate([x1q, x1q - h, x1q + h])
-        x2_all = np.concatenate([x2q, x2q - h, x2q + h])
-        vals = engine.values(rows, (x1_all, x2_all), ts_all)
-        n1, n2, nt = x1q.size, x2q.size, tq.size
-        u = vals[0].reshape(3, n1, 3, n2, 3, nt)
-        u1 = vals[1].reshape(3, n1, 3, n2, 3, nt)
-        w = u / u1
-        d1 = (w[2, :, 0, :, 0] - w[1, :, 0, :, 0]) / (2 * h)
-        d2 = (w[0, :, 2, :, 0] - w[0, :, 1, :, 0]) / (2 * h)
-        dt = (w[0, :, 0, :, 2] - w[0, :, 0, :, 1]) / np.where(tq > 2 * h, 2 * h, h)[
-            None, None, :
-        ]
-        grad2 = d1**2 + d2**2 + dt**2
-        g1, g2 = np.meshgrid(x1q, x2q, indexing="ij")
-        phi2 = phi1(np.column_stack([g1.ravel(), g2.ravel()])).reshape(n1, n2) ** 2
-        weight = np.exp(-2 * lam1 * tq)[None, None, :] * phi2[:, :, None]
-        value = float(np.einsum("a,b,t,abt->", x1w, x2w, tw, grad2 * weight))
-        slack = float(np.min(u1[0, :, 0, :, 0] ** 2 - weight))
+    x_rules = _interior_quadrature(result.domain)
+    axes = [x for x, _ in x_rules]
+    w = extend_ratio(result, n)
+    gw, g1 = _eval_fields((w, w.den), _xs(axes), tq)
+    phi1 = result.eigenfunction(1)(_grid_points(axes)).reshape(g1.shape[1:-1])
+    weight = np.exp(-2 * lam1 * tq) * phi1[..., None] ** 2
+    value = _integrate(np.sum(gw[1:] ** 2, axis=0) * weight, [xw for _, xw in x_rules] + [tw])
     gap = float(result.lambda_star - lam1)
     return {
         "mode": n,
         "simplified_integral": value,
         "gap": gap,
-        "weight_slack": slack,
+        "weight_slack": float(np.min(g1[0] ** 2 - weight)),
         "pass": bool(value <= gap + 1e-3),
     }
 
 
-def _interior_quadrature_1d(domain, panels_per_comp=16, nodes=5):
-    xs, ws = [], []
-    for a, b in domain.intervals:
-        x, w = panel_gauss(np.linspace(a, b, panels_per_comp + 1), nodes)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _interior_quadrature_2d(domain, panels=10, nodes=4):
-    (a1, b1), (a2, b2) = domain.params
-    g1 = panel_gauss(np.linspace(a1, b1, panels + 1), nodes)
-    g2 = panel_gauss(np.linspace(a2, b2, panels + 1), nodes)
-    return g1, g2
+def _interior_quadrature(domain):
+    """Per-axis Gauss rules over D: 16 five-node panels per interval component
+    in 1d, 10 four-node panels per side of a rectangle in 2d."""
+    if domain.dim == 1:
+        rules = [panel_gauss(np.linspace(a, b, 17), 5) for a, b in domain.intervals]
+        return [tuple(np.concatenate(parts) for parts in zip(*rules))]
+    return [panel_gauss(np.linspace(a, b, 11), 4) for a, b in domain.params]

@@ -107,6 +107,31 @@ def test_gap_check_budget_exceeded_exits_3(capsys):
     assert "error" in err
 
 
+def test_gap_check_interval_n32_regression(capsys):
+    # pins the values of the analytic-gradient energy path on the benchmark case
+    code, out, _ = run_cli(
+        ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "32"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["Q_value"] == pytest.approx(1.5953024168454721, rel=1e-6)
+    assert doc["d01_integral"] == pytest.approx(1.4884072777242714, abs=1e-6)
+    assert doc["constant_field_Q"] == 0.0
+
+
+def test_eig_lost_positivity_exits_3(monkeypatch, capsys):
+    eigh = np.linalg.eigh
+
+    def broken_eigh(a):
+        evals, evecs = eigh(a)
+        evals[0] = -1.0
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    code, _, err = run_cli(["eig", "--domain", "interval:-1,1", "--n", "16"], capsys)
+    assert code == 3
+    assert "positivity" in err
+
+
 # ---------------- mc ----------------
 
 

@@ -22,7 +22,27 @@ from stablegap import (
     sample_extension,
     solve_spectrum,
 )
-from stablegap.steklov import smoothed_sine_mode
+from stablegap.steklov import ExtensionEngine, smoothed_sine_mode
+
+FD_STEP = 1e-5
+TIMES = np.array([2e-4, 1e-3, 0.05, 1.0, 7.0])  # includes t <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def interval_32(interval_domain):
+    return solve_spectrum(interval_domain, 1.0, 32)
+
+
+@pytest.fixture(scope="module")
+def rect_8(rect_domain):
+    return solve_spectrum(rect_domain, 1.0, 8)
+
+
+def assert_gradient_matches(analytic, difference):
+    # relative to the largest entry at each time: the field scale changes by
+    # orders of magnitude between t = 2e-4 and t = 7
+    scale = np.max(np.abs(analytic), axis=tuple(range(analytic.ndim - 1)))
+    assert np.all(np.abs(analytic - difference) <= 1e-6 * scale)
 
 
 def test_extension_boundary_values(interval_128):
@@ -177,3 +197,85 @@ def test_truncation_validation():
         Truncation(-1.0, 10.0, 20.0).validate()
     with pytest.raises(ValidationError):
         Truncation(1.0, 0.5, 20.0).validate()
+
+
+# ---------------- analytic gradients ----------------
+
+
+def test_smoothed_sine_mode_x_derivative():
+    # basis frequencies k pi / (2 h) only: the mode must vanish at both ends
+    s = np.array([1e-4, 1e-3, 0.3, 100.0])[None, :]
+    xs = np.linspace(-2.0, 2.5, 11)[:, None]
+    for k in (1, 6, 32):
+        omega = k * np.pi / 2.0
+        value, dx = smoothed_sine_mode(xs, s, omega, 0.2, 1.0, grad=True)
+        assert np.array_equal(value, smoothed_sine_mode(xs, s, omega, 0.2, 1.0))
+        fd = (smoothed_sine_mode(xs + FD_STEP, s, omega, 0.2, 1.0)
+              - smoothed_sine_mode(xs - FD_STEP, s, omega, 0.2, 1.0)) / (2 * FD_STEP)
+        assert_gradient_matches(dx, fd)
+
+
+def test_engine_gradient_matches_central_differences_1d(interval_32):
+    engine = ExtensionEngine(interval_32.basis)
+    rows = interval_32.coefficients[:3]
+    xs = np.array([-1.3, -0.7, 0.0, 0.45, 0.9, 1.6])
+    h = FD_STEP
+    g = engine.values(rows, xs, TIMES, grad=True)
+    assert g.shape == (3, 3, xs.size, TIMES.size)
+    assert np.array_equal(g[:, 0], engine.values(rows, xs, TIMES))
+    dx = (engine.values(rows, xs + h, TIMES) - engine.values(rows, xs - h, TIMES)) / (2 * h)
+    dt = (engine.values(rows, xs, TIMES + h) - engine.values(rows, xs, TIMES - h)) / (2 * h)
+    assert_gradient_matches(g[:, 1], dx)
+    assert_gradient_matches(g[:, 2], dt)
+
+
+def test_engine_gradient_matches_central_differences_rect(rect_8):
+    engine = ExtensionEngine(rect_8.basis)
+    rows = rect_8.coefficients[:2]
+    x1, x2 = np.array([-2.5, -1.0, 0.3, 1.9]), np.array([-0.5, 0.1, 0.8, 1.4])
+    h = FD_STEP
+    g = engine.values(rows, (x1, x2), TIMES, grad=True)
+    assert g.shape == (2, 4, x1.size, x2.size, TIMES.size)
+
+    def vals(a, b, ts=TIMES):
+        return engine.values(rows, (a, b), ts)
+
+    assert_gradient_matches(g[:, 1], (vals(x1 + h, x2) - vals(x1 - h, x2)) / (2 * h))
+    assert_gradient_matches(g[:, 2], (vals(x1, x2 + h) - vals(x1, x2 - h)) / (2 * h))
+    assert_gradient_matches(g[:, 3], (vals(x1, x2, TIMES + h) - vals(x1, x2, TIMES - h)) / (2 * h))
+
+
+def test_ratio_field_quotient_rule(interval_32):
+    w = extend_ratio(interval_32, 2)
+    xs = np.array([-0.8, -0.2, 0.35, 0.95])
+    h = FD_STEP
+    g = w.values_and_grad(xs, TIMES)
+    assert np.allclose(g[0], w.values(xs, TIMES), rtol=1e-14, atol=0.0)
+    assert_gradient_matches(g[1], (w.values(xs + h, TIMES) - w.values(xs - h, TIMES)) / (2 * h))
+    assert_gradient_matches(g[2], (w.values(xs, TIMES + h) - w.values(xs, TIMES - h)) / (2 * h))
+
+
+def test_constant_field_has_zero_gradient():
+    g = ConstantField(2, 3.0).values_and_grad((np.zeros(3), np.zeros(4)), TIMES)
+    assert g.shape == (4, 3, 4, TIMES.size)
+    assert np.all(g[0] == 3.0) and not np.any(g[1:])
+
+
+def test_gradient_at_t_zero_is_rejected(interval_32):
+    ext = extend(interval_32, 1)
+    ts = np.array([0.0, 1.0])
+    with pytest.raises(ValidationError):
+        ext.values_and_grad(np.array([0.0]), ts)
+    with pytest.raises(ValidationError):
+        extend_ratio(interval_32, 2).values_and_grad(np.array([0.0]), ts)
+    with pytest.raises(ValidationError):
+        ConstantField(1).values_and_grad(np.array([0.0]), ts)
+    # value-only calls at t = 0 still return the boundary values
+    assert ext.values(np.array([0.0]), ts)[0, 0] == pytest.approx(
+        interval_32.eigenfunction(1)(np.array([0.0]))[0], abs=1e-14)
+
+
+def test_q_functional_needs_a_basis():
+    one = ConstantField(1)
+    with pytest.raises(ValidationError):
+        q_functional(one, one, one)
