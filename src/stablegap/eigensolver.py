@@ -6,11 +6,17 @@ The quadratic form of the symmetric alpha-stable process killed outside D is
 
 (F the non-unitary Fourier transform). The solver projects this form onto the
 Dirichlet-Laplacian sine basis of an interval union or rectangle (whose
-transforms are closed-form and numerically stable), evaluates the form matrix
-by panel Gauss-Legendre quadrature in xi with an analytic power-law tail
-beyond the truncation point, and diagonalizes. For alpha = 2 the sine basis
-diagonalizes the form exactly and the quadrature is skipped; disks are
-supported at alpha = 2 only, through the classical Bessel modes.
+transforms are closed-form sinc pairs, stable at their removable
+singularities), evaluates the form matrix by panel Gauss-Legendre quadrature
+in xi with an analytic power-law tail beyond the truncation point, and
+diagonalizes. The quadrature runs in real arithmetic: on one interval, and on
+each rectangle axis, the transforms of odd modes are real and those of even
+modes imaginary, so the form splits into same-parity blocks (pairs of
+different parity are exactly zero) and each block is one real Gram product;
+the 2D contraction keeps only the unique same-parity mode pairs of each axis.
+Interval unions use the real Gram product of [Re S | Im S]. For alpha = 2 the
+sine basis diagonalizes the form exactly and the quadrature is skipped; disks
+are supported at alpha = 2 only, through the classical Bessel modes.
 
 Rayleigh-Ritz gives one-sided (from above) approximations, nonincreasing in
 the basis size because the sine bases are nested.
@@ -28,6 +34,8 @@ from .errors import NumericalBudgetError, UnsupportedConfigurationError, Validat
 from .geometry import Domain
 
 _DEGENERACY_TOL = 1e-9
+# entries per xi-chunk of the assembly temporaries (2^21 doubles = 16 MB)
+_CHUNK_ENTRIES = 1 << 21
 
 
 # ---------------- basis ----------------
@@ -89,24 +97,28 @@ def basis_mode_transform(basis, xi):
     """Fourier transforms of 1D sine modes at frequencies ``xi``.
 
     Returns an array (size, len(xi)), row p = integral of mode p times
-    exp(-i xi x). Evaluated through shifted sinc factors, stable at the
+    exp(-i xi x). As omega h = k pi / 2, mode k on the component
+    (c - h, c + h) has the transform
+
+        sqrt(h) s_k (sinc_- + sinc_+)         for odd k,
+        -i sqrt(h) s_k (sinc_- - sinc_+)      for even k,
+
+    times exp(-i xi c), with sinc_-+ = sinc((omega -+ xi) h / pi) and
+    s_k = (-1)^floor(k/2). The sincs of the differences keep it stable at the
     removable singularities xi = +-omega.
     """
     if basis.kind != "sine":
         raise ValidationError("mode transforms are defined for 1D sine bases")
     xi = np.asarray(xi, dtype=float)
-    out = np.empty((basis.size, xi.size), dtype=complex)
-    for p, (c, h, _, om) in enumerate(basis.meta):
-        out[p] = _sine_transform(xi, om, h) * np.exp(-1j * xi * c)
+    c, h, k, om = (np.array(col)[:, None] for col in zip(*basis.meta))
+    odd = k % 2 == 1
+    g = np.sinc((om - xi) * h / np.pi)
+    g += np.where(odd, 1.0, -1.0) * np.sinc((om + xi) * h / np.pi)
+    g *= np.sqrt(h) * np.where(k // 2 % 2 == 0, 1.0, -1.0)
+    out = g * np.where(odd, 1.0, -1j)
+    for cc in np.unique(c[c != 0]):  # one phase per off-centre component
+        out[c[:, 0] == cc] *= np.exp(-1j * xi * cc)
     return out
-
-
-def _sine_transform(xi, om, h):
-    # transform of (1/sqrt h) sin(om (x + h)) on (-h, h)
-    m = 2 * h
-    t1 = np.exp(1j * (om - xi) * h) * np.sinc((om - xi) * h / np.pi)
-    t2 = np.exp(-1j * (om + xi) * h) * np.sinc((om + xi) * h / np.pi)
-    return (1 / np.sqrt(h)) * np.exp(1j * xi * h) * (m / 2j) * (t1 - t2)
 
 
 # ---------------- xi-space quadrature ----------------
@@ -206,33 +218,52 @@ def assemble_form_matrix(domain, alpha, n_basis, tail_factor=None, gl_nodes=10):
     raise ValidationError(f"unknown domain kind {domain.kind!r}")
 
 
-def _assemble_1d(basis, alpha, tail_factor, gl_nodes):
-    h_min = min(h for (_, h, _, _) in basis.meta)
-    om_max = max(om for (_, _, _, om) in basis.meta)
-    panel_w = np.pi / (4 * h_min)
-    npan = int(np.ceil(tail_factor * om_max / panel_w))
-    xg, wg = leggauss(gl_nodes)
-    starts = np.arange(npan) * panel_w
-    nodes = (starts[:, None] + 0.5 * panel_w * (xg[None, :] + 1)).ravel()
-    wts = np.tile(0.5 * panel_w * wg, npan)
-    xi_max = npan * panel_w
+def _centred_amplitudes(h, n_modes, xi):
+    """Real amplitudes G (n_modes, len(xi)) of the sine modes of (-h, h).
 
+    The transforms of the odd modes k = 1, 3, ... (rows 0, 2, ...) are real
+    and those of the even modes imaginary, so G holds the real parts of the
+    former and the imaginary parts of the latter. The form is translation
+    invariant, so any
+    component of half-length h has the same single-component form matrix,
+    E_jk = G_j G_k, which vanishes exactly for j, k of different parity.
+    """
+    S = basis_mode_transform(_sine_basis_1d(Domain.interval(-h, h), n_modes), xi)
+    G = S.real.copy()
+    G[1::2] = S.imag[1::2]
+    return G
+
+
+def _assemble_1d(basis, alpha, tail_factor, gl_nodes):
+    meta = basis.meta
+    comps = {}
+    for p, (c, h, _, _) in enumerate(meta):
+        comps.setdefault((c, h), []).append(p)
+    n_per = len(next(iter(comps.values())))
+    h_min = min(h for (_, h) in comps)
+    nodes, wts, xi_max = _axis_quadrature(h_min, n_per, tail_factor, gl_nodes)
+    root_w = np.sqrt(wts * nodes**alpha)
+
+    # real Gram products: Re(S diag(w xi^a) S^H) = X X^T with
+    # X = [Re S | Im S] sqrt(w xi^a); one interval splits into parity blocks
     n = basis.size
     A = np.zeros((n, n))
-    chunk = 16384
+    chunk = max(1, _CHUNK_ENTRIES // n)
     for i0 in range(0, nodes.size, chunk):
         xi = nodes[i0 : i0 + chunk]
-        w = wts[i0 : i0 + chunk]
-        S = basis_mode_transform(basis, xi)
-        Sw = S * (w * xi**alpha)
-        A += (Sw @ S.conj().T).real
+        r = root_w[i0 : i0 + chunk]
+        if len(comps) == 1:  # then h_min is its half-length
+            G = _centred_amplitudes(h_min, n, xi) * r
+            for par in (slice(0, n, 2), slice(1, n, 2)):
+                X = np.ascontiguousarray(G[par])
+                A[par, par] += X @ X.T
+        else:
+            S = basis_mode_transform(basis, xi)
+            X = np.concatenate([S.real * r, S.imag * r], axis=1)
+            A += X @ X.T
     A /= np.pi
 
     # analytic tails, per interval component (cross-component terms decay faster)
-    meta = basis.meta
-    comps = {}
-    for p, (c, h, k, om) in enumerate(meta):
-        comps.setdefault((c, h), []).append(p)
     for (c, h), idx in comps.items():
         om = np.array([meta[p][3] for p in idx])
         kk = np.array([meta[p][2] for p in idx])
@@ -241,49 +272,53 @@ def _assemble_1d(basis, alpha, tail_factor, gl_nodes):
     return 0.5 * (A + A.T)
 
 
-def _pair_products(basis1d, nodes):
-    S = basis_mode_transform(basis1d, nodes)
-    n = basis1d.size
-    E = (S[:, None, :].conj() * S[None, :, :]).real
-    return np.ascontiguousarray(E.reshape(n * n, -1))
+def _same_parity_pairs(n):
+    """Index pairs j <= k with j = k mod 2 (0-based), and the (n, n) map from
+    every pair (j, k) or (k, j) to its position among them; pairs of
+    different parity map to one past the last position."""
+    j, k = np.triu_indices(n)
+    keep = (k - j) % 2 == 0
+    j, k = j[keep], k[keep]
+    index = np.full((n, n), j.size)
+    index[j, k] = index[k, j] = np.arange(j.size)
+    return j, k, index
 
 
 def _assemble_2d(basis, alpha, tail_factor, gl_nodes):
-    (c1, h1), (c2, h2), n1, n2 = basis.meta
-    dom1 = Domain.interval(c1 - h1, c1 + h1)
-    dom2 = Domain.interval(c2 - h2, c2 + h2)
-    b1 = _sine_basis_1d(dom1, n1)
-    b2 = _sine_basis_1d(dom2, n2)
+    (_, h1), (_, h2), n1, n2 = basis.meta
     x1, w1, xi1 = _axis_quadrature(h1, n1, tail_factor, gl_nodes)
     x2, w2, xi2 = _axis_quadrature(h2, n2, tail_factor, gl_nodes)
-    E1 = _pair_products(b1, x1)
-    E2 = _pair_products(b2, x2)
+    # E_jk = G_j G_k is symmetric and zero across parities: contract only the
+    # unique same-parity pairs of each axis
+    j1, k1, index1 = _same_parity_pairs(n1)
+    j2, k2, index2 = _same_parity_pairs(n2)
+    G1 = _centred_amplitudes(h1, n1, x1)
+    G2 = _centred_amplitudes(h2, n2, x2)
+    E1 = G1[j1] * G1[k1]
+    E2 = G2[j2] * G2[k2]
 
-    A = np.zeros((n1 * n1, n2 * n2))
-    chunk = 4096
+    A = np.zeros((j1.size + 1, j2.size + 1))  # last row and column stay zero
+    core = A[:-1, :-1]
+    chunk = max(1, _CHUNK_ENTRIES // x1.size)
     for q0 in range(0, x2.size, chunk):
         q1 = min(q0 + chunk, x2.size)
         K = (w1[:, None] * w2[None, q0:q1]) * (
             x1[:, None] ** 2 + x2[None, q0:q1] ** 2
         ) ** (alpha / 2)
-        A += (E1 @ K) @ np.ascontiguousarray(E2[:, q0:q1]).T
+        core += (E1 @ K) @ np.ascontiguousarray(E2[:, q0:q1]).T
 
     # axis tail corrections with the separable approximations
     # (xi1^2+xi2^2)^(a/2) ~ xi1^a for xi1 > Xi1 (and symmetrically):
-    om1 = np.array([om for (_, _, _, om) in b1.meta])
-    kk1 = np.array([k for (_, _, k, _) in b1.meta])
-    om2 = np.array([om for (_, _, _, om) in b2.meta])
-    kk2 = np.array([k for (_, _, k, _) in b2.meta])
-    tail1 = _tail_integrals(om1, kk1, h1, alpha, xi1) * np.pi  # undo 1/pi convention
-    tail2 = _tail_integrals(om2, kk2, h2, alpha, xi2) * np.pi
-    mass1 = E1 @ w1  # integral over [0, Xi1] of E1 pairs
-    mass2 = E2 @ w2
-    A += np.outer(tail1.ravel(), mass2) + np.outer(mass1, tail2.ravel())
+    kk1 = np.arange(1, n1 + 1)
+    kk2 = np.arange(1, n2 + 1)
+    tail1 = _tail_integrals(kk1 * np.pi / (2 * h1), kk1, h1, alpha, xi1)[j1, k1] * np.pi
+    tail2 = _tail_integrals(kk2 * np.pi / (2 * h2), kk2, h2, alpha, xi2)[j2, k2] * np.pi
+    core += np.outer(tail1, E2 @ w2) + np.outer(E1 @ w1, tail2)
+    core /= np.pi**2
 
-    A /= np.pi**2
+    # scatter back: row (j, m), column (k, l) holds the pair entry ((j,k), (m,l))
     n = n1 * n2
-    A = A.reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(n, n)
-    return 0.5 * (A + A.T)
+    return A[index1[:, None, :, None], index2[None, :, None, :]].reshape(n, n)
 
 
 # ---------------- spectral solve ----------------
@@ -378,17 +413,15 @@ def solve_spectrum(domain, alpha, n_basis, tail_factor=None, n_report=None):
     if symmetric:
         R = reflection_matrix(basis)
         coeffs = _align_degenerate_blocks(evals, coeffs, R)
-        for i in range(len(evals)):
-            v = coeffs[i]
-            rv = R @ v
-            if np.allclose(rv, v, atol=1e-8):
-                symmetry[i] = "symmetric"
-            elif np.allclose(rv, -v, atol=1e-8):
-                symmetry[i] = "antisymmetric"
-        for i, s in enumerate(symmetry):
-            if s == "antisymmetric":
-                star = i + 1
-                break
+        RV = coeffs @ R.T
+        sym = np.isclose(RV, coeffs, atol=1e-8).all(axis=1)
+        anti = ~sym & np.isclose(RV, -coeffs, atol=1e-8).all(axis=1)
+        symmetry = [
+            "symmetric" if s else "antisymmetric" if a else "none"
+            for s, a in zip(sym, anti)
+        ]
+        if anti.any():
+            star = int(np.argmax(anti)) + 1
     coeffs = _normalize_signs(basis, coeffs)
     if n_report is not None:
         evals = evals[:n_report]
@@ -417,15 +450,11 @@ def _align_degenerate_blocks(evals, coeffs, R):
 
 def _normalize_signs(basis, coeffs):
     """Fix eigenfunction signs: positive at a probe point in the upper half."""
-    probe = _probe_point(basis.domain)
-    out = coeffs.copy()
-    for i in range(out.shape[0]):
-        v = evaluate_basis_sum(basis, out[i], probe)
-        if v == 0:  # probe on a nodal line; fall back to the first coefficient
-            v = out[i][np.argmax(np.abs(out[i]))]
-        if v < 0:
-            out[i] = -out[i]
-    return out
+    v = evaluate_basis_sum(basis, coeffs, _probe_point(basis.domain))
+    # probe on a nodal line: fall back to the largest coefficient
+    largest = coeffs[np.arange(len(coeffs)), np.argmax(np.abs(coeffs), axis=1)]
+    v = np.where(v == 0, largest, v)
+    return np.where((v < 0)[:, None], -coeffs, coeffs)
 
 
 def _probe_point(domain):
@@ -440,33 +469,40 @@ def _probe_point(domain):
 
 
 def evaluate_basis_sum(basis, coeffs, x):
-    """Evaluate sum_p coeffs[p] * basis mode p at points x (vectorized)."""
+    """Evaluate sum_p coeffs[p] * basis mode p at points x (vectorized).
+
+    ``coeffs`` may also be a stack (m, size) of coefficient vectors; the
+    result then gains a leading axis of length m.
+    """
     x = np.asarray(x, dtype=float)
+    C = np.asarray(coeffs, dtype=float)
     if basis.kind == "sine":
         pts = np.atleast_1d(x)
-        out = np.zeros(pts.shape)
+        out = np.zeros(C.shape[:-1] + pts.shape)
         for p, (c, h, k, om) in enumerate(basis.meta):
-            if coeffs[p] == 0.0:
+            cp = C[..., p, None]
+            if not np.any(cp):
                 continue
             local = pts - c
             inside = np.abs(local) < h
-            out[inside] += coeffs[p] / np.sqrt(h) * np.sin(om * (local[inside] + h))
-        return float(out[0]) if x.ndim == 0 else out
+            out[..., inside] += cp / np.sqrt(h) * np.sin(om * (local[inside] + h))
+        return _single_point(out) if x.ndim == 0 else out
     if basis.kind == "sine2d":
         (c1, h1), (c2, h2), n1, n2 = basis.meta
         pts = np.atleast_2d(x)
         u1 = pts[:, 0] - c1
         u2 = pts[:, 1] - c2
         inside = (np.abs(u1) < h1) & (np.abs(u2) < h2)
-        out = np.zeros(pts.shape[0])
+        out = np.zeros(C.shape[:-1] + pts.shape[:1])
         if np.any(inside):
             jj = np.arange(1, n1 + 1) * np.pi / (2 * h1)
             mm = np.arange(1, n2 + 1) * np.pi / (2 * h2)
             S1 = np.sin(np.outer(u1[inside] + h1, jj)) / np.sqrt(h1)
             S2 = np.sin(np.outer(u2[inside] + h2, mm)) / np.sqrt(h2)
-            C = np.asarray(coeffs).reshape(n1, n2)
-            out[inside] = np.einsum("pj,jm,pm->p", S1, C, S2)
-        return float(out[0]) if x.ndim == 1 else out
+            out[..., inside] = np.einsum(
+                "pj,...jm,pm->...p", S1, C.reshape(C.shape[:-1] + (n1, n2)), S2
+            )
+        return _single_point(out) if x.ndim == 1 else out
     if basis.kind == "disk":
         (cx, cy), r = basis.domain.params
         pts = np.atleast_2d(x)
@@ -475,9 +511,10 @@ def evaluate_basis_sum(basis, coeffs, x):
         rho = np.hypot(dx, dy)
         th = np.arctan2(dy, dx)
         inside = rho < r
-        out = np.zeros(pts.shape[0])
+        out = np.zeros(C.shape[:-1] + pts.shape[:1])
         for p, (m, k, z, ang) in enumerate(basis.meta):
-            if coeffs[p] == 0.0 or not np.any(inside):
+            cp = C[..., p, None]
+            if not np.any(cp) or not np.any(inside):
                 continue
             radial = np.zeros_like(rho)
             pos = inside & (rho > 0)
@@ -486,9 +523,15 @@ def evaluate_basis_sum(basis, coeffs, x):
                 radial[inside & (rho == 0)] = 1.0
             norm = _disk_mode_norm(m, z, r)
             angular = np.cos(m * th) if ang == "cos" else np.sin(m * th)
-            out += coeffs[p] * radial * angular / norm
-        return float(out[0]) if x.ndim == 1 else out
+            out += cp * radial * angular / norm
+        return _single_point(out) if x.ndim == 1 else out
     raise ValidationError(f"unknown basis kind {basis.kind!r}")
+
+
+def _single_point(out):
+    # value(s) at a single point: a float, or one per stacked coefficient vector
+    out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def _disk_mode_norm(m, z, r):

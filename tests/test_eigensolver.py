@@ -8,18 +8,29 @@ from scipy.special import jn_zeros
 from stablegap import (
     Domain,
     UnsupportedConfigurationError,
+    assemble_form_matrix,
     scaling_check,
     solve_spectrum,
     stable_eigenvalue_bracket,
 )
+from stablegap.eigensolver import (
+    _sine_basis_1d,
+    basis_mode_transform,
+    evaluate_basis_sum,
+)
 
-KNOWN_LAMBDA1 = 1.1584  # interval (-1, 1), alpha = 1, literature value
+# interval (-1, 1), alpha = 1: Kulczycki, Kwasnicki, Malecki and Stos,
+# "Spectral properties of the Cauchy process on half-line and interval",
+# Proc. LMS 2010
+KNOWN_LAMBDA1 = 1.1577738836977
 KNOWN_GAP = 1.59786
 
 
 def test_interval_alpha1_known_values(interval_128):
     r = interval_128
     assert abs(r.lambda1 - KNOWN_LAMBDA1) < 2e-3
+    # Rayleigh-Ritz approximates from above
+    assert r.lambda1 >= KNOWN_LAMBDA1
     assert abs(r.lambda2 - r.lambda1 - KNOWN_GAP) < 5e-3
     assert r.star_index == 2
     assert r.lambda_star == pytest.approx(r.lambda2)
@@ -119,3 +130,137 @@ def test_basis_refinement_monotone(interval_domain):
 def test_n_report_limits_output(interval_domain):
     r = solve_spectrum(interval_domain, 1.0, 64, n_report=4)
     assert r.eigenvalues.size == 4
+
+
+# ---------------- xi-space assembly ----------------
+
+
+def _quad_transform(c, h, om, xi):
+    # integral over (c - h, c + h) of h^(-1/2) sin(om (x - c + h)) exp(-i xi x)
+    def mode(x):
+        return np.sin(om * (x - c + h)) / np.sqrt(h)
+
+    kw = dict(wvar=xi, epsabs=1e-13, epsrel=1e-12, limit=200)
+    re, _ = quad(mode, c - h, c + h, weight="cos", **kw)
+    im, _ = quad(mode, c - h, c + h, weight="sin", **kw)
+    return re - 1j * im
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [Domain.interval(-1.0, 1.0), Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)])],
+    ids=["interval", "union"],
+)
+def test_mode_transform_matches_quadrature(domain):
+    basis = _sine_basis_1d(domain, 6)
+    om3, om4 = basis.meta[2][3], basis.meta[3][3]
+    # zero, within 1e-9 of +-omega (the removable singularities), and large
+    xi = np.array([0.0, om3 + 3e-10, -om3 - 7e-10, om4 - 5e-10, -om4 + 2e-10,
+                   157.3, -1000.7])
+    F = basis_mode_transform(basis, xi)
+    ref = np.array([[_quad_transform(c, h, om, x) for x in xi]
+                    for (c, h, _, om) in basis.meta])
+    np.testing.assert_allclose(F, ref, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [Domain.interval(-1.0, 1.0), Domain.interval(0.5, 2.0)],
+    ids=["centred", "shifted"],
+)
+def test_interval_form_vanishes_across_parity(domain):
+    A, _ = assemble_form_matrix(domain, 1.0, 16)
+    k = np.arange(16)
+    cross = (k[:, None] - k[None, :]) % 2 == 1
+    assert np.all(A[cross] == 0.0)
+    assert np.all(A[~cross] != 0.0)
+
+
+def test_rectangle_form_vanishes_across_parity():
+    n1, n2 = 6, 5
+    A, _ = assemble_form_matrix(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, (n1, n2))
+    j, m = np.divmod(np.arange(n1 * n2), n2)  # row (j, m) = j * n2 + m
+    cross = ((j[:, None] - j[None, :]) % 2 == 1) | ((m[:, None] - m[None, :]) % 2 == 1)
+    assert np.all(A[cross] == 0.0)
+    assert np.all(A[~cross] != 0.0)
+    assert np.array_equal(A, A.T)
+
+
+# lambda_1..lambda_4 from the complex-arithmetic assembly that preceded the
+# real same-parity one (same xi grids); the two agree to rounding
+PINNED_EIGENVALUES = [
+    (Domain.interval(-1.0, 1.0), 0.5, 64,
+     [0.9721329037531323, 1.6045418680148043, 2.0325675525885916, 2.391382713366734]),
+    (Domain.interval(-1.0, 1.0), 1.0, 64,
+     [1.1603382330197374, 2.7605883666971534, 4.3258548080919335, 5.9040522766316785]),
+    (Domain.interval(-1.0, 1.0), 1.5, 64,
+     [1.5992009999957661, 5.064946886605607, 9.604103438163559, 15.033627539725547]),
+    (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 64,
+     [1.4686653937721823, 1.6244197282528952, 3.667674040086566, 3.6943940180221833]),
+    (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, 16,
+     [1.4234949263401444, 1.9659674044446764, 2.6148098887007913, 2.8918179173319793]),
+    (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, (6, 5),
+     [1.4387813170279422, 1.9821991770322478, 2.6351690818460622, 2.9261731474385564]),
+]
+
+
+@pytest.mark.parametrize(
+    "domain, alpha, n, expected",
+    PINNED_EIGENVALUES,
+    ids=["interval-a0.5", "interval-a1", "interval-a1.5", "union", "rect-16", "rect-6x5"],
+)
+def test_eigenvalue_regression_pins(domain, alpha, n, expected):
+    lam = solve_spectrum(domain, alpha, n).eigenvalues[:4]
+    np.testing.assert_allclose(lam, expected, rtol=1e-11, atol=0)
+
+
+def _signed_largest_coefficient(result, count=16):
+    # 1-based position of each eigenvector's largest coefficient, with its sign
+    C = result.coefficients[:count]
+    j = np.argmax(np.abs(C), axis=1)
+    return [int(np.sign(C[i, p]) * (p + 1)) for i, p in enumerate(j)]
+
+
+def test_interval_signs_and_labels_pinned(interval_128):
+    assert interval_128.symmetry == ["symmetric", "antisymmetric"] * 64
+    assert interval_128.star_index == 2
+    assert _signed_largest_coefficient(interval_128) == [
+        1, -2, -3, 4, -5, -6, 7, 8, -9, 10, 11, -12, 13, 14, -15, -16
+    ]
+
+
+def test_rectangle_signs_and_labels_pinned():
+    r = solve_spectrum(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, 16)
+    labels = "".join(s[0] for s in r.symmetry)
+    assert labels == (
+        "sassaassasaassaassssaasaaasssssaaaassaasssaaassasssaasaaassasass"
+        "ssaasaasaaasssasassasasaasaassasassaasaaasssasaasssaaasaaassssaa"
+        "saaassasassassaaaasssassaasaasasaassssasaaaassassaassasaaasassas"
+        "asaassaasassassaasasasaasasssasaaassaasasssasaaasassaasassaasasa"
+    )
+    assert r.star_index == 2
+    assert _signed_largest_coefficient(r) == [
+        1, -17, 33, -2, 18, -49, -34, -65, 50, -3, 19, 81, 66, -35, 51, -82
+    ]
+
+
+@pytest.mark.parametrize(
+    "domain, alpha, n, x",
+    [
+        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 8,
+         np.linspace(-2.5, 2.5, 41)),
+        (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, 5,
+         np.column_stack([np.linspace(-2.5, 2.5, 23), np.linspace(-1.2, 0.9, 23)])),
+        (Domain.disk(0.0, 0.0, 1.0), 2.0, 12,
+         np.column_stack([np.linspace(-1.1, 0.8, 17), np.linspace(0.3, -0.9, 17)])),
+    ],
+    ids=["union", "rectangle", "disk"],
+)
+def test_stacked_coefficients_match_one_vector_at_a_time(domain, alpha, n, x):
+    r = solve_spectrum(domain, alpha, n)
+    C = r.coefficients[:6]
+    stacked = evaluate_basis_sum(r.basis, C, x)
+    rows = np.array([evaluate_basis_sum(r.basis, c, x) for c in C])
+    np.testing.assert_allclose(stacked, rows, rtol=0, atol=1e-14)
+    single = evaluate_basis_sum(r.basis, C, x[3])
+    np.testing.assert_allclose(single, rows[:, 3], rtol=0, atol=1e-14)

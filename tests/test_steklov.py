@@ -143,7 +143,15 @@ def test_boundary_derivative_outside_returns_field_size(interval_128):
 def test_ground_state_domination_default_grid(interval_512):
     # the default grid starts above the resolution-dependent boundary layer
     # only at high basis order; the guarantee is stated for N = 512
-    assert ground_state_domination_check(interval_512) >= -1e-8
+    margin = ground_state_domination_check(interval_512)
+    assert margin >= -1e-8
+    # t = 0, where u_1 = phi_1 and the margin is exactly 0, is left out
+    assert margin > 0
+
+
+def test_ground_state_domination_needs_positive_heights(interval_128):
+    with pytest.raises(ValidationError):
+        ground_state_domination_check(interval_128, np.linspace(-1, 1, 5), [0.0])
 
 
 def test_q_functional_algebra(interval_128):
