@@ -11,7 +11,6 @@ from .bounds import (
     BoundReport,
     ball_laplacian_eigenvalues,
     bessel_zero,
-    besselj,
     build_report,
     disk_gap_lower,
     final_inequality,

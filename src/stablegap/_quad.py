@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -32,12 +34,6 @@ def panel_gauss(edges, nodes_per_panel=10):
     return x, w
 
 
-def uniform_panels(lo, hi, panel_width, nodes_per_panel=10):
-    """Uniform panels of width at most ``panel_width`` covering [lo, hi]."""
-    n = max(1, int(np.ceil((hi - lo) / panel_width)))
-    return panel_gauss(np.linspace(lo, hi, n + 1), nodes_per_panel)
-
-
 def log_panels(lo, hi, panels_per_decade=2, nodes_per_panel=10):
     """Log-spaced panels on [lo, hi], suited to integrands smooth in log x."""
     if lo <= 0 or hi <= lo:
@@ -48,27 +44,23 @@ def log_panels(lo, hi, panels_per_decade=2, nodes_per_panel=10):
     return panel_gauss(edges, nodes_per_panel)
 
 
-def graded_panels(lo, hi, focus, inner_width, growth=1.5, nodes_per_panel=10):
-    """Panels refined toward ``focus`` (must satisfy lo <= focus <= hi).
+def axis_rules(domain, panels, nodes):
+    """Per-axis rules over a product of interval unions: ``panels`` equal
+    Gauss-Legendre panels of ``nodes`` nodes on every interval component of
+    an axis (see Domain.axis_components), concatenated. Returns [(x, w), ...]."""
+    rules = []
+    for comps in domain.axis_components():
+        parts = [panel_gauss(np.linspace(a, b, panels + 1), nodes) for a, b in comps]
+        rules.append(tuple(np.concatenate(col) for col in zip(*parts)))
+    return rules
 
-    Panel widths start at ``inner_width`` next to the focus point and grow
-    geometrically away from it.
-    """
-    def side(a, b):
-        # edges from a (near focus) to b
-        out = [a]
-        w = inner_width
-        while out[-1] < b:
-            out.append(min(b, out[-1] + w))
-            w *= growth
-        return out
 
-    right = side(focus, hi)
-    left = [2 * focus - e for e in side(focus, 2 * focus - lo)]
-    edges = np.array(sorted(set(left + right)))
-    edges = edges[(edges >= lo) & (edges <= hi)]
-    if edges[0] > lo:
-        edges = np.concatenate([[lo], edges])
-    if edges[-1] < hi:
-        edges = np.concatenate([edges, [hi]])
-    return panel_gauss(edges, nodes_per_panel)
+def tensor_points(axes):
+    """Row-major tensor grid of per-axis node arrays, as points of shape (n, d)."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def tensor_rule(rules):
+    """Tensor product of per-axis rules: points (n, d) and weights (n,)."""
+    weights = reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+    return tensor_points([x for x, _ in rules]), weights

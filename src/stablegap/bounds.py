@@ -1,10 +1,9 @@
 """Closed-form spectral bounds and the Bessel-zero evaluations behind them.
 
-Bessel functions of the first kind are evaluated self-contained: an ascending
-power series for small argument and the large-argument (Hankel) asymptotic
-expansion beyond, with zeros located by Newton iteration seeded from the
-McMahon expansion. Everything here is cheap, deterministic, and independent
-of the variational solver, so the two sides can be compared in tests.
+Zeros of the Bessel functions J_p of any real order p >= -1/2 are located by
+Newton iteration on scipy's J_p, seeded from the McMahon expansion.
+Everything here is cheap, deterministic, and independent of the variational
+solver, so the two sides can be compared in tests.
 """
 
 from __future__ import annotations
@@ -12,79 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma, gammaln
+from scipy.special import jv, jvp
 
 from .errors import ValidationError
-
-_SERIES_CUTOFF = 12.0
-
-
-def besselj(p, x):
-    """J_p(x) for real order p and x > 0, series below x=11, asymptotic above."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x <= 0):
-        raise ValidationError("besselj expects x > 0")
-    out = np.empty_like(x)
-    small = x < _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _besselj_series(p, x[small])
-    if np.any(~small):
-        out[~small] = _besselj_asymptotic(p, x[~small])
-    return float(out[0]) if scalar else out
-
-
-def _besselj_series(p, x):
-    # ascending series sum_m (-1)^m (x/2)^(2m+p) / (m! Gamma(m+p+1)); the
-    # terms come from an exact multiplicative recurrence and are accumulated
-    # with compensated summation, which keeps the cancellation error near the
-    # series cutoff at the level of one rounding of the largest term
-    if p < 0 and p == int(p):
-        return (-1.0) ** int(-p) * _besselj_series(-p, x)
-    half = x / 2.0
-    term = half**p / gamma(p + 1.0)
-    out = term.copy()
-    comp = np.zeros_like(x)
-    for m in range(1, 90):
-        term = -term * half * half / (m * (m + p))
-        y = term - comp
-        t = out + y
-        comp = (t - out) - y
-        out = t
-        if m > 4 and np.all(np.abs(term) < 1e-18 * (1.0 + np.abs(out))):
-            break
-    return out
-
-
-def _besselj_asymptotic(p, x):
-    # J_p(x) ~ sqrt(2/(pi x)) [P(p,x) cos(chi) - Q(p,x) sin(chi)],
-    # chi = x - (p/2 + 1/4) pi, with the standard inverse-power expansions.
-    mu = 4 * p * p
-    chi = x - (0.5 * p + 0.25) * np.pi
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    term = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)  # entries still below optimal truncation
-    k = 0
-    while k < 60 and np.any(active):
-        t_next = term * ((mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))) / x
-        if k > 1:
-            active &= np.abs(t_next) < np.abs(term)  # freeze once the series diverges
-        term = t_next
-        k += 1
-        contrib = np.where(active, term * (-1.0) ** (k // 2), 0.0)
-        if k % 2 == 1:
-            Q += contrib
-        else:
-            P += contrib
-        active &= np.abs(term) >= 1e-18
-    return np.sqrt(2.0 / (np.pi * x)) * (P * np.cos(chi) - Q * np.sin(chi))
-
-
-def besselj_derivative(p, x):
-    """J_p'(x) = J_(p-1)(x) - (p/x) J_p(x)."""
-    return besselj(p - 1, x) - (p / np.asarray(x, dtype=float)) * besselj(p, x)
 
 
 def bessel_zero(p, k, maxiter=50):
@@ -97,20 +26,11 @@ def bessel_zero(p, k, maxiter=50):
     beta = (k + 0.5 * p - 0.25) * np.pi
     x = beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
     for _ in range(maxiter):
-        f = besselj(p, x)
-        df = besselj_derivative(p, x)
-        step = f / df
+        step = jv(p, x) / jvp(p, x)
         x -= step
         if abs(step) < 1e-15 * x:
             break
     return float(x)
-
-
-def bessel_zero_table(p, count):
-    """First ``count`` zeros of J_p with their residuals |J_p(zero)|."""
-    zeros = np.array([bessel_zero(p, k) for k in range(1, count + 1)])
-    residuals = np.abs(np.array([besselj(p, z) for z in zeros]))
-    return zeros, residuals
 
 
 # ---------------- spectral brackets and gap bounds ----------------

@@ -31,25 +31,6 @@ from .eigensolver import solve_spectrum
 from .geometry import Domain
 
 
-def _threads():
-    """Honor the FRACSPEC_THREADS cap for BLAS thread pools when set."""
-    cap = os.environ.get("FRACSPEC_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise ValidationError("FRACSPEC_THREADS must be an integer")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def parse_domain(text):
     """Domain from JSON or shorthand: interval:a,b | intervals:a,b,c,d |
     rect:x1lo,x1hi,x2lo,x2hi | disk:cx,cy,r."""
@@ -348,7 +329,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

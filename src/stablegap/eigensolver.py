@@ -4,19 +4,21 @@ The quadratic form of the symmetric alpha-stable process killed outside D is
 
     E(u, u) = (2 pi)^(-d) * integral over R^d of |xi|^alpha |Fu(xi)|^2 dxi
 
-(F the non-unitary Fourier transform). The solver projects this form onto the
-Dirichlet-Laplacian sine basis of an interval union or rectangle (whose
-transforms are closed-form sinc pairs, stable at their removable
-singularities), evaluates the form matrix by panel Gauss-Legendre quadrature
-in xi with an analytic power-law tail beyond the truncation point, and
-diagonalizes. The quadrature runs in real arithmetic: on one interval, and on
-each rectangle axis, the transforms of odd modes are real and those of even
-modes imaginary, so the form splits into same-parity blocks (pairs of
-different parity are exactly zero) and each block is one real Gram product;
-the 2D contraction keeps only the unique same-parity mode pairs of each axis.
-Interval unions use the real Gram product of [Re S | Im S]. For alpha = 2 the
-sine basis diagonalizes the form exactly and the quadrature is skipped; disks
-are supported at alpha = 2 only, through the classical Bessel modes.
+(F the non-unitary Fourier transform). Interval unions and rectangles are
+products of interval unions (Domain.axis_components), and the solver projects
+this form onto one basis for both: products of the Dirichlet-Laplacian sine
+modes of each axis's components, whose transforms are closed-form sinc pairs,
+stable at their removable singularities. The form matrix is evaluated by
+panel Gauss-Legendre quadrature in xi with an analytic power-law tail beyond
+the truncation point, and diagonalized. The quadrature runs in real
+arithmetic: on one interval, and on each rectangle axis, the transforms of
+odd modes are real and those of even modes imaginary, so the form splits into
+same-parity blocks (pairs of different parity are exactly zero) and each
+block is one real Gram product; the 2D contraction keeps only the unique
+same-parity mode pairs of each axis. Interval unions use the real Gram
+product of [Re S | Im S]. For alpha = 2 the sine basis diagonalizes the form
+exactly and the quadrature is skipped; disks are supported at alpha = 2 only,
+through the classical Bessel modes.
 
 Rayleigh-Ritz gives one-sided (from above) approximations, nonincreasing in
 the basis size because the sine bases are nested.
@@ -25,11 +27,12 @@ the basis size because the sine bases are nested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import jn_zeros, jv
 
-from .bounds import bessel_zero, besselj
 from .errors import NumericalBudgetError, UnsupportedConfigurationError, ValidationError
 from .geometry import Domain
 
@@ -45,9 +48,12 @@ _CHUNK_ENTRIES = 1 << 21
 class SpectralBasis:
     """Orthonormal Dirichlet basis metadata.
 
-    kind "sine": 1D interval union; per-mode (center, half_length, omega).
-    kind "sine2d": rectangle; tensor modes (j, m) over the two axes.
-    kind "disk": Bessel modes (m, k, cos/sin) on a disk, alpha = 2 only.
+    kind "sine": interval union or rectangle. meta holds one table per axis
+    of Domain.axis_components(), with a (center, half_length, k, omega) tuple
+    per mode of that axis; basis functions are products of one mode per axis,
+    indexed row-major (j * n2 + m on a rectangle).
+    kind "disk": Bessel modes (m, k, zero, "cos"/"sin") on a disk, alpha = 2
+    only.
     """
 
     domain: Domain
@@ -56,45 +62,49 @@ class SpectralBasis:
     meta: tuple
 
 
-def _sine_basis_1d(domain, n_per_component):
-    modes = []
-    for a, b in domain.intervals:
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        for k in range(1, n_per_component + 1):
-            modes.append((c, h, k, k * np.pi / (2 * h)))
-    return SpectralBasis(domain, "sine", len(modes), tuple(modes))
+def _sine_basis(domain, n_basis):
+    """Sine basis with n_basis modes per interval component: one int for
+    every axis, or one int per axis."""
+    comps = domain.axis_components()
+    counts = (n_basis,) * len(comps) if np.isscalar(n_basis) else tuple(n_basis)
+    if len(counts) != len(comps):
+        raise ValidationError(f"need one mode count per axis ({len(comps)})")
+    tables = []
+    for ivs, n in zip(comps, counts):
+        table = []
+        for a, b in ivs:
+            c = 0.5 * (a + b)
+            h = 0.5 * (b - a)
+            table += [(c, h, k, k * np.pi / (2 * h)) for k in range(1, int(n) + 1)]
+        tables.append(tuple(table))
+    return SpectralBasis(domain, "sine", int(np.prod([len(t) for t in tables])), tuple(tables))
 
 
-def _sine_basis_2d(domain, n1, n2):
-    (a1, b1), (a2, b2) = domain.params
-    ax1 = (0.5 * (a1 + b1), 0.5 * (b1 - a1))
-    ax2 = (0.5 * (a2 + b2), 0.5 * (b2 - a2))
-    meta = (ax1, ax2, n1, n2)
-    return SpectralBasis(domain, "sine2d", n1 * n2, meta)
+def _columns(table):
+    """Arrays (centers, halves, k, omegas) of one axis table."""
+    return tuple(np.array(col) for col in zip(*table))
 
 
 def _disk_basis(domain, n_modes):
-    (cx, cy), r = domain.params
-    # gather lowest zeros j(m,k) with angular factor cos/sin
-    cand = []
-    for m in range(0, 2 * int(np.sqrt(n_modes)) + 8):
-        for k in range(1, int(np.sqrt(n_modes)) + 6):
-            z = bessel_zero(float(m), k)
-            cand.append((z, m, k))
-    cand.sort()
+    # lowest zeros j(m, k) of J_m, each with the angular factors cos and sin
+    kmax = int(np.sqrt(n_modes)) + 5
+    cand = sorted(
+        (z, m, k)
+        for m in range(0, 2 * int(np.sqrt(n_modes)) + 8)
+        for k, z in enumerate(jn_zeros(m, kmax), start=1)
+    )
     modes = []
     for z, m, k in cand:
-        modes.append((m, k, z, "cos"))
+        modes.append((m, k, float(z), "cos"))
         if m > 0:
-            modes.append((m, k, z, "sin"))
+            modes.append((m, k, float(z), "sin"))
         if len(modes) >= n_modes:
             break
     return SpectralBasis(domain, "disk", len(modes[:n_modes]), tuple(modes[:n_modes]))
 
 
 def basis_mode_transform(basis, xi):
-    """Fourier transforms of 1D sine modes at frequencies ``xi``.
+    """Fourier transforms of the modes of a 1D sine basis at frequencies ``xi``.
 
     Returns an array (size, len(xi)), row p = integral of mode p times
     exp(-i xi x). As omega h = k pi / 2, mode k on the component
@@ -107,10 +117,10 @@ def basis_mode_transform(basis, xi):
     s_k = (-1)^floor(k/2). The sincs of the differences keep it stable at the
     removable singularities xi = +-omega.
     """
-    if basis.kind != "sine":
+    if basis.kind != "sine" or len(basis.meta) != 1:
         raise ValidationError("mode transforms are defined for 1D sine bases")
     xi = np.asarray(xi, dtype=float)
-    c, h, k, om = (np.array(col)[:, None] for col in zip(*basis.meta))
+    c, h, k, om = (col[:, None] for col in _columns(basis.meta[0]))
     odd = k % 2 == 1
     g = np.sinc((om - xi) * h / np.pi)
     g += np.where(odd, 1.0, -1.0) * np.sinc((om + xi) * h / np.pi)
@@ -171,8 +181,8 @@ def assemble_form_matrix(domain, alpha, n_basis, tail_factor=None, gl_nodes=10):
     ----------
     domain : Domain
     alpha : float in (0, 2]
-    n_basis : int or (int, int)
-        Modes per interval component, or per axis for rectangles.
+    n_basis : int or tuple of int
+        Modes per interval component, for every axis or one count per axis.
     tail_factor : float
         Truncation point of the xi quadrature in units of the largest basis
         frequency (defaults: 8 in 1D, 12 in 2D).
@@ -192,30 +202,15 @@ def assemble_form_matrix(domain, alpha, n_basis, tail_factor=None, gl_nodes=10):
         r = domain.params[1]
         return np.diag([(z / r) ** 2 for (_, _, z, _) in basis.meta]), basis
 
-    if domain.kind == "interval_union":
-        basis = _sine_basis_1d(domain, int(n_basis))
-        if alpha == 2:
-            return np.diag([om**2 for (_, _, _, om) in basis.meta]), basis
-        if tail_factor is None:
-            tail_factor = 8.0
-        return _assemble_1d(basis, alpha, tail_factor, gl_nodes), basis
-
-    if domain.kind == "rectangle":
-        n1, n2 = (n_basis, n_basis) if np.isscalar(n_basis) else n_basis
-        basis = _sine_basis_2d(domain, int(n1), int(n2))
-        if alpha == 2:
-            (_, h1), (_, h2), _, _ = basis.meta
-            lam = [
-                (j * np.pi / (2 * h1)) ** 2 + (m * np.pi / (2 * h2)) ** 2
-                for j in range(1, n1 + 1)
-                for m in range(1, n2 + 1)
-            ]
-            return np.diag(lam), basis
-        if tail_factor is None:
-            tail_factor = 12.0
-        return _assemble_2d(basis, alpha, tail_factor, gl_nodes), basis
-
-    raise ValidationError(f"unknown domain kind {domain.kind!r}")
+    basis = _sine_basis(domain, n_basis)
+    if alpha == 2:
+        # the sine modes are Laplacian eigenfunctions: sum over axes of omega^2
+        squares = [_columns(table)[3] ** 2 for table in basis.meta]
+        return np.diag(reduce(np.add.outer, squares).ravel()), basis
+    if tail_factor is None:
+        tail_factor = 8.0 if domain.dim == 1 else 12.0
+    assemble = _assemble_1d if domain.dim == 1 else _assemble_2d
+    return assemble(basis, alpha, tail_factor, gl_nodes), basis
 
 
 def _centred_amplitudes(h, n_modes, xi):
@@ -228,14 +223,14 @@ def _centred_amplitudes(h, n_modes, xi):
     component of half-length h has the same single-component form matrix,
     E_jk = G_j G_k, which vanishes exactly for j, k of different parity.
     """
-    S = basis_mode_transform(_sine_basis_1d(Domain.interval(-h, h), n_modes), xi)
+    S = basis_mode_transform(_sine_basis(Domain.interval(-h, h), n_modes), xi)
     G = S.real.copy()
     G[1::2] = S.imag[1::2]
     return G
 
 
 def _assemble_1d(basis, alpha, tail_factor, gl_nodes):
-    meta = basis.meta
+    (meta,) = basis.meta
     comps = {}
     for p, (c, h, _, _) in enumerate(meta):
         comps.setdefault((c, h), []).append(p)
@@ -285,7 +280,10 @@ def _same_parity_pairs(n):
 
 
 def _assemble_2d(basis, alpha, tail_factor, gl_nodes):
-    (_, h1), (_, h2), n1, n2 = basis.meta
+    # one component per axis: the kernel (xi1^2 + xi2^2)^(alpha/2) does not
+    # separate, so the two axes meet in one contraction
+    (_, h1s, kk1, om1), (_, h2s, kk2, om2) = (_columns(t) for t in basis.meta)
+    h1, h2, n1, n2 = h1s[0], h2s[0], kk1.size, kk2.size
     x1, w1, xi1 = _axis_quadrature(h1, n1, tail_factor, gl_nodes)
     x2, w2, xi2 = _axis_quadrature(h2, n2, tail_factor, gl_nodes)
     # E_jk = G_j G_k is symmetric and zero across parities: contract only the
@@ -309,10 +307,8 @@ def _assemble_2d(basis, alpha, tail_factor, gl_nodes):
 
     # axis tail corrections with the separable approximations
     # (xi1^2+xi2^2)^(a/2) ~ xi1^a for xi1 > Xi1 (and symmetrically):
-    kk1 = np.arange(1, n1 + 1)
-    kk2 = np.arange(1, n2 + 1)
-    tail1 = _tail_integrals(kk1 * np.pi / (2 * h1), kk1, h1, alpha, xi1)[j1, k1] * np.pi
-    tail2 = _tail_integrals(kk2 * np.pi / (2 * h2), kk2, h2, alpha, xi2)[j2, k2] * np.pi
+    tail1 = _tail_integrals(om1, kk1, h1, alpha, xi1)[j1, k1] * np.pi
+    tail2 = _tail_integrals(om2, kk2, h2, alpha, xi2)[j2, k2] * np.pi
     core += np.outer(tail1, E2 @ w2) + np.outer(E1 @ w1, tail2)
     core /= np.pi**2
 
@@ -369,35 +365,25 @@ class SpectralResult:
 def reflection_matrix(basis):
     """Matrix of the map u(x) -> u(-x1, x2...) in basis coefficients.
 
-    Requires an x1-symmetric domain; for sine modes reflection maps mode k of
-    one component to +-mode k of the mirrored component.
+    Requires an x1-symmetric domain; for sine bases it is a signed
+    permutation of the x1-axis modes, Kronecker times the identity on the
+    other axes.
     """
     if not basis.domain.summarize().symmetric_x1:
         raise ValidationError("reflection needs an x1-symmetric domain")
-    if basis.kind == "sine":
-        # mode k on the component centered at c reflects to (-1)^(k+1) times
-        # mode k on the component centered at -c
-        n = basis.size
-        R = np.zeros((n, n))
-        meta = basis.meta
-        index = {(round(c, 12), round(h, 12), k): p for p, (c, h, k, _) in enumerate(meta)}
-        for p, (c, h, k, _) in enumerate(meta):
-            q = index[(round(-c, 12), round(h, 12), k)]
-            R[q, p] = (-1.0) ** (k + 1)
-        return R
-    if basis.kind == "sine2d":
-        (_, h1), (_, h2), n1, n2 = basis.meta
-        signs1 = np.array([(-1.0) ** (j + 1) for j in range(1, n1 + 1)])
-        return np.kron(np.diag(signs1), np.eye(n2))
     if basis.kind == "disk":
-        n = basis.size
-        R = np.zeros((n, n))
-        for p, (m, k, z, ang) in enumerate(basis.meta):
-            # x1 -> -x1 means theta -> pi - theta: cos(m th) -> (-1)^m cos(m th),
-            # sin(m th) -> (-1)^(m+1) sin(m th)
-            R[p, p] = (-1.0) ** m if ang == "cos" else (-1.0) ** (m + 1)
-        return R
-    raise ValidationError(f"unknown basis kind {basis.kind!r}")
+        # x1 -> -x1 means theta -> pi - theta: cos(m th) -> (-1)^m cos(m th),
+        # sin(m th) -> (-1)^(m+1) sin(m th)
+        return np.diag([(-1.0) ** (m if ang == "cos" else m + 1) for m, _, _, ang in basis.meta])
+    # on the x1 axis, mode k of the component centered at c reflects to
+    # (-1)^(k+1) times mode k of the component centered at -c; the other axes
+    # are unchanged
+    first = basis.meta[0]
+    index = {(round(c, 12), round(h, 12), k): p for p, (c, h, k, _) in enumerate(first)}
+    P = np.zeros((len(first), len(first)))
+    for p, (c, h, k, _) in enumerate(first):
+        P[index[(round(-c, 12), round(h, 12), k)], p] = (-1.0) ** (k + 1)
+    return np.kron(P, np.eye(basis.size // len(first)))
 
 
 def solve_spectrum(domain, alpha, n_basis, tail_factor=None, n_report=None):
@@ -471,74 +457,41 @@ def _probe_point(domain):
 def evaluate_basis_sum(basis, coeffs, x):
     """Evaluate sum_p coeffs[p] * basis mode p at points x (vectorized).
 
-    ``coeffs`` may also be a stack (m, size) of coefficient vectors; the
-    result then gains a leading axis of length m.
+    x has shape (...) in 1D and (..., 2) in 2D; the result has shape (...),
+    a float for a single point. ``coeffs`` may also be a stack (m, size) of
+    coefficient vectors; the result then gains a leading axis of length m.
     """
     x = np.asarray(x, dtype=float)
     C = np.asarray(coeffs, dtype=float)
     if basis.kind == "sine":
-        pts = np.atleast_1d(x)
-        out = np.zeros(C.shape[:-1] + pts.shape)
-        for p, (c, h, k, om) in enumerate(basis.meta):
-            cp = C[..., p, None]
-            if not np.any(cp):
-                continue
-            local = pts - c
+        d = len(basis.meta)
+        coords = [x] if d == 1 else [x[..., i] for i in range(d)]
+        shape = coords[0].shape
+        # per axis: the sine factors of its modes, zero outside their component
+        factors = []
+        for table, u in zip(basis.meta, coords):
+            c, h, _, om = _columns(table)
+            local = u.reshape(-1, 1) - c
             inside = np.abs(local) < h
-            out[..., inside] += cp / np.sqrt(h) * np.sin(om * (local[inside] + h))
-        return _single_point(out) if x.ndim == 0 else out
-    if basis.kind == "sine2d":
-        (c1, h1), (c2, h2), n1, n2 = basis.meta
-        pts = np.atleast_2d(x)
-        u1 = pts[:, 0] - c1
-        u2 = pts[:, 1] - c2
-        inside = (np.abs(u1) < h1) & (np.abs(u2) < h2)
-        out = np.zeros(C.shape[:-1] + pts.shape[:1])
-        if np.any(inside):
-            jj = np.arange(1, n1 + 1) * np.pi / (2 * h1)
-            mm = np.arange(1, n2 + 1) * np.pi / (2 * h2)
-            S1 = np.sin(np.outer(u1[inside] + h1, jj)) / np.sqrt(h1)
-            S2 = np.sin(np.outer(u2[inside] + h2, mm)) / np.sqrt(h2)
-            out[..., inside] = np.einsum(
-                "pj,...jm,pm->...p", S1, C.reshape(C.shape[:-1] + (n1, n2)), S2
-            )
-        return _single_point(out) if x.ndim == 1 else out
-    if basis.kind == "disk":
+            factors.append(np.where(inside, np.sin(om * (local + h)) / np.sqrt(h), 0.0))
+        axes = "jklm"[:d]
+        spec = ",".join(f"p{a}" for a in axes) + f",...{axes}->...p"
+        Ct = C.reshape(C.shape[:-1] + tuple(len(t) for t in basis.meta))
+        out = np.einsum(spec, *factors, Ct, optimize=True)
+    else:
         (cx, cy), r = basis.domain.params
-        pts = np.atleast_2d(x)
-        dx = pts[:, 0] - cx
-        dy = pts[:, 1] - cy
-        rho = np.hypot(dx, dy)
-        th = np.arctan2(dy, dx)
-        inside = rho < r
-        out = np.zeros(C.shape[:-1] + pts.shape[:1])
-        for p, (m, k, z, ang) in enumerate(basis.meta):
-            cp = C[..., p, None]
-            if not np.any(cp) or not np.any(inside):
-                continue
-            radial = np.zeros_like(rho)
-            pos = inside & (rho > 0)
-            radial[pos] = besselj(float(m), z * rho[pos] / r)
-            if m == 0:
-                radial[inside & (rho == 0)] = 1.0
-            norm = _disk_mode_norm(m, z, r)
-            angular = np.cos(m * th) if ang == "cos" else np.sin(m * th)
-            out += cp * radial * angular / norm
-        return _single_point(out) if x.ndim == 1 else out
-    raise ValidationError(f"unknown basis kind {basis.kind!r}")
-
-
-def _single_point(out):
-    # value(s) at a single point: a float, or one per stacked coefficient vector
-    out = out[..., 0]
+        shape = x.shape[:-1]
+        pts = x.reshape(-1, 2)
+        rho = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+        th = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
+        m, _, z, ang = (np.array(col) for col in zip(*basis.meta))
+        radial = np.where((rho < r)[:, None], jv(m, np.outer(rho, z) / r), 0.0)
+        angular = np.where(ang == "cos", np.cos(np.outer(th, m)), np.sin(np.outer(th, m)))
+        # L2 norm of J_m(z rho / r) times the angular factor over the disk
+        norm = np.sqrt(np.where(m == 0, 2 * np.pi, np.pi) * r**2 * jv(m + 1, z) ** 2 / 2)
+        out = C @ (radial * angular / norm).T
+    out = out.reshape(C.shape[:-1] + shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _disk_mode_norm(m, z, r):
-    # L2 norm of J_m(z rho / r) * angular factor over the disk
-    jn1 = besselj(float(m + 1), z)
-    ang = 2 * np.pi if m == 0 else np.pi
-    return np.sqrt(ang * r**2 * jn1**2 / 2)
 
 
 def scaling_check(result, k):
@@ -551,11 +504,7 @@ def scaling_check(result, k):
 
 
 def _basis_request(basis):
-    if basis.kind == "sine":
-        per = {}
-        for c, h, kk, om in basis.meta:
-            per[(c, h)] = max(per.get((c, h), 0), kk)
-        return max(per.values())
-    if basis.kind == "sine2d":
-        return (basis.meta[2], basis.meta[3])
-    return basis.size
+    # the mode counts that rebuild the basis: per axis, the largest k
+    if basis.kind == "disk":
+        return basis.size
+    return tuple(int(_columns(table)[2].max()) for table in basis.meta)

@@ -88,6 +88,16 @@ class Domain:
             raise ValidationError("not an interval union")
         return self.params
 
+    def axis_components(self):
+        """Interval components per axis, for domains that are products of
+        interval unions: a union has one axis holding every component, a
+        rectangle one component per side. Disks raise ValidationError."""
+        if self.kind == "interval_union":
+            return (self.params,)
+        if self.kind == "rectangle":
+            return tuple((side,) for side in self.params)
+        raise ValidationError("a disk is not a product of interval unions")
+
     def summarize(self):
         """Inradius, horizontal half-extent, diameter, x1-symmetry, convexity."""
         if self.kind == "interval_union":

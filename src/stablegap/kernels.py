@@ -41,7 +41,12 @@ def cauchy_kernel(t, x, y, dim=None):
         dim = 1 if np.asarray(x).ndim == 0 or np.asarray(x).shape[-1:] not in [(2,)] else 2
     if np.any(np.asarray(t) <= 0):
         raise ValidationError("time must be positive")
-    r2 = _dist_sq(x, y, dim)
+    return cauchy_kernel_r2(t, _dist_sq(x, y, dim), dim)
+
+
+def cauchy_kernel_r2(t, r2, dim):
+    """The Cauchy transition density as a function of r2 = |x - y|^2, for
+    callers that hold squared distances rather than points."""
     return cauchy_constant(dim) * t / (t**2 + r2) ** ((dim + 1) / 2)
 
 

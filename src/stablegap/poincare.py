@@ -21,9 +21,9 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
-from ._quad import panel_gauss
+from ._quad import axis_rules, tensor_rule
 from .errors import UnsupportedConfigurationError, ValidationError
-from .kernels import cauchy_kernel
+from .kernels import cauchy_kernel_r2
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,7 @@ def directional_quotient_2d(domain, weight, f, tol=1e-10, n_panels=24, fd_step=1
     if abs(a1 + b1) > 1e-12 * (b1 - a1):
         raise ValidationError("rectangle must be symmetric in x1")
     L = 0.5 * (b1 - a1)
-    x1, w1 = panel_gauss(np.linspace(a1, b1, n_panels + 1), 6)
-    x2, w2 = panel_gauss(np.linspace(a2, b2, n_panels + 1), 6)
-    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-    pts = np.column_stack([g1.ravel(), g2.ravel()])
+    pts, ww = tensor_rule(axis_rules(domain, n_panels, 6))
     refl = pts.copy()
     refl[:, 0] *= -1
     fv = np.asarray(f(pts), dtype=float)
@@ -163,7 +160,6 @@ def directional_quotient_2d(domain, weight, f, tol=1e-10, n_panels=24, fd_step=1
     minus = pts.copy()
     minus[:, 0] -= fd_step
     d1 = (np.asarray(f(plus)) - np.asarray(f(minus))) / (2 * fd_step)
-    ww = np.outer(w1, w2).ravel()
     lhs = float(np.sum(d1**2 * wv * ww))
     rhs = float(np.pi**2 / (4 * L**2) * np.sum(fv**2 * wv * ww))
     return {"lhs": lhs, "rhs": rhs, "pass": bool(lhs >= rhs - tol - 1e-9 * abs(rhs))}
@@ -182,41 +178,23 @@ def skeleton_survival(domain, x, times, alpha=1.0, n_panels=24, nodes=4):
         raise ValidationError("times must be strictly increasing and positive")
     if alpha != 1.0:
         raise UnsupportedConfigurationError("closed-form kernel requires alpha = 1")
-    dim = domain.dim
-    if dim == 1:
-        x0 = np.array([float(x)])
-        if not domain.contains(x0)[0]:
-            raise ValidationError("starting point must lie in D")
-        qs, ws = [], []
-        for a, b in domain.intervals:
-            q, w = panel_gauss(np.linspace(a, b, n_panels + 1), nodes)
-            qs.append(q)
-            ws.append(w)
-        pts = np.concatenate(qs)
-        ww = np.concatenate(ws)
-        diff = np.abs(pts[:, None] - pts[None, :])
-    else:
-        if domain.kind != "rectangle":
-            raise UnsupportedConfigurationError("2D skeleton supports rectangles")
-        x0 = np.asarray(x, dtype=float)[None, :]
-        if not domain.contains(x0)[0]:
-            raise ValidationError("starting point must lie in D")
-        (a1, b1), (a2, b2) = domain.params
-        q1, w1 = panel_gauss(np.linspace(a1, b1, n_panels + 1), nodes)
-        q2, w2 = panel_gauss(np.linspace(a2, b2, n_panels + 1), nodes)
-        g1, g2 = np.meshgrid(q1, q2, indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-        ww = np.outer(w1, w2).ravel()
-        diff = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    if domain.kind == "disk":
+        raise UnsupportedConfigurationError("the skeleton quadrature needs a product domain")
+    x0 = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(domain.contains(x0)):
+        raise ValidationError("starting point must lie in D")
+    pts, ww = tensor_rule(axis_rules(domain, n_panels, nodes))
+    r2 = np.zeros((pts.shape[0],) * 2)
+    for p in pts.T:  # squared pairwise distances, one (n, n) temporary at a time
+        d = np.subtract.outer(p, p)
+        d *= d
+        r2 += d
     v = np.ones(pts.shape[0])
     gaps = np.diff(np.concatenate([[0.0], times]))
     for dt in gaps[:0:-1]:
-        v = (cauchy_kernel(dt, diff, 0.0, dim) * ww[None, :]) @ v
-    if dim == 1:
-        d0 = np.abs(pts - x0[0])
-    else:
-        d0 = np.linalg.norm(pts - x0, axis=1)
-    return float(np.sum(cauchy_kernel(gaps[0], d0, 0.0, dim) * ww * v))
+        v = (cauchy_kernel_r2(dt, r2, domain.dim) * ww[None, :]) @ v
+    r2_start = np.sum((pts - x0) ** 2, axis=1)
+    return float(np.sum(cauchy_kernel_r2(gaps[0], r2_start, domain.dim) * ww * v))
 
 
 def segment_log_concavity(domain, segment, times, n_points=25, tol=1e-7):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import wofz
 
-from ._quad import log_panels, panel_gauss
+from ._quad import axis_rules, log_panels, panel_gauss, tensor_points
 from .errors import ValidationError
 from .eigensolver import SpectralResult, evaluate_basis_sum
 from .kernels import subordination_grid, subordinator_density_half
@@ -119,9 +119,7 @@ def _xs(axes):
 
 def _grid_points(axes):
     """The tensor grid of the axes as points: an array in 1D, (n, 2) in 2D."""
-    if len(axes) == 1:
-        return axes[0]
-    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return axes[0] if len(axes) == 1 else tensor_points(axes)
 
 
 def _require_positive_times(ts):
@@ -134,7 +132,7 @@ class ExtensionEngine:
     and its gradient, batched over tensor grids of points and times."""
 
     def __init__(self, basis):
-        if basis.kind not in ("sine", "sine2d"):
+        if basis.kind != "sine":
             raise ValidationError("harmonic extensions need a sine basis")
         self.basis = basis
         self.s_nodes, self.s_weights = subordination_grid()
@@ -149,18 +147,22 @@ class ExtensionEngine:
 
     def _modes(self, rows):
         """Per-axis (centers, halves, omegas) of the modes in use and the
-        coefficient tensor (rows, m_1, ..., m_d) over them."""
-        meta = self.basis.meta
-        if self.basis.kind == "sine":
-            used = np.nonzero(np.max(np.abs(rows), axis=0) > 1e-15 * np.max(np.abs(rows)))[0]
-            c, h, _, om = (np.array([meta[p][i] for p in used]) for i in range(4))
-            return [(c, h, om)], rows[:, used]
-        (c1, h1), (c2, h2), n1, n2 = meta
-        axes = [
-            (np.full(n, c), np.full(n, h), np.arange(1, n + 1) * np.pi / (2 * h))
-            for c, h, n in ((c1, h1, n1), (c2, h2, n2))
+        coefficient tensor (rows, m_1, ..., m_d) over them. A mode of an axis
+        is in use when some coefficient that involves it exceeds 1e-15 of
+        the largest one."""
+        tables = self.basis.meta
+        C = rows.reshape((rows.shape[0],) + tuple(len(t) for t in tables))
+        size = np.abs(C)
+        floor = 1e-15 * np.max(size)
+        used = [
+            np.nonzero(np.max(size, axis=tuple(a for a in range(C.ndim) if a != i + 1)) > floor)[0]
+            for i in range(len(tables))
         ]
-        return axes, rows.reshape(rows.shape[0], n1, n2)
+        axes = [
+            tuple(np.array([table[p][j] for p in idx]) for j in (0, 1, 3))
+            for table, idx in zip(tables, used)
+        ]
+        return axes, C[np.ix_(np.arange(C.shape[0]), *used)]
 
     def values(self, coeff_rows, xs, ts, grad=False):
         """Extensions of several coefficient vectors on a tensor grid.
@@ -183,7 +185,7 @@ class ExtensionEngine:
             _require_positive_times(ts)
             dg = 1.0 / ts[:, None] - ts[:, None] / (2.0 * self.s_nodes[None, :])
             gw = np.concatenate([gw, gw * dg])
-        points = _axes(xs, 1 if self.basis.kind == "sine" else 2)
+        points = _axes(xs, len(self.basis.meta))
         modes, C = self._modes(rows)
         grid = tuple(p.size for p in points)
         out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1) + grid + (nt,))
@@ -234,14 +236,6 @@ class HarmonicExtension:
     def values_and_grad(self, xs, ts):
         """Value and gradient stacked on the first axis (see ExtensionEngine.values)."""
         return self.engine.values(self.coeffs[None, :], xs, ts, grad=True)[0]
-
-    def __call__(self, x, t):
-        if self.dim == 1:
-            return float(self.values(np.array([float(x)]), np.array([float(t)]))[0, 0])
-        x = np.asarray(x, dtype=float)
-        return float(
-            self.values((np.array([x[0]]), np.array([x[1]])), np.array([float(t)]))[0, 0, 0]
-        )
 
 
 def extend(result: SpectralResult, n: int) -> HarmonicExtension:
@@ -299,13 +293,11 @@ def default_field_grid(domain, t_max=20.0, n_x=80, n_t=33):
     g = domain.summarize()
     t_min = (0.02 if domain.dim == 1 else 0.2) * g.inradius
     ts = np.concatenate([[0.0], np.geomspace(t_min, t_max, n_t - 1)])
-    if domain.dim == 1:
-        (lo, hi), = domain.bounding_box()
-        pad = 0.25 * (hi - lo)
-        return np.linspace(lo - pad, hi + pad, n_x), ts
-    (a1, b1), (a2, b2) = domain.bounding_box()
-    p1, p2 = 0.25 * (b1 - a1), 0.25 * (b2 - a2)
-    return (np.linspace(a1 - p1, b1 + p1, n_x), np.linspace(a2 - p2, b2 + p2, n_x)), ts
+    axes = [
+        np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), n_x)
+        for lo, hi in domain.bounding_box()
+    ]
+    return _xs(axes), ts
 
 
 def sample_extension(result, n, x_grid=None, t_grid=None) -> ExtensionField:
@@ -335,20 +327,14 @@ def check_harmonic(field, x, t, h=1e-3):
     ext = getattr(field, "extension", field)
     if t - h <= 0:
         raise ValidationError("stencil must stay inside t > 0")
-    if ext.dim == 1:
-        x = float(x)
-        pts = np.array([x, x - h, x + h])
-        ts = np.array([t - h, t, t + h])
-        v = ext.values(pts, ts)
-        lap = (v[1, 1] + v[2, 1] + v[0, 0] + v[0, 2] - 4 * v[0, 1]) / h**2
-        return abs(lap) / (abs(v[0, 1]) + 1.0)
-    x1, x2 = float(x[0]), float(x[1])
-    v = ext.values((np.array([x1 - h, x1, x1 + h]), np.array([x2 - h, x2, x2 + h])),
-                   np.array([t - h, t, t + h]))
-    center = v[1, 1, 1]
-    lap = (
-        v[0, 1, 1] + v[2, 1, 1] + v[1, 0, 1] + v[1, 2, 1] + v[1, 1, 0] + v[1, 1, 2]
-        - 6 * center
+    stencil = np.array([-h, 0.0, h])
+    axes = [xi + stencil for xi in _axes(x, ext.dim)]
+    v = ext.values(_xs(axes), t + stencil)
+    # the 3^(d+1) grid around (x, t): sum over axes of the second differences
+    center = v[(1,) * v.ndim]
+    lap = sum(
+        np.moveaxis(v, i, 0)[(slice(0, 3, 2),) + (1,) * (v.ndim - 1)].sum() - 2 * center
+        for i in range(v.ndim)
     ) / h**2
     return abs(lap) / (abs(center) + 1.0)
 
@@ -359,25 +345,22 @@ def check_boundary_derivative(result, n, x, h=1e-4):
     (the boundary value there is zero)."""
     ext = extend(result, n)
     lam = result.eigenvalues[n - 1]
-    phi = result.eigenfunction(n)
-    if result.domain.dim == 1:
-        pt = np.array([float(x)])
-        u_h = ext.values(pt, np.array([h]))[0, 0]
-    else:
-        pt = np.asarray(x, dtype=float)[None, :]
-        u_h = ext.values((pt[:, 0], pt[:, 1]), np.array([h]))[0, 0, 0]
+    axes = _axes(x, result.domain.dim)
+    u_h = ext.values(_xs(axes), np.array([h])).item()
+    pt = _grid_points(axes)
     if not result.domain.contains(pt)[0]:
         return abs(u_h)
-    phi_v = float(phi(pt.ravel() if result.domain.dim == 1 else pt)[0])
+    phi_v = float(result.eigenfunction(n)(pt)[0])
     return abs((u_h - phi_v) / h + lam * phi_v)
 
 
 def _interior_axes(domain, n):
-    """n evenly spaced interior points per interval component (1D) or per
-    rectangle side (2D), as a list of axes."""
-    if domain.dim == 1:
-        return [np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in domain.intervals])]
-    return [np.linspace(a, b, n + 2)[1:-1] for a, b in domain.params]
+    """n evenly spaced interior points per interval component of each axis,
+    as a list of axes."""
+    return [
+        np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in comps])
+        for comps in domain.axis_components()
+    ]
 
 
 def ground_state_domination_check(result, xs=None, ts=None):
@@ -436,14 +419,7 @@ class QResult:
         }
 
 
-def _t_grid(trunc, nodes_per_panel=6, panels_per_decade=4):
-    return log_panels(
-        trunc.eps, trunc.t_max, panels_per_decade=panels_per_decade,
-        nodes_per_panel=nodes_per_panel,
-    )
-
-
-def _x_grid_1d(domain, x_max, n_inner=49, nodes_per_panel=6, axis=0):
+def _x_axis_rule(domain, x_max, axis, n_inner, nodes_per_panel):
     box = domain.bounding_box()
     lo, hi = box[axis]
     b = 1.6 * max(abs(lo), abs(hi))
@@ -458,15 +434,13 @@ def _x_grid_1d(domain, x_max, n_inner=49, nodes_per_panel=6, axis=0):
 
 
 def _energy_grid(domain, trunc):
-    """Per-axis x rules and the t rule of the truncated box: ([x rules], t rule)."""
-    if domain.dim == 1:
-        return [_x_grid_1d(domain, trunc.x_max)], _t_grid(trunc)
-    # coarser rules in 2d: the field arrays grow with the square of the
-    # per-axis node count
-    return (
-        [_x_grid_1d(domain, trunc.x_max, n_inner=17, nodes_per_panel=4, axis=i) for i in (0, 1)],
-        _t_grid(trunc, nodes_per_panel=4, panels_per_decade=3),
-    )
+    """Per-axis x rules and the t rule of the truncated box: ([x rules], t rule).
+
+    The rules are coarser in 2d, where the field arrays grow with the square
+    of the per-axis node count."""
+    n_inner, x_nodes, t_nodes, t_per_decade = (49, 6, 6, 4) if domain.dim == 1 else (17, 4, 4, 3)
+    x_rules = [_x_axis_rule(domain, trunc.x_max, i, n_inner, x_nodes) for i in range(domain.dim)]
+    return x_rules, log_panels(trunc.eps, trunc.t_max, t_per_decade, t_nodes)
 
 
 def _integrate(f, weights):
@@ -678,7 +652,8 @@ def d01_lower_bound_check(result, trunc=None):
     n = result.star_index
     lam1 = result.lambda1
     tq, tw = log_panels(1e-6, trunc.t_max, panels_per_decade=3, nodes_per_panel=6)
-    x_rules = _interior_quadrature(result.domain)
+    # per interval component: 16 five-node panels in 1d, 10 four-node in 2d
+    x_rules = axis_rules(result.domain, *((16, 5) if result.domain.dim == 1 else (10, 4)))
     axes = [x for x, _ in x_rules]
     w = extend_ratio(result, n)
     gw, g1 = _eval_fields((w, w.den), _xs(axes), tq)
@@ -693,12 +668,3 @@ def d01_lower_bound_check(result, trunc=None):
         "weight_slack": float(np.min(g1[0] ** 2 - weight)),
         "pass": bool(value <= gap + 1e-3),
     }
-
-
-def _interior_quadrature(domain):
-    """Per-axis Gauss rules over D: 16 five-node panels per interval component
-    in 1d, 10 four-node panels per side of a rectangle in 2d."""
-    if domain.dim == 1:
-        rules = [panel_gauss(np.linspace(a, b, 17), 5) for a, b in domain.intervals]
-        return [tuple(np.concatenate(parts) for parts in zip(*rules))]
-    return [panel_gauss(np.linspace(a, b, 11), 4) for a, b in domain.params]

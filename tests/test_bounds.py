@@ -9,7 +9,6 @@ from stablegap import (
     ValidationError,
     ball_laplacian_eigenvalues,
     bessel_zero,
-    besselj,
     build_report,
     disk_gap_lower,
     final_inequality,
@@ -48,8 +47,8 @@ def test_bessel_zero_residuals_and_oracle():
     for p in (-0.5, 0.0, 0.5, 1.0, 2.0):
         for k in range(1, 6):
             z = bessel_zero(p, k)
-            assert abs(besselj(p, z)) < 1e-12
-            # independent oracle
+            # Newton runs on this same jv, so the residual is near-tautological;
+            # the jn_zeros and half-order tests are the independent oracles
             assert abs(jv(p, z)) < 1e-12
 
 
@@ -64,12 +63,6 @@ def test_bessel_zero_interlacing():
     for p in (0.0, 0.5, 1.3):
         for k in range(1, 5):
             assert bessel_zero(p, k) < bessel_zero(p + 1.0, k) < bessel_zero(p, k + 1)
-
-
-def test_besselj_matches_scipy_on_grid():
-    xs = np.linspace(0.1, 30.0, 40)
-    for p in (-0.5, 0.0, 0.5, 1.0, 2.5):
-        assert np.max(np.abs(besselj(p, xs) - jv(p, xs))) < 1e-11
 
 
 def test_ball_laplacian_eigenvalues():

@@ -14,7 +14,7 @@ from stablegap import (
     stable_eigenvalue_bracket,
 )
 from stablegap.eigensolver import (
-    _sine_basis_1d,
+    _sine_basis,
     basis_mode_transform,
     evaluate_basis_sum,
 )
@@ -83,12 +83,13 @@ def test_disk_fractional_unsupported():
 
 
 def test_scaling_covariance(interval_128):
-    scaled = scaling_check(interval_128, 2.0)
-    n = min(6, scaled.size)
-    assert np.max(
-        np.abs(scaled[:n] - interval_128.eigenvalues[:n])
-        / interval_128.eigenvalues[:n]
-    ) < 1e-8
+    union = solve_spectrum(Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 16)
+    rect = solve_spectrum(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, (6, 5))
+    for r in (interval_128, union, rect):
+        scaled = scaling_check(r, 2.0)
+        assert scaled.size == r.eigenvalues.size
+        n = min(6, scaled.size)
+        assert np.max(np.abs(scaled[:n] - r.eigenvalues[:n]) / r.eigenvalues[:n]) < 1e-8
 
 
 def test_eigenfunction_orthonormality(interval_128):
@@ -152,14 +153,15 @@ def _quad_transform(c, h, om, xi):
     ids=["interval", "union"],
 )
 def test_mode_transform_matches_quadrature(domain):
-    basis = _sine_basis_1d(domain, 6)
-    om3, om4 = basis.meta[2][3], basis.meta[3][3]
+    basis = _sine_basis(domain, 6)
+    (table,) = basis.meta
+    om3, om4 = table[2][3], table[3][3]
     # zero, within 1e-9 of +-omega (the removable singularities), and large
     xi = np.array([0.0, om3 + 3e-10, -om3 - 7e-10, om4 - 5e-10, -om4 + 2e-10,
                    157.3, -1000.7])
     F = basis_mode_transform(basis, xi)
     ref = np.array([[_quad_transform(c, h, om, x) for x in xi]
-                    for (c, h, _, om) in basis.meta])
+                    for (c, h, _, om) in table])
     np.testing.assert_allclose(F, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -264,3 +266,39 @@ def test_stacked_coefficients_match_one_vector_at_a_time(domain, alpha, n, x):
     np.testing.assert_allclose(stacked, rows, rtol=0, atol=1e-14)
     single = evaluate_basis_sum(r.basis, C, x[3])
     np.testing.assert_allclose(single, rows[:, 3], rtol=0, atol=1e-14)
+
+
+def _direct_modes(intervals, n, x):
+    # columns: sqrt(2 / (b - a)) sin(k pi (x - a) / (b - a)) on (a, b), zero
+    # elsewhere, component by component, k = 1..n
+    cols = []
+    for a, b in intervals:
+        for k in range(1, n + 1):
+            inside = (x > a) & (x < b)
+            cols.append(np.where(inside, np.sqrt(2 / (b - a)) * np.sin(k * np.pi * (x - a) / (b - a)), 0.0))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize(
+    "domain, comps, counts, x",
+    [
+        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), [[(-2.0, -0.5), (0.5, 2.0)]], [8],
+         np.linspace(-2.5, 2.5, 61)),
+        (Domain.rectangle(0.3, 2.1, -0.4, 1.0), [[(0.3, 2.1)], [(-0.4, 1.0)]], [7, 6],
+         np.column_stack([np.linspace(0.0, 2.4, 37), np.linspace(1.2, -0.6, 37)])),
+    ],
+    ids=["union", "off-centre-rectangle"],
+)
+def test_basis_sum_matches_direct_sine_formula(domain, comps, counts, x):
+    basis = _sine_basis(domain, counts)
+    C = np.random.default_rng(7).standard_normal((3, basis.size))
+    coords = [x] if domain.dim == 1 else [x[:, 0], x[:, 1]]
+    mats = [_direct_modes(ivs, n, u) for ivs, n, u in zip(comps, counts, coords)]
+    # basis function p is the product of one mode per axis, in row-major order
+    direct = sum(
+        C[:, p, None] * np.prod([M[:, i] for M, i in zip(mats, idx)], axis=0)
+        for p, idx in enumerate(np.ndindex(*(M.shape[1] for M in mats)))
+    )
+    tol = 1e-13 * np.max(np.abs(direct))
+    np.testing.assert_allclose(evaluate_basis_sum(basis, C, x), direct, rtol=0, atol=tol)
+    np.testing.assert_allclose(evaluate_basis_sum(basis, C[0], x[5]), direct[0, 5], rtol=0, atol=tol)

@@ -93,3 +93,12 @@ def test_invalid_domains_raise():
         Domain.disk(0.0, 0.0, 0.0)
     with pytest.raises(ValidationError):
         Domain.interval_union([(-1.0, 0.5), (0.0, 1.0)])  # overlapping
+
+
+def test_axis_components():
+    union = Domain.interval_union([(0.5, 2.0), (-2.0, -0.5)])
+    assert union.axis_components() == (((-2.0, -0.5), (0.5, 2.0)),)
+    rect = Domain.rectangle(-2.0, 2.0, -1.0, 1.0)
+    assert rect.axis_components() == (((-2.0, 2.0),), ((-1.0, 1.0),))
+    with pytest.raises(ValidationError):
+        Domain.disk(0.0, 0.0, 1.0).axis_components()

@@ -132,6 +132,12 @@ def test_skeleton_survival_reflection_symmetry(interval_domain):
     a = skeleton_survival(interval_domain, 0.4, [0.5, 1.0])
     b = skeleton_survival(interval_domain, -0.4, [0.5, 1.0])
     assert abs(a - b) < 1e-10
+    union = Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)])
+    a = skeleton_survival(union, 1.2, [0.5, 1.0])
+    b = skeleton_survival(union, -1.2, [0.5, 1.0])
+    assert abs(a - b) < 1e-10
+    # the gap between the components only removes surviving paths
+    assert a < skeleton_survival(Domain.interval(-2.0, 2.0), 1.2, [0.5, 1.0])
 
 
 def test_skeleton_survival_2d(rect_domain):
@@ -139,6 +145,18 @@ def test_skeleton_survival_2d(rect_domain):
     assert 0.0 < v < 1.0
     one = skeleton_survival(rect_domain, np.array([0.0, 0.0]), [0.5])
     assert v < one
+    # one observation: the 2D Cauchy density integrates over the rectangle to
+    # (1 / 2 pi) times the signed corner sum of arctan(u v / (t sqrt(t^2 + u^2 + v^2)))
+    (a1, b1), (a2, b2) = rect_domain.params
+
+    def corner(u, v, t):
+        return np.arctan(u * v / (t * np.sqrt(t**2 + u**2 + v**2)))
+
+    for (x1, x2), t in (((0.0, 0.0), 0.5), ((0.7, -0.3), 1.0), ((-1.5, 0.6), 0.2)):
+        expected = (corner(b1 - x1, b2 - x2, t) - corner(a1 - x1, b2 - x2, t)
+                    - corner(b1 - x1, a2 - x2, t) + corner(a1 - x1, a2 - x2, t)) / (2 * np.pi)
+        got = skeleton_survival(rect_domain, np.array([x1, x2]), [t])
+        assert abs(got - expected) < 1e-5
 
 
 def test_skeleton_survival_validation(interval_domain):

@@ -76,12 +76,16 @@ def test_smoothed_sine_mode_solves_half_space_problem():
     assert np.max(np.abs(outside)) < 1e-10
 
 
-def test_harmonicity_of_extension(interval_128):
+def test_harmonicity_of_extension(interval_128, rect_8):
     field = sample_extension(interval_128, 1)
     res = check_harmonic(field, 0.0, 1.0, h=1e-3)
     assert abs(res) < 1e-4
     res_half = check_harmonic(field, 0.3, 0.7, h=1e-3)
     assert abs(res_half) < 1e-4
+    for n in (1, 2):
+        ext = extend(rect_8, n)
+        assert check_harmonic(ext, (0.0, 0.0), 1.0, h=1e-3) < 1e-4
+        assert check_harmonic(ext, np.array([0.5, 0.3]), 0.7, h=1e-3) < 1e-4
 
 
 def test_check_harmonic_stencil_is_exact_for_cubics():
@@ -104,6 +108,26 @@ def test_check_harmonic_stencil_is_exact_for_cubics():
             return xs[:, None] ** 2 + 0.0 * ts[None, :]
 
     assert abs(check_harmonic(Bad(), 0.4, 0.8, h=1e-3)) > 1.0
+
+    # in 2D, x1^3 - 3 x1 t^2 + x2^2 - t^2 solves the 3-variable Laplace
+    # equation, and the 7-point stencil is exact on it
+    class Poly2:
+        dim = 2
+
+        def values(self, xs, ts):
+            X1, X2, T = np.meshgrid(*xs, np.atleast_1d(ts), indexing="ij")
+            return self.field(X1, X2, T)
+
+        def field(self, x1, x2, t):
+            return x1**3 - 3.0 * x1 * t**2 + x2**2 - t**2
+
+    assert abs(check_harmonic(Poly2(), (0.4, -0.3), 0.8, h=1e-3)) < 1e-6
+
+    class Bad2(Poly2):
+        def field(self, x1, x2, t):
+            return x1**3 + x2**2 + 0.0 * t  # Laplacian 6 x1 + 2
+
+    assert abs(check_harmonic(Bad2(), (0.4, -0.3), 0.8, h=1e-3)) > 1.0
 
 
 def test_boundary_derivative_matches_principal_value_oracle(interval_128):
@@ -134,10 +158,53 @@ def test_boundary_derivative_residual_decays_with_basis(interval_domain,
     assert resid128 < resid64
 
 
-def test_boundary_derivative_outside_returns_field_size(interval_128):
+def test_boundary_derivative_outside_returns_field_size(interval_128, rect_8):
     # outside the domain the boundary value is zero, so the check reports the
     # extension magnitude at height h, which must be tiny
     assert check_boundary_derivative(interval_128, 1, 1.5, h=1e-4) < 1e-3
+    assert check_boundary_derivative(rect_8, 1, (2.6, 0.2), h=1e-4) < 1e-3
+    assert check_boundary_derivative(rect_8, 1, np.array([0.3, -1.5]), h=1e-4) < 1e-3
+
+
+def _pv_half_laplacian_rect(phi, x0, sides, nodes=40):
+    # (-Delta)^(1/2) phi(x0) in 2D as the principal value
+    #   (1 / 2 pi) int_0^pi dtheta int_0^inf
+    #       (2 phi(x0) - phi(x0 + rho e) - phi(x0 - rho e)) / rho^2 drho,
+    # with Gauss rules on the theta sectors between the corner directions and
+    # on the rho ranges where both, one or none of x0 +- rho e lie in the
+    # rectangle (beyond both exits the integrand is 2 phi(x0) / rho^2)
+    g, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = np.array([s[0] for s in sides]), np.array([s[1] for s in sides])
+    corners = [np.arctan2(y - x0[1], x - x0[0]) % np.pi for x in sides[0] for y in sides[1]]
+    edges = np.unique(np.concatenate([[0.0, np.pi], corners]))
+    f0 = phi(x0)
+    total = 0.0
+    for th0, th1 in zip(edges[:-1], edges[1:]):
+        th = th0 + (th1 - th0) * (g + 1) / 2
+        e = np.column_stack([np.cos(th), np.sin(th)])
+        exits = []
+        for d in (e, -e):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(d > 0, (hi - x0) / d, np.where(d < 0, (lo - x0) / d, np.inf))
+            exits.append(t.min(axis=1))
+        r1, r2 = np.minimum(*exits), np.maximum(*exits)
+        inner = 2 * f0 / r2
+        for a, b in ((0 * r1, r1), (r1, r2)):
+            rho = a[:, None] + (b - a)[:, None] * (g + 1) / 2
+            step = rho[..., None] * e[:, None, :]
+            D = 2 * f0 - phi(x0 + step) - phi(x0 - step)
+            inner = inner + np.sum(D / rho**2 * (b - a)[:, None] * w / 2, axis=1)
+        total += np.sum(inner * (th1 - th0) * w / 2)
+    return total / (2 * np.pi)
+
+
+def test_boundary_derivative_rectangle_matches_principal_value_oracle(rect_8):
+    phi = rect_8.eigenfunction(1)
+    sides = rect_8.domain.params
+    for x0 in (np.array([0.3, 0.2]), np.array([-1.1, 0.5])):
+        oracle = abs(_pv_half_laplacian_rect(phi, x0, sides) - rect_8.lambda1 * phi(x0))
+        resid = check_boundary_derivative(rect_8, 1, x0, h=1e-5)
+        assert resid == pytest.approx(oracle, rel=0.01)
 
 
 def test_ground_state_domination_default_grid(interval_512):
