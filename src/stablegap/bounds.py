@@ -16,7 +16,10 @@ from scipy.special import jv, jvp
 from .errors import ValidationError
 
 
-def bessel_zero(p, k, maxiter=50):
+_NEWTON_MAXITER = 50  # Newton steps allowed after the McMahon seed
+
+
+def bessel_zero(p, k):
     """k-th positive zero of J_p (k >= 1), Newton from the McMahon seed."""
     if k < 1 or int(k) != k:
         raise ValidationError("zero index k must be a positive integer")
@@ -25,7 +28,7 @@ def bessel_zero(p, k, maxiter=50):
     mu = 4 * p * p
     beta = (k + 0.5 * p - 0.25) * np.pi
     x = beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
-    for _ in range(maxiter):
+    for _ in range(_NEWTON_MAXITER):
         step = jv(p, x) / jvp(p, x)
         x -= step
         if abs(step) < 1e-15 * x:
@@ -71,6 +74,8 @@ def gap_upper(dim, inradius, alpha=1.0):
 
     (j(d/2,1)^alpha - j(d/2-1,1)^alpha / 2) / r^alpha.
     """
+    if not 0 < alpha <= 2:
+        raise ValidationError("alpha must lie in (0, 2]")
     if inradius <= 0:
         raise ValidationError("inradius must be positive")
     j0 = bessel_zero(dim / 2 - 1, 1)

@@ -134,12 +134,16 @@ def basis_mode_transform(basis, xi):
 # ---------------- xi-space quadrature ----------------
 
 
-def _axis_quadrature(h, n_modes, tail_factor, gl_nodes):
+_GL_NODES = 10  # Gauss-Legendre nodes per xi panel
+_TAIL_FACTOR_1D, _TAIL_FACTOR_2D = 8.0, 12.0  # xi cut-off / largest mode frequency
+
+
+def _axis_quadrature(h, n_modes, tail_factor):
     """GL panel grid on [0, Xi] for an axis with half-length h and n_modes modes."""
     om_max = n_modes * np.pi / (2 * h)
     panel_w = np.pi / (4 * h)
     npan = int(np.ceil(tail_factor * om_max / panel_w))
-    xg, wg = leggauss(gl_nodes)
+    xg, wg = leggauss(_GL_NODES)
     starts = np.arange(npan) * panel_w
     nodes = (starts[:, None] + 0.5 * panel_w * (xg[None, :] + 1)).ravel()
     wts = np.tile(0.5 * panel_w * wg, npan)
@@ -174,7 +178,7 @@ def _tail_integrals(om, kk, h, alpha, xi_max):
     return np.where(parity, tail, 0.0)
 
 
-def assemble_form_matrix(domain, alpha, n_basis, tail_factor=None, gl_nodes=10):
+def assemble_form_matrix(domain, alpha, n_basis):
     """Form matrix of the alpha-stable Dirichlet form in the chosen basis.
 
     Parameters
@@ -183,9 +187,6 @@ def assemble_form_matrix(domain, alpha, n_basis, tail_factor=None, gl_nodes=10):
     alpha : float in (0, 2]
     n_basis : int or tuple of int
         Modes per interval component, for every axis or one count per axis.
-    tail_factor : float
-        Truncation point of the xi quadrature in units of the largest basis
-        frequency (defaults: 8 in 1D, 12 in 2D).
 
     Returns
     -------
@@ -207,10 +208,8 @@ def assemble_form_matrix(domain, alpha, n_basis, tail_factor=None, gl_nodes=10):
         # the sine modes are Laplacian eigenfunctions: sum over axes of omega^2
         squares = [_columns(table)[3] ** 2 for table in basis.meta]
         return np.diag(reduce(np.add.outer, squares).ravel()), basis
-    if tail_factor is None:
-        tail_factor = 8.0 if domain.dim == 1 else 12.0
     assemble = _assemble_1d if domain.dim == 1 else _assemble_2d
-    return assemble(basis, alpha, tail_factor, gl_nodes), basis
+    return assemble(basis, alpha), basis
 
 
 def _centred_amplitudes(h, n_modes, xi):
@@ -229,14 +228,14 @@ def _centred_amplitudes(h, n_modes, xi):
     return G
 
 
-def _assemble_1d(basis, alpha, tail_factor, gl_nodes):
+def _assemble_1d(basis, alpha):
     (meta,) = basis.meta
     comps = {}
     for p, (c, h, _, _) in enumerate(meta):
         comps.setdefault((c, h), []).append(p)
     n_per = len(next(iter(comps.values())))
     h_min = min(h for (_, h) in comps)
-    nodes, wts, xi_max = _axis_quadrature(h_min, n_per, tail_factor, gl_nodes)
+    nodes, wts, xi_max = _axis_quadrature(h_min, n_per, _TAIL_FACTOR_1D)
     root_w = np.sqrt(wts * nodes**alpha)
 
     # real Gram products: Re(S diag(w xi^a) S^H) = X X^T with
@@ -279,13 +278,13 @@ def _same_parity_pairs(n):
     return j, k, index
 
 
-def _assemble_2d(basis, alpha, tail_factor, gl_nodes):
+def _assemble_2d(basis, alpha):
     # one component per axis: the kernel (xi1^2 + xi2^2)^(alpha/2) does not
     # separate, so the two axes meet in one contraction
     (_, h1s, kk1, om1), (_, h2s, kk2, om2) = (_columns(t) for t in basis.meta)
     h1, h2, n1, n2 = h1s[0], h2s[0], kk1.size, kk2.size
-    x1, w1, xi1 = _axis_quadrature(h1, n1, tail_factor, gl_nodes)
-    x2, w2, xi2 = _axis_quadrature(h2, n2, tail_factor, gl_nodes)
+    x1, w1, xi1 = _axis_quadrature(h1, n1, _TAIL_FACTOR_2D)
+    x2, w2, xi2 = _axis_quadrature(h2, n2, _TAIL_FACTOR_2D)
     # E_jk = G_j G_k is symmetric and zero across parities: contract only the
     # unique same-parity pairs of each axis
     j1, k1, index1 = _same_parity_pairs(n1)
@@ -386,12 +385,12 @@ def reflection_matrix(basis):
     return np.kron(P, np.eye(basis.size // len(first)))
 
 
-def solve_spectrum(domain, alpha, n_basis, tail_factor=None, n_report=None):
+def solve_spectrum(domain, alpha, n_basis, n_report=None):
     """Assemble, diagonalize, classify symmetries, and locate the star mode."""
-    A, basis = assemble_form_matrix(domain, alpha, n_basis, tail_factor=tail_factor)
+    A, basis = assemble_form_matrix(domain, alpha, n_basis)
     evals, evecs = np.linalg.eigh(A)
     if evals[0] <= 0:
-        raise NumericalBudgetError("projected form lost positivity; increase tail_factor")
+        raise NumericalBudgetError("projected form lost positivity")
     coeffs = evecs.T  # row n = mode n
     symmetric = domain.summarize().symmetric_x1
     symmetry = ["none"] * len(evals)

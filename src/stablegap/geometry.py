@@ -115,7 +115,7 @@ class Domain:
             diameter = float(np.hypot(b1 - a1, b2 - a2))
             return GeometrySummary(2, inradius, half_extent, diameter, self._symmetric_x1(), True)
         (cx, cy), r = self.params
-        return GeometrySummary(2, r, abs(cx) + r, 2 * r, cx == 0.0, True)
+        return GeometrySummary(2, r, abs(cx) + r, 2 * r, self._symmetric_x1(), True)
 
     def _symmetric_x1(self):
         if self.kind == "interval_union":

@@ -32,13 +32,12 @@ def cauchy_constant(dim):
     return float(np.exp(gammaln((dim + 1) / 2) - (dim + 1) / 2 * np.log(np.pi)))
 
 
-def cauchy_kernel(t, x, y, dim=None):
+def cauchy_kernel(t, x, y, dim):
     """Transition density of the symmetric 1-stable process in R^d.
 
-    p(t, x, y) = c_d * t / (t^2 + |x-y|^2)^((d+1)/2).
+    p(t, x, y) = c_d * t / (t^2 + |x-y|^2)^((d+1)/2). In 1D, x and y are
+    arrays of points; in 2D their last axis holds the coordinates.
     """
-    if dim is None:
-        dim = 1 if np.asarray(x).ndim == 0 or np.asarray(x).shape[-1:] not in [(2,)] else 2
     if np.any(np.asarray(t) <= 0):
         raise ValidationError("time must be positive")
     return cauchy_kernel_r2(t, _dist_sq(x, y, dim), dim)
@@ -50,18 +49,15 @@ def cauchy_kernel_r2(t, r2, dim):
     return cauchy_constant(dim) * t / (t**2 + r2) ** ((dim + 1) / 2)
 
 
-def gaussian_kernel(t, x, y, dim=1, log=False):
+def gaussian_kernel(t, x, y, dim=1):
     """Transition density with multiplier exp(-t |xi|^2):
 
     p(t, x, y) = (4 pi t)^(-d/2) exp(-|x-y|^2 / (4 t)).
-
-    With ``log=True`` returns the log-density (safe for large exponents).
     """
     if np.any(np.asarray(t) <= 0):
         raise ValidationError("time must be positive")
     r2 = _dist_sq(x, y, dim)
-    logp = -dim / 2 * np.log(4 * np.pi * t) - r2 / (4 * t)
-    return logp if log else np.exp(logp)
+    return np.exp(-dim / 2 * np.log(4 * np.pi * t) - r2 / (4 * t))
 
 
 def subordinator_density_half(t, s):

@@ -160,7 +160,8 @@ def simulate_skeleton(domain, x, cfg):
 
 
 def survival_curve(domain, x, cfg):
-    """Estimated survival function: list of (t, fraction alive, stderr)."""
+    """Estimated survival function, as the SurvivalCurve of simulate_skeleton
+    (its rows() gives (t, fraction alive, stderr))."""
     return simulate_skeleton(domain, x, cfg)
 
 
@@ -177,31 +178,39 @@ def _telescoped_rate(alive_a, alive_b, dt):
     return rate, se
 
 
-def estimate_lambda1(curve, min_survivors=100, window_tol=0.05, n_blocks=12):
+# estimator settings; _N_BLOCKS serves the window search of both decay rates
+_N_BLOCKS = 12
+_WINDOW_TOL = 0.05
+_PLATEAU_TOL = 3.0
+_N_BOOTSTRAP = 200
+_MIN_SIGNED = 30.0
+
+
+def estimate_lambda1(curve, min_survivors=100):
     """Ground-state decay rate from the survival curve.
 
-    The usable range (>= min_survivors alive) is split into n_blocks equal
+    The usable range (>= min_survivors alive) is split into _N_BLOCKS equal
     time blocks; the estimate telescopes log(survival) over the longest tail
     window whose per-block rates are all consistent with the window rate
-    within window_tol or two block standard errors.
+    within _WINDOW_TOL or two block standard errors.
     """
     alive = curve.alive
     keep = alive >= min_survivors
-    if keep.sum() < n_blocks + 1:
+    if keep.sum() < _N_BLOCKS + 1:
         raise EstimationError(
             f"only {int(keep.sum())} record times with >= {min_survivors} survivors"
         )
     alive = alive[keep].astype(float)
     times = curve.times[keep]
-    edges = np.linspace(0, alive.size - 1, n_blocks + 1).astype(int)
+    edges = np.linspace(0, alive.size - 1, _N_BLOCKS + 1).astype(int)
     ta, tb = times[edges[:-1]], times[edges[1:]]
     aa, ab = alive[edges[:-1]], alive[edges[1:]]
     br, bse = _telescoped_rate(aa, ab, tb - ta)
     start = None
-    for s in range(n_blocks - 2):
+    for s in range(_N_BLOCKS - 2):
         m, _ = _telescoped_rate(aa[s], ab[-1], tb[-1] - ta[s])
         dev = np.abs(br[s:] - m)
-        if np.all(dev <= np.maximum(window_tol * abs(m), 2.0 * bse[s:])):
+        if np.all(dev <= np.maximum(_WINDOW_TOL * abs(m), 2.0 * bse[s:])):
             start = s
             break
     if start is None:
@@ -218,12 +227,12 @@ def estimate_lambda1(curve, min_survivors=100, window_tol=0.05, n_blocks=12):
     )
 
 
-def estimate_phi1(domain, x, t, lambda1, cfg, curve=None, plateau_tol=3.0):
+def estimate_phi1(domain, x, t, lambda1, cfg, curve=None):
     """phi_1(x) up to normalization: exp(lambda1 * t) * survival(t).
 
     Requires the compensated curve s -> exp(lambda1 s) survival(s) to have
     stabilized before t (each of the last few record values within
-    plateau_tol standard errors of the value at t).
+    _PLATEAU_TOL standard errors of the value at t).
     """
     if curve is None:
         curve = simulate_skeleton(domain, x, cfg)
@@ -235,26 +244,25 @@ def estimate_phi1(domain, x, t, lambda1, cfg, curve=None, plateau_tol=3.0):
     lo = int(np.searchsorted(curve.times, 0.5 * t))
     ref = comp[j]
     dev = np.abs(comp[lo : j + 1] - ref)
-    tol = plateau_tol * np.sqrt(comp_err[lo : j + 1] ** 2 + comp_err[j] ** 2)
+    tol = _PLATEAU_TOL * np.sqrt(comp_err[lo : j + 1] ** 2 + comp_err[j] ** 2)
     if np.any(dev > np.maximum(tol, 1e-12)):
         raise EstimationError("compensated survival has not reached its plateau by t")
     return McEstimate(float(ref), float(comp_err[j]), int(curve.alive[j]),
                       {"t": float(curve.times[j])})
 
 
-def estimate_gap_star(domain, x, cfg, curve=None, n_bootstrap=200, min_signed=30.0,
-                      n_blocks=12):
+def estimate_gap_star(domain, x, cfg, curve=None):
     """Antisymmetric gap lambda_* - lambda_1 from the signed survival ratio.
 
     The ratio r(t) = (right-half count - left-half count) / alive decays at
     the gap rate once the higher antisymmetric modes have died out; at early
     times they bias the local rate downward.  The usable range (signed count
-    above min_signed Poisson scales) is split into n_blocks time blocks and
+    above _MIN_SIGNED Poisson scales) is split into _N_BLOCKS time blocks and
     the estimate telescopes log r over the longest tail window in which every
     block rate is statistically consistent (2.5 block stderrs, with no
     relative slack) with the window rate, so early biased blocks are excluded
     exactly when the path count makes the bias visible.  stderr is the spread
-    of the same window statistic over partition bootstrap resamples.
+    of the same window statistic over _N_BOOTSTRAP partition bootstrap resamples.
     """
     g = domain.summarize()
     if not g.symmetric_x1:
@@ -272,20 +280,20 @@ def estimate_gap_star(domain, x, cfg, curve=None, n_bootstrap=200, min_signed=30
             return np.where(alive > 0, signed / np.maximum(alive, 1), np.nan), signed, alive
 
     r, signed, alive = ratio_curve(curve.counts, curve.plus, curve.minus)
-    usable = (signed > min_signed * np.sqrt(np.maximum(alive, 1))) & (alive > 50)
-    if usable.sum() < n_blocks + 1:
+    usable = (signed > _MIN_SIGNED * np.sqrt(np.maximum(alive, 1))) & (alive > 50)
+    if usable.sum() < _N_BLOCKS + 1:
         raise EstimationError("signed survival ratio is below the noise floor")
     sel = np.nonzero(usable)[0]
     ts = curve.times[sel]
     lr = np.log(r[sel])
     # var(log r) ~ (1 - r^2) / (alive r^2) for +-1 path signs
     vlr = (1.0 - r[sel] ** 2) / (alive[sel] * r[sel] ** 2)
-    edges = np.linspace(0, sel.size - 1, n_blocks + 1).astype(int)
+    edges = np.linspace(0, sel.size - 1, _N_BLOCKS + 1).astype(int)
     lo, hi = edges[:-1], edges[1:]
     br = (lr[lo] - lr[hi]) / (ts[hi] - ts[lo])
     bse = np.sqrt(vlr[lo] + vlr[hi]) / (ts[hi] - ts[lo])
     start = None
-    for s in range(n_blocks - 2):
+    for s in range(_N_BLOCKS - 2):
         m = (lr[lo[s]] - lr[hi[-1]]) / (ts[hi[-1]] - ts[lo[s]])
         if np.all(np.abs(br[s:] - m) <= 2.5 * np.maximum(bse[s:], 1e-12)):
             start = s
@@ -306,13 +314,13 @@ def estimate_gap_star(domain, x, cfg, curve=None, n_bootstrap=200, min_signed=30
     rng = np.random.Generator(np.random.Philox(cfg.seed + 1))
     P = curve.config.partitions
     boots = []
-    for _ in range(n_bootstrap):
+    for _ in range(_N_BOOTSTRAP):
         pick = rng.integers(0, P, size=P)
         rb, _, _ = ratio_curve(curve.counts[pick], curve.plus[pick], curve.minus[pick])
         ra, rz = rb[sel[i0]], rb[sel[i1]]
         if np.isfinite(ra) and np.isfinite(rz) and ra > 0 and rz > 0:
             boots.append(float(np.log(ra / rz) / (ts[i1] - ts[i0])))
-    if len(boots) < n_bootstrap // 2:
+    if len(boots) < _N_BOOTSTRAP // 2:
         raise EstimationError("bootstrap resamples mostly degenerate")
     stderr = float(np.std(boots, ddof=1))
     return McEstimate(slope, stderr, int(alive[sel[i1]]),

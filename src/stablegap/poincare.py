@@ -25,6 +25,14 @@ from ._quad import axis_rules, tensor_rule
 from .errors import UnsupportedConfigurationError, ValidationError
 from .kernels import cauchy_kernel_r2
 
+_PROFILE_CELLS = 2048  # cells of the uniform partition a profile samples
+_QUOTIENT_TOL = 1e-4  # min_antisymmetric_quotient: slack below its bound
+_QUOTIENT_PANELS = 24  # directional_quotient_2d: Gauss panels per side
+_FD_STEP = 1e-6  # directional_quotient_2d: central-difference step in x1
+_SKELETON_PANELS, _SKELETON_NODES = 24, 4  # skeleton_survival: per axis component
+_KERNEL_BLOCK_ENTRIES = 1 << 21  # one row block of the skeleton kernel: 16 MB
+_LEMMA_TOL = 1e-12  # check_lemma_derivative: absolute slack below its bound
+
 
 @dataclass(frozen=True)
 class WeightProfile:
@@ -50,19 +58,20 @@ class WeightProfile:
                 raise ValidationError("profile marked symmetric but samples are not")
 
     @classmethod
-    def from_function(cls, fn, l, n=2048, symmetric=True):
-        """Sample fn at the n cell centers of a uniform partition of (-l, l)."""
-        edges = np.linspace(-l, l, n + 1)
+    def from_function(cls, fn, l):
+        """Sample fn at the cell centers of a uniform partition of (-l, l),
+        as a symmetric profile."""
+        edges = np.linspace(-l, l, _PROFILE_CELLS + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        return cls(centers, np.asarray(fn(centers), dtype=float), symmetric)
+        return cls(centers, np.asarray(fn(centers), dtype=float), True)
 
 
-def ground_state_weight(result, n=2048):
+def ground_state_weight(result):
     """phi_1^2 of a 1D spectral result as a WeightProfile on its interval."""
     (a, b), = result.domain.bounding_box()
     l = 0.5 * (b - a)
     phi = result.eigenfunction(1)
-    return WeightProfile.from_function(lambda x: phi(x) ** 2, l, n=n)
+    return WeightProfile.from_function(lambda x: phi(x) ** 2, l)
 
 
 def is_log_concave(profile, tol=1e-9):
@@ -99,7 +108,7 @@ class RayleighOutcome:
         }
 
 
-def min_antisymmetric_quotient(profile, l, tol=1e-4):
+def min_antisymmetric_quotient(profile, l):
     """Minimize (integral f'^2 g) / (integral f^2 g) over odd f on (-l, l).
 
     Odd functions are parameterized by their restriction to (0, l) in a P1
@@ -131,10 +140,10 @@ def min_antisymmetric_quotient(profile, l, tol=1e-4):
     nodes = np.linspace(0.0, l, n + 1)
     f = np.concatenate([[0.0], vecs[:, 0]])
     f /= np.max(np.abs(f))
-    return RayleighOutcome(quotient, bound, bool(quotient >= bound - tol), nodes, f)
+    return RayleighOutcome(quotient, bound, bool(quotient >= bound - _QUOTIENT_TOL), nodes, f)
 
 
-def directional_quotient_2d(domain, weight, f, tol=1e-10, n_panels=24, fd_step=1e-6):
+def directional_quotient_2d(domain, weight, f, tol=1e-10):
     """Directional Poincare check on a rectangle symmetric in x1:
 
     lhs = integral |df/dx1|^2 w,  rhs = (pi^2 / (4 L^2)) integral f^2 w,
@@ -148,7 +157,7 @@ def directional_quotient_2d(domain, weight, f, tol=1e-10, n_panels=24, fd_step=1
     if abs(a1 + b1) > 1e-12 * (b1 - a1):
         raise ValidationError("rectangle must be symmetric in x1")
     L = 0.5 * (b1 - a1)
-    pts, ww = tensor_rule(axis_rules(domain, n_panels, 6))
+    pts, ww = tensor_rule(axis_rules(domain, _QUOTIENT_PANELS, 6))
     refl = pts.copy()
     refl[:, 0] *= -1
     fv = np.asarray(f(pts), dtype=float)
@@ -156,19 +165,20 @@ def directional_quotient_2d(domain, weight, f, tol=1e-10, n_panels=24, fd_step=1
         raise ValidationError("test function is not antisymmetric in x1")
     wv = np.asarray(weight(pts), dtype=float)
     plus = pts.copy()
-    plus[:, 0] += fd_step
+    plus[:, 0] += _FD_STEP
     minus = pts.copy()
-    minus[:, 0] -= fd_step
-    d1 = (np.asarray(f(plus)) - np.asarray(f(minus))) / (2 * fd_step)
+    minus[:, 0] -= _FD_STEP
+    d1 = (np.asarray(f(plus)) - np.asarray(f(minus))) / (2 * _FD_STEP)
     lhs = float(np.sum(d1**2 * wv * ww))
     rhs = float(np.pi**2 / (4 * L**2) * np.sum(fv**2 * wv * ww))
     return {"lhs": lhs, "rhs": rhs, "pass": bool(lhs >= rhs - tol - 1e-9 * abs(rhs))}
 
 
-def skeleton_survival(domain, x, times, alpha=1.0, n_panels=24, nodes=4):
-    """P_x(X_{t_1} in D, ..., X_{t_n} in D) for the free process observed on
-    a finite time skeleton, by iterated kernel quadrature over D^n (n <= 4).
-    alpha = 1 only (closed-form kernel)."""
+def skeleton_survival(domain, x, times):
+    """P_x(X_{t_1} in D, ..., X_{t_n} in D) for the free Cauchy process
+    (alpha = 1, closed-form kernel) observed on a finite time skeleton, by
+    iterated kernel quadrature over D^n (n <= 4). The kernel matrix is applied
+    in row blocks, so its memory does not grow with the square of the nodes."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size > 4:
         raise UnsupportedConfigurationError(
@@ -176,44 +186,39 @@ def skeleton_survival(domain, x, times, alpha=1.0, n_panels=24, nodes=4):
         )
     if np.any(np.diff(times) <= 0) or times[0] <= 0:
         raise ValidationError("times must be strictly increasing and positive")
-    if alpha != 1.0:
-        raise UnsupportedConfigurationError("closed-form kernel requires alpha = 1")
     if domain.kind == "disk":
         raise UnsupportedConfigurationError("the skeleton quadrature needs a product domain")
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(domain.contains(x0)):
         raise ValidationError("starting point must lie in D")
-    pts, ww = tensor_rule(axis_rules(domain, n_panels, nodes))
-    r2 = np.zeros((pts.shape[0],) * 2)
-    for p in pts.T:  # squared pairwise distances, one (n, n) temporary at a time
-        d = np.subtract.outer(p, p)
-        d *= d
-        r2 += d
-    v = np.ones(pts.shape[0])
+    pts, ww = tensor_rule(axis_rules(domain, _SKELETON_PANELS, _SKELETON_NODES))
+    block = max(1, _KERNEL_BLOCK_ENTRIES // len(pts))
+    v = np.ones(len(pts))
     gaps = np.diff(np.concatenate([[0.0], times]))
     for dt in gaps[:0:-1]:
-        v = (cauchy_kernel_r2(dt, r2, domain.dim) * ww[None, :]) @ v
+        parts = []
+        for i0 in range(0, len(pts), block):  # squared distances, summed over axes
+            r2 = sum(np.subtract.outer(p[i0 : i0 + block], p) ** 2 for p in pts.T)
+            parts.append((cauchy_kernel_r2(dt, r2, domain.dim) * ww[None, :]) @ v)
+        v = np.concatenate(parts)
     r2_start = np.sum((pts - x0) ** 2, axis=1)
     return float(np.sum(cauchy_kernel_r2(gaps[0], r2_start, domain.dim) * ww * v))
 
 
-def segment_log_concavity(domain, segment, times, n_points=25, tol=1e-7):
+def segment_log_concavity(domain, segment, times, n_points=25):
     """Discrete log-concavity of the skeleton survival probability along an
     axis-parallel segment ((start, end) points in D). Returns the maximal
-    second difference of the log (<= tol means log-concave)."""
+    second difference of the log (<= 0, up to quadrature noise, means
+    log-concave)."""
     a = np.asarray(segment[0], dtype=float)
     b = np.asarray(segment[1], dtype=float)
-    lam = np.linspace(0.0, 1.0, n_points)
-    vals = []
-    for s in lam:
-        p = a + s * (b - a)
-        vals.append(skeleton_survival(domain, p if domain.dim == 2 else float(p), times))
+    vals = [skeleton_survival(domain, a + s * (b - a), times) for s in np.linspace(0, 1, n_points)]
     lg = np.log(np.asarray(vals))
     second = lg[:-2] - 2 * lg[1:-1] + lg[2:]
     return float(np.max(second))
 
 
-def check_lemma_derivative(ts, fs, c, tol=1e-12):
+def check_lemma_derivative(ts, fs, c):
     """Exponentially weighted energy of a sampled function on [0, T]:
 
         I = integral over [0, T] of (f^2 + f'^2) e^(-c t),
@@ -234,6 +239,6 @@ def check_lemma_derivative(ts, fs, c, tol=1e-12):
     return {
         "I": I,
         "bound": bound,
-        "pass": bool(I >= bound - tol - 1e-9 * bound),
+        "pass": bool(I >= bound - _LEMMA_TOL - 1e-9 * bound),
         "ratio": I / bound if bound > 0 else np.inf,
     }

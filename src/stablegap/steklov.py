@@ -215,10 +215,8 @@ class ExtensionEngine:
         return out
 
     def _fill_boundary(self, out, rows, points, ts):
-        pts = _grid_points(points)
-        for f in range(rows.shape[0]):
-            vals = evaluate_basis_sum(self.basis, rows[f], pts)
-            out[f][..., ts == 0.0] = vals.reshape(out.shape[1:-1] + (1,))
+        vals = evaluate_basis_sum(self.basis, rows, _grid_points(points))
+        out[..., ts == 0.0] = vals.reshape(out.shape[:-1] + (1,))
 
 
 class HarmonicExtension:
@@ -282,9 +280,13 @@ class ExtensionField:
         }
 
 
-def default_field_grid(domain, t_max=20.0, n_x=80, n_t=33):
+_PROBE_T_MAX = 20.0  # top height of the probe grids above D
+_FIELD_N_X, _FIELD_N_T = 80, 33  # default field grid: points per x axis, heights
+
+
+def default_field_grid(domain):
     """Default sampling grid: x covers D plus a 50% margin; times are zero
-    followed by a geometric ladder up to t_max.  The ladder starts at
+    followed by a geometric ladder up to _PROBE_T_MAX.  The ladder starts at
     0.02 * inradius in 1d and 0.2 * inradius in 2d: below that the
     truncated sine basis leaves a boundary-layer residual of order
     t * |(A - lambda_1) phi_1| in the extension, and the coarser
@@ -292,29 +294,21 @@ def default_field_grid(domain, t_max=20.0, n_x=80, n_t=33):
     """
     g = domain.summarize()
     t_min = (0.02 if domain.dim == 1 else 0.2) * g.inradius
-    ts = np.concatenate([[0.0], np.geomspace(t_min, t_max, n_t - 1)])
+    ts = np.concatenate([[0.0], np.geomspace(t_min, _PROBE_T_MAX, _FIELD_N_T - 1)])
     axes = [
-        np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), n_x)
+        np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), _FIELD_N_X)
         for lo, hi in domain.bounding_box()
     ]
     return _xs(axes), ts
 
 
-def sample_extension(result, n, x_grid=None, t_grid=None) -> ExtensionField:
-    """Evaluate the extension of mode n on a tensor grid (default grid if
-    none is given) and package it as an ExtensionField."""
+def sample_extension(result, n) -> ExtensionField:
+    """Evaluate the extension of mode n on the default field grid, whose
+    first height is t = 0, and package it as an ExtensionField."""
     ext = extend(result, n)
-    if x_grid is None or t_grid is None:
-        xg, tg = default_field_grid(result.domain)
-        x_grid = xg if x_grid is None else x_grid
-        t_grid = tg if t_grid is None else t_grid
-    t_grid = np.asarray(t_grid, dtype=float)
-    with_zero = t_grid if t_grid[0] == 0.0 else np.concatenate([[0.0], t_grid])
-    vals = ext.values(x_grid, with_zero)
-    phi0 = vals[..., 0]
-    if t_grid[0] != 0.0:
-        vals = vals[..., 1:]
-    return ExtensionField(x_grid, t_grid, vals, ext.lam, phi0, ext)
+    x_grid, t_grid = default_field_grid(result.domain)
+    vals = ext.values(x_grid, t_grid)
+    return ExtensionField(x_grid, t_grid, vals, ext.lam, vals[..., 0], ext)
 
 
 # ---------------- pointwise structural checks ----------------
@@ -608,7 +602,7 @@ def gap_identity_check(result, n=None, trunc=None):
     }
 
 
-def ratio_boundedness_check(result, n=None, t_max=20.0):
+def ratio_boundedness_check(result, n=None):
     """max |u_n / u_1| over a probe grid of the half-space above D.
 
     The ratio is bounded; the returned maximum should sit far below the
@@ -618,7 +612,8 @@ def ratio_boundedness_check(result, n=None, t_max=20.0):
         n = result.star_index
     rows = np.vstack([result.coefficients[n - 1], result.coefficients[0]])
     axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
-    vals = ExtensionEngine(result.basis).values(rows, _xs(axes), np.geomspace(1e-3, t_max, 25))
+    ts = np.geomspace(1e-3, _PROBE_T_MAX, 25)
+    vals = ExtensionEngine(result.basis).values(rows, _xs(axes), ts)
     return float(np.max(np.abs(vals[0] / vals[1])))
 
 

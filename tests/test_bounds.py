@@ -96,6 +96,8 @@ def test_gap_upper_closed_forms():
     assert gap_upper(2, 1.0) == pytest.approx(z1 - z0 / 2, rel=1e-12)
     # scaling: bound on radius r is bound on radius 1 over r
     assert gap_upper(2, 2.0) == pytest.approx(gap_upper(2, 1.0) / 2, rel=1e-12)
+    with pytest.raises(ValidationError):
+        gap_upper(2, 1.0, 7)
 
 
 def test_gap_lower_values():

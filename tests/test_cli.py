@@ -118,6 +118,25 @@ def test_gap_check_interval_n32_regression(capsys):
     assert doc["constant_field_Q"] == 0.0
 
 
+@pytest.mark.parametrize("flags, truncation", [
+    (["--t-max", "10"], [0.001, 10.0, 60.0]),
+    (["--eps", "1e-2"], [0.01, 30.0, 60.0]),
+], ids=["t-max", "eps"])
+def test_gap_check_flag_replaces_one_truncation_field(flags, truncation, capsys):
+    code, out, _ = run_cli(
+        ["gap-check", "--domain", "interval:-1,1", "--n", "32"] + flags, capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["truncation"] == truncation
+
+
+def test_gap_check_invalid_truncation_exits_2(capsys):
+    code, out, err = run_cli(
+        ["gap-check", "--domain", "interval:-1,1", "--n", "32",
+         "--eps", "20", "--t-max", "10"], capsys)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_eig_lost_positivity_exits_3(monkeypatch, capsys):
     eigh = np.linalg.eigh
 
@@ -130,6 +149,22 @@ def test_eig_lost_positivity_exits_3(monkeypatch, capsys):
     code, _, err = run_cli(["eig", "--domain", "interval:-1,1", "--n", "16"], capsys)
     assert code == 3
     assert "positivity" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--domain", "interval:-1,1", "--n", "16"],
+    ["gap-check", "--domain", "interval:-1,1", "--n", "16"],
+    ["mc", "--domain", "interval:-1,1", "--paths", "100", "--seed", "1"],
+    ["report", "--domain", "interval:-1,1"],
+    ["report", "--sweep", "1,2", "--plot-prefix", "{prefix}"],
+], ids=["eig", "gap-check", "mc", "report-domain", "report-sweep"])
+def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
+    prefix = tmp_path / "sweep"
+    argv = [a.format(prefix=prefix) for a in argv]
+    code, out, err = run_cli(argv + ["--alpha", "7"], capsys)
+    assert code == 2
+    assert out == "" and "alpha" in err
+    assert list(tmp_path.iterdir()) == []  # no plot files from a failed run
 
 
 # ---------------- mc ----------------

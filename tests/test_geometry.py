@@ -31,6 +31,8 @@ def test_disk_summary():
     assert g.symmetric_x1 and g.convex
     off = Domain.disk(0.3, 0.0, 1.5).summarize()
     assert not off.symmetric_x1
+    # the same 1e-12 centre tolerance as reflection symmetry elsewhere
+    assert Domain.disk(1e-13, 0.0, 1.0).summarize().symmetric_x1
 
 
 def test_interval_union_contains_and_symmetry():

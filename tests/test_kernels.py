@@ -26,6 +26,13 @@ def test_cauchy_kernel_matches_explicit_1d():
     t, x, y = 0.7, 0.3, -0.4
     expected = t / (np.pi * (t**2 + (x - y) ** 2))
     assert abs(cauchy_kernel(t, x, y, dim=1) - expected) < 1e-14
+    # two 1D points give two densities; the dimension is never guessed
+    xs = np.array([0.1, 0.2])
+    got = cauchy_kernel(1.0, xs, 0.0, dim=1)
+    assert got.shape == (2,)
+    assert np.allclose(got, 1.0 / (np.pi * (1.0 + xs**2)), rtol=1e-14, atol=0.0)
+    with pytest.raises(TypeError):
+        cauchy_kernel(1.0, xs, 0.0)
 
 
 def test_cauchy_kernel_matches_explicit_2d():
