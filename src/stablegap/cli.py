@@ -32,6 +32,14 @@ from .eigensolver import solve_spectrum
 from .geometry import Domain
 
 
+def _floats(text):
+    """Comma-separated floats; ValidationError on an entry that is not one."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def parse_domain(text):
     """Domain from JSON or shorthand: interval:a,b | intervals:a,b,c,d |
     rect:x1lo,x1hi,x2lo,x2hi | disk:cx,cy,r."""
@@ -40,7 +48,7 @@ def parse_domain(text):
         return Domain.from_json(json.loads(text))
     try:
         kind, _, rest = text.partition(":")
-        vals = [float(v) for v in rest.split(",")] if rest else []
+        vals = _floats(rest) if rest else []
         if kind == "interval" and len(vals) == 2:
             return Domain.interval(*vals)
         if kind == "intervals" and len(vals) >= 4 and len(vals) % 2 == 0:
@@ -51,7 +59,7 @@ def parse_domain(text):
             return Domain.rectangle(vals[0], vals[1], vals[2], vals[3])
         if kind == "disk" and len(vals) == 3:
             return Domain.disk(vals[0], vals[1], vals[2])
-    except (ValueError, ValidationError) as exc:
+    except ValidationError as exc:
         raise ValidationError(f"bad domain spec {text!r}: {exc}")
     raise ValidationError(f"bad domain spec {text!r}")
 
@@ -104,9 +112,9 @@ def cmd_eig(args):
         "star_index": result.star_index,
         "lambda_gap": float(result.eigenvalues[1] - result.eigenvalues[0]),
     }
+    phi = result.eigenfunction(args.csv_mode) if args.csv else None
     _emit_json(out, args.out)
     if args.csv:
-        phi = result.eigenfunction(args.csv_mode)
         if domain.dim == 1:
             (lo, hi), = domain.bounding_box()
             xs = np.linspace(lo, hi, 512)
@@ -162,7 +170,7 @@ def cmd_gap_check(args):
 
 def cmd_mc(args):
     domain = parse_domain(args.domain)
-    start = [float(v) for v in args.start.split(",")]
+    start = _floats(args.start)
     if len(start) != domain.dim:
         raise ValidationError("start point dimension mismatch")
     x = start[0] if domain.dim == 1 else np.array(start)
@@ -219,6 +227,7 @@ def cmd_mc(args):
 
 def cmd_report(args):
     domain = parse_domain(args.domain) if args.domain else None
+    sweep = _floats(args.sweep) if args.sweep and args.plot_prefix else []
     config = {
         "command": "report",
         "domain": domain.to_json() if domain else None,
@@ -249,10 +258,9 @@ def cmd_report(args):
             f"d={d}": dict(zip(("C", "C_prime"), bounds_mod.main_gap_constants(d)))
             for d in (1, 2, 3)
         }
-    if args.sweep and args.plot_prefix:
-        ls = [float(v) for v in args.sweep.split(",")]
+    if sweep:
         lower_rows, upper_rows, computed_rows = [], [], []
-        for L in ls:
+        for L in sweep:
             dom = Domain.rectangle(-L, L, -1, 1)
             lower_rows.append((L, bounds_mod.rectangle_gap_lower(L)))
             upper_rows.append((L, bounds_mod.gap_upper(2, 1.0, args.alpha)))

@@ -8,17 +8,23 @@ The quadratic form of the symmetric alpha-stable process killed outside D is
 products of interval unions (Domain.axis_components), and the solver projects
 this form onto one basis for both: products of the Dirichlet-Laplacian sine
 modes of each axis's components, whose transforms are closed-form sinc pairs,
-stable at their removable singularities. The form matrix is evaluated by
-panel Gauss-Legendre quadrature in xi with an analytic power-law tail beyond
-the truncation point, and diagonalized. The quadrature runs in real
-arithmetic: on one interval, and on each rectangle axis, the transforms of
-odd modes are real and those of even modes imaginary, so the form splits into
-same-parity blocks (pairs of different parity are exactly zero) and each
-block is one real Gram product; the 2D contraction keeps only the unique
-same-parity mode pairs of each axis. Interval unions use the real Gram
-product of [Re S | Im S]. For alpha = 2 the sine basis diagonalizes the form
-exactly and the quadrature is skipped; disks are supported at alpha = 2 only,
-through the classical Bessel modes.
+stable at their removable singularities. The form of one axis is evaluated
+by panel Gauss-Legendre quadrature in xi with an analytic power-law tail
+beyond the truncation point, in real arithmetic: on one interval the
+transforms of odd modes are real and those of even modes imaginary, so the
+form splits into same-parity blocks (pairs of different parity are exactly
+zero), each one real Gram product; interval unions use the real Gram product
+of [Re S | Im S]. A rectangle needs only 1D pieces: by subordination,
+
+    |xi|^alpha = c_alpha * integral_0^inf (1 - e^(-s |xi|^2)) s^(-1-alpha/2) ds,
+
+c_alpha = (alpha/2) / Gamma(1 - alpha/2), and 1 - e^(-s |xi|^2) = d1 + d2 -
+d1 d2 with d_i = 1 - e^(-s xi_i^2), so in the orthonormal basis the form is
+A1 (x) I + I (x) A2 minus c_alpha * integral s^(-1-alpha/2) D1(s) (x) D2(s) ds,
+with A_i the axis forms and D_i(s)_jk = (1/pi) integral_0^inf d_i G_j G_k dxi_i.
+For alpha = 2 (c_alpha = 0) the sine basis diagonalizes the form exactly and
+the quadrature is skipped; disks are supported at alpha = 2 only, through the
+classical Bessel modes.
 
 Rayleigh-Ritz gives one-sided (from above) approximations, nonincreasing in
 the basis size because the sine bases are nested.
@@ -27,12 +33,12 @@ the basis size because the sine bases are nested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import jn_zeros, jv
+from scipy.special import erfc, gamma, jn_zeros, jv
 
+from ._quad import log_panels
 from .errors import NumericalBudgetError, UnsupportedConfigurationError, ValidationError
 from .geometry import Domain
 
@@ -69,6 +75,8 @@ def _sine_basis(domain, n_basis):
     counts = (n_basis,) * len(comps) if np.isscalar(n_basis) else tuple(n_basis)
     if len(counts) != len(comps):
         raise ValidationError(f"need one mode count per axis ({len(comps)})")
+    if min(counts) < 1:
+        raise ValidationError("need at least one mode per interval component")
     tables = []
     for ivs, n in zip(comps, counts):
         table = []
@@ -86,6 +94,8 @@ def _columns(table):
 
 
 def _disk_basis(domain, n_modes):
+    if n_modes < 1:
+        raise ValidationError("need at least one disk mode")
     # lowest zeros j(m, k) of J_m, each with the angular factors cos and sin
     kmax = int(np.sqrt(n_modes)) + 5
     cand = sorted(
@@ -135,14 +145,17 @@ def basis_mode_transform(basis, xi):
 
 
 _GL_NODES = 10  # Gauss-Legendre nodes per xi panel
-_TAIL_FACTOR_1D, _TAIL_FACTOR_2D = 8.0, 12.0  # xi cut-off / largest mode frequency
+_TAIL_FACTOR = 8.0  # xi cut-off / largest mode frequency of the axis
+# rectangle cross term: log panels in s on [_S_MIN, _S_MAX]; beyond _S_MAX,
+# D1(s) (x) D2(s) is taken as I
+_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES = 1e-10, 1e10, 2, 10
 
 
-def _axis_quadrature(h, n_modes, tail_factor):
+def _axis_quadrature(h, n_modes):
     """GL panel grid on [0, Xi] for an axis with half-length h and n_modes modes."""
     om_max = n_modes * np.pi / (2 * h)
     panel_w = np.pi / (4 * h)
-    npan = int(np.ceil(tail_factor * om_max / panel_w))
+    npan = int(np.ceil(_TAIL_FACTOR * om_max / panel_w))
     xg, wg = leggauss(_GL_NODES)
     starts = np.arange(npan) * panel_w
     nodes = (starts[:, None] + 0.5 * panel_w * (xg[None, :] + 1)).ravel()
@@ -204,12 +217,36 @@ def assemble_form_matrix(domain, alpha, n_basis):
         return np.diag([(z / r) ** 2 for (_, _, z, _) in basis.meta]), basis
 
     basis = _sine_basis(domain, n_basis)
-    if alpha == 2:
-        # the sine modes are Laplacian eigenfunctions: sum over axes of omega^2
-        squares = [_columns(table)[3] ** 2 for table in basis.meta]
-        return np.diag(reduce(np.add.outer, squares).ravel()), basis
-    assemble = _assemble_1d if domain.dim == 1 else _assemble_2d
-    return assemble(basis, alpha), basis
+    return _assemble_sine(basis, alpha), basis
+
+
+def _assemble_sine(basis, alpha):
+    """Kronecker sum of the per-axis forms, minus the cross term on a
+    rectangle (module docstring); row (j, m) = j * n2 + m."""
+    axes = [
+        SpectralBasis(Domain.interval_union(ivs), "sine", len(table), (table,))
+        for ivs, table in zip(basis.domain.axis_components(), basis.meta)
+    ]
+    forms = [_axis_form(axis, alpha) for axis in axes]
+    if len(forms) == 1:
+        return forms[0]
+    (A1, A2), (n1, n2) = forms, (axes[0].size, axes[1].size)
+    E = np.zeros((n1, n2, n1, n2))
+    E[:, np.arange(n2), :, np.arange(n2)] += A1  # A1 (x) I
+    E[np.arange(n1), :, np.arange(n1)] += A2  # I (x) A2
+    if alpha == 2:  # c_alpha = 0
+        return E.reshape(n1 * n2, -1)
+    c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
+    s, ws = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
+    D1 = _subordination_grams(axes[0], s) * (c * ws * s ** (-1 - 0.5 * alpha))[:, None, None]
+    D2 = _subordination_grams(axes[1], s)
+    rows = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
+    for j0 in range(0, n1, rows):
+        E[j0 : j0 + rows] -= np.einsum("sjk,sml->jmkl", D1[:, j0 : j0 + rows], D2, optimize=True)
+    E = E.reshape(n1 * n2, -1)
+    # s > _S_MAX, where D1(s) (x) D2(s) = I + O(s^-1/2)
+    E[np.diag_indices_from(E)] -= c * _S_MAX ** (-0.5 * alpha) / (0.5 * alpha)
+    return 0.5 * (E + E.T)
 
 
 def _centred_amplitudes(h, n_modes, xi):
@@ -228,14 +265,18 @@ def _centred_amplitudes(h, n_modes, xi):
     return G
 
 
-def _assemble_1d(basis, alpha):
+def _axis_form(basis, alpha):
+    """Form matrix of a 1D sine basis (an interval union)."""
     (meta,) = basis.meta
+    if alpha == 2:
+        # the sine modes are Laplacian eigenfunctions: omega^2 on the diagonal
+        return np.diag(_columns(meta)[3] ** 2)
     comps = {}
     for p, (c, h, _, _) in enumerate(meta):
         comps.setdefault((c, h), []).append(p)
     n_per = len(next(iter(comps.values())))
     h_min = min(h for (_, h) in comps)
-    nodes, wts, xi_max = _axis_quadrature(h_min, n_per, _TAIL_FACTOR_1D)
+    nodes, wts, xi_max = _axis_quadrature(h_min, n_per)
     root_w = np.sqrt(wts * nodes**alpha)
 
     # real Gram products: Re(S diag(w xi^a) S^H) = X X^T with
@@ -266,54 +307,29 @@ def _assemble_1d(basis, alpha):
     return 0.5 * (A + A.T)
 
 
-def _same_parity_pairs(n):
-    """Index pairs j <= k with j = k mod 2 (0-based), and the (n, n) map from
-    every pair (j, k) or (k, j) to its position among them; pairs of
-    different parity map to one past the last position."""
-    j, k = np.triu_indices(n)
-    keep = (k - j) % 2 == 0
-    j, k = j[keep], k[keep]
-    index = np.full((n, n), j.size)
-    index[j, k] = index[k, j] = np.arange(j.size)
-    return j, k, index
-
-
-def _assemble_2d(basis, alpha):
-    # one component per axis: the kernel (xi1^2 + xi2^2)^(alpha/2) does not
-    # separate, so the two axes meet in one contraction
-    (_, h1s, kk1, om1), (_, h2s, kk2, om2) = (_columns(t) for t in basis.meta)
-    h1, h2, n1, n2 = h1s[0], h2s[0], kk1.size, kk2.size
-    x1, w1, xi1 = _axis_quadrature(h1, n1, _TAIL_FACTOR_2D)
-    x2, w2, xi2 = _axis_quadrature(h2, n2, _TAIL_FACTOR_2D)
-    # E_jk = G_j G_k is symmetric and zero across parities: contract only the
-    # unique same-parity pairs of each axis
-    j1, k1, index1 = _same_parity_pairs(n1)
-    j2, k2, index2 = _same_parity_pairs(n2)
-    G1 = _centred_amplitudes(h1, n1, x1)
-    G2 = _centred_amplitudes(h2, n2, x2)
-    E1 = G1[j1] * G1[k1]
-    E2 = G2[j2] * G2[k2]
-
-    A = np.zeros((j1.size + 1, j2.size + 1))  # last row and column stay zero
-    core = A[:-1, :-1]
-    chunk = max(1, _CHUNK_ENTRIES // x1.size)
-    for q0 in range(0, x2.size, chunk):
-        q1 = min(q0 + chunk, x2.size)
-        K = (w1[:, None] * w2[None, q0:q1]) * (
-            x1[:, None] ** 2 + x2[None, q0:q1] ** 2
-        ) ** (alpha / 2)
-        core += (E1 @ K) @ np.ascontiguousarray(E2[:, q0:q1]).T
-
-    # axis tail corrections with the separable approximations
-    # (xi1^2+xi2^2)^(a/2) ~ xi1^a for xi1 > Xi1 (and symmetrically):
-    tail1 = _tail_integrals(om1, kk1, h1, alpha, xi1)[j1, k1] * np.pi
-    tail2 = _tail_integrals(om2, kk2, h2, alpha, xi2)[j2, k2] * np.pi
-    core += np.outer(tail1, E2 @ w2) + np.outer(E1 @ w1, tail2)
-    core /= np.pi**2
-
-    # scatter back: row (j, m), column (k, l) holds the pair entry ((j,k), (m,l))
-    n = n1 * n2
-    return A[index1[:, None, :, None], index2[None, :, None, :]].reshape(n, n)
+def _subordination_grams(basis, s):
+    """D(s) (module docstring) at every s, shape (len(s), n, n), for a 1D sine
+    basis of one interval, on the xi grid and parity blocks of _axis_form."""
+    _, hs, kk, om = _columns(basis.meta[0])
+    h, n = hs[0], kk.size
+    nodes, wts, xi_max = _axis_quadrature(h, n)
+    D = np.zeros((s.size, n, n))
+    chunk = max(1, _CHUNK_ENTRIES // max(s.size, ((n + 1) // 2) ** 2))
+    for i0 in range(0, nodes.size, chunk):
+        xi = nodes[i0 : i0 + chunk]
+        W = -np.expm1(-np.outer(s, xi**2)) * wts[i0 : i0 + chunk]
+        G = _centred_amplitudes(h, n, xi)
+        for par in (slice(0, n, 2), slice(1, n, 2)):
+            Gp = G[par]
+            products = (Gp[:, None] * Gp[None]).reshape(-1, xi.size)
+            D[:, par, par] += (W @ products.T).reshape(s.size, len(Gp), len(Gp))
+    D /= np.pi
+    # beyond Xi: the alpha = 0 tail times the ratio of the integrals over
+    # (Xi, inf) of (1 - e^(-s xi^2)) xi^-4 and of xi^-4, with x = s Xi^2
+    x = s * xi_max**2
+    ramp = -np.expm1(-x) + 2 * x * np.exp(-x) - 2 * np.sqrt(np.pi) * x**1.5 * erfc(np.sqrt(x))
+    D += ramp[:, None, None] * _tail_integrals(om, kk, h, 0.0, xi_max)
+    return D
 
 
 # ---------------- spectral solve ----------------
@@ -353,6 +369,8 @@ class SpectralResult:
 
     def eigenfunction(self, n):
         """Callable evaluating mode n (1-based) at points in R^d."""
+        if not 1 <= n <= len(self.coefficients):
+            raise ValidationError(f"mode {n} outside 1..{len(self.coefficients)}")
         coeffs = self.coefficients[n - 1]
 
         def fn(x):

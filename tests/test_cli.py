@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, reproducible outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stablegap
 from stablegap.cli import main, parse_domain
 
 
@@ -165,6 +170,27 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert out == "" and "alpha" in err
     assert list(tmp_path.iterdir()) == []  # no plot files from a failed run
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--domain", "interval:-1,1", "--n", "0"],
+    ["eig", "--domain", "rect:-2,2,-1,1", "--n", "0"],
+    ["eig", "--domain", "interval:-1,1", "--n", "8", "--csv-mode", "20", "--csv", "f"],
+    ["report", "--sweep", "a,b", "--plot-prefix", "p"],
+    ["mc", "--domain", "interval:-1,1", "--seed", "1", "--start", "a"],
+], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep", "mc-start"])
+def test_bad_counts_and_numbers_exit_2(argv, tmp_path):
+    # a separate process, so that an uncaught exception shows as its traceback
+    src = str(Path(stablegap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "stablegap.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []  # no JSON, CSV or plot files
 
 
 # ---------------- mc ----------------

@@ -180,16 +180,87 @@ def test_interval_form_vanishes_across_parity(domain):
 
 def test_rectangle_form_vanishes_across_parity():
     n1, n2 = 6, 5
-    A, _ = assemble_form_matrix(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, (n1, n2))
     j, m = np.divmod(np.arange(n1 * n2), n2)  # row (j, m) = j * n2 + m
     cross = ((j[:, None] - j[None, :]) % 2 == 1) | ((m[:, None] - m[None, :]) % 2 == 1)
-    assert np.all(A[cross] == 0.0)
-    assert np.all(A[~cross] != 0.0)
-    assert np.array_equal(A, A.T)
+    for alpha in (0.5, 1.0, 1.5):
+        A, _ = assemble_form_matrix(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), alpha, (n1, n2))
+        assert np.all(A[cross] == 0.0), alpha
+        assert np.all(A[~cross] != 0.0), alpha
+        assert np.array_equal(A, A.T), alpha
 
 
-# lambda_1..lambda_4 from the complex-arithmetic assembly that preceded the
-# real same-parity one (same xi grids); the two agree to rounding
+def _direct_axis(h, n, R):
+    """One axis of a direct xi quadrature: nodes and weights on [0, R'] (R'
+    the first panel edge >= R), the same-parity products P (n, n, nodes) of
+    the real transform amplitudes, and tail(beta), a bound on
+    integral_R'^inf xi^beta |P_jk| dxi."""
+    # 10-node Gauss panels of width pi / (4 h), the first one split
+    # geometrically towards 0, where |xi|^alpha is not smooth
+    w = np.pi / (4 * h)
+    edges = np.concatenate([[0.0], w * 2.0 ** -np.arange(30, 0, -1),
+                            w * np.arange(1, int(np.ceil(R / w)) + 1)])
+    xg, wg = np.polynomial.legendre.leggauss(10)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    x, wts = (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+    R = edges[-1]
+    # sin(om (x + h)) / sqrt(h) on (-h, h) has the transform
+    # 2 om {cos, sin}(h xi) / (sqrt(h) (om^2 - xi^2)) (times i for even k)
+    k = np.arange(1, n + 1)
+    om = k * np.pi / (2 * h)
+    trig = np.where(k[:, None] % 2 == 1, np.cos(h * x), np.sin(h * x))
+    G = 2 * om[:, None] * trig / (np.sqrt(h) * (om[:, None] ** 2 - x**2))
+    same = (k[:, None] - k[None]) % 2 == 0
+    P = G[:, None] * G[None] * same[..., None]
+    # |G_k(xi)| <= 2 om_k / (sqrt(h) xi^2 (1 - om_k^2 / R^2)) for xi >= R
+    envelope = 2 * om / (np.sqrt(h) * (1 - om**2 / R**2))
+
+    def tail(beta):
+        return np.outer(envelope, envelope) * R ** (beta - 3) / (3 - beta)
+
+    return x, wts, P, tail
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_rectangle_form_matches_direct_2d_quadrature(alpha):
+    # E_(j,m),(k,l) = pi^-2 * integral over [0, inf)^2 of
+    # (xi1^2 + xi2^2)^(alpha/2) P1_jk(xi1) P2_ml(xi2), evaluated directly on
+    # [0, R]^2, with no subordination and no tail model. Outside [0, R]^2,
+    # |xi|^alpha <= xi1^alpha + xi2^alpha, so the missing part is bounded
+    # entrywise by B = pi^-2 (sum over the two axes of T(alpha) M(0) +
+    # T(0) M(alpha)), with T(beta) = tail(beta) of one axis and M(beta) the
+    # integral of xi^beta |P| over [0, inf) on the other. At R = 200 the
+    # largest B is 1.2e-5 (alpha = 0.5), 2.0e-4 (1) and 3.8e-3 (1.5); the
+    # truncation error is about half of it. The assembly is held to B plus
+    # 1e-8 for its own quadrature error.
+    ns = (3, 2)
+    A, _ = assemble_form_matrix(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), alpha, ns)
+    axes = [_direct_axis(h, n, 200.0) for h, n in zip((2.0, 1.0), ns)]
+    (x1, w1, P1, T1), (x2, w2, P2, T2) = axes
+    inner = np.zeros(P1.shape[:2] + x2.shape)
+    for i0 in range(0, x1.size, 500):
+        rows = slice(i0, i0 + 500)
+        K = (x1[rows, None] ** 2 + x2[None] ** 2) ** (alpha / 2) * w1[rows, None]
+        inner += P1[..., rows] @ K
+    n = ns[0] * ns[1]
+    direct = np.einsum("jkq,mlq,q->jmkl", inner, P2, w2).reshape(n, n) / np.pi**2
+
+    def M(P, x, w, T, beta):
+        return np.abs(P) @ (w * x**beta) + T(beta)
+
+    def kron(a, b):
+        return np.einsum("jk,ml->jmkl", a, b).reshape(n, n)
+
+    bound = (kron(T1(alpha), M(P2, x2, w2, T2, 0)) + kron(T1(0), M(P2, x2, w2, T2, alpha))
+             + kron(M(P1, x1, w1, T1, alpha), T2(0)) + kron(M(P1, x1, w1, T1, 0), T2(alpha)))
+    bound /= np.pi**2
+    assert bound.max() < 4e-3
+    assert np.all(np.abs(A - direct) <= bound + 1e-8)
+
+
+# lambda_1..lambda_4 of the assembly as it stands: the interval and union rows
+# date from the complex-arithmetic assembly that preceded the real same-parity
+# one (the two agree to rounding); the rectangle rows are those of the
+# Kronecker-sum assembly with its subordination cross term
 PINNED_EIGENVALUES = [
     (Domain.interval(-1.0, 1.0), 0.5, 64,
      [0.9721329037531323, 1.6045418680148043, 2.0325675525885916, 2.391382713366734]),
@@ -200,9 +271,9 @@ PINNED_EIGENVALUES = [
     (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 64,
      [1.4686653937721823, 1.6244197282528952, 3.667674040086566, 3.6943940180221833]),
     (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, 16,
-     [1.4234949263401444, 1.9659674044446764, 2.6148098887007913, 2.8918179173319793]),
+     [1.4234949251768325, 1.9659674033971049, 2.6148098885160316, 2.891817913949644]),
     (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, (6, 5),
-     [1.4387813170279422, 1.9821991770322478, 2.6351690818460622, 2.9261731474385564]),
+     [1.4387813202051414, 1.9821992110056248, 2.635169148839616, 2.9261731714023433]),
 ]
 
 

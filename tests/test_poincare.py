@@ -76,6 +76,14 @@ def test_ground_state_weights_satisfy_bound(interval_domain):
         assert out.quotient >= BOUND - 1e-4, alpha
 
 
+def test_min_quotient_is_reproducible(interval_domain):
+    from stablegap import solve_spectrum
+
+    prof = ground_state_weight(solve_spectrum(interval_domain, 1.0, 64))
+    quotients = [min_antisymmetric_quotient(prof, 1.0).quotient for _ in range(3)]
+    assert quotients[0] == quotients[1] == quotients[2]
+
+
 def test_coarse_profile_rejected():
     coarse = WeightProfile(np.linspace(-0.99, 0.99, 10),
                            np.ones(10), True)
