@@ -94,6 +94,13 @@ def _emit_columns(rows, path, header=None):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _gap(result):
+    """lambda_2 - lambda_1; ValidationError when fewer than two eigenvalues."""
+    if len(result.eigenvalues) < 2:
+        raise ValidationError(f"the gap needs two eigenvalues, got {len(result.eigenvalues)}")
+    return float(result.eigenvalues[1] - result.eigenvalues[0])
+
+
 def cmd_eig(args):
     domain = parse_domain(args.domain)
     result = solve_spectrum(domain, args.alpha, n_basis=args.n, n_report=args.n_report)
@@ -110,7 +117,7 @@ def cmd_eig(args):
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "symmetry": list(result.symmetry),
         "star_index": result.star_index,
-        "lambda_gap": float(result.eigenvalues[1] - result.eigenvalues[0]),
+        "lambda_gap": _gap(result),
     }
     phi = result.eigenfunction(args.csv_mode) if args.csv else None
     _emit_json(out, args.out)
@@ -139,7 +146,7 @@ def cmd_gap_check(args):
     trunc = dataclasses.replace(steklov.default_truncation(domain.dim), **given)
     trunc.validate()
     result = solve_spectrum(domain, args.alpha, n_basis=args.n)
-    n = args.mode if args.mode else (result.star_index or 2)
+    n = args.mode if args.mode is not None else (result.star_index or 2)
     chk = steklov.gap_identity_check(result, n, trunc=trunc)
     if chk["tail_bound"] > 0.01 * chk["lhs"]:
         raise NumericalBudgetError(
@@ -192,6 +199,8 @@ def cmd_mc(args):
                 entry["gap_star"] = {"error": str(exc)}
         estimates[label] = entry
         curves[label] = curve
+    # the monitoring bias shows as the lambda1 shift from dt to dt/2
+    coarse, fine = estimates["dt"]["lambda1"], estimates["dt_half"]["lambda1"]
     galerkin = None
     if not args.no_oracle:
         n = 256 if domain.dim == 1 else 24
@@ -218,6 +227,10 @@ def cmd_mc(args):
         },
         "estimates": estimates,
         "galerkin": galerkin,
+        "dt_refinement": {
+            "lambda1_delta": fine["value"] - coarse["value"],
+            "stderr": float(np.hypot(fine["stderr"], coarse["stderr"])),
+        },
     }
     _emit_json(out, args.out)
     if args.csv:
@@ -245,7 +258,7 @@ def cmd_report(args):
             spectrum = {
                 "eigenvalues": [float(v) for v in result.eigenvalues],
                 "star_index": result.star_index,
-                "gap": float(result.eigenvalues[1] - result.eigenvalues[0]),
+                "gap": _gap(result),
                 "gap_star": float(result.lambda_star - result.lambda1)
                 if result.star_index else None,
             }

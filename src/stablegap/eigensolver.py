@@ -405,6 +405,8 @@ def reflection_matrix(basis):
 
 def solve_spectrum(domain, alpha, n_basis, n_report=None):
     """Assemble, diagonalize, classify symmetries, and locate the star mode."""
+    if n_report is not None and n_report < 1:
+        raise ValidationError("n_report must be >= 1")
     A, basis = assemble_form_matrix(domain, alpha, n_basis)
     evals, evecs = np.linalg.eigh(A)
     if evals[0] <= 0:

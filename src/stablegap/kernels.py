@@ -107,8 +107,8 @@ def subordinated_gaussian(t, x, y, dim=1):
     return out[0] if out.size == 1 else out
 
 
-def sample_subordinator_increment(dt, beta, rng, size=None):
-    """Increments of the beta-stable subordinator over a step of length dt.
+def sample_subordinator_increment(dt, beta, rng, size):
+    """Draw `size` increments of the beta-stable subordinator over a step dt.
 
     Uses the Kanter product representation: with U uniform on (0,1) and W
     standard exponential,
@@ -117,6 +117,10 @@ def sample_subordinator_increment(dt, beta, rng, size=None):
         A(u) = sin(beta u)^(beta/(1-beta)) sin((1-beta) u) / sin(u)^(1/(1-beta)),
 
     has Laplace transform exp(-lambda^beta); the increment is dt^(1/beta) * S.
+    At beta = 1/2 (the Cauchy process) A(u) = sin^2(u/2) / sin^2(u) =
+    1 / (4 cos^2(u/2)) and the increment is dt^2 (1 + tan^2(pi U/2)) / (4 W):
+    the same draws of U and W, in the same order, at a fraction of the cost,
+    and finite at U = 0, where the product is 0/0.
     """
     if not 0 < beta < 1:
         raise ValidationError("beta must lie in (0, 1)")
@@ -124,6 +128,16 @@ def sample_subordinator_increment(dt, beta, rng, size=None):
         raise ValidationError("dt must be positive")
     u = rng.uniform(0.0, 1.0, size)
     w = rng.exponential(1.0, size)
+    if beta == 0.5:
+        # 1/cos^2 as 1 + tan^2, tan being the cheaper ufunc; in place, since
+        # each temporary would be a fresh array on every Monte Carlo step
+        u *= 0.5 * np.pi
+        a = np.tan(u, out=u)
+        a *= a
+        a += 1.0
+        a *= 0.25 * dt**2
+        a /= w
+        return a
     pu = np.pi * u
     a = np.sin(beta * pu) ** (beta / (1 - beta)) * np.sin((1 - beta) * pu) / np.sin(pu) ** (
         1 / (1 - beta)

@@ -3,7 +3,11 @@
 Paths are simulated on a uniform time skeleton as subordinated Brownian
 motion: over each step the subordinator advances by a stable(alpha/2)
 increment dS and the path by a centered Gaussian of variance 2 dS per
-coordinate (exactly Brownian for alpha = 2). A path dies at the first
+coordinate (exactly Brownian for alpha = 2). For the Cauchy process
+(alpha = 1) the 1/2-stable increment has the closed form
+dt^2 / (4 W cos^2(pi U/2)) from one uniform U and one exponential W, drawn
+in the same order as the general Kanter product, so the stream and the
+tallies are those of the general sampler. A path dies at the first
 skeleton time it is observed outside D; discrete monitoring therefore
 overestimates survival, a bias that shrinks with dt and is disclosed
 alongside estimates rather than corrected.
@@ -141,11 +145,11 @@ def simulate_skeleton(domain, x, cfg):
             ds = np.full(m, cfg.dt)
         else:
             ds = sample_subordinator_increment(cfg.dt, beta, rng, m)
-        sig = np.sqrt(2.0 * ds)
-        if dim == 1:
-            pos = pos + sig * rng.standard_normal(m)
-        else:
-            pos = pos + sig[:, None] * rng.standard_normal((m, dim))
+        ds *= 2.0
+        sig = np.sqrt(ds, out=ds)
+        step = rng.standard_normal(pos.shape)
+        step *= sig if dim == 1 else sig[:, None]
+        pos += step
         inside = domain.contains(pos)
         if not inside.all():
             pos = pos[inside]

@@ -244,6 +244,8 @@ def extend(result: SpectralResult, n: int) -> HarmonicExtension:
     """
     if result.alpha != 1.0:
         raise ValidationError("harmonic extensions apply to alpha = 1 results")
+    if not 1 <= n <= len(result.coefficients):
+        raise ValidationError(f"mode {n} outside 1..{len(result.coefficients)}")
     return HarmonicExtension(
         ExtensionEngine(result.basis),
         result.coefficients[n - 1],
@@ -589,8 +591,10 @@ def gap_identity_check(result, n=None, trunc=None):
     """
     if n is None:
         n = result.star_index
-    gap = float(result.eigenvalues[n - 1] - result.lambda1)
+    if n == 1:
+        raise ValidationError("mode 1 has no gap to lambda_1")
     w = extend_ratio(result, n)
+    gap = float(result.eigenvalues[n - 1] - result.lambda1)
     q = q_functional(w, w, w.den, trunc=trunc)
     return {
         "mode": n,

@@ -178,7 +178,18 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["eig", "--domain", "interval:-1,1", "--n", "8", "--csv-mode", "20", "--csv", "f"],
     ["report", "--sweep", "a,b", "--plot-prefix", "p"],
     ["mc", "--domain", "interval:-1,1", "--seed", "1", "--start", "a"],
-], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep", "mc-start"])
+    ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "0"],
+    ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "1"],
+    ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "-1"],
+    ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "17"],
+    ["eig", "--domain", "interval:-1,1", "--n", "1"],
+    ["eig", "--domain", "interval:-1,1", "--n", "16", "--n-report", "1"],
+    ["eig", "--domain", "interval:-1,1", "--n", "16", "--n-report", "0"],
+    ["eig", "--domain", "rect:-2,2,-1,1", "--n", "1"],
+    ["report", "--domain", "interval:-1,1", "--n", "1"],
+], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep", "mc-start",
+        "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
+        "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1"])
 def test_bad_counts_and_numbers_exit_2(argv, tmp_path):
     # a separate process, so that an uncaught exception shows as its traceback
     src = str(Path(stablegap.__file__).parents[1])
@@ -217,6 +228,11 @@ def test_mc_small_run(tmp_path, capsys):
     assert doc["estimates"]["dt"]["lambda1"]["value"] > 0
     assert "dt_half" in doc["estimates"]
     assert "z_score" in doc["galerkin"]
+    lam = {k: doc["estimates"][k]["lambda1"] for k in ("dt", "dt_half")}
+    assert doc["dt_refinement"] == {
+        "lambda1_delta": lam["dt_half"]["value"] - lam["dt"]["value"],
+        "stderr": float(np.hypot(lam["dt_half"]["stderr"], lam["dt"]["stderr"])),
+    }
     first = out_file.read_bytes()
     cols = np.loadtxt(csv_file)
     assert cols.shape[1] == 3

@@ -103,6 +103,38 @@ def test_subordinator_sampler_laplace_transform():
             assert abs(est - np.exp(-t * u**beta)) < 5 * se + 1e-5
 
 
+def test_subordinator_half_closed_form_matches_kanter_product():
+    # at beta = 1/2 the sampler's closed form against the general Kanter
+    # product, written out here, on the same (U, W) from one seed
+    dt, beta, size = 1e-3, 0.5, 200_000
+    got = sample_subordinator_increment(dt, beta, np.random.Generator(np.random.Philox(5)), size)
+    rng = np.random.Generator(np.random.Philox(5))
+    u = rng.uniform(0.0, 1.0, size)
+    w = rng.exponential(1.0, size)
+    pu = np.pi * u
+    a = np.sin(beta * pu) ** (beta / (1 - beta)) * np.sin((1 - beta) * pu) / np.sin(pu) ** (
+        1 / (1 - beta)
+    )
+    expected = dt ** (1 / beta) * (a / w) ** ((1 - beta) / beta)
+    assert np.allclose(got, expected, rtol=4e-15, atol=0.0)
+
+
+def test_subordinator_half_finite_at_uniform_endpoints():
+    # U = 0 is a possible draw; the general product is 0/0 there
+    class EndpointRng:
+        def uniform(self, low, high, size):
+            return np.array([0.0, 0.5, 1.0 - 2.0**-53])
+
+        def exponential(self, scale, size):
+            return np.ones(3)
+
+    dt = 0.1
+    u = EndpointRng().uniform(0.0, 1.0, 3)
+    got = sample_subordinator_increment(dt, 0.5, EndpointRng(), 3)
+    assert np.all(np.isfinite(got)) and np.all(got > 0)
+    assert np.allclose(got, dt**2 / (4 * np.cos(np.pi * u / 2) ** 2), rtol=4e-15, atol=0.0)
+
+
 def test_kernel_validation():
     with pytest.raises(ValidationError):
         cauchy_kernel(-1.0, 0.0, 0.0, dim=1)

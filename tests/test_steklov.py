@@ -354,3 +354,13 @@ def test_q_functional_needs_a_basis():
     one = ConstantField(1)
     with pytest.raises(ValidationError):
         q_functional(one, one, one)
+
+
+def test_extend_mode_out_of_range(interval_32):
+    for n in (0, -1, len(interval_32.coefficients) + 1):
+        with pytest.raises(ValidationError):
+            extend(interval_32, n)
+        with pytest.raises(ValidationError):
+            gap_identity_check(interval_32, n)
+    with pytest.raises(ValidationError):  # lambda_1 - lambda_1 = 0
+        gap_identity_check(interval_32, 1)
