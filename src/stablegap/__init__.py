@@ -69,7 +69,6 @@ from .poincare import (
 )
 from .steklov import (
     ConstantField,
-    ExtensionField,
     HarmonicExtension,
     QResult,
     RatioField,
@@ -84,7 +83,6 @@ from .steklov import (
     ground_state_domination_check,
     q_functional,
     ratio_boundedness_check,
-    sample_extension,
 )
 
 __version__ = "0.1.0"

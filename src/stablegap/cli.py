@@ -31,6 +31,8 @@ from .errors import (
 from .eigensolver import solve_spectrum
 from .geometry import Domain
 
+_GAP_REL_TOL = 0.05  # gap-check passes below this relative error of the identity
+
 
 def _floats(text):
     """Comma-separated floats; ValidationError on an entry that is not one."""
@@ -169,7 +171,7 @@ def cmd_gap_check(args):
         "tail_bound": chk["tail_bound"],
         "constant_field_Q": chk["constant_field_Q"],
         "d01_integral": d01["simplified_integral"] if d01 else None,
-        "pass": bool(chk["relative_error"] < args.rel_tol and (d01 is None or d01["pass"])),
+        "pass": bool(chk["relative_error"] < _GAP_REL_TOL and (d01 is None or d01["pass"])),
     }
     _emit_json(out, args.out)
     return 0
@@ -185,8 +187,7 @@ def cmd_mc(args):
     curves = {}
     for label, dt in (("dt", args.dt), ("dt_half", args.dt / 2)):
         cfg = mc.McConfig(
-            alpha=args.alpha, paths=args.paths, dt=dt, t_max=args.t_max,
-            seed=args.seed, record_stride=args.record_stride,
+            alpha=args.alpha, paths=args.paths, dt=dt, t_max=args.t_max, seed=args.seed,
         )
         curve = mc.survival_curve(domain, x, cfg)
         est = mc.estimate_lambda1(curve)
@@ -194,24 +195,20 @@ def cmd_mc(args):
         g = domain.summarize()
         if g.symmetric_x1 and start[0] > 0:
             try:
-                entry["gap_star"] = mc.estimate_gap_star(domain, x, cfg, curve=curve).to_json()
+                entry["gap_star"] = mc.estimate_gap_star(domain, curve).to_json()
             except EstimationError as exc:
                 entry["gap_star"] = {"error": str(exc)}
         estimates[label] = entry
         curves[label] = curve
     # the monitoring bias shows as the lambda1 shift from dt to dt/2
     coarse, fine = estimates["dt"]["lambda1"], estimates["dt_half"]["lambda1"]
-    galerkin = None
-    if not args.no_oracle:
-        n = 256 if domain.dim == 1 else 24
-        result = solve_spectrum(domain, args.alpha, n_basis=n)
-        lam_hat = float(result.lambda1)
-        est = estimates["dt"]["lambda1"]
-        galerkin = {
-            "lambda1": lam_hat,
-            "n_basis": n,
-            "z_score": (est["value"] - lam_hat) / est["stderr"] if est["stderr"] > 0 else None,
-        }
+    n = 256 if domain.dim == 1 else 24
+    lam_hat = float(solve_spectrum(domain, args.alpha, n_basis=n).lambda1)
+    galerkin = {
+        "lambda1": lam_hat,
+        "n_basis": n,
+        "z_score": (coarse["value"] - lam_hat) / coarse["stderr"] if coarse["stderr"] > 0 else None,
+    }
     out = {
         "schema": 1,
         "config": {
@@ -223,7 +220,7 @@ def cmd_mc(args):
             "t_max": args.t_max,
             "seed": args.seed,
             "start": start,
-            "record_stride": args.record_stride,
+            "record_stride": mc.McConfig.record_stride,
         },
         "estimates": estimates,
         "galerkin": galerkin,
@@ -240,7 +237,9 @@ def cmd_mc(args):
 
 def cmd_report(args):
     domain = parse_domain(args.domain) if args.domain else None
-    sweep = _floats(args.sweep) if args.sweep and args.plot_prefix else []
+    if (args.sweep is None) != (args.plot_prefix is None):
+        raise ValidationError("--sweep and --plot-prefix must be given together")
+    sweep = _floats(args.sweep) if args.sweep is not None else []
     config = {
         "command": "report",
         "domain": domain.to_json() if domain else None,
@@ -314,7 +313,6 @@ def build_parser():
     gap.add_argument("--eps", type=float)
     gap.add_argument("--t-max", type=float)
     gap.add_argument("--x-max", type=float)
-    gap.add_argument("--rel-tol", type=float, default=0.05)
     gap.add_argument("--out")
     gap.set_defaults(func=cmd_gap_check)
 
@@ -326,8 +324,6 @@ def build_parser():
     run.add_argument("--t-max", type=float, default=10.0)
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--start", default="0.5")
-    run.add_argument("--record-stride", type=int, default=10)
-    run.add_argument("--no-oracle", action="store_true")
     run.add_argument("--out")
     run.add_argument("--csv", help="dump the survival curve as columns")
     run.set_defaults(func=cmd_mc)

@@ -14,9 +14,6 @@ from scipy.special import gammaln
 from ._quad import log_panels
 from .errors import ValidationError
 
-# cached log-s quadrature grid for subordination integrals
-_SUB_GRID = None
-
 
 def _dist_sq(x, y, dim):
     x = np.asarray(x, dtype=float)
@@ -86,11 +83,7 @@ def subordination_grid():
     smooth in log s are integrated essentially to machine accuracy for
     t in [1e-5, 1e3].
     """
-    global _SUB_GRID
-    if _SUB_GRID is None:
-        s, w_log = log_panels(1e-16, 1e12, panels_per_decade=2, nodes_per_panel=12)
-        _SUB_GRID = (s, w_log)
-    return _SUB_GRID
+    return log_panels(1e-16, 1e12, panels_per_decade=2, nodes_per_panel=12)
 
 
 def subordinated_gaussian(t, x, y, dim=1):

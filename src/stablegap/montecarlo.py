@@ -231,15 +231,14 @@ def estimate_lambda1(curve, min_survivors=100):
     )
 
 
-def estimate_phi1(domain, x, t, lambda1, cfg, curve=None):
-    """phi_1(x) up to normalization: exp(lambda1 * t) * survival(t).
+def estimate_phi1(curve, t, lambda1):
+    """phi_1 at the curve's start point, up to normalization:
+    exp(lambda1 * t) * survival(t).
 
     Requires the compensated curve s -> exp(lambda1 s) survival(s) to have
     stabilized before t (each of the last few record values within
     _PLATEAU_TOL standard errors of the value at t).
     """
-    if curve is None:
-        curve = simulate_skeleton(domain, x, cfg)
     if t > curve.times[-1]:
         raise ValidationError("t beyond simulated horizon")
     j = int(np.searchsorted(curve.times, t))
@@ -255,7 +254,7 @@ def estimate_phi1(domain, x, t, lambda1, cfg, curve=None):
                       {"t": float(curve.times[j])})
 
 
-def estimate_gap_star(domain, x, cfg, curve=None):
+def estimate_gap_star(domain, curve):
     """Antisymmetric gap lambda_* - lambda_1 from the signed survival ratio.
 
     The ratio r(t) = (right-half count - left-half count) / alive decays at
@@ -266,16 +265,14 @@ def estimate_gap_star(domain, x, cfg, curve=None):
     block rate is statistically consistent (2.5 block stderrs, with no
     relative slack) with the window rate, so early biased blocks are excluded
     exactly when the path count makes the bias visible.  stderr is the spread
-    of the same window statistic over _N_BOOTSTRAP partition bootstrap resamples.
+    of the same window statistic over _N_BOOTSTRAP partition bootstrap resamples,
+    seeded from the curve's config.
     """
     g = domain.summarize()
     if not g.symmetric_x1:
         raise ValidationError("gap estimation needs an x1-symmetric domain")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if x_arr[0] <= 0:
+    if curve.start[0] <= 0:
         raise ValidationError("start the chain strictly inside the positive half")
-    if curve is None:
-        curve = simulate_skeleton(domain, x, cfg)
 
     def ratio_curve(counts, plus, minus):
         alive = counts.sum(axis=0)
@@ -315,7 +312,7 @@ def estimate_gap_star(domain, x, cfg, curve=None):
     i0 = int(np.searchsorted(ts, cut))
     i0 = min(i0, i1 - 1)
     slope = float((lr[i0] - lr[i1]) / (ts[i1] - ts[i0]))
-    rng = np.random.Generator(np.random.Philox(cfg.seed + 1))
+    rng = np.random.Generator(np.random.Philox(curve.config.seed + 1))
     P = curve.config.partitions
     boots = []
     for _ in range(_N_BOOTSTRAP):

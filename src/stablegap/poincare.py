@@ -96,16 +96,6 @@ class RayleighOutcome:
     quotient: float
     bound: float
     passed: bool
-    minimizer_grid: np.ndarray
-    minimizer: np.ndarray
-
-    def to_json(self):
-        return {
-            "schema": 1,
-            "quotient": self.quotient,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
 
 
 def min_antisymmetric_quotient(profile, l):
@@ -135,13 +125,10 @@ def min_antisymmetric_quotient(profile, l):
     K = diags([ko, kd, ko], [-1, 0, 1], format="csc")
     M = diags([mo, md, mo], [-1, 0, 1], format="csc")
     # a fixed start vector keeps the quotient reproducible to the last digit
-    vals, vecs = eigsh(K, k=1, M=M, sigma=0, which="LM", v0=np.ones(n))
+    vals, _ = eigsh(K, k=1, M=M, sigma=0, which="LM", v0=np.ones(n))
     quotient = float(vals[0])
     bound = np.pi**2 / (4 * l**2)
-    nodes = np.linspace(0.0, l, n + 1)
-    f = np.concatenate([[0.0], vecs[:, 0]])
-    f /= np.max(np.abs(f))
-    return RayleighOutcome(quotient, bound, bool(quotient >= bound - _QUOTIENT_TOL), nodes, f)
+    return RayleighOutcome(quotient, bound, bool(quotient >= bound - _QUOTIENT_TOL))
 
 
 def directional_quotient_2d(domain, weight, f, tol=1e-10):

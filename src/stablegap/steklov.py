@@ -12,6 +12,10 @@ evaluated here for w = u_n / u_1 on a truncated box with graded tensor
 quadrature and analytic gradients: one engine pass returns each extension's
 value together with its x- and t-derivatives.
 
+An extension is a spectral result and a mode number, nothing more. The
+energy quadratures gather the modes of one result that their fields name and
+evaluate them in one engine pass over the result's basis.
+
 Extensions are evaluated through Gaussian subordination: smoothing a sine
 mode by the heat kernel has a closed form in the complex error function, and
 the subordinator integral in the auxiliary time is a fixed log-panel rule.
@@ -197,89 +201,56 @@ class ExtensionEngine:
                                    c[:, None, None], h[:, None, None], grad=grad)
                 for p, (c, h, om) in zip(points, modes)
             ]
-            if not grad:
-                out[:, 0] += _time_contract(_contract(C, per_axis), gw[:, sl])
-                continue
-            vals = [v for v, _ in per_axis]
+            vals = [v for v, _ in per_axis] if grad else per_axis
+            # value rows of gw first; with grad=True its d/dt rows follow
             both = _time_contract(_contract(C, vals), gw[:, sl])
             out[:, 0] += both[..., :nt]
-            out[:, -1] += both[..., nt:]
-            for i, (_, dx) in enumerate(per_axis):
-                factors = vals[:i] + [dx] + vals[i + 1 :]
-                out[:, 1 + i] += _time_contract(_contract(C, factors), gw[:nt, sl])
+            if grad:
+                out[:, -1] += both[..., nt:]
+                for i, (_, dx) in enumerate(per_axis):
+                    factors = vals[:i] + [dx] + vals[i + 1 :]
+                    out[:, 1 + i] += _time_contract(_contract(C, factors), gw[:nt, sl])
         if grad:
             return out
         out = out[:, 0]
-        if np.any(ts == 0.0):
-            self._fill_boundary(out, rows, points, ts)
+        if np.any(ts == 0.0):  # the boundary values, evaluated directly
+            phi = evaluate_basis_sum(self.basis, rows, _grid_points(points))
+            out[..., ts == 0.0] = phi.reshape(out.shape[:-1] + (1,))
         return out
 
-    def _fill_boundary(self, out, rows, points, ts):
-        vals = evaluate_basis_sum(self.basis, rows, _grid_points(points))
-        out[..., ts == 0.0] = vals.reshape(out.shape[:-1] + (1,))
 
-
+@dataclass(frozen=True, eq=False)
 class HarmonicExtension:
-    """The half-space extension u_n(x, t) of one eigenfunction."""
+    """The half-space extension u_n(x, t) of mode n (1-based) of a spectral
+    result. Energy quadratures evaluate the extensions of one result together
+    in one engine pass (see _eval_fields)."""
 
-    def __init__(self, engine, coeffs, lam, dim):
-        self.engine = engine
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.lam = float(lam)
-        self.dim = dim
+    result: SpectralResult
+    n: int
+
+    @property
+    def dim(self):
+        return self.result.domain.dim
+
+    def _values(self, xs, ts, grad):
+        row = self.result.coefficients[self.n - 1][None, :]
+        return ExtensionEngine(self.result.basis).values(row, xs, ts, grad=grad)[0]
 
     def values(self, xs, ts):
-        return self.engine.values(self.coeffs[None, :], xs, ts)[0]
+        return self._values(xs, ts, grad=False)
 
     def values_and_grad(self, xs, ts):
         """Value and gradient stacked on the first axis (see ExtensionEngine.values)."""
-        return self.engine.values(self.coeffs[None, :], xs, ts, grad=True)[0]
+        return self._values(xs, ts, grad=True)
 
 
 def extend(result: SpectralResult, n: int) -> HarmonicExtension:
-    """Harmonic extension of mode n (1-based) of a Cauchy-process result.
-
-    Extensions of the same result share its basis, so energy quadratures
-    evaluate them together in one engine pass.
-    """
+    """Harmonic extension of mode n (1-based) of a Cauchy-process result."""
     if result.alpha != 1.0:
         raise ValidationError("harmonic extensions apply to alpha = 1 results")
     if not 1 <= n <= len(result.coefficients):
         raise ValidationError(f"mode {n} outside 1..{len(result.coefficients)}")
-    return HarmonicExtension(
-        ExtensionEngine(result.basis),
-        result.coefficients[n - 1],
-        result.eigenvalues[n - 1],
-        result.domain.dim,
-    )
-
-
-@dataclass
-class ExtensionField:
-    """Sampled extension on a tensor grid, with its evaluator attached.
-
-    x_grid is an array (1D) or a pair of axis arrays (2D); values has shape
-    (nx, nt) or (nx1, nx2, nt). phi_boundary holds u(x, 0) = phi(x).
-    """
-
-    x_grid: object
-    t_grid: np.ndarray
-    values: np.ndarray
-    lam: float
-    phi_boundary: np.ndarray
-    extension: HarmonicExtension
-
-    def to_json(self):
-        xg = self.x_grid
-        xg = [np.asarray(a).tolist() for a in xg] if isinstance(xg, tuple) else np.asarray(xg).tolist()
-        return {
-            "schema": 1,
-            "lambda": self.lam,
-            "x_grid": xg,
-            "t_grid": self.t_grid.tolist(),
-            "values": self.values.tolist(),
-            "phi_boundary": self.phi_boundary.tolist(),
-        }
+    return HarmonicExtension(result, n)
 
 
 _PROBE_T_MAX = 20.0  # top height of the probe grids above D
@@ -304,28 +275,18 @@ def default_field_grid(domain):
     return _xs(axes), ts
 
 
-def sample_extension(result, n) -> ExtensionField:
-    """Evaluate the extension of mode n on the default field grid, whose
-    first height is t = 0, and package it as an ExtensionField."""
-    ext = extend(result, n)
-    x_grid, t_grid = default_field_grid(result.domain)
-    vals = ext.values(x_grid, t_grid)
-    return ExtensionField(x_grid, t_grid, vals, ext.lam, vals[..., 0], ext)
-
-
 # ---------------- pointwise structural checks ----------------
 
 
 def check_harmonic(field, x, t, h=1e-3):
-    """Residual of the (d+1)-dimensional Laplacian of u at (x, t), h-stencil,
-    normalized by |u(x, t)| + 1. Accepts a HarmonicExtension or an
-    ExtensionField."""
-    ext = getattr(field, "extension", field)
+    """Residual of the (d+1)-dimensional Laplacian of the field u at (x, t),
+    h-stencil, normalized by |u(x, t)| + 1. Any field with dim and values
+    (a HarmonicExtension, for one) will do."""
     if t - h <= 0:
         raise ValidationError("stencil must stay inside t > 0")
     stencil = np.array([-h, 0.0, h])
-    axes = [xi + stencil for xi in _axes(x, ext.dim)]
-    v = ext.values(_xs(axes), t + stencil)
+    axes = [xi + stencil for xi in _axes(x, field.dim)]
+    v = field.values(_xs(axes), t + stencil)
     # the 3^(d+1) grid around (x, t): sum over axes of the second differences
     center = v[(1,) * v.ndim]
     lap = sum(
@@ -399,20 +360,6 @@ class QResult:
     n_x: int
     n_t: int
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "schema": 1,
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "truncation": {
-                "eps": self.truncation.eps,
-                "t_max": self.truncation.t_max,
-                "x_max": self.truncation.x_max,
-            },
-            "n_x": self.n_x,
-            "n_t": self.n_t,
-        }
 
 
 def _x_axis_rule(domain, x_max, axis, n_inner, nodes_per_panel):
@@ -498,27 +445,25 @@ def _atoms(f):
 def _eval_fields(fields, xs, ts):
     """Values and gradients (values_and_grad) of several fields on one grid.
 
-    Extensions are batched by basis identity: all extensions of one spectral
-    result go through one engine pass, with duplicate coefficient rows
-    evaluated once. Other fields evaluate themselves; a field passed twice
-    is evaluated once."""
-    batches = {}  # id(basis) -> (engine, {coefficient bytes: row}, [rows])
+    Extensions are batched by result: the modes of one result, in order of
+    first appearance, go through one engine pass. Other fields evaluate
+    themselves; a field passed twice is evaluated once."""
+    batches = {}  # id(result) -> (result, [modes])
     for a in (a for f in fields for a in _atoms(f)):
         if isinstance(a, HarmonicExtension):
-            engine, index, rows = batches.setdefault(id(a.engine.basis), (a.engine, {}, []))
-            index.setdefault(a.coeffs.tobytes(), len(rows))
-            if len(index) > len(rows):
-                rows.append(a.coeffs)
+            modes = batches.setdefault(id(a.result), (a.result, []))[1]
+            if a.n not in modes:
+                modes.append(a.n)
     vals = {
-        key: engine.values(np.vstack(rows), xs, ts, grad=True)
-        for key, (engine, _, rows) in batches.items()
+        key: ExtensionEngine(result.basis).values(
+            np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts, grad=True)
+        for key, (result, modes) in batches.items()
     }
 
     def val(a):
         if not isinstance(a, HarmonicExtension):
             return a.values_and_grad(xs, ts)
-        key = id(a.engine.basis)
-        return vals[key][batches[key][1][a.coeffs.tobytes()]]
+        return vals[id(a.result)][batches[id(a.result)][1].index(a.n)]
 
     out = {}
     for f in fields:
@@ -533,22 +478,20 @@ def q_functional(u, v, u1, trunc=None):
         Q(u, v) = integral over [-R, R]^d x [eps, T] of grad u . grad v * u1^2,
 
     by tensor Gauss quadrature of the analytic gradients (values_and_grad);
-    u1 must carry a basis (a harmonic extension), whose domain sets the x
-    rules. For
-    u = v = u_n/u_1 (see extend_ratio) this equals the eigenvalue gap
+    u1 must be a harmonic extension, whose result's domain sets the x rules.
+    For u = v = u_n/u_1 (see extend_ratio) this equals the eigenvalue gap
     lambda_n - lambda_1. The reported tail_bound integrates a fitted envelope
     K (t^2 + |x|^2)^(-(d+1)) over the omitted region. diagnostics holds
     "constant_field", the pairing of ConstantField with itself against the
     same weight on the same grid, which is zero unless the gradients are wrong.
     """
-    basis = getattr(getattr(u1, "engine", None), "basis", None)
-    if basis is None:
-        raise ValidationError("u1 carries no basis to set the quadrature grid")
+    if not isinstance(u1, HarmonicExtension):
+        raise ValidationError("u1 must be a harmonic extension to set the quadrature grid")
     dim = u1.dim
     if trunc is None:
         trunc = default_truncation(dim)
     trunc.validate()
-    x_rules, (tq, tw) = _energy_grid(basis.domain, trunc)
+    x_rules, (tq, tw) = _energy_grid(u1.result.domain, trunc)
     axes = [x for x, _ in x_rules]
     weights = [w for _, w in x_rules] + [tw]
     gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(dim)), _xs(axes), tq)
@@ -582,6 +525,13 @@ def _tail_bound(axes, tq, integrand, trunc):
     return K * (c_t / trunc.t_max ** (d + 1) + c_x / trunc.x_max ** (d + 1))
 
 
+def _star_mode(result):
+    """The star mode of a result on an x1-symmetric domain."""
+    if result.star_index is None:
+        raise ValidationError("domain is not x1-symmetric")
+    return result.star_index
+
+
 def gap_identity_check(result, n=None, trunc=None):
     """Compare the energy Q(u_n/u_1, u_n/u_1) with lambda_n - lambda_1.
 
@@ -589,8 +539,7 @@ def gap_identity_check(result, n=None, trunc=None):
     "constant_field_Q": the constant field's energy on the same pass};
     n defaults to the star mode.
     """
-    if n is None:
-        n = result.star_index
+    n = _star_mode(result) if n is None else n
     if n == 1:
         raise ValidationError("mode 1 has no gap to lambda_1")
     w = extend_ratio(result, n)
@@ -612,8 +561,7 @@ def ratio_boundedness_check(result, n=None):
     The ratio is bounded; the returned maximum should sit far below the
     coarse sanity ceiling 1e6 * ||phi_n||_inf / min-grid phi_1.
     """
-    if n is None:
-        n = result.star_index
+    n = _star_mode(result) if n is None else n
     rows = np.vstack([result.coefficients[n - 1], result.coefficients[0]])
     axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
     ts = np.geomspace(1e-3, _PROBE_T_MAX, 25)
@@ -624,8 +572,7 @@ def ratio_boundedness_check(result, n=None):
 def gradient_scale_fit(result, n=None, trunc=None):
     """Fit the constant c in |grad(u_n/u_1)| <= c / t on a probe grid of the
     half-space above D; returns max over the grid of t * |grad(u_n/u_1)|."""
-    if n is None:
-        n = result.star_index
+    n = _star_mode(result) if n is None else n
     if trunc is None:
         trunc = default_truncation(result.domain.dim)
     tq = np.geomspace(trunc.eps, trunc.t_max, 25)
@@ -644,11 +591,9 @@ def d01_lower_bound_check(result, trunc=None):
     u_1^2 - exp(-2 lambda_1 t) phi_1^2 over the grid, which must stay above
     the Galerkin floor (see ground_state_domination_check).
     """
-    if result.star_index is None:
-        raise ValidationError("domain is not x1-symmetric")
+    n = _star_mode(result)
     if trunc is None:
         trunc = default_truncation(result.domain.dim)
-    n = result.star_index
     lam1 = result.lambda1
     tq, tw = log_panels(1e-6, trunc.t_max, panels_per_decade=3, nodes_per_panel=6)
     # per interval component: 16 five-node panels in 1d, 10 four-node in 2d

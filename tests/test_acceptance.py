@@ -168,7 +168,7 @@ def test_criterion_08_monte_carlo_consistency(interval_domain, interval_512):
     cfg = McConfig(alpha=1.0, paths=10**6, dt=1e-3, t_max=12.0, seed=20260826)
     curve = survival_curve(interval_domain, 0.5, cfg)
     lam = estimate_lambda1(curve)
-    gap = estimate_gap_star(interval_domain, 0.5, cfg, curve=curve)
+    gap = estimate_gap_star(interval_domain, curve)
     elapsed = time.time() - t0
     lam_ref = interval_512.lambda1
     gap_ref = interval_512.lambda_star - interval_512.lambda1

@@ -123,6 +123,16 @@ def test_gap_check_interval_n32_regression(capsys):
     assert doc["constant_field_Q"] == 0.0
 
 
+def test_gap_check_rect_n8_regression(capsys):
+    # pins the values of the 2D energy path on the rect_gap benchmark case
+    code, out, _ = run_cli(
+        ["gap-check", "--domain", "rect:-2,2,-1,1", "--alpha", "1", "--n", "8"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["Q_value"] == pytest.approx(0.5435838264794381, rel=1e-11)
+    assert doc["d01_integral"] == pytest.approx(0.47158882430821225, rel=1e-11)
+
+
 @pytest.mark.parametrize("flags, truncation", [
     (["--t-max", "10"], [0.001, 10.0, 60.0]),
     (["--eps", "1e-2"], [0.01, 30.0, 60.0]),
@@ -177,6 +187,9 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["eig", "--domain", "rect:-2,2,-1,1", "--n", "0"],
     ["eig", "--domain", "interval:-1,1", "--n", "8", "--csv-mode", "20", "--csv", "f"],
     ["report", "--sweep", "a,b", "--plot-prefix", "p"],
+    ["report", "--sweep", "1,2"],
+    ["report", "--sweep", "a,b"],
+    ["report", "--plot-prefix", "p"],
     ["mc", "--domain", "interval:-1,1", "--seed", "1", "--start", "a"],
     ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "0"],
     ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "1"],
@@ -187,7 +200,9 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["eig", "--domain", "interval:-1,1", "--n", "16", "--n-report", "0"],
     ["eig", "--domain", "rect:-2,2,-1,1", "--n", "1"],
     ["report", "--domain", "interval:-1,1", "--n", "1"],
-], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep", "mc-start",
+], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep",
+        "report-sweep-no-prefix", "report-bad-sweep-no-prefix", "report-prefix-no-sweep",
+        "mc-start",
         "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
         "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1"])
 def test_bad_counts_and_numbers_exit_2(argv, tmp_path):

@@ -151,12 +151,11 @@ def test_stderr_scales_with_paths(interval):
 
 
 def test_phi1_ratio_against_galerkin(interval, base_curve, interval_128):
-    cfg = base_curve.config
     lam = estimate_lambda1(base_curve).value
-    a = estimate_phi1(interval, 0.5, 3.0, lam, cfg, curve=base_curve)
+    a = estimate_phi1(base_curve, 3.0, lam)
     cfg0 = McConfig(alpha=1.0, paths=200_000, dt=1e-3, t_max=10.0, seed=31)
     curve0 = survival_curve(interval, 0.0, cfg0)
-    b = estimate_phi1(interval, 0.0, 3.0, lam, cfg0, curve=curve0)
+    b = estimate_phi1(curve0, 3.0, lam)
     phi = interval_128.eigenfunction(1)
     expected = phi(np.array([0.5]))[0] / phi(np.array([0.0]))[0]
     got = a.value / b.value
@@ -165,21 +164,22 @@ def test_phi1_ratio_against_galerkin(interval, base_curve, interval_128):
 
 
 def test_gap_star_against_galerkin(interval, base_curve):
-    est = estimate_gap_star(interval, 0.5, base_curve.config, curve=base_curve)
+    est = estimate_gap_star(interval, base_curve)
     assert est.value > 0
     assert abs(est.value - GALERKIN_GAP) < 4 * est.stderr
     assert "window_start" in est.diagnostics
 
 
-def test_gap_star_needs_positive_start(interval, base_curve):
+def test_gap_star_needs_positive_start(interval):
+    cfg = McConfig(alpha=1.0, paths=500, dt=5e-3, t_max=1.0, seed=3)
     with pytest.raises(ValidationError):
-        estimate_gap_star(interval, -0.5, base_curve.config, curve=base_curve)
+        estimate_gap_star(interval, survival_curve(interval, -0.5, cfg))
 
 
 def test_gap_star_noise_floor(interval):
     cfg = McConfig(alpha=1.0, paths=500, dt=5e-3, t_max=8.0, seed=41)
     with pytest.raises(EstimationError):
-        estimate_gap_star(interval, 0.5, cfg)
+        estimate_gap_star(interval, survival_curve(interval, 0.5, cfg))
 
 
 def test_estimate_lambda1_needs_survivors(interval):

@@ -19,7 +19,6 @@ from stablegap import (
     ground_state_domination_check,
     q_functional,
     ratio_boundedness_check,
-    sample_extension,
     solve_spectrum,
 )
 from stablegap.steklov import ExtensionEngine, smoothed_sine_mode
@@ -77,10 +76,10 @@ def test_smoothed_sine_mode_solves_half_space_problem():
 
 
 def test_harmonicity_of_extension(interval_128, rect_8):
-    field = sample_extension(interval_128, 1)
-    res = check_harmonic(field, 0.0, 1.0, h=1e-3)
+    ext = extend(interval_128, 1)
+    res = check_harmonic(ext, 0.0, 1.0, h=1e-3)
     assert abs(res) < 1e-4
-    res_half = check_harmonic(field, 0.3, 0.7, h=1e-3)
+    res_half = check_harmonic(ext, 0.3, 0.7, h=1e-3)
     assert abs(res_half) < 1e-4
     for n in (1, 2):
         ext = extend(rect_8, n)
@@ -354,6 +353,16 @@ def test_q_functional_needs_a_basis():
     one = ConstantField(1)
     with pytest.raises(ValidationError):
         q_functional(one, one, one)
+
+
+def test_star_mode_default_needs_x1_symmetric_domain():
+    # (0, 2) has no x1-antisymmetric mode, so there is no default mode n
+    result = solve_spectrum(Domain.interval(0.0, 2.0), 1.0, 8)
+    assert result.star_index is None
+    for check in (gap_identity_check, ratio_boundedness_check, gradient_scale_fit,
+                  d01_lower_bound_check):
+        with pytest.raises(ValidationError):
+            check(result)
 
 
 def test_extend_mode_out_of_range(interval_32):
