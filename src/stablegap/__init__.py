@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .geometry import Domain, GeometrySummary, positive_half, reflect_x1
+from .geometry import Domain, GeometrySummary
 from .kernels import (
     cauchy_constant,
     cauchy_kernel,

@@ -8,7 +8,7 @@ solver, so the two sides can be compared in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import jv, jvp
@@ -151,16 +151,7 @@ class BoundReport:
     rows: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "dim": self.dim,
-            "alpha": self.alpha,
-            "inradius": self.inradius,
-            "half_extent": self.half_extent,
-            "lambda1_bracket": list(self.lambda1_bracket),
-            "lambda_star_bracket": list(self.lambda_star_bracket),
-            "gap_upper": self.gap_upper,
-            "rows": self.rows,
-        }
+        return asdict(self)
 
 
 def render_table(report):

@@ -21,6 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import montecarlo as mc
 from . import steklov
+from ._quad import tensor_points
 from .errors import (
     EstimationError,
     NumericalBudgetError,
@@ -124,18 +125,9 @@ def cmd_eig(args):
     phi = result.eigenfunction(args.csv_mode) if args.csv else None
     _emit_json(out, args.out)
     if args.csv:
-        if domain.dim == 1:
-            (lo, hi), = domain.bounding_box()
-            xs = np.linspace(lo, hi, 512)
-            rows = np.column_stack([xs, phi(xs)])
-        else:
-            (a1, b1), (a2, b2) = domain.bounding_box()
-            g1, g2 = np.meshgrid(
-                np.linspace(a1, b1, 64), np.linspace(a2, b2, 64), indexing="ij"
-            )
-            pts = np.column_stack([g1.ravel(), g2.ravel()])
-            rows = np.column_stack([pts, phi(pts)])
-        _emit_columns(rows, args.csv)
+        n = 512 if domain.dim == 1 else 64
+        pts = tensor_points([np.linspace(lo, hi, n) for lo, hi in domain.bounding_box()])
+        _emit_columns(np.column_stack([pts, phi(pts)]), args.csv)
     return 0
 
 

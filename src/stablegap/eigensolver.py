@@ -50,16 +50,17 @@ _CHUNK_ENTRIES = 1 << 21
 # ---------------- basis ----------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Orthonormal Dirichlet basis metadata.
 
-    kind "sine": interval union or rectangle. meta holds one table per axis
-    of Domain.axis_components(), with a (center, half_length, k, omega) tuple
-    per mode of that axis; basis functions are products of one mode per axis,
-    indexed row-major (j * n2 + m on a rectangle).
-    kind "disk": Bessel modes (m, k, zero, "cos"/"sin") on a disk, alpha = 2
-    only.
+    kind "sine": interval union or rectangle. meta holds one axis table per
+    axis of Domain.axis_components(): four column arrays (center,
+    half_length, k, omega) with one entry per mode of that axis, the modes of
+    each interval component consecutive; basis functions are products of one
+    mode per axis, indexed row-major (j * n2 + m on a rectangle).
+    kind "disk": Bessel modes on a disk, alpha = 2 only; meta holds the
+    columns (m, k, zero, "cos"/"sin").
     """
 
     domain: Domain
@@ -77,20 +78,17 @@ def _sine_basis(domain, n_basis):
         raise ValidationError(f"need one mode count per axis ({len(comps)})")
     if min(counts) < 1:
         raise ValidationError("need at least one mode per interval component")
-    tables = []
-    for ivs, n in zip(comps, counts):
-        table = []
-        for a, b in ivs:
-            c = 0.5 * (a + b)
-            h = 0.5 * (b - a)
-            table += [(c, h, k, k * np.pi / (2 * h)) for k in range(1, int(n) + 1)]
-        tables.append(tuple(table))
-    return SpectralBasis(domain, "sine", int(np.prod([len(t) for t in tables])), tuple(tables))
+    tables = tuple(_axis_table(ivs, int(n)) for ivs, n in zip(comps, counts))
+    return SpectralBasis(domain, "sine", int(np.prod([t[0].size for t in tables])), tables)
 
 
-def _columns(table):
-    """Arrays (centers, halves, k, omegas) of one axis table."""
-    return tuple(np.array(col) for col in zip(*table))
+def _axis_table(intervals, n):
+    """Axis table (centers, halves, k, omegas) of n sine modes per interval."""
+    a, b = np.array(intervals).T
+    c = np.repeat(0.5 * (a + b), n)
+    h = np.repeat(0.5 * (b - a), n)
+    k = np.tile(np.arange(1, n + 1), len(intervals))
+    return c, h, k, k * np.pi / (2 * h)
 
 
 def _disk_basis(domain, n_modes):
@@ -110,13 +108,14 @@ def _disk_basis(domain, n_modes):
             modes.append((m, k, float(z), "sin"))
         if len(modes) >= n_modes:
             break
-    return SpectralBasis(domain, "disk", len(modes[:n_modes]), tuple(modes[:n_modes]))
+    meta = tuple(np.array(col) for col in zip(*modes[:n_modes]))
+    return SpectralBasis(domain, "disk", meta[0].size, meta)
 
 
-def basis_mode_transform(basis, xi):
-    """Fourier transforms of the modes of a 1D sine basis at frequencies ``xi``.
+def basis_mode_transform(table, xi):
+    """Fourier transforms of the modes of an axis table at frequencies ``xi``.
 
-    Returns an array (size, len(xi)), row p = integral of mode p times
+    Returns an array (modes, len(xi)), row p = integral of mode p times
     exp(-i xi x). As omega h = k pi / 2, mode k on the component
     (c - h, c + h) has the transform
 
@@ -127,10 +126,8 @@ def basis_mode_transform(basis, xi):
     s_k = (-1)^floor(k/2). The sincs of the differences keep it stable at the
     removable singularities xi = +-omega.
     """
-    if basis.kind != "sine" or len(basis.meta) != 1:
-        raise ValidationError("mode transforms are defined for 1D sine bases")
     xi = np.asarray(xi, dtype=float)
-    c, h, k, om = (col[:, None] for col in _columns(basis.meta[0]))
+    c, h, k, om = (col[:, None] for col in table)
     odd = k % 2 == 1
     g = np.sinc((om - xi) * h / np.pi)
     g += np.where(odd, 1.0, -1.0) * np.sinc((om + xi) * h / np.pi)
@@ -214,7 +211,7 @@ def assemble_form_matrix(domain, alpha, n_basis):
             )
         basis = _disk_basis(domain, int(n_basis))
         r = domain.params[1]
-        return np.diag([(z / r) ** 2 for (_, _, z, _) in basis.meta]), basis
+        return np.diag((basis.meta[2] / r) ** 2), basis
 
     basis = _sine_basis(domain, n_basis)
     return _assemble_sine(basis, alpha), basis
@@ -223,14 +220,11 @@ def assemble_form_matrix(domain, alpha, n_basis):
 def _assemble_sine(basis, alpha):
     """Kronecker sum of the per-axis forms, minus the cross term on a
     rectangle (module docstring); row (j, m) = j * n2 + m."""
-    axes = [
-        SpectralBasis(Domain.interval_union(ivs), "sine", len(table), (table,))
-        for ivs, table in zip(basis.domain.axis_components(), basis.meta)
-    ]
-    forms = [_axis_form(axis, alpha) for axis in axes]
+    forms = [_axis_form(table, alpha) for table in basis.meta]
     if len(forms) == 1:
         return forms[0]
-    (A1, A2), (n1, n2) = forms, (axes[0].size, axes[1].size)
+    (A1, A2), (T1, T2) = forms, basis.meta
+    n1, n2 = len(A1), len(A2)
     E = np.zeros((n1, n2, n1, n2))
     E[:, np.arange(n2), :, np.arange(n2)] += A1  # A1 (x) I
     E[np.arange(n1), :, np.arange(n1)] += A2  # I (x) A2
@@ -238,8 +232,8 @@ def _assemble_sine(basis, alpha):
         return E.reshape(n1 * n2, -1)
     c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
     s, ws = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
-    D1 = _subordination_grams(axes[0], s) * (c * ws * s ** (-1 - 0.5 * alpha))[:, None, None]
-    D2 = _subordination_grams(axes[1], s)
+    D1 = _subordination_grams(T1, s) * (c * ws * s ** (-1 - 0.5 * alpha))[:, None, None]
+    D2 = _subordination_grams(T2, s)
     rows = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
     for j0 in range(0, n1, rows):
         E[j0 : j0 + rows] -= np.einsum("sjk,sml->jmkl", D1[:, j0 : j0 + rows], D2, optimize=True)
@@ -259,58 +253,54 @@ def _centred_amplitudes(h, n_modes, xi):
     component of half-length h has the same single-component form matrix,
     E_jk = G_j G_k, which vanishes exactly for j, k of different parity.
     """
-    S = basis_mode_transform(_sine_basis(Domain.interval(-h, h), n_modes), xi)
+    S = basis_mode_transform(_axis_table(((-h, h),), n_modes), xi)
     G = S.real.copy()
     G[1::2] = S.imag[1::2]
     return G
 
 
-def _axis_form(basis, alpha):
-    """Form matrix of a 1D sine basis (an interval union)."""
-    (meta,) = basis.meta
+def _axis_form(table, alpha):
+    """Form matrix of an axis table (an interval union)."""
+    c, h, kk, om = table
     if alpha == 2:
         # the sine modes are Laplacian eigenfunctions: omega^2 on the diagonal
-        return np.diag(_columns(meta)[3] ** 2)
-    comps = {}
-    for p, (c, h, _, _) in enumerate(meta):
-        comps.setdefault((c, h), []).append(p)
-    n_per = len(next(iter(comps.values())))
-    h_min = min(h for (_, h) in comps)
-    nodes, wts, xi_max = _axis_quadrature(h_min, n_per)
+        return np.diag(om**2)
+    # disjoint components have distinct centers
+    centers = np.unique(c)
+    h_min = h.min()
+    nodes, wts, xi_max = _axis_quadrature(h_min, int(kk.max()))
     root_w = np.sqrt(wts * nodes**alpha)
 
     # real Gram products: Re(S diag(w xi^a) S^H) = X X^T with
     # X = [Re S | Im S] sqrt(w xi^a); one interval splits into parity blocks
-    n = basis.size
+    n = c.size
     A = np.zeros((n, n))
     chunk = max(1, _CHUNK_ENTRIES // n)
     for i0 in range(0, nodes.size, chunk):
         xi = nodes[i0 : i0 + chunk]
         r = root_w[i0 : i0 + chunk]
-        if len(comps) == 1:  # then h_min is its half-length
+        if centers.size == 1:  # then h_min is its half-length
             G = _centred_amplitudes(h_min, n, xi) * r
             for par in (slice(0, n, 2), slice(1, n, 2)):
                 X = np.ascontiguousarray(G[par])
                 A[par, par] += X @ X.T
         else:
-            S = basis_mode_transform(basis, xi)
+            S = basis_mode_transform(table, xi)
             X = np.concatenate([S.real * r, S.imag * r], axis=1)
             A += X @ X.T
     A /= np.pi
 
     # analytic tails, per interval component (cross-component terms decay faster)
-    for (c, h), idx in comps.items():
-        om = np.array([meta[p][3] for p in idx])
-        kk = np.array([meta[p][2] for p in idx])
-        tail = _tail_integrals(om, kk, h, alpha, xi_max)
-        A[np.ix_(idx, idx)] += tail
+    for cc in centers:
+        idx = np.flatnonzero(c == cc)
+        A[np.ix_(idx, idx)] += _tail_integrals(om[idx], kk[idx], h[idx[0]], alpha, xi_max)
     return 0.5 * (A + A.T)
 
 
-def _subordination_grams(basis, s):
-    """D(s) (module docstring) at every s, shape (len(s), n, n), for a 1D sine
-    basis of one interval, on the xi grid and parity blocks of _axis_form."""
-    _, hs, kk, om = _columns(basis.meta[0])
+def _subordination_grams(table, s):
+    """D(s) (module docstring) at every s, shape (len(s), n, n), for the axis
+    table of one interval, on the xi grid and parity blocks of _axis_form."""
+    _, hs, kk, om = table
     h, n = hs[0], kk.size
     nodes, wts, xi_max = _axis_quadrature(h, n)
     D = np.zeros((s.size, n, n))
@@ -391,16 +381,19 @@ def reflection_matrix(basis):
     if basis.kind == "disk":
         # x1 -> -x1 means theta -> pi - theta: cos(m th) -> (-1)^m cos(m th),
         # sin(m th) -> (-1)^(m+1) sin(m th)
-        return np.diag([(-1.0) ** (m if ang == "cos" else m + 1) for m, _, _, ang in basis.meta])
+        m, _, _, ang = basis.meta
+        return np.diag((-1.0) ** np.where(ang == "cos", m, m + 1))
     # on the x1 axis, mode k of the component centered at c reflects to
     # (-1)^(k+1) times mode k of the component centered at -c; the other axes
     # are unchanged
-    first = basis.meta[0]
-    index = {(round(c, 12), round(h, 12), k): p for p, (c, h, k, _) in enumerate(first)}
-    P = np.zeros((len(first), len(first)))
-    for p, (c, h, k, _) in enumerate(first):
-        P[index[(round(-c, 12), round(h, 12), k)], p] = (-1.0) ** (k + 1)
-    return np.kron(P, np.eye(basis.size // len(first)))
+    c, h, k, _ = basis.meta[0]
+    image = (
+        np.isclose(c[:, None], -c, rtol=0, atol=1e-12)
+        & np.isclose(h[:, None], h, rtol=0, atol=1e-12)
+        & (k[:, None] == k)
+    )
+    P = np.where(image, (-1.0) ** (k + 1), 0.0)
+    return np.kron(P, np.eye(basis.size // k.size))
 
 
 def solve_spectrum(domain, alpha, n_basis, n_report=None):
@@ -463,14 +456,14 @@ def _normalize_signs(basis, coeffs):
 
 
 def _probe_point(domain):
-    if domain.kind == "interval_union":
-        a, b = domain.intervals[-1]
-        return np.array(a + 0.618 * (b - a))
-    if domain.kind == "rectangle":
-        (a1, b1), (a2, b2) = domain.params
-        return np.array([a1 + 0.809 * (b1 - a1), a2 + 0.618 * (b2 - a2)])
-    (cx, cy), r = domain.params
-    return np.array([cx + 0.53 * r, cy + 0.31 * r])
+    if domain.kind == "disk":
+        (cx, cy), r = domain.params
+        return np.array([cx + 0.53 * r, cy + 0.31 * r])
+    # per axis, a fixed fraction of its last component: 0.618 on the last
+    # axis, 0.809 on x1 of a rectangle
+    fractions = (0.809, 0.618)[-domain.dim :]
+    point = [a + f * (b - a) for f, (*_, (a, b)) in zip(fractions, domain.axis_components())]
+    return np.array(point if domain.dim > 1 else point[0])
 
 
 def evaluate_basis_sum(basis, coeffs, x):
@@ -488,14 +481,13 @@ def evaluate_basis_sum(basis, coeffs, x):
         shape = coords[0].shape
         # per axis: the sine factors of its modes, zero outside their component
         factors = []
-        for table, u in zip(basis.meta, coords):
-            c, h, _, om = _columns(table)
+        for (c, h, _, om), u in zip(basis.meta, coords):
             local = u.reshape(-1, 1) - c
             inside = np.abs(local) < h
             factors.append(np.where(inside, np.sin(om * (local + h)) / np.sqrt(h), 0.0))
         axes = "jklm"[:d]
         spec = ",".join(f"p{a}" for a in axes) + f",...{axes}->...p"
-        Ct = C.reshape(C.shape[:-1] + tuple(len(t) for t in basis.meta))
+        Ct = C.reshape(C.shape[:-1] + tuple(t[0].size for t in basis.meta))
         out = np.einsum(spec, *factors, Ct, optimize=True)
     else:
         (cx, cy), r = basis.domain.params
@@ -503,7 +495,7 @@ def evaluate_basis_sum(basis, coeffs, x):
         pts = x.reshape(-1, 2)
         rho = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
         th = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
-        m, _, z, ang = (np.array(col) for col in zip(*basis.meta))
+        m, _, z, ang = basis.meta
         radial = np.where((rho < r)[:, None], jv(m, np.outer(rho, z) / r), 0.0)
         angular = np.where(ang == "cos", np.cos(np.outer(th, m)), np.sin(np.outer(th, m)))
         # L2 norm of J_m(z rho / r) times the angular factor over the disk
@@ -526,4 +518,4 @@ def _basis_request(basis):
     # the mode counts that rebuild the basis: per axis, the largest k
     if basis.kind == "disk":
         return basis.size
-    return tuple(int(_columns(table)[2].max()) for table in basis.meta)
+    return tuple(int(k.max()) for _, _, k, _ in basis.meta)

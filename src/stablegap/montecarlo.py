@@ -24,7 +24,7 @@ partitions yields honest (cluster-level) standard errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,15 +53,7 @@ class McConfig:
             raise ValidationError("record_stride and partitions must be >= 1")
 
     def to_json(self):
-        return {
-            "alpha": self.alpha,
-            "paths": self.paths,
-            "dt": self.dt,
-            "t_max": self.t_max,
-            "seed": self.seed,
-            "record_stride": self.record_stride,
-            "partitions": self.partitions,
-        }
+        return asdict(self)
 
 
 @dataclass

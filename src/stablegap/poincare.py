@@ -141,9 +141,9 @@ def directional_quotient_2d(domain, weight, f, tol=1e-10):
     """
     if domain.kind != "rectangle":
         raise ValidationError("directional quotient is defined on rectangles")
-    (a1, b1), (a2, b2) = domain.params
-    if abs(a1 + b1) > 1e-12 * (b1 - a1):
+    if not domain.summarize().symmetric_x1:
         raise ValidationError("rectangle must be symmetric in x1")
+    (a1, b1), _ = domain.bounding_box()
     L = 0.5 * (b1 - a1)
     pts, ww = tensor_rule(axis_rules(domain, _QUOTIENT_PANELS, 6))
     refl = pts.copy()

@@ -155,17 +155,14 @@ class ExtensionEngine:
         is in use when some coefficient that involves it exceeds 1e-15 of
         the largest one."""
         tables = self.basis.meta
-        C = rows.reshape((rows.shape[0],) + tuple(len(t) for t in tables))
+        C = rows.reshape((rows.shape[0],) + tuple(t[0].size for t in tables))
         size = np.abs(C)
         floor = 1e-15 * np.max(size)
         used = [
             np.nonzero(np.max(size, axis=tuple(a for a in range(C.ndim) if a != i + 1)) > floor)[0]
             for i in range(len(tables))
         ]
-        axes = [
-            tuple(np.array([table[p][j] for p in idx]) for j in (0, 1, 3))
-            for table, idx in zip(tables, used)
-        ]
+        axes = [(c[idx], h[idx], om[idx]) for (c, h, _, om), idx in zip(tables, used)]
         return axes, C[np.ix_(np.arange(C.shape[0]), *used)]
 
     def values(self, coeff_rows, xs, ts, grad=False):
@@ -483,7 +480,8 @@ def q_functional(u, v, u1, trunc=None):
     lambda_n - lambda_1. The reported tail_bound integrates a fitted envelope
     K (t^2 + |x|^2)^(-(d+1)) over the omitted region. diagnostics holds
     "constant_field", the pairing of ConstantField with itself against the
-    same weight on the same grid, which is zero unless the gradients are wrong.
+    same weight on the same grid; its gradient is identically zero, so this
+    is zero by construction.
     """
     if not isinstance(u1, HarmonicExtension):
         raise ValidationError("u1 must be a harmonic extension to set the quadrature grid")
@@ -561,8 +559,8 @@ def ratio_boundedness_check(result, n=None):
     The ratio is bounded; the returned maximum should sit far below the
     coarse sanity ceiling 1e6 * ||phi_n||_inf / min-grid phi_1.
     """
-    n = _star_mode(result) if n is None else n
-    rows = np.vstack([result.coefficients[n - 1], result.coefficients[0]])
+    u = extend(result, _star_mode(result) if n is None else n)  # checks n
+    rows = np.vstack([result.coefficients[u.n - 1], result.coefficients[0]])
     axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
     ts = np.geomspace(1e-3, _PROBE_T_MAX, 25)
     vals = ExtensionEngine(result.basis).values(rows, _xs(axes), ts)

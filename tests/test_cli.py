@@ -200,11 +200,16 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["eig", "--domain", "interval:-1,1", "--n", "16", "--n-report", "0"],
     ["eig", "--domain", "rect:-2,2,-1,1", "--n", "1"],
     ["report", "--domain", "interval:-1,1", "--n", "1"],
+    ["report", "--domain", "rect:0,inf,-1,1"],
+    ["eig", "--domain", "rect:0,inf,-1,1", "--n", "4"],
+    ["eig", "--domain", "disk:nan,0,1", "--alpha", "2", "--n", "4"],
+    ["eig", "--domain", "disk:0,0,inf", "--alpha", "2", "--n", "4"],
 ], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep",
         "report-sweep-no-prefix", "report-bad-sweep-no-prefix", "report-prefix-no-sweep",
         "mc-start",
         "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
-        "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1"])
+        "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1",
+        "report-rect-inf", "rect-inf", "disk-nan-centre", "disk-inf-radius"])
 def test_bad_counts_and_numbers_exit_2(argv, tmp_path):
     # a separate process, so that an uncaught exception shows as its traceback
     src = str(Path(stablegap.__file__).parents[1])

@@ -17,6 +17,7 @@ from stablegap.eigensolver import (
     _sine_basis,
     basis_mode_transform,
     evaluate_basis_sum,
+    reflection_matrix,
 )
 
 # interval (-1, 1), alpha = 1: Kulczycki, Kwasnicki, Malecki and Stos,
@@ -153,15 +154,14 @@ def _quad_transform(c, h, om, xi):
     ids=["interval", "union"],
 )
 def test_mode_transform_matches_quadrature(domain):
-    basis = _sine_basis(domain, 6)
-    (table,) = basis.meta
-    om3, om4 = table[2][3], table[3][3]
+    (table,) = _sine_basis(domain, 6).meta
+    c, h, _, om = table
+    om3, om4 = om[2], om[3]
     # zero, within 1e-9 of +-omega (the removable singularities), and large
     xi = np.array([0.0, om3 + 3e-10, -om3 - 7e-10, om4 - 5e-10, -om4 + 2e-10,
                    157.3, -1000.7])
-    F = basis_mode_transform(basis, xi)
-    ref = np.array([[_quad_transform(c, h, om, x) for x in xi]
-                    for (c, h, _, om) in table])
+    F = basis_mode_transform(table, xi)
+    ref = np.array([[_quad_transform(*mode, x) for x in xi] for mode in zip(c, h, om)])
     np.testing.assert_allclose(F, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -337,6 +337,27 @@ def test_stacked_coefficients_match_one_vector_at_a_time(domain, alpha, n, x):
     np.testing.assert_allclose(stacked, rows, rtol=0, atol=1e-14)
     single = evaluate_basis_sum(r.basis, C, x[3])
     np.testing.assert_allclose(single, rows[:, 3], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "domain, n",
+    [
+        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 5),
+        (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), (5, 4)),
+        (Domain.disk(0.0, 0.0, 1.0), 12),
+    ],
+    ids=["union", "rectangle", "disk"],
+)
+def test_reflection_matrix_reflects_x1(domain, n):
+    # R maps the coefficients of u to those of u(-x1, x2, ...)
+    _, basis = assemble_form_matrix(domain, 2.0, n)
+    R = reflection_matrix(basis)
+    C = np.random.default_rng(3).standard_normal((2, basis.size))
+    x = np.random.default_rng(4).uniform(-1.5, 1.5, (29, 2))
+    x = x[:, 0] if domain.dim == 1 else x
+    mirrored = -x if domain.dim == 1 else x * [-1.0, 1.0]
+    np.testing.assert_allclose(evaluate_basis_sum(basis, C @ R.T, x),
+                               evaluate_basis_sum(basis, C, mirrored), rtol=0, atol=1e-12)
 
 
 def _direct_modes(intervals, n, x):

@@ -229,8 +229,10 @@ def test_q_functional_algebra(interval_128):
     assert abs(qc.value) < 1e-12
     quu = q_functional(u, u, u1, trunc=trunc)
     assert quu.value > 0
-    qu1 = q_functional(u, one, u1, trunc=trunc)
-    assert abs(qu1.value) < 1e-2 * quu.value
+    # polarised gap identity: the energy pairs u_2/u_1 and u_4/u_1 to ~0
+    # (u_3/u_1 would pair to zero by parity alone)
+    q24 = q_functional(u, extend_ratio(interval_128, 4), u1, trunc=trunc)
+    assert abs(q24.value) < 1e-2 * quu.value
 
 
 def test_gap_identity_interval(interval_128):
@@ -371,5 +373,7 @@ def test_extend_mode_out_of_range(interval_32):
             extend(interval_32, n)
         with pytest.raises(ValidationError):
             gap_identity_check(interval_32, n)
+        with pytest.raises(ValidationError):
+            ratio_boundedness_check(interval_32, n)
     with pytest.raises(ValidationError):  # lambda_1 - lambda_1 = 0
         gap_identity_check(interval_32, 1)
