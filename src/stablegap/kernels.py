@@ -81,7 +81,9 @@ def subordination_grid():
 
     Covers s in [1e-16, 1e12]; integrands of the form g(t, s) * F(s) with F
     smooth in log s are integrated essentially to machine accuracy for
-    t in [1e-5, 1e3].
+    t in [1e-5, 1e3]. At a given t the nodes with s far below t^2 carry
+    weight below 1e-16 of the largest; the harmonic-extension engine skips
+    chunks of such nodes (see steklov.ExtensionEngine.values).
     """
     return log_panels(1e-16, 1e12, panels_per_decade=2, nodes_per_panel=12)
 

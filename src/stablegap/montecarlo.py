@@ -47,8 +47,8 @@ class McConfig:
             raise ValidationError("alpha must lie in (0, 2]")
         if self.paths < 1:
             raise ValidationError("paths must be >= 1")
-        if not (0 < self.dt < self.t_max):
-            raise ValidationError("need 0 < dt < t_max")
+        if not (0 < self.dt < self.t_max < np.inf):
+            raise ValidationError("need finite 0 < dt < t_max")
         if self.record_stride < 1 or self.partitions < 1:
             raise ValidationError("record_stride and partitions must be >= 1")
 

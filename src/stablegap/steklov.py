@@ -18,9 +18,12 @@ evaluate them in one engine pass over the result's basis.
 
 Extensions are evaluated through Gaussian subordination: smoothing a sine
 mode by the heat kernel has a closed form in the complex error function, and
-the subordinator integral in the auxiliary time is a fixed log-panel rule.
-This is numerically equivalent to quadrature of the Cauchy kernel against
-phi_n but vectorizes over (mode, point, time) and stays accurate for small t.
+the subordinator integral in the auxiliary time s is the log-panel rule of
+kernels.subordination_grid, restricted for each call to the chunks of nodes
+that carry weight at its times (the subordinator density is negligible for
+s far below t^2). This is numerically equivalent to quadrature of the Cauchy
+kernel against phi_n but vectorizes over (mode, point, time) and stays
+accurate for small t.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ class Truncation:
     x_max: float = 60.0
 
     def validate(self):
-        if not (0 < self.eps < self.t_max and self.x_max > 0):
-            raise ValidationError("need 0 < eps < t_max and x_max > 0")
+        if not (0 < self.eps < self.t_max < np.inf and 0 < self.x_max < np.inf):
+            raise ValidationError("need finite 0 < eps < t_max and x_max > 0")
 
 
 def default_truncation(dim):
@@ -61,13 +64,18 @@ def _scaled_erf(r, omega, s):
 
     All arguments broadcast; omega >= 0, s > 0, r real. Uses
     erfc(q) = e^(-q^2) w(iq) with the Faddeeva function w, whose argument is
-    kept in the upper half-plane by the sign symmetry in r.
+    kept in the upper half-plane by the sign symmetry in r: the value at
+    r < 0 is minus the conjugate of the value at |r|. The prefactor
+    e^(-r^2 / (4 s) + i omega |r|) of w is applied in place as a real
+    exponential, which needs s, times a unit phase, which does not.
     """
     ra = np.abs(r)
-    sq = np.sqrt(s)
-    q_up = (2.0 * omega * s + 1j * ra) / (2.0 * sq)
-    E = np.exp(-(omega**2) * s) - np.exp(-(ra**2) / (4.0 * s) + 1j * omega * ra) * wofz(q_up)
-    return np.where(r >= 0, E, -np.conj(E))
+    E = np.asarray(wofz((2.0 * omega * s + 1j * ra) / (2.0 * np.sqrt(s))))
+    E *= np.exp(-(ra**2) / (4.0 * s))
+    E *= np.exp(1j * omega * ra)
+    np.subtract(np.exp(-(omega**2) * s), E, out=E)
+    np.negative(E.real, out=E.real, where=np.asarray(r) < 0)
+    return E
 
 
 def smoothed_sine_mode(x, s, omega, center, half, grad=False):
@@ -95,6 +103,24 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
 # ---------------- evaluation engine ----------------
 
 _S_CHUNK = 24  # subordination nodes per pass of the mode kernel
+# a chunk is evaluated when some node in it carries at least this share of
+# the largest value or d/dt weight at some time
+_WEIGHT_FLOOR = 1e-16
+
+
+def _live_chunks(*weights):
+    """Slices of the _S_CHUNK-node chunks of the subordination grid that carry
+    weight: some node reaches _WEIGHT_FLOOR of its row's largest |weight| in
+    some nonzero row of the (times, nodes) weight tables. Whole chunks only:
+    a kept chunk is summed exactly as in a full pass, so the skipped terms,
+    far below rounding, are all that changes."""
+    live = np.zeros(weights[0].shape[1], dtype=bool)
+    for w in weights:
+        a = np.abs(w)
+        top = np.max(a, axis=1, keepdims=True)
+        live |= np.any((a >= _WEIGHT_FLOOR * top) & (top > 0), axis=0)
+    return [slice(i0, i0 + _S_CHUNK) for i0 in range(0, live.size, _S_CHUNK)
+            if live[i0 : i0 + _S_CHUNK].any()]
 
 
 def _contract(C, factors):
@@ -142,12 +168,20 @@ class ExtensionEngine:
         self.s_nodes, self.s_weights = subordination_grid()
 
     def _time_weights(self, ts):
+        """Subordination weights at each time: the value weights g(t, s) w and
+        the d/dt weights g w (1/t - t / (2 s)), both (len(ts), nodes), with
+        zero rows at t = 0."""
         ts = np.asarray(ts, dtype=float)
+        if not np.all(np.isfinite(ts)):
+            raise ValidationError("times must be finite")
         if np.any(ts < 0):
             raise ValidationError("times must be nonnegative")
-        g = subordinator_density_half(np.maximum(ts, 1e-300)[:, None], self.s_nodes[None, :])
-        g[ts == 0] = 0.0
-        return g * self.s_weights[None, :]
+        pos = ts > 0
+        gw = np.zeros((ts.size, self.s_nodes.size))
+        gw[pos] = subordinator_density_half(ts[pos, None], self.s_nodes[None, :]) * self.s_weights
+        dgw = np.zeros_like(gw)
+        dgw[pos] = gw[pos] * (1.0 / ts[pos, None] - ts[pos, None] / (2.0 * self.s_nodes))
+        return gw, dgw
 
     def _modes(self, rows):
         """Per-axis (centers, halves, omegas) of the modes in use and the
@@ -176,22 +210,24 @@ class ExtensionEngine:
         value, d/dx (or d/dx1, d/dx2) and d/dt, all from the same mode arrays:
         the x-derivatives come with the smoothed modes, and d/dt is the same
         subordination sum taken against dg/dt = g (1/t - t / (2 s)). Gradients
-        need every t > 0.
+        need every t > 0. Only the chunks of subordination nodes that carry
+        weight at these times are evaluated (see _live_chunks); they depend
+        on ts alone, so the value slice of a grad=True call equals the
+        grad=False result exactly.
         """
         rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        gw = self._time_weights(ts)
+        gw, dgw = self._time_weights(ts)
+        chunks = _live_chunks(gw, dgw)
         nt = ts.size
         if grad:
             _require_positive_times(ts)
-            dg = 1.0 / ts[:, None] - ts[:, None] / (2.0 * self.s_nodes[None, :])
-            gw = np.concatenate([gw, gw * dg])
+            gw = np.concatenate([gw, dgw])
         points = _axes(xs, len(self.basis.meta))
         modes, C = self._modes(rows)
         grid = tuple(p.size for p in points)
         out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1) + grid + (nt,))
-        for i0 in range(0, self.s_nodes.size, _S_CHUNK):
-            sl = slice(i0, i0 + _S_CHUNK)
+        for sl in chunks:
             sc = self.s_nodes[None, None, sl]
             per_axis = [
                 smoothed_sine_mode(p[None, :, None], sc, om[:, None, None],

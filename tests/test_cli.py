@@ -133,6 +133,17 @@ def test_gap_check_rect_n8_regression(capsys):
     assert doc["d01_integral"] == pytest.approx(0.47158882430821225, rel=1e-11)
 
 
+def test_gap_check_interval_n32_engine_digits(capsys):
+    # pins the interval_gap benchmark case to the digits the extension
+    # engine must keep when it skips weightless subordination chunks
+    code, out, _ = run_cli(
+        ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "32"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["Q_value"] == pytest.approx(1.5953024222919119, rel=1e-13)
+    assert doc["d01_integral"] == pytest.approx(1.488407397068144, rel=1e-13)
+
+
 @pytest.mark.parametrize("flags, truncation", [
     (["--t-max", "10"], [0.001, 10.0, 60.0]),
     (["--eps", "1e-2"], [0.01, 30.0, 60.0]),
@@ -204,12 +215,16 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["eig", "--domain", "rect:0,inf,-1,1", "--n", "4"],
     ["eig", "--domain", "disk:nan,0,1", "--alpha", "2", "--n", "4"],
     ["eig", "--domain", "disk:0,0,inf", "--alpha", "2", "--n", "4"],
+    ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "8", "--t-max", "inf"],
+    ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "8", "--x-max", "inf"],
+    ["mc", "--domain", "interval:-1,1", "--seed", "1", "--t-max", "inf"],
 ], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep",
         "report-sweep-no-prefix", "report-bad-sweep-no-prefix", "report-prefix-no-sweep",
         "mc-start",
         "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
         "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1",
-        "report-rect-inf", "rect-inf", "disk-nan-centre", "disk-inf-radius"])
+        "report-rect-inf", "rect-inf", "disk-nan-centre", "disk-inf-radius",
+        "gap-check-t-max-inf", "gap-check-x-max-inf", "mc-t-max-inf"])
 def test_bad_counts_and_numbers_exit_2(argv, tmp_path):
     # a separate process, so that an uncaught exception shows as its traceback
     src = str(Path(stablegap.__file__).parents[1])

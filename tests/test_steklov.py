@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from stablegap import (
     ConstantField,
@@ -21,7 +22,16 @@ from stablegap import (
     ratio_boundedness_check,
     solve_spectrum,
 )
-from stablegap.steklov import ExtensionEngine, smoothed_sine_mode
+from stablegap import steklov
+from stablegap._quad import log_panels
+from stablegap.steklov import (
+    ExtensionEngine,
+    _energy_grid,
+    _live_chunks,
+    _scaled_erf,
+    default_truncation,
+    smoothed_sine_mode,
+)
 
 FD_STEP = 1e-5
 TIMES = np.array([2e-4, 1e-3, 0.05, 1.0, 7.0])  # includes t <= 1e-3
@@ -273,6 +283,10 @@ def test_truncation_validation():
         Truncation(-1.0, 10.0, 20.0).validate()
     with pytest.raises(ValidationError):
         Truncation(1.0, 0.5, 20.0).validate()
+    for bad in (Truncation(1e-3, np.inf, 20.0), Truncation(1e-3, 10.0, np.inf),
+                Truncation(np.nan, 10.0, 20.0)):
+        with pytest.raises(ValidationError):
+            bad.validate()
 
 
 # ---------------- analytic gradients ----------------
@@ -377,3 +391,67 @@ def test_extend_mode_out_of_range(interval_32):
             ratio_boundedness_check(interval_32, n)
     with pytest.raises(ValidationError):  # lambda_1 - lambda_1 = 0
         gap_identity_check(interval_32, 1)
+
+
+# ---------------- subordination chunks and the sine-mode kernel ----------------
+
+
+def _old_scaled_erf(r, omega, s):
+    # the unfactored expression: one complex exponential over (mode, point, s)
+    ra = np.abs(r)
+    q_up = (2.0 * omega * s + 1j * ra) / (2.0 * np.sqrt(s))
+    E = np.exp(-(omega**2) * s) - np.exp(-(ra**2) / (4.0 * s) + 1j * omega * ra) * wofz(q_up)
+    return np.where(r >= 0, E, -np.conj(E))
+
+
+def test_scaled_erf_matches_unfactored_expression():
+    r = np.linspace(-62.0, 62.0, 249)[None, :, None]
+    s = np.geomspace(1e-9, 1e12, 43)[None, None, :]
+    omega = (np.arange(1, 65) * np.pi / 2)[:, None, None]
+    assert np.max(np.abs(_scaled_erf(r, omega, s) - _old_scaled_erf(r, omega, s))) <= 1e-15
+
+
+def _time_grids(result):
+    """The q_functional and d01_lower_bound_check time rules of a result."""
+    trunc = default_truncation(result.domain.dim)
+    q_grid = _energy_grid(result.domain, trunc)[1][0]
+    d01_grid = log_panels(1e-6, trunc.t_max, panels_per_decade=3, nodes_per_panel=6)[0]
+    return {"q": q_grid, "d01": d01_grid}
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("grid", ["q", "d01"])
+@pytest.mark.parametrize("case", ["interval_32", "rect_8"])
+def test_skipped_chunks_leave_engine_values_unchanged(case, grid, grad, request, monkeypatch):
+    result = request.getfixturevalue(case)
+    if result.domain.dim == 1:
+        xs = np.array([-1.3, -0.7, 0.0, 0.45, 0.9, 1.6])
+    else:
+        xs = (np.array([-2.5, -1.0, 0.3, 1.9]), np.array([-0.5, 0.1, 0.8, 1.4]))
+    ts = _time_grids(result)[grid]
+    engine = ExtensionEngine(result.basis)
+    rows = result.coefficients[:3]
+    trimmed = engine.values(rows, xs, ts, grad=grad)
+    monkeypatch.setattr(steklov, "_WEIGHT_FLOOR", 0.0)  # every chunk
+    assert len(_live_chunks(*engine._time_weights(ts))) == 28
+    assert np.array_equal(trimmed, engine.values(rows, xs, ts, grad=grad))
+
+
+def test_live_chunk_counts(interval_32):
+    engine = ExtensionEngine(interval_32.basis)
+    grids = _time_grids(interval_32)
+    chunks = {k: _live_chunks(*engine._time_weights(ts)) for k, ts in grids.items()}
+    assert engine.s_nodes.size == 28 * steklov._S_CHUNK
+    assert (len(chunks["q"]), len(chunks["d01"])) == (21, 27)
+    # a single small height keeps the decade s in [1e-15, 1e-14] and drops the one below
+    first = _live_chunks(*engine._time_weights(np.array([1e-6])))[0]
+    assert 1e-15 < engine.s_nodes[first][0] < engine.s_nodes[first][-1] < 1e-14
+    # t = 0 rows carry no weight: boundary values need no chunk at all
+    assert _live_chunks(*engine._time_weights(np.array([0.0]))) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_engine_rejects_non_finite_times(interval_32, bad):
+    engine = ExtensionEngine(interval_32.basis)
+    with pytest.raises(ValidationError):
+        engine.values(interval_32.coefficients[:1], np.array([0.0]), np.array([bad, 0.5]))
