@@ -71,7 +71,6 @@ from .steklov import (
     ConstantField,
     HarmonicExtension,
     QResult,
-    RatioField,
     Truncation,
     check_boundary_derivative,
     check_harmonic,

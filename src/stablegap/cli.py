@@ -48,7 +48,7 @@ def parse_domain(text):
     rect:x1lo,x1hi,x2lo,x2hi | disk:cx,cy,r."""
     text = text.strip()
     if text.startswith("{"):
-        return Domain.from_json(json.loads(text))
+        return Domain.from_json(text)
     try:
         kind, _, rest = text.partition(":")
         vals = _floats(rest) if rest else []

@@ -182,18 +182,21 @@ class Domain:
 
     @staticmethod
     def from_json(obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+        """Inverse of to_json, from the object or its JSON text; ValidationError
+        when the text, the keys or the parameter shapes are malformed."""
         try:
-            kind = obj["kind"]
-            params = obj["params"]
-        except (TypeError, KeyError) as exc:
-            raise ValidationError("domain JSON needs 'kind' and 'params'") from exc
-        if kind == "interval_union":
-            return Domain.interval_union(params["intervals"])
-        if kind == "rectangle":
-            return Domain.rectangle(*params["x1"], *params["x2"])
-        if kind == "disk":
-            return Domain.disk(*params["center"], params["radius"])
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            kind, params = obj["kind"], obj["params"]
+            if kind == "interval_union":
+                return Domain.interval_union(params["intervals"])
+            if kind == "rectangle":
+                return Domain.rectangle(*params["x1"], *params["x2"])
+            if kind == "disk":
+                return Domain.disk(*params["center"], params["radius"])
+        except ValidationError:
+            raise
+        except (TypeError, KeyError, IndexError, ValueError) as exc:  # JSONDecodeError too
+            raise ValidationError(f"malformed domain JSON: {exc!r}") from None
         raise ValidationError(f"unknown domain kind {kind!r}; expected one of {_KINDS}")
 

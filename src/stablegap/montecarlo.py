@@ -24,6 +24,7 @@ partitions yields honest (cluster-level) standard errors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class McConfig:
             raise ValidationError("need finite 0 < dt < t_max")
         if self.record_stride < 1 or self.partitions < 1:
             raise ValidationError("record_stride and partitions must be >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_json(self):
         return asdict(self)

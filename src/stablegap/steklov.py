@@ -12,9 +12,11 @@ evaluated here for w = u_n / u_1 on a truncated box with graded tensor
 quadrature and analytic gradients: one engine pass returns each extension's
 value together with its x- and t-derivatives.
 
-An extension is a spectral result and a mode number, nothing more. The
-energy quadratures gather the modes of one result that their fields name and
-evaluate them in one engine pass over the result's basis.
+An extension is a spectral result and a mode number, or the quotient of two
+modes of one result (u_n / u_1 in the gap identity). Every extension value
+and gradient goes through _eval_fields, the one place that builds an engine:
+it gathers the modes of each result that its fields name and evaluates them
+in one engine pass over the result's basis.
 
 Extensions are evaluated through Gaussian subordination: smoothing a sine
 mode by the heat kernel has a closed form in the complex error function, and
@@ -28,6 +30,7 @@ accurate for small t.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +57,13 @@ class Truncation:
 
 def default_truncation(dim):
     return Truncation(1e-3, 30.0, 60.0) if dim == 1 else Truncation(1e-3, 20.0, 40.0)
+
+
+def _truncation(trunc, dim):
+    """trunc, or the default box of dimension dim when it is None; validated."""
+    trunc = default_truncation(dim) if trunc is None else trunc
+    trunc.validate()
+    return trunc
 
 
 # ---------------- closed-form Gaussian smoothing of sine modes ----------------
@@ -255,35 +265,40 @@ class ExtensionEngine:
 @dataclass(frozen=True, eq=False)
 class HarmonicExtension:
     """The half-space extension u_n(x, t) of mode n (1-based) of a spectral
-    result. Energy quadratures evaluate the extensions of one result together
-    in one engine pass (see _eval_fields)."""
+    result, or the ratio u_n / u_over of two of its extensions when over is
+    set. Built by extend and extend_ratio, which check the modes."""
 
     result: SpectralResult
     n: int
+    over: int | None = None
 
     @property
     def dim(self):
         return self.result.domain.dim
 
-    def _values(self, xs, ts, grad):
-        row = self.result.coefficients[self.n - 1][None, :]
-        return ExtensionEngine(self.result.basis).values(row, xs, ts, grad=grad)[0]
-
     def values(self, xs, ts):
-        return self._values(xs, ts, grad=False)
+        return _eval_fields((self,), _axes(xs, self.dim), ts, grad=False)[0]
 
     def values_and_grad(self, xs, ts):
         """Value and gradient stacked on the first axis (see ExtensionEngine.values)."""
-        return self._values(xs, ts, grad=True)
+        return _eval_fields((self,), _axes(xs, self.dim), ts)[0]
 
 
 def extend(result: SpectralResult, n: int) -> HarmonicExtension:
     """Harmonic extension of mode n (1-based) of a Cauchy-process result."""
     if result.alpha != 1.0:
         raise ValidationError("harmonic extensions apply to alpha = 1 results")
+    if not isinstance(n, numbers.Integral):
+        raise ValidationError(f"mode must be an integer, got {n!r}")
     if not 1 <= n <= len(result.coefficients):
         raise ValidationError(f"mode {n} outside 1..{len(result.coefficients)}")
     return HarmonicExtension(result, n)
+
+
+def extend_ratio(result, n):
+    """The bounded field u_n / u_1 whose energy gives the gap to lambda_1."""
+    extend(result, n)  # checks alpha and n
+    return HarmonicExtension(result, n, 1)
 
 
 _PROBE_T_MAX = 20.0  # top height of the probe grids above D
@@ -291,21 +306,20 @@ _FIELD_N_X, _FIELD_N_T = 80, 33  # default field grid: points per x axis, height
 
 
 def default_field_grid(domain):
-    """Default sampling grid: x covers D plus a 50% margin; times are zero
-    followed by a geometric ladder up to _PROBE_T_MAX.  The ladder starts at
-    0.02 * inradius in 1d and 0.2 * inradius in 2d: below that the
-    truncated sine basis leaves a boundary-layer residual of order
-    t * |(A - lambda_1) phi_1| in the extension, and the coarser
-    per-axis resolution of the tensor basis makes the layer thicker in 2d.
+    """Default sampling grid (x axes, times): x covers D plus a 50% margin;
+    times are zero followed by a geometric ladder up to _PROBE_T_MAX.  The
+    ladder starts at 0.02 * inradius in 1d and 0.2 * inradius in 2d: below
+    that the truncated sine basis leaves a boundary-layer residual of order
+    t * |(A - lambda_1) phi_1| in the extension, and the coarser per-axis
+    resolution of the tensor basis makes the layer thicker in 2d.
     """
-    g = domain.summarize()
-    t_min = (0.02 if domain.dim == 1 else 0.2) * g.inradius
+    t_min = (0.02 if domain.dim == 1 else 0.2) * domain.summarize().inradius
     ts = np.concatenate([[0.0], np.geomspace(t_min, _PROBE_T_MAX, _FIELD_N_T - 1)])
     axes = [
         np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), _FIELD_N_X)
         for lo, hi in domain.bounding_box()
     ]
-    return _xs(axes), ts
+    return axes, ts
 
 
 # ---------------- pointwise structural checks ----------------
@@ -334,19 +348,20 @@ def check_boundary_derivative(result, n, x, h=1e-4):
     point x in D. For x outside the closure of D returns |u(x, h)| instead
     (the boundary value there is zero)."""
     ext = extend(result, n)
-    lam = result.eigenvalues[n - 1]
-    axes = _axes(x, result.domain.dim)
-    u_h = ext.values(_xs(axes), np.array([h])).item()
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (result.domain.dim,):
+        raise ValidationError(f"x must be one point of R^{result.domain.dim}, got {x.shape}")
+    axes = [c[None] for c in x]
+    u_h = _eval_fields((ext,), axes, [h], grad=False)[0].item()
     pt = _grid_points(axes)
     if not result.domain.contains(pt)[0]:
         return abs(u_h)
     phi_v = float(result.eigenfunction(n)(pt)[0])
-    return abs((u_h - phi_v) / h + lam * phi_v)
+    return abs((u_h - phi_v) / h + result.eigenvalues[n - 1] * phi_v)
 
 
 def _interior_axes(domain, n):
-    """n evenly spaced interior points per interval component of each axis,
-    as a list of axes."""
+    """Axes of n evenly spaced interior points per interval component."""
     return [
         np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in comps])
         for comps in domain.axis_components()
@@ -365,20 +380,16 @@ def ground_state_domination_check(result, xs=None, ts=None):
     boundary of D the Galerkin residual (order 1e-4 for a 512-mode sine
     basis) swamps the slack, which is why the default grid starts above it.
     """
-    ext = extend(result, 1)
-    phi1 = result.eigenfunction(1)
-    if xs is None or ts is None:
-        gx, gt = default_field_grid(result.domain)
-        xs = gx if xs is None else xs
-        ts = gt if ts is None else ts
-    ts = np.asarray(ts, dtype=float)
+    axes, gt = default_field_grid(result.domain)
+    axes = axes if xs is None else _axes(xs, result.domain.dim)
+    ts = np.asarray(gt if ts is None else ts, dtype=float)
     ts = ts[ts != 0]
     if ts.size == 0:
         raise ValidationError("the domination margin needs heights t > 0")
-    u = ext.values(xs, ts)
-    pts = _grid_points(_axes(xs, result.domain.dim))
-    phiv = np.where(result.domain.contains(pts), phi1(pts), 0.0).reshape(u.shape[:-1])
-    lower = np.exp(-result.lambda1 * ts) * phiv[..., None]
+    (u,) = _eval_fields((extend(result, 1),), axes, ts, grad=False)
+    pts = _grid_points(axes)
+    phi1 = np.where(result.domain.contains(pts), result.eigenfunction(1)(pts), 0.0)
+    lower = np.exp(-result.lambda1 * ts) * phi1.reshape(u.shape[:-1])[..., None]
     return float(np.min(u - lower))
 
 
@@ -445,64 +456,40 @@ class ConstantField:
         return out
 
 
-def _quotient(a, b):
-    """Value and gradient of a / b from those of a and b (stacked on axis 0)."""
-    w = a[0] / b[0]
-    return np.concatenate([w[None], (a[1:] - w * b[1:]) / b[0]])
+def _eval_fields(fields, axes, ts, grad=True):
+    """Values and gradients (as values_and_grad), or with grad=False values
+    alone, of several fields on the tensor grid of axes and times ts.
 
-
-class RatioField:
-    """Pointwise quotient of two extensions, e.g. w = u_n / u_1."""
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-        self.dim = num.dim
-
-    def values(self, xs, ts):
-        return self.num.values(xs, ts) / self.den.values(xs, ts)
-
-    def values_and_grad(self, xs, ts):
-        return _quotient(self.num.values_and_grad(xs, ts), self.den.values_and_grad(xs, ts))
-
-
-def extend_ratio(result, n):
-    """The bounded field u_n / u_1 whose energy gives the gap to lambda_1."""
-    return RatioField(extend(result, n), extend(result, 1))
-
-
-def _atoms(f):
-    return (f.num, f.den) if isinstance(f, RatioField) else (f,)
-
-
-def _eval_fields(fields, xs, ts):
-    """Values and gradients (values_and_grad) of several fields on one grid.
-
-    Extensions are batched by result: the modes of one result, in order of
-    first appearance, go through one engine pass. Other fields evaluate
-    themselves; a field passed twice is evaluated once."""
+    This is the one place that builds an ExtensionEngine. Extensions are
+    batched by result: the modes of one result, in order of first appearance
+    (a ratio's numerator before its denominator), go through one engine pass.
+    Other fields evaluate themselves; a field passed twice is evaluated once."""
     batches = {}  # id(result) -> (result, [modes])
-    for a in (a for f in fields for a in _atoms(f)):
-        if isinstance(a, HarmonicExtension):
-            modes = batches.setdefault(id(a.result), (a.result, []))[1]
-            if a.n not in modes:
-                modes.append(a.n)
-    vals = {
-        key: ExtensionEngine(result.basis).values(
-            np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts, grad=True)
-        for key, (result, modes) in batches.items()
-    }
-
-    def val(a):
-        if not isinstance(a, HarmonicExtension):
-            return a.values_and_grad(xs, ts)
-        return vals[id(a.result)][batches[id(a.result)][1].index(a.n)]
-
-    out = {}
     for f in fields:
-        if id(f) not in out:
-            out[id(f)] = _quotient(val(f.num), val(f.den)) if isinstance(f, RatioField) else val(f)
-    return [out[id(f)] for f in fields]
+        if isinstance(f, HarmonicExtension):
+            modes = batches.setdefault(id(f.result), (f.result, []))[1]
+            modes.extend(n for n in (f.n, f.over) if n is not None and n not in modes)
+    xs = _xs(axes)
+    rows = {}  # (id(result), mode) -> its values, or values and gradient
+    for key, (result, modes) in batches.items():
+        v = ExtensionEngine(result.basis).values(
+            np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts, grad=grad)
+        rows.update(((key, n), vn) for n, vn in zip(modes, v))
+
+    def evaluate(f):
+        if not isinstance(f, HarmonicExtension):
+            return f.values_and_grad(xs, ts) if grad else f.values(xs, ts)
+        u = rows[id(f.result), f.n]
+        if f.over is None:
+            return u
+        d = rows[id(f.result), f.over]
+        if not grad:
+            return u / d
+        w = u[0] / d[0]  # the quotient rule, value first as in values_and_grad
+        return np.concatenate([w[None], (u[1:] - w * d[1:]) / d[0]])
+
+    done = {key: evaluate(f) for key, f in {id(f): f for f in fields}.items()}
+    return [done[id(f)] for f in fields]
 
 
 def q_functional(u, v, u1, trunc=None):
@@ -511,7 +498,7 @@ def q_functional(u, v, u1, trunc=None):
         Q(u, v) = integral over [-R, R]^d x [eps, T] of grad u . grad v * u1^2,
 
     by tensor Gauss quadrature of the analytic gradients (values_and_grad);
-    u1 must be a harmonic extension, whose result's domain sets the x rules.
+    u1 must be an extension, not a ratio; its result's domain sets the x rules.
     For u = v = u_n/u_1 (see extend_ratio) this equals the eigenvalue gap
     lambda_n - lambda_1. The reported tail_bound integrates a fitted envelope
     K (t^2 + |x|^2)^(-(d+1)) over the omitted region. diagnostics holds
@@ -519,16 +506,14 @@ def q_functional(u, v, u1, trunc=None):
     same weight on the same grid; its gradient is identically zero, so this
     is zero by construction.
     """
-    if not isinstance(u1, HarmonicExtension):
+    if not isinstance(u1, HarmonicExtension) or u1.over is not None:
         raise ValidationError("u1 must be a harmonic extension to set the quadrature grid")
     dim = u1.dim
-    if trunc is None:
-        trunc = default_truncation(dim)
-    trunc.validate()
+    trunc = _truncation(trunc, dim)
     x_rules, (tq, tw) = _energy_grid(u1.result.domain, trunc)
     axes = [x for x, _ in x_rules]
     weights = [w for _, w in x_rules] + [tw]
-    gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(dim)), _xs(axes), tq)
+    gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(dim)), axes, tq)
     weight = g1[0] ** 2
     integrand = np.sum(gu[1:] * gv[1:], axis=0) * weight
     return QResult(
@@ -578,7 +563,7 @@ def gap_identity_check(result, n=None, trunc=None):
         raise ValidationError("mode 1 has no gap to lambda_1")
     w = extend_ratio(result, n)
     gap = float(result.eigenvalues[n - 1] - result.lambda1)
-    q = q_functional(w, w, w.den, trunc=trunc)
+    q = q_functional(w, w, extend(result, 1), trunc=trunc)
     return {
         "mode": n,
         "lhs": gap,
@@ -595,23 +580,20 @@ def ratio_boundedness_check(result, n=None):
     The ratio is bounded; the returned maximum should sit far below the
     coarse sanity ceiling 1e6 * ||phi_n||_inf / min-grid phi_1.
     """
-    u = extend(result, _star_mode(result) if n is None else n)  # checks n
-    rows = np.vstack([result.coefficients[u.n - 1], result.coefficients[0]])
+    w = extend_ratio(result, _star_mode(result) if n is None else n)
     axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
-    ts = np.geomspace(1e-3, _PROBE_T_MAX, 25)
-    vals = ExtensionEngine(result.basis).values(rows, _xs(axes), ts)
-    return float(np.max(np.abs(vals[0] / vals[1])))
+    (v,) = _eval_fields((w,), axes, np.geomspace(1e-3, _PROBE_T_MAX, 25), grad=False)
+    return float(np.max(np.abs(v)))
 
 
 def gradient_scale_fit(result, n=None, trunc=None):
     """Fit the constant c in |grad(u_n/u_1)| <= c / t on a probe grid of the
     half-space above D; returns max over the grid of t * |grad(u_n/u_1)|."""
-    n = _star_mode(result) if n is None else n
-    if trunc is None:
-        trunc = default_truncation(result.domain.dim)
+    w = extend_ratio(result, _star_mode(result) if n is None else n)
+    trunc = _truncation(trunc, result.domain.dim)
     tq = np.geomspace(trunc.eps, trunc.t_max, 25)
     axes = _interior_axes(result.domain, 30 if result.domain.dim == 1 else 14)
-    (gw,) = _eval_fields((extend_ratio(result, n),), _xs(axes), tq)
+    (gw,) = _eval_fields((w,), axes, tq)
     return float(np.max(np.sqrt(np.sum(gw[1:] ** 2, axis=0)) * tq))
 
 
@@ -626,15 +608,13 @@ def d01_lower_bound_check(result, trunc=None):
     the Galerkin floor (see ground_state_domination_check).
     """
     n = _star_mode(result)
-    if trunc is None:
-        trunc = default_truncation(result.domain.dim)
+    trunc = _truncation(trunc, result.domain.dim)
     lam1 = result.lambda1
     tq, tw = log_panels(1e-6, trunc.t_max, panels_per_decade=3, nodes_per_panel=6)
     # per interval component: 16 five-node panels in 1d, 10 four-node in 2d
     x_rules = axis_rules(result.domain, *((16, 5) if result.domain.dim == 1 else (10, 4)))
     axes = [x for x, _ in x_rules]
-    w = extend_ratio(result, n)
-    gw, g1 = _eval_fields((w, w.den), _xs(axes), tq)
+    gw, g1 = _eval_fields((extend_ratio(result, n), extend(result, 1)), axes, tq)
     phi1 = result.eigenfunction(1)(_grid_points(axes)).reshape(g1.shape[1:-1])
     weight = np.exp(-2 * lam1 * tq) * phi1[..., None] ** 2
     value = _integrate(np.sum(gw[1:] ** 2, axis=0) * weight, [xw for _, xw in x_rules] + [tw])

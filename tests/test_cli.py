@@ -218,13 +218,21 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "8", "--t-max", "inf"],
     ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "8", "--x-max", "inf"],
     ["mc", "--domain", "interval:-1,1", "--seed", "1", "--t-max", "inf"],
+    ["eig", "--domain", "{bad", "--n", "4"],
+    ["eig", "--domain", '{"kind":"rectangle","params":{}}', "--n", "4"],
+    ["eig", "--domain", '{"kind":"disk","params":{"center":[0],"radius":1}}', "--n", "4"],
+    ["eig", "--domain", '{"kind":"interval_union","params":{"intervals":[[0,"x"]]}}',
+     "--n", "4"],
+    ["mc", "--domain", "interval:-1,1", "--seed", "-1", "--paths", "100"],
 ], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep",
         "report-sweep-no-prefix", "report-bad-sweep-no-prefix", "report-prefix-no-sweep",
         "mc-start",
         "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
         "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1",
         "report-rect-inf", "rect-inf", "disk-nan-centre", "disk-inf-radius",
-        "gap-check-t-max-inf", "gap-check-x-max-inf", "mc-t-max-inf"])
+        "gap-check-t-max-inf", "gap-check-x-max-inf", "mc-t-max-inf",
+        "json-syntax", "json-rect-no-sides", "json-disk-short-centre", "json-union-text-end",
+        "mc-seed-negative"])
 def test_bad_counts_and_numbers_exit_2(argv, tmp_path):
     # a separate process, so that an uncaught exception shows as its traceback
     src = str(Path(stablegap.__file__).parents[1])

@@ -41,6 +41,10 @@ def test_config_validation():
         McConfig(alpha=2.5).validate()
     with pytest.raises(ValidationError):
         McConfig(dt=-1e-3).validate()
+    for seed in (-1, 1.5):
+        with pytest.raises(ValidationError):
+            McConfig(seed=seed).validate()
+    McConfig(seed=np.int64(7)).validate()  # numpy integers are seeds too
 
 
 def test_survival_curve_shape_and_monotonicity(base_curve):

@@ -272,6 +272,14 @@ def test_gradient_scale_fit(interval_128):
     assert np.isfinite(c) and c > 0
 
 
+@pytest.mark.parametrize("check", [gap_identity_check, d01_lower_bound_check,
+                                   gradient_scale_fit])
+def test_checks_reject_invalid_truncation(interval_32, check):
+    # eps above t_max: every check that takes a box validates it, default or given
+    with pytest.raises(ValidationError):
+        check(interval_32, trunc=Truncation(1.0, 0.5, 20.0))
+
+
 def test_d01_lower_bound_interval(interval_128):
     out = d01_lower_bound_check(interval_128, trunc=Truncation(1e-2, 10.0, 20.0))
     assert out["pass"]
@@ -365,10 +373,12 @@ def test_gradient_at_t_zero_is_rejected(interval_32):
         interval_32.eigenfunction(1)(np.array([0.0]))[0], abs=1e-14)
 
 
-def test_q_functional_needs_a_basis():
+def test_q_functional_needs_a_basis(interval_32):
     one = ConstantField(1)
     with pytest.raises(ValidationError):
         q_functional(one, one, one)
+    with pytest.raises(ValidationError):  # the weight is u_1^2, not a ratio squared
+        q_functional(one, one, extend_ratio(interval_32, 2))
 
 
 def test_star_mode_default_needs_x1_symmetric_domain():
@@ -381,7 +391,7 @@ def test_star_mode_default_needs_x1_symmetric_domain():
             check(result)
 
 
-def test_extend_mode_out_of_range(interval_32):
+def test_extend_mode_out_of_range(interval_32, rect_8):
     for n in (0, -1, len(interval_32.coefficients) + 1):
         with pytest.raises(ValidationError):
             extend(interval_32, n)
@@ -391,6 +401,34 @@ def test_extend_mode_out_of_range(interval_32):
             ratio_boundedness_check(interval_32, n)
     with pytest.raises(ValidationError):  # lambda_1 - lambda_1 = 0
         gap_identity_check(interval_32, 1)
+    for check in (extend, extend_ratio, gap_identity_check, ratio_boundedness_check,
+                  gradient_scale_fit):
+        with pytest.raises(ValidationError):
+            check(interval_32, 2.5)
+    # numpy integers name modes like ints
+    xs = np.array([-0.5, 0.2])
+    for make in (extend, extend_ratio):
+        assert np.array_equal(make(interval_32, np.int64(2)).values(xs, TIMES),
+                              make(interval_32, 2).values(xs, TIMES))
+    # the boundary derivative takes one point of the domain's dimension
+    with pytest.raises(ValidationError):
+        check_boundary_derivative(interval_32, 1, (0.1, 0.2))
+    with pytest.raises(ValidationError):
+        check_boundary_derivative(rect_8, 1, 0.1)
+
+
+def test_ratio_field_builds_one_engine(interval_32, monkeypatch):
+    # u_2 / u_1 and its gradient come from one engine pass over both modes
+    builds = []
+    init = ExtensionEngine.__init__
+
+    def counting_init(self, basis):
+        builds.append(basis)
+        init(self, basis)
+
+    monkeypatch.setattr(ExtensionEngine, "__init__", counting_init)
+    extend_ratio(interval_32, 2).values_and_grad(np.array([-0.5, 0.2]), TIMES)
+    assert len(builds) == 1
 
 
 # ---------------- subordination chunks and the sine-mode kernel ----------------
