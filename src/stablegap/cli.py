@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -139,14 +140,22 @@ def cmd_gap_check(args):
     given = {k: v for k in ("eps", "t_max", "x_max") if (v := getattr(args, k)) is not None}
     trunc = dataclasses.replace(steklov.default_truncation(domain.dim), **given)
     trunc.validate()
+    t0 = time.perf_counter()  # stage wall times go to stderr, never into the JSON
     result = solve_spectrum(domain, args.alpha, n_basis=args.n)
+    t1 = time.perf_counter()
     n = args.mode if args.mode is not None else (result.star_index or 2)
     chk = steklov.gap_identity_check(result, n, trunc=trunc)
+    t2 = time.perf_counter()
     if chk["tail_bound"] > 0.01 * chk["lhs"]:
         raise NumericalBudgetError(
             f"truncation tail bound {chk['tail_bound']:.3g} exceeds 1% of the gap"
         )
     d01 = steklov.d01_lower_bound_check(result, trunc=trunc) if result.star_index else None
+    t3 = time.perf_counter()
+    sys.stderr.write(
+        f"gap-check: solve {t1 - t0:.3f} s, gap identity {t2 - t1:.3f} s, d01 {t3 - t2:.3f} s; "
+        f"extension engine workers {steklov.engine_workers(domain.dim)}\n"
+    )
     out = {
         "schema": 1,
         "config": {

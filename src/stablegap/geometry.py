@@ -35,9 +35,17 @@ class GeometrySummary:
     convex: bool
 
 
+def _floats(*values):
+    """values as floats; ValidationError for entries that are not numbers."""
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ValidationError(f"domain parameters must be numbers, got {values!r}") from None
+
+
 def _union_components(intervals):
     """Finite, nonempty, disjoint (lo, hi) pairs as floats, sorted."""
-    ivs = tuple((float(a), float(b)) for a, b in intervals)
+    ivs = tuple(_floats(a, b) for a, b in intervals)
     if not ivs:
         raise ValidationError("interval union needs at least one component")
     for a, b in ivs:
@@ -90,7 +98,7 @@ class Domain:
 
     @staticmethod
     def disk(cx, cy, radius):
-        cx, cy, radius = float(cx), float(cy), float(radius)
+        cx, cy, radius = _floats(cx, cy, radius)
         if not (np.all(np.isfinite([cx, cy, radius])) and radius > 0):
             raise ValidationError("disk needs a finite centre and a finite positive radius")
         return Domain("disk", ((cx, cy), radius))

@@ -26,11 +26,24 @@ that carry weight at its times (the subordinator density is negligible for
 s far below t^2). This is numerically equivalent to quadrature of the Cauchy
 kernel against phi_n but vectorizes over (mode, point, time) and stays
 accurate for small t.
+
+A 1D engine pass runs in two phases. Phase 1 evaluates the smoothed modes
+(the Faddeeva calls, nearly all of its time) and sums them against the
+coefficients, chunk by chunk and slab of points by slab, on one thread per
+CPU of the process's affinity mask. Phase 2 then contracts each chunk with
+its subordination weights over time, in the calling thread and in the
+serial order, so the values are bit-identical to a one-thread pass. The time
+contractions are held back to phase 2 because each is a multithreaded BLAS
+product, after which the idle OpenBLAS worker spins on a core for a while;
+mixed into phase 1 they would take that core from the Faddeeva jobs. A 2D
+pass, bound by its contractions, keeps one thread and the per-chunk sequence.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +51,7 @@ from scipy.special import wofz
 
 from ._quad import axis_rules, log_panels, panel_gauss, tensor_points
 from .errors import ValidationError
-from .eigensolver import SpectralResult, evaluate_basis_sum
+from .eigensolver import _CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum
 from .kernels import subordination_grid, subordinator_density_half
 
 
@@ -78,9 +91,13 @@ def _scaled_erf(r, omega, s):
     r < 0 is minus the conjugate of the value at |r|. The prefactor
     e^(-r^2 / (4 s) + i omega |r|) of w is applied in place as a real
     exponential, which needs s, times a unit phase, which does not.
+    The parts of the argument and the real exponential that depend on r
+    are built at the broadcast shape of r and s alone, so they are shared by
+    every omega of one window: r without a mode axis costs them once.
     """
     ra = np.abs(r)
-    E = np.asarray(wofz((2.0 * omega * s + 1j * ra) / (2.0 * np.sqrt(s))))
+    inv = 1.0 / (2.0 * np.sqrt(s))  # (2 omega s + i|r|) / (2 sqrt s), part by part
+    E = np.asarray(wofz(2.0 * omega * s * inv + 1j * (ra * inv)))
     E *= np.exp(-(ra**2) / (4.0 * s))
     E *= np.exp(1j * omega * ra)
     np.subtract(np.exp(-(omega**2) * s), E, out=E)
@@ -116,6 +133,50 @@ _S_CHUNK = 24  # subordination nodes per pass of the mode kernel
 # a chunk is evaluated when some node in it carries at least this share of
 # the largest value or d/dt weight at some time
 _WEIGHT_FLOOR = 1e-16
+# a 1D pass goes to worker threads only from this many smoothed-mode entries
+# (modes x points x nodes, about 10 ms of Faddeeva work on one core): below
+# it, starting the threads costs more than they save
+_PARALLEL_ENTRIES = 1 << 16
+
+
+def _cpu_count():
+    """The CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def engine_workers(dim):
+    """Threads that ExtensionEngine.values may use on a grid of dim point
+    axes: every CPU of the affinity mask in 1D, where the smoothed modes
+    dominate, and one in 2D, where the time contractions do."""
+    return _cpu_count() if dim == 1 else 1
+
+
+def _windows(center, half):
+    """Runs of consecutive modes of one axis that share a window (center,
+    half), as slices: one for an interval, one per component of a union."""
+    cut = np.flatnonzero((np.diff(center) != 0) | (np.diff(half) != 0)) + 1
+    edges = [0, *cut.tolist(), center.size]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _axis_modes(x, s, center, half, omega, grad):
+    """The smoothed modes of one axis at the points x and nodes s, shape
+    (modes, points, nodes), or the (value, d/dx) pair with grad=True. One
+    smoothed_sine_mode call per window, so the factors that depend on the
+    point and the window alone are built once for all of its modes (the
+    window's center and half keep one entry, none when no mode is in use)."""
+    parts = [
+        smoothed_sine_mode(x[None, :, None], s, omega[w, None, None],
+                           center[w, None, None][:1], half[w, None, None][:1], grad=grad)
+        for w in _windows(center, half)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    if grad:
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _live_chunks(*weights):
@@ -224,6 +285,14 @@ class ExtensionEngine:
         weight at these times are evaluated (see _live_chunks); they depend
         on ts alone, so the value slice of a grad=True call equals the
         grad=False result exactly.
+
+        A 1D pass large enough to pay for threads runs in two phases (see
+        _values_1d_threaded): the smoothed modes on engine_workers(1)
+        threads, then the time contractions in this thread, chunk by chunk,
+        because each of them leaves an OpenBLAS thread spinning on a core
+        the first phase needs. Other passes run each chunk through both
+        phases in turn in this thread. Either way the result is the same to
+        the last bit.
         """
         rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -237,22 +306,14 @@ class ExtensionEngine:
         modes, C = self._modes(rows)
         grid = tuple(p.size for p in points)
         out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1) + grid + (nt,))
-        for sl in chunks:
-            sc = self.s_nodes[None, None, sl]
-            per_axis = [
-                smoothed_sine_mode(p[None, :, None], sc, om[:, None, None],
-                                   c[:, None, None], h[:, None, None], grad=grad)
-                for p, (c, h, om) in zip(points, modes)
-            ]
-            vals = [v for v, _ in per_axis] if grad else per_axis
-            # value rows of gw first; with grad=True its d/dt rows follow
-            both = _time_contract(_contract(C, vals), gw[:, sl])
-            out[:, 0] += both[..., :nt]
-            if grad:
-                out[:, -1] += both[..., nt:]
-                for i, (_, dx) in enumerate(per_axis):
-                    factors = vals[:i] + [dx] + vals[i + 1 :]
-                    out[:, 1 + i] += _time_contract(_contract(C, factors), gw[:nt, sl])
+        workers = engine_workers(len(points))
+        # in 1D: modes x points x nodes, and more than one job (chunk, slab)
+        entries = modes[0][2].size * points[0].size * len(chunks) * _S_CHUNK
+        if workers > 1 and entries >= _PARALLEL_ENTRIES and len(chunks) * points[0].size > 1:
+            self._values_1d_threaded(out, C, points[0], modes, chunks, gw, nt, grad, workers)
+        else:
+            for sl in chunks:
+                _add_chunk(out, self._chunk_terms(C, points, modes, sl, grad), gw, sl, nt)
         if grad:
             return out
         out = out[:, 0]
@@ -260,6 +321,64 @@ class ExtensionEngine:
             phi = evaluate_basis_sum(self.basis, rows, _grid_points(points))
             out[..., ts == 0.0] = phi.reshape(out.shape[:-1] + (1,))
         return out
+
+    def _chunk_terms(self, C, points, modes, sl, grad):
+        """Phase 1 for the chunk sl of nodes: the smoothed modes summed
+        against C, one (rows, n_1, ..., n_d, nodes) term after another: the
+        value, then with grad=True d/dx_i for each axis. A generator, so a
+        serial caller holds one term at a time."""
+        sc = self.s_nodes[None, None, sl]
+        per_axis = [_axis_modes(p, sc, c, h, om, grad) for p, (c, h, om) in zip(points, modes)]
+        vals = [v for v, _ in per_axis] if grad else per_axis
+        yield _contract(C, vals)
+        if grad:
+            for i, (_, dx) in enumerate(per_axis):
+                yield _contract(C, vals[:i] + [dx] + vals[i + 1 :])
+
+    def _values_1d_threaded(self, out, C, x, modes, chunks, gw, nt, grad, workers):
+        """The 1D pass on worker threads, over batches of chunks whose
+        components x rows x points x nodes stay within _CHUNK_ENTRIES.
+
+        Phase 1 runs on the threads: a job is one chunk on one slab of the
+        points, and writes its terms into that chunk's own buffer. With the
+        few rows the checks pass (at most three) these contractions were
+        measured not to wake the BLAS threads. Phase 2 runs in the calling
+        thread once phase 1 of the batch is done: the time contractions,
+        chunk by chunk in the serial order, so every sum is the serial one.
+        They wait because each is a multithreaded gemm, after which the
+        OpenBLAS worker spins for a while on a core that the Faddeeva jobs
+        could use."""
+        bounds = np.linspace(0, x.size, min(workers, x.size) + 1).astype(int)
+        slabs = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        per_batch = max(1, _CHUNK_ENTRIES // (out.shape[0] * out.shape[1] * x.size * _S_CHUNK))
+
+        def job(buf, sl, slab):
+            for b, term in zip(buf, self._chunk_terms(C, [x[slab]], modes, sl, grad)):
+                b[:, slab] = term
+
+        with ThreadPoolExecutor(workers) as pool:
+            for i in range(0, len(chunks), per_batch):
+                batch = chunks[i : i + per_batch]
+                bufs = [np.empty((2 if grad else 1, out.shape[0], x.size, self.s_nodes[sl].size))
+                        for sl in batch]
+                jobs = [(b, sl, slab) for b, sl in zip(bufs, batch) for slab in slabs]
+                for f in [pool.submit(job, *j) for j in jobs]:
+                    f.result()
+                for b, sl in zip(bufs, batch):
+                    _add_chunk(out, b, gw, sl, nt)
+
+
+def _add_chunk(out, terms, gw, sl, nt):
+    """Phase 2 for the chunk sl: contract each term over its nodes with the
+    time weights gw and add it to out. The value term takes every row of gw:
+    with grad=True its d/dt rows follow the nt value rows."""
+    terms = iter(terms)
+    both = _time_contract(next(terms), gw[:, sl])
+    out[:, 0] += both[..., :nt]
+    if both.shape[-1] > nt:
+        out[:, -1] += both[..., nt:]
+    for i, term in enumerate(terms, 1):
+        out[:, i] += _time_contract(term, gw[:nt, sl])
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,6 +68,18 @@ def test_eig_rerun_is_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gap_check_rerun_is_byte_identical(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for f in (a, b):
+        code, _, err = run_cli(
+            ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--out", str(f)], capsys)
+        assert code == 0
+        # stage wall times and the engine's worker count go to stderr only
+        assert err.startswith("gap-check: solve ") and "extension engine workers" in err
+    assert a.read_bytes() == b.read_bytes()
+    assert "workers" not in a.read_text()
+
+
 def test_eig_invalid_alpha_exits_2(capsys):
     code, _, err = run_cli(
         ["eig", "--domain", "interval:-1,1", "--alpha", "3.0"], capsys)

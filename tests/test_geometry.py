@@ -87,6 +87,11 @@ def test_invalid_domains_raise():
     for args in ((nan, 0.0, 1.0), (0.0, -inf, 1.0), (0.0, 0.0, inf), (0.0, 0.0, nan)):
         with pytest.raises(ValidationError):
             Domain.disk(*args)
+    # entries that are not numbers
+    for make in (lambda: Domain.interval_union([(0, "x")]), lambda: Domain.disk("a", 0, 1),
+                 lambda: Domain.rectangle(0, 1, None, 1), lambda: Domain.interval(0, [1])):
+        with pytest.raises(ValidationError):
+            make()
 
 
 def test_axis_components():

@@ -1,5 +1,9 @@
 """Harmonic extensions to the upper half-space and the energy functional."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -469,10 +473,76 @@ def test_skipped_chunks_leave_engine_values_unchanged(case, grid, grad, request,
     ts = _time_grids(result)[grid]
     engine = ExtensionEngine(result.basis)
     rows = result.coefficients[:3]
-    trimmed = engine.values(rows, xs, ts, grad=grad)
-    monkeypatch.setattr(steklov, "_WEIGHT_FLOOR", 0.0)  # every chunk
-    assert len(_live_chunks(*engine._time_weights(ts))) == 28
-    assert np.array_equal(trimmed, engine.values(rows, xs, ts, grad=grad))
+    floor, by_workers = steklov._WEIGHT_FLOOR, []
+    for workers in (1, 2):  # the serial pass, and in 1D the threaded one
+        monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(steklov, "_WEIGHT_FLOOR", floor)
+        trimmed = engine.values(rows, xs, ts, grad=grad)
+        monkeypatch.setattr(steklov, "_WEIGHT_FLOOR", 0.0)  # every chunk
+        assert len(_live_chunks(*engine._time_weights(ts))) == 28
+        assert np.array_equal(trimmed, engine.values(rows, xs, ts, grad=grad))
+        by_workers.append(trimmed)
+    assert np.array_equal(*by_workers)
+
+
+def test_threaded_pass_leaves_no_threads(interval_32, monkeypatch):
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(steklov, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(steklov, "ThreadPoolExecutor", CountingPool)
+    before = threading.active_count()
+    gap_identity_check(interval_32, trunc=Truncation(1e-2, 10.0, 20.0))
+    assert pools  # the energy grid went to the threads
+    assert threading.active_count() == before
+
+
+def test_threaded_pass_with_more_workers_than_cores(interval_32, monkeypatch):
+    engine = ExtensionEngine(interval_32.basis)
+    rows, xs = interval_32.coefficients[:3], np.linspace(-1.5, 1.5, 37)
+    ts = _time_grids(interval_32)["d01"]
+    monkeypatch.setattr(steklov, "_cpu_count", lambda: 1)
+    serial = engine.values(rows, xs, ts, grad=True)
+    monkeypatch.setattr(steklov, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = engine.values(rows, xs, ts, grad=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial, threaded)
+
+
+def test_small_and_single_cpu_passes_build_no_pool(interval_32, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(steklov, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(steklov, "_cpu_count", lambda: 2)
+    assert np.isfinite(check_boundary_derivative(interval_32, 2, 0.3))
+    assert np.isfinite(check_harmonic(extend(interval_32, 2), 0.3, 0.5))
+    monkeypatch.setattr(steklov, "_cpu_count", lambda: 1)
+    ts = _time_grids(interval_32)["q"]
+    v = ExtensionEngine(interval_32.basis).values(interval_32.coefficients[:2],
+                                                  np.linspace(-2.0, 2.0, 50), ts, grad=True)
+    assert v.shape == (2, 3, 50, ts.size)
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_window_split_matches_per_mode_evaluation(grad):
+    union = solve_spectrum(Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 16)
+    ((c, h, _, om),) = union.basis.meta
+    assert len(steklov._windows(c, h)) == 2
+    x = np.linspace(-2.5, 2.5, 41)
+    s = np.geomspace(1e-9, 1e3, 24)[None, None, :]
+    split = steklov._axis_modes(x, s, c, h, om, grad)
+    whole = smoothed_sine_mode(x[None, :, None], s, om[:, None, None], c[:, None, None],
+                               h[:, None, None], grad=grad)
+    assert np.array_equal(np.asarray(split), np.asarray(whole))
 
 
 def test_live_chunk_counts(interval_32):
