@@ -107,7 +107,9 @@ def _gap(result):
 
 def cmd_eig(args):
     domain = parse_domain(args.domain)
+    t0 = time.perf_counter()  # the solve's wall time goes to stderr, never into the JSON
     result = solve_spectrum(domain, args.alpha, n_basis=args.n, n_report=args.n_report)
+    solve_s = time.perf_counter() - t0
     config = {
         "command": "eig",
         "domain": domain.to_json(),
@@ -124,6 +126,7 @@ def cmd_eig(args):
         "lambda_gap": _gap(result),
     }
     phi = result.eigenfunction(args.csv_mode) if args.csv else None
+    sys.stderr.write(f"eig: solve {solve_s:.3f} s\n")
     _emit_json(out, args.out)
     if args.csv:
         n = 512 if domain.dim == 1 else 64
@@ -184,6 +187,10 @@ def cmd_mc(args):
     if len(start) != domain.dim:
         raise ValidationError("start point dimension mismatch")
     x = start[0] if domain.dim == 1 else np.array(start)
+    # the Galerkin cross-check first: a configuration it rejects exits before
+    # any path is simulated
+    n = 256 if domain.dim == 1 else 24
+    lam_hat = float(solve_spectrum(domain, args.alpha, n_basis=n).lambda1)
     estimates = {}
     curves = {}
     for label, dt in (("dt", args.dt), ("dt_half", args.dt / 2)):
@@ -203,8 +210,6 @@ def cmd_mc(args):
         curves[label] = curve
     # the monitoring bias shows as the lambda1 shift from dt to dt/2
     coarse, fine = estimates["dt"]["lambda1"], estimates["dt_half"]["lambda1"]
-    n = 256 if domain.dim == 1 else 24
-    lam_hat = float(solve_spectrum(domain, args.alpha, n_basis=n).lambda1)
     galerkin = {
         "lambda1": lam_hat,
         "n_basis": n,
@@ -252,7 +257,7 @@ def cmd_report(args):
     if domain is not None:
         lam1 = None
         spectrum = None
-        if args.n:
+        if args.n is not None:
             result = solve_spectrum(domain, args.alpha, n_basis=args.n)
             lam1 = float(result.lambda1)
             spectrum = {
@@ -277,7 +282,7 @@ def cmd_report(args):
             dom = Domain.rectangle(-L, L, -1, 1)
             lower_rows.append((L, bounds_mod.rectangle_gap_lower(L)))
             upper_rows.append((L, bounds_mod.gap_upper(2, 1.0, args.alpha)))
-            if args.n:
+            if args.n is not None:
                 r = solve_spectrum(dom, args.alpha, n_basis=args.n)
                 computed_rows.append((L, float(r.lambda_star - r.lambda1)))
         _emit_columns(lower_rows, args.plot_prefix + "_lower.dat", header=("L", "gap_lower"))

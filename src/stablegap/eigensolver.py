@@ -7,14 +7,18 @@ The quadratic form of the symmetric alpha-stable process killed outside D is
 (F the non-unitary Fourier transform). Interval unions and rectangles are
 products of interval unions (Domain.axis_components), and the solver projects
 this form onto one basis for both: products of the Dirichlet-Laplacian sine
-modes of each axis's components, whose transforms are closed-form sinc pairs,
-stable at their removable singularities. The form of one axis is evaluated
-by panel Gauss-Legendre quadrature in xi with an analytic power-law tail
-beyond the truncation point, in real arithmetic: on one interval the
-transforms of odd modes are real and those of even modes imaginary, so the
-form splits into same-parity blocks (pairs of different parity are exactly
-zero), each one real Gram product; interval unions use the real Gram product
-of [Re S | Im S]. A rectangle needs only 1D pieces: by subordination,
+modes of each axis's components, whose transforms have closed forms. The form
+of one axis is evaluated by panel Gauss-Legendre quadrature in xi with an
+analytic power-law tail beyond the truncation point, in real arithmetic: on
+one interval the transforms of odd modes are real and those of even modes
+imaginary, so the form splits into same-parity blocks (pairs of different
+parity are exactly zero), each one real Gram product of amplitudes that take
+one trig value per node and one rational factor per (mode, node), in a panel
+coordinate where every mode frequency is an even integer
+(_centred_amplitudes). Interval unions use the real Gram product of
+[Re S | Im S], with S from the sinc pairs of basis_mode_transform, which stay
+stable wherever a node falls. A rectangle needs only 1D pieces: by
+subordination,
 
     |xi|^alpha = c_alpha * integral_0^inf (1 - e^(-s |xi|^2)) s^(-1-alpha/2) ds,
 
@@ -149,15 +153,20 @@ _S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES = 1e-10, 1e10, 2, 10
 
 
 def _axis_quadrature(h, n_modes):
-    """GL panel grid on [0, Xi] for an axis with half-length h and n_modes modes."""
-    om_max = n_modes * np.pi / (2 * h)
+    """GL panel grid on [0, Xi] for an axis with half-length h and n_modes modes.
+
+    The panels have width pi / (4 h), so in the panel coordinate
+    u = xi / (pi / (4 h)) they are the unit intervals [p, p + 1] and the mode
+    frequencies omega_k are the even integers 2k, panel edges that no node
+    reaches. Returns the nodes in u (built as p + 1/2 + x_GL / 2, for
+    _centred_amplitudes), the same nodes in xi, their weights in xi, and Xi.
+    """
     panel_w = np.pi / (4 * h)
-    npan = int(np.ceil(_TAIL_FACTOR * om_max / panel_w))
+    npan = int(np.ceil(_TAIL_FACTOR * 2 * n_modes))  # Xi = _TAIL_FACTOR * omega_max
     xg, wg = leggauss(_GL_NODES)
-    starts = np.arange(npan) * panel_w
-    nodes = (starts[:, None] + 0.5 * panel_w * (xg[None, :] + 1)).ravel()
+    u = (np.arange(npan)[:, None] + 0.5 + 0.5 * xg).ravel()
     wts = np.tile(0.5 * panel_w * wg, npan)
-    return nodes, wts, npan * panel_w
+    return u, u * panel_w, wts, npan * panel_w
 
 
 def _tail_integrals(om, kk, h, alpha, xi_max):
@@ -243,19 +252,38 @@ def _assemble_sine(basis, alpha):
     return 0.5 * (E + E.T)
 
 
-def _centred_amplitudes(h, n_modes, xi):
-    """Real amplitudes G (n_modes, len(xi)) of the sine modes of (-h, h).
+def _centred_amplitudes(h, n_modes, u):
+    """Real amplitudes G (n_modes, len(u)) of the sine modes of (-h, h) at the
+    panel coordinates u = xi / (pi / (4 h)) of _axis_quadrature.
 
     The transforms of the odd modes k = 1, 3, ... (rows 0, 2, ...) are real
     and those of the even modes imaginary, so G holds the real parts of the
     former and the imaginary parts of the latter. The form is translation
-    invariant, so any
-    component of half-length h has the same single-component form matrix,
-    E_jk = G_j G_k, which vanishes exactly for j, k of different parity.
+    invariant, so any component of half-length h has the same
+    single-component form matrix, E_jk = G_j G_k, which vanishes exactly for
+    j, k of different parity. In closed form (basis_mode_transform),
+
+        G_k = 2 omega_k trig_k(xi h) / (sqrt(h) (omega_k^2 - xi^2))
+            = (16 sqrt(h) / pi) k trig_k(pi u / 4) / ((2k - u) (2k + u)),
+
+    with trig = cos for odd k and sin for even k: one trig value per node,
+    shared by every mode. Both factors vanish at u = 2k. With q the even
+    integer nearest u, u - q is exact and trig comes from sin and cos of
+    pi (u - q) / 4 by quadrant, so next to u = 2k the numerator and 2k - u
+    keep full relative accuracy. In xi, omega^2 - xi^2 and cos(xi h) at
+    xi h of thousands would each lose about ulp(xi h) absolute there.
     """
-    S = basis_mode_transform(_axis_table(((-h, h),), n_modes), xi)
-    G = S.real.copy()
-    G[1::2] = S.imag[1::2]
+    q = 2 * np.round(0.5 * u)
+    t = 0.25 * np.pi * (u - q)
+    s, c = np.sin(t), np.cos(t)
+    m = (0.5 * q % 4).astype(int)  # pi u / 4 = m pi / 2 + t
+    cos_u = np.choose(m, (c, -s, -c, s))
+    sin_u = np.choose(m, (s, c, -s, -c))
+    two_k = 2.0 * np.arange(1, n_modes + 1)[:, None]
+    G = (two_k - u) * (two_k + u)
+    np.divide(two_k * (8 * np.sqrt(h) / np.pi), G, out=G)
+    G[0::2] *= cos_u
+    G[1::2] *= sin_u
     return G
 
 
@@ -268,7 +296,7 @@ def _axis_form(table, alpha):
     # disjoint components have distinct centers
     centers = np.unique(c)
     h_min = h.min()
-    nodes, wts, xi_max = _axis_quadrature(h_min, int(kk.max()))
+    u, nodes, wts, xi_max = _axis_quadrature(h_min, int(kk.max()))
     root_w = np.sqrt(wts * nodes**alpha)
 
     # real Gram products: Re(S diag(w xi^a) S^H) = X X^T with
@@ -277,15 +305,17 @@ def _axis_form(table, alpha):
     A = np.zeros((n, n))
     chunk = max(1, _CHUNK_ENTRIES // n)
     for i0 in range(0, nodes.size, chunk):
-        xi = nodes[i0 : i0 + chunk]
         r = root_w[i0 : i0 + chunk]
         if centers.size == 1:  # then h_min is its half-length
-            G = _centred_amplitudes(h_min, n, xi) * r
+            G = _centred_amplitudes(h_min, n, u[i0 : i0 + chunk]) * r
             for par in (slice(0, n, 2), slice(1, n, 2)):
                 X = np.ascontiguousarray(G[par])
                 A[par, par] += X @ X.T
         else:
-            S = basis_mode_transform(table, xi)
+            # unions: the xi grid is built on h_min, so for a component of
+            # another half-length a node can fall arbitrarily close to its
+            # omega_k, where the sinc pairs stay stable
+            S = basis_mode_transform(table, nodes[i0 : i0 + chunk])
             X = np.concatenate([S.real * r, S.imag * r], axis=1)
             A += X @ X.T
     A /= np.pi
@@ -302,13 +332,13 @@ def _subordination_grams(table, s):
     table of one interval, on the xi grid and parity blocks of _axis_form."""
     _, hs, kk, om = table
     h, n = hs[0], kk.size
-    nodes, wts, xi_max = _axis_quadrature(h, n)
+    u, nodes, wts, xi_max = _axis_quadrature(h, n)
     D = np.zeros((s.size, n, n))
     chunk = max(1, _CHUNK_ENTRIES // max(s.size, ((n + 1) // 2) ** 2))
     for i0 in range(0, nodes.size, chunk):
         xi = nodes[i0 : i0 + chunk]
         W = -np.expm1(-np.outer(s, xi**2)) * wts[i0 : i0 + chunk]
-        G = _centred_amplitudes(h, n, xi)
+        G = _centred_amplitudes(h, n, u[i0 : i0 + chunk])
         for par in (slice(0, n, 2), slice(1, n, 2)):
             Gp = G[par]
             products = (Gp[:, None] * Gp[None]).reshape(-1, xi.size)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,13 @@ def test_eig_rerun_is_byte_identical(tmp_path, capsys):
             capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_eig_solve_time_goes_to_stderr_only(capsys):
+    code, out, err = run_cli(["eig", "--domain", "interval:-1,1", "--n", "16"], capsys)
+    assert code == 0
+    assert re.fullmatch(r"eig: solve \d+\.\d{3} s\n", err)
+    assert "solve" not in out
 
 
 def test_gap_check_rerun_is_byte_identical(tmp_path, capsys):
@@ -223,6 +231,8 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["eig", "--domain", "interval:-1,1", "--n", "16", "--n-report", "0"],
     ["eig", "--domain", "rect:-2,2,-1,1", "--n", "1"],
     ["report", "--domain", "interval:-1,1", "--n", "1"],
+    ["report", "--domain", "interval:-1,1", "--n", "0"],
+    ["report", "--domain", "interval:-1,1", "--n", "-3"],
     ["report", "--domain", "rect:0,inf,-1,1"],
     ["eig", "--domain", "rect:0,inf,-1,1", "--n", "4"],
     ["eig", "--domain", "disk:nan,0,1", "--alpha", "2", "--n", "4"],
@@ -241,6 +251,7 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
         "mc-start",
         "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
         "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1",
+        "report-n0", "report-n-3",
         "report-rect-inf", "rect-inf", "disk-nan-centre", "disk-inf-radius",
         "gap-check-t-max-inf", "gap-check-x-max-inf", "mc-t-max-inf",
         "json-syntax", "json-rect-no-sides", "json-disk-short-centre", "json-union-text-end",
@@ -267,6 +278,19 @@ def test_mc_requires_seed(capsys):
         main(["mc", "--domain", "interval:-1,1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_mc_rejected_configuration_exits_before_simulating(monkeypatch, capsys):
+    # the Galerkin cross-check rejects a disk at alpha = 1 before any path runs
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("survival_curve ran")
+
+    monkeypatch.setattr(stablegap.montecarlo, "survival_curve", no_simulation)
+    code, out, err = run_cli(["mc", "--domain", "disk:0,0,1", "--alpha", "1",
+                              "--paths", "100", "--seed", "1", "--start", "0.5,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "alpha = 2" in err
 
 
 def test_mc_small_run(tmp_path, capsys):

@@ -14,7 +14,12 @@ from stablegap import (
     stable_eigenvalue_bracket,
 )
 from stablegap.eigensolver import (
+    _GL_NODES,
+    _axis_form,
+    _axis_quadrature,
+    _centred_amplitudes,
     _sine_basis,
+    _tail_integrals,
     basis_mode_transform,
     evaluate_basis_sum,
     reflection_matrix,
@@ -176,6 +181,56 @@ def test_interval_form_vanishes_across_parity(domain):
     cross = (k[:, None] - k[None, :]) % 2 == 1
     assert np.all(A[cross] == 0.0)
     assert np.all(A[~cross] != 0.0)
+
+
+def _sinc_amplitudes(h, n, xi):
+    # the real amplitudes of the sinc-pair transform: Re for odd k, Im for even k
+    (table,) = _sine_basis(Domain.interval(-h, h), n).meta
+    S = basis_mode_transform(table, xi)
+    G = S.real.copy()
+    G[1::2] = S.imag[1::2]
+    return G
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+def test_centred_amplitudes_match_sinc_transform(h, n):
+    u, xi, _, _ = _axis_quadrature(h, n)
+    k = np.arange(1, n + 1)
+    for i0 in range(0, u.size, 4096):  # node chunks keep the complex transform small
+        rows = slice(i0, i0 + 4096)
+        np.testing.assert_allclose(_centred_amplitudes(h, n, u[rows]),
+                                   _sinc_amplitudes(h, n, xi[rows]), rtol=0, atol=1e-13)
+    # the node nearest omega_k, where both factors of the closed form vanish:
+    # in u, omega_k = 2k is a panel edge, so no node is closer to it than the
+    # outermost Gauss-Legendre offset
+    i = np.searchsorted(u, 2 * k)  # u[i - 1] < 2k < u[i]
+    near = np.where(2 * k - u[i - 1] < u[i] - 2 * k, i - 1, i)
+    G = _centred_amplitudes(h, n, u[near])[k - 1, np.arange(n)]
+    ref = _sinc_amplitudes(h, n, xi[near])[k - 1, np.arange(n)]
+    np.testing.assert_allclose(G, ref, rtol=0, atol=1e-13)
+    offset = 0.5 * (1 - np.polynomial.legendre.leggauss(_GL_NODES)[0].max())
+    assert np.abs(u[near] - 2 * k).min() >= offset * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_axis_form_matches_sinc_amplitude_form(alpha):
+    # the same grid, weights and tails, with the Gram product of the sinc
+    # transforms [Re S | Im S] in place of the closed-form amplitudes. Entry
+    # (j, k) is a sum of terms of both signs, and its rounding scales with
+    # sqrt(E_jj E_kk), the Cauchy-Schwarz bound on it: the sinc amplitudes
+    # alone put 1e-12 relative error on the smallest entries (against an
+    # 80-bit evaluation of the closed form, which the assembly meets to 8e-14)
+    n = 64
+    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), n).meta
+    _, _, k, om = table
+    _, xi, w, xi_max = _axis_quadrature(1.0, n)
+    S = basis_mode_transform(table, xi) * np.sqrt(w * xi**alpha)
+    X = np.concatenate([S.real, S.imag], axis=1)
+    ref = X @ X.T / np.pi + _tail_integrals(om, k, 1.0, alpha, xi_max)
+    ref = 0.5 * (ref + ref.T)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.max(np.abs(_axis_form(table, alpha) - ref) / scale) <= 1e-13
 
 
 def test_rectangle_form_vanishes_across_parity():
