@@ -44,13 +44,26 @@ def log_panels(lo, hi, panels_per_decade=2, nodes_per_panel=10):
     return panel_gauss(edges, nodes_per_panel)
 
 
+def mirror_linspace(a, b, num):
+    """np.linspace(a, b, num), made exactly closed under x -> -x when a == -b.
+
+    linspace itself is not: its entries i and num - 1 - i can differ from
+    each other's negatives in the last bit. 0.5 * (e - e[::-1]) is exactly
+    antisymmetric, and so are the panel_gauss rules on such edges, because
+    the Gauss-Legendre nodes are and the weights are symmetric."""
+    e = np.linspace(a, b, num)
+    return 0.5 * (e - e[::-1]) if a == -b else e
+
+
 def axis_rules(domain, panels, nodes):
     """Per-axis rules over a product of interval unions: ``panels`` equal
     Gauss-Legendre panels of ``nodes`` nodes on every interval component of
-    an axis (see Domain.axis_components), concatenated. Returns [(x, w), ...]."""
+    an axis (see Domain.axis_components), concatenated. Returns [(x, w), ...].
+    A component symmetric about 0 gets a rule closed under x -> -x, nodes
+    and weights alike (see mirror_linspace)."""
     rules = []
     for comps in domain.axis_components():
-        parts = [panel_gauss(np.linspace(a, b, panels + 1), nodes) for a, b in comps]
+        parts = [panel_gauss(mirror_linspace(a, b, panels + 1), nodes) for a, b in comps]
         rules.append(tuple(np.concatenate(col) for col in zip(*parts)))
     return rules
 

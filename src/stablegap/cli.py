@@ -190,14 +190,18 @@ def cmd_mc(args):
     # the Galerkin cross-check first: a configuration it rejects exits before
     # any path is simulated
     n = 256 if domain.dim == 1 else 24
+    t0 = time.perf_counter()  # stage wall times go to stderr, never into the JSON
     lam_hat = float(solve_spectrum(domain, args.alpha, n_basis=n).lambda1)
+    stages = [f"galerkin solve {time.perf_counter() - t0:.3f} s"]
     estimates = {}
     curves = {}
     for label, dt in (("dt", args.dt), ("dt_half", args.dt / 2)):
         cfg = mc.McConfig(
             alpha=args.alpha, paths=args.paths, dt=dt, t_max=args.t_max, seed=args.seed,
         )
+        t0 = time.perf_counter()
         curve = mc.survival_curve(domain, x, cfg)
+        stages.append(f"survival {label} {time.perf_counter() - t0:.3f} s")
         est = mc.estimate_lambda1(curve)
         entry = {"config": cfg.to_json(), "lambda1": est.to_json()}
         g = domain.summarize()
@@ -235,6 +239,7 @@ def cmd_mc(args):
             "stderr": float(np.hypot(fine["stderr"], coarse["stderr"])),
         },
     }
+    sys.stderr.write("mc: " + ", ".join(stages) + "\n")
     _emit_json(out, args.out)
     if args.csv:
         _emit_columns(curves["dt"].rows(), args.csv, header=("t", "survival", "stderr"))
@@ -254,11 +259,14 @@ def cmd_report(args):
         "sweep": args.sweep,
     }
     out = {"schema": 1, "config": config}
+    solve_s = sweep_s = 0.0  # stage wall times go to stderr, never into the JSON
     if domain is not None:
         lam1 = None
         spectrum = None
         if args.n is not None:
+            t0 = time.perf_counter()
             result = solve_spectrum(domain, args.alpha, n_basis=args.n)
+            solve_s = time.perf_counter() - t0
             lam1 = float(result.lambda1)
             spectrum = {
                 "eigenvalues": [float(v) for v in result.eigenvalues],
@@ -277,6 +285,7 @@ def cmd_report(args):
             for d in (1, 2, 3)
         }
     if sweep:
+        t0 = time.perf_counter()
         lower_rows, upper_rows, computed_rows = [], [], []
         for L in sweep:
             dom = Domain.rectangle(-L, L, -1, 1)
@@ -285,11 +294,13 @@ def cmd_report(args):
             if args.n is not None:
                 r = solve_spectrum(dom, args.alpha, n_basis=args.n)
                 computed_rows.append((L, float(r.lambda_star - r.lambda1)))
+        sweep_s = time.perf_counter() - t0
         _emit_columns(lower_rows, args.plot_prefix + "_lower.dat", header=("L", "gap_lower"))
         _emit_columns(upper_rows, args.plot_prefix + "_upper.dat", header=("L", "gap_upper"))
         if computed_rows:
             _emit_columns(computed_rows, args.plot_prefix + "_computed.dat",
                           header=("L", "gap_star"))
+    sys.stderr.write(f"report: solve {solve_s:.3f} s, sweep {sweep_s:.3f} s\n")
     _emit_json(out, args.out)
     return 0
 

@@ -27,12 +27,25 @@ s far below t^2). This is numerically equivalent to quadrature of the Cauchy
 kernel against phi_n but vectorizes over (mode, point, time) and stays
 accurate for small t.
 
+The closed form takes the complex error function at the two edge offsets
+h - u and -h - u of each point (u = x - c in the window (c - h, c + h)),
+and its value at -r follows from the one at |r|. So each window evaluates
+it once per distinct |r| of its points (see _edge_erfs). On a grid closed
+under x -> -x about the window centre, the two offset sets coincide and
+the Faddeeva work halves. The energy grids make this exact on domains
+symmetric about 0: the x rules of q_functional and d01_lower_bound_check
+are closed under x -> -x to the last bit (mirror_linspace), on the
+interval and on both axes of a centred rectangle. Union windows are off
+the grid's centre and gain nothing.
+
 A 1D engine pass runs in two phases. Phase 1 evaluates the smoothed modes
 (the Faddeeva calls, nearly all of its time) and sums them against the
-coefficients, chunk by chunk and slab of points by slab, on one thread per
-CPU of the process's affinity mask. Phase 2 then contracts each chunk with
-its subordination weights over time, in the calling thread and in the
-serial order, so the values are bit-identical to a one-thread pass. The time
+coefficients, on one thread per CPU of the process's affinity mask. A job
+is one run of the nodes of a chunk, on all of the points, so each point
+meets its mirror image and their Faddeeva values are shared as in a serial
+pass. Phase 2 then contracts each chunk with its subordination weights over
+time, in the calling thread and in the serial order, so the values are
+bit-identical to a one-thread pass. The time
 contractions are held back to phase 2 because each is a multithreaded BLAS
 product, after which the idle OpenBLAS worker spins on a core for a while;
 mixed into phase 1 they would take that core from the Faddeeva jobs. A 2D
@@ -49,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import wofz
 
-from ._quad import axis_rules, log_panels, panel_gauss, tensor_points
+from ._quad import axis_rules, log_panels, mirror_linspace, panel_gauss, tensor_points
 from .errors import ValidationError
 from .eigensolver import _CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum
 from .kernels import subordination_grid, subordinator_density_half
@@ -94,6 +107,7 @@ def _scaled_erf(r, omega, s):
     The parts of the argument and the real exponential that depend on r
     are built at the broadcast shape of r and s alone, so they are shared by
     every omega of one window: r without a mode axis costs them once.
+    smoothed_sine_mode calls it once per distinct |r| (see _edge_erfs).
     """
     ra = np.abs(r)
     inv = 1.0 / (2.0 * np.sqrt(s))  # (2 omega s + i|r|) / (2 sqrt s), part by part
@@ -103,6 +117,37 @@ def _scaled_erf(r, omega, s):
     np.subtract(np.exp(-(omega**2) * s), E, out=E)
     np.negative(E.real, out=E.real, where=np.asarray(r) < 0)
     return E
+
+
+def _edge_erfs(r, omega, s):
+    """[_scaled_erf(ri, omega, s) for ri in r], with one Faddeeva evaluation
+    per distinct |r| along the point axis.
+
+    r stacks the offset arrays on its first axis. The point axis is the
+    longest axis of the offsets on which omega and s have length one (a
+    length-one axis is put in front, so there is always one). Offsets are
+    the same key when |r| agrees along every other axis, across all of r;
+    each key goes through _scaled_erf once, np.take gathers the values back
+    and the real part is negated where r < 0. The same floats go through the
+    same elementwise formula, so the result is the direct call's to the last
+    bit.
+    """
+    # the shapes of omega and s, and of each offset array, with one more
+    # length-one axis in front
+    nd = len(np.broadcast_shapes(np.shape(omega), np.shape(s), r.shape[1:])) + 1
+    fixed = np.broadcast_shapes(np.shape(omega), np.shape(s), (1,) * nd)
+    r = r.reshape(r.shape[:1] + (1,) * (nd + 1 - r.ndim) + r.shape[1:])
+    p = max((i for i, n in enumerate(fixed) if n == 1), key=lambda i: r.shape[i + 1])
+    rows = np.moveaxis(np.abs(r), p + 1, 1)  # (stack, points, other axes)
+    keys, index = np.unique(rows.reshape(rows.shape[0] * rows.shape[1], -1), axis=0,
+                            return_inverse=True)
+    table = _scaled_erf(np.moveaxis(keys.reshape((-1,) + rows.shape[2:]), 0, p), omega, s)
+    parts = []
+    for ri, ii in zip(r, index.reshape(r.shape[0], -1)):
+        E = np.take(table, ii, axis=p)[0, ...]  # without the front axis
+        np.negative(E.real, out=E.real, where=ri[0] < 0)
+        parts.append(E)
+    return parts
 
 
 def smoothed_sine_mode(x, s, omega, center, half, grad=False):
@@ -116,11 +161,18 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     such a mode vanishes at both ends of its window, so the x-derivative is
     the smoothing of omega cos(omega (y - c + h)) / sqrt(h), the real part of
     the complex expression whose imaginary part is the value.
+
+    The closed form takes _scaled_erf at the two edge offsets h - u and
+    -h - u, u = x - c. Both sets go through _edge_erfs together, which calls
+    _scaled_erf once per distinct |r|: on points closed under x -> -x about c
+    (the energy grids of a domain symmetric about 0, with one window per
+    axis) that is half of the values.
     """
     u = np.asarray(x, dtype=float) - center
-    E2 = _scaled_erf(half - u, omega, s)
-    E1 = _scaled_erf(-half - u, omega, s)
-    Z = np.exp(1j * omega * (u + half)) * 0.5 * (E2 - E1)
+    E2, E1 = _edge_erfs(np.stack([half - u, -half - u]), omega, s)
+    np.subtract(E2, E1, out=E2)
+    del E1
+    Z = np.exp(1j * omega * (u + half)) * 0.5 * E2
     scale = 1.0 / np.sqrt(half)
     if grad:
         return scale * np.imag(Z), scale * omega * np.real(Z)
@@ -307,9 +359,9 @@ class ExtensionEngine:
         grid = tuple(p.size for p in points)
         out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1) + grid + (nt,))
         workers = engine_workers(len(points))
-        # in 1D: modes x points x nodes, and more than one job (chunk, slab)
+        # in 1D: modes x points x nodes
         entries = modes[0][2].size * points[0].size * len(chunks) * _S_CHUNK
-        if workers > 1 and entries >= _PARALLEL_ENTRIES and len(chunks) * points[0].size > 1:
+        if workers > 1 and entries >= _PARALLEL_ENTRIES:
             self._values_1d_threaded(out, C, points[0], modes, chunks, gw, nt, grad, workers)
         else:
             for sl in chunks:
@@ -339,29 +391,38 @@ class ExtensionEngine:
         """The 1D pass on worker threads, over batches of chunks whose
         components x rows x points x nodes stay within _CHUNK_ENTRIES.
 
-        Phase 1 runs on the threads: a job is one chunk on one slab of the
-        points, and writes its terms into that chunk's own buffer. With the
-        few rows the checks pass (at most three) these contractions were
-        measured not to wake the BLAS threads. Phase 2 runs in the calling
-        thread once phase 1 of the batch is done: the time contractions,
-        chunk by chunk in the serial order, so every sum is the serial one.
-        They wait because each is a multithreaded gemm, after which the
-        OpenBLAS worker spins for a while on a core that the Faddeeva jobs
-        could use."""
-        bounds = np.linspace(0, x.size, min(workers, x.size) + 1).astype(int)
-        slabs = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        Phase 1 runs on the threads: a job is one run of the nodes of a
+        chunk, one run per worker, on all of the points, and writes its
+        terms into that chunk's own buffer. Each job sees every point with
+        its mirror image, so it finds the distinct |r| of the serial pass
+        (see smoothed_sine_mode); slabs of points would split the pairs.
+        With the few rows the checks pass (at most three) these contractions
+        were measured not to wake the BLAS threads. Phase 2 runs in the
+        calling thread once phase 1 of the batch is done: the time
+        contractions, chunk by chunk in the serial order, so every sum is the
+        serial one. They wait because each is a multithreaded gemm, after
+        which the OpenBLAS worker spins for a while on a core that the
+        Faddeeva jobs could use."""
         per_batch = max(1, _CHUNK_ENTRIES // (out.shape[0] * out.shape[1] * x.size * _S_CHUNK))
 
-        def job(buf, sl, slab):
-            for b, term in zip(buf, self._chunk_terms(C, [x[slab]], modes, sl, grad)):
-                b[:, slab] = term
+        def runs(sl):
+            """The nodes of the chunk sl in one run per worker, as (slice of
+            the grid, slice of the chunk)."""
+            n = self.s_nodes[sl].size
+            cut = np.linspace(0, n, min(workers, n) + 1).astype(int)
+            return [(slice(sl.start + a, sl.start + b), slice(a, b))
+                    for a, b in zip(cut[:-1], cut[1:])]
+
+        def job(buf, nodes, part):
+            for b, term in zip(buf, self._chunk_terms(C, [x], modes, nodes, grad)):
+                b[..., part] = term
 
         with ThreadPoolExecutor(workers) as pool:
             for i in range(0, len(chunks), per_batch):
                 batch = chunks[i : i + per_batch]
                 bufs = [np.empty((2 if grad else 1, out.shape[0], x.size, self.s_nodes[sl].size))
                         for sl in batch]
-                jobs = [(b, sl, slab) for b, sl in zip(bufs, batch) for slab in slabs]
+                jobs = [(b, *run) for b, sl in zip(bufs, batch) for run in runs(sl)]
                 for f in [pool.submit(job, *j) for j in jobs]:
                     f.result()
                 for b, sl in zip(bufs, batch):
@@ -526,10 +587,16 @@ class QResult:
 
 
 def _x_axis_rule(domain, x_max, axis, n_inner, nodes_per_panel):
-    box = domain.bounding_box()
-    lo, hi = box[axis]
-    b = 1.6 * max(abs(lo), abs(hi))
-    inner = np.linspace(-b, b, n_inner)
+    """The rule on (-x_max, x_max) of one axis: n_inner - 1 equal panels over
+    1.6 times the domain's half-extent about 0 (or up to x_max, if that is
+    nearer), then panels growing by 1.35 out to x_max. Exactly closed under
+    x -> -x (see mirror_linspace)."""
+    lo, hi = domain.bounding_box()[axis]
+    extent = max(abs(lo), abs(hi))
+    if not x_max > extent:
+        raise ValidationError(f"x_max {x_max:g} must exceed the domain's half-extent {extent:g}")
+    b = min(1.6 * extent, x_max)
+    inner = mirror_linspace(-b, b, n_inner)
     w = 0.4 * b
     outer_left = [-b]
     while outer_left[-1] - w > -x_max:

@@ -239,6 +239,7 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     ["eig", "--domain", "disk:0,0,inf", "--alpha", "2", "--n", "4"],
     ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "8", "--t-max", "inf"],
     ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "8", "--x-max", "inf"],
+    ["gap-check", "--domain", "interval:-1,1", "--alpha", "1", "--n", "8", "--x-max", "1"],
     ["mc", "--domain", "interval:-1,1", "--seed", "1", "--t-max", "inf"],
     ["eig", "--domain", "{bad", "--n", "4"],
     ["eig", "--domain", '{"kind":"rectangle","params":{}}', "--n", "4"],
@@ -253,7 +254,8 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
         "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1",
         "report-n0", "report-n-3",
         "report-rect-inf", "rect-inf", "disk-nan-centre", "disk-inf-radius",
-        "gap-check-t-max-inf", "gap-check-x-max-inf", "mc-t-max-inf",
+        "gap-check-t-max-inf", "gap-check-x-max-inf", "gap-check-x-max-in-domain",
+        "mc-t-max-inf",
         "json-syntax", "json-rect-no-sides", "json-disk-short-centre", "json-union-text-end",
         "mc-seed-negative"])
 def test_bad_counts_and_numbers_exit_2(argv, tmp_path):
@@ -299,8 +301,11 @@ def test_mc_small_run(tmp_path, capsys):
     args = ["mc", "--domain", "interval:-1,1", "--paths", "20000",
             "--dt", "2e-3", "--t-max", "6", "--seed", "9",
             "--out", str(out_file), "--csv", str(csv_file)]
-    code, _, _ = run_cli(args, capsys)
+    code, _, err = run_cli(args, capsys)
     assert code == 0
+    # stage wall times go to stderr only
+    assert re.fullmatch(r"mc: galerkin solve \d+\.\d{3} s, survival dt \d+\.\d{3} s, "
+                        r"survival dt_half \d+\.\d{3} s\n", err)
     doc = json.loads(out_file.read_text())
     assert doc["schema"] == 1
     assert doc["config"]["seed"] == 9
@@ -357,3 +362,17 @@ def test_report_sweep_plot_files(tmp_path, capsys):
     assert np.all(lower[:, 1] <= upper[:, 1])
     assert lower[0, 1] == pytest.approx(1 / 6, rel=1e-9)
     assert lower[1, 1] == pytest.approx(0.1, rel=1e-9)
+
+
+def test_report_stage_times_go_to_stderr_only(tmp_path, capsys):
+    runs = []
+    for name in ("a", "b"):
+        prefix = str(tmp_path / name)
+        code, out, err = run_cli(
+            ["report", "--domain", "interval:-1,1", "--n", "16", "--sweep", "1,2",
+             "--plot-prefix", prefix], capsys)
+        assert code == 0
+        assert re.search(r"^report: solve \d+\.\d{3} s, sweep \d+\.\d{3} s\n\Z", err, re.M)
+        runs.append((out, [Path(prefix + s).read_bytes() for s in ("_lower.dat", "_computed.dat")]))
+    assert runs[0] == runs[1]  # the JSON and the plot files are byte-identical
+    assert "solve" not in runs[0][0]

@@ -27,7 +27,7 @@ from stablegap import (
     solve_spectrum,
 )
 from stablegap import steklov
-from stablegap._quad import log_panels
+from stablegap._quad import axis_rules, log_panels, mirror_linspace
 from stablegap.steklov import (
     ExtensionEngine,
     _energy_grid,
@@ -563,3 +563,80 @@ def test_engine_rejects_non_finite_times(interval_32, bad):
     engine = ExtensionEngine(interval_32.basis)
     with pytest.raises(ValidationError):
         engine.values(interval_32.coefficients[:1], np.array([0.0]), np.array([bad, 0.5]))
+
+
+# ---------------- mirror pairs: one Faddeeva value per distinct |r| ----------------
+
+
+def _two_call_sine_mode(x, s, omega, center, half, grad=False):
+    # smoothed_sine_mode with _scaled_erf called at each edge offset apart
+    u = np.asarray(x, dtype=float) - center
+    Z = np.exp(1j * omega * (u + half)) * 0.5 * (_scaled_erf(half - u, omega, s)
+                                                 - _scaled_erf(-half - u, omega, s))
+    scale = 1.0 / np.sqrt(half)
+    if grad:
+        return scale * np.imag(Z), scale * omega * np.real(Z)
+    return scale * np.imag(Z)
+
+
+def _assert_mirror_exact(x, w):
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+
+
+@pytest.mark.parametrize("case", ["interval_domain", "rect_domain"])
+def test_energy_rules_are_mirror_exact(case, request):
+    domain = request.getfixturevalue(case)
+    x_rules, _ = _energy_grid(domain, default_truncation(domain.dim))
+    # the d01_lower_bound_check rules of both dimensions; np.linspace alone
+    # gives 11 edges on (-1, 1) that are not antisymmetric to the last bit
+    for panels, nodes in ((16, 5), (10, 4)):
+        x_rules += axis_rules(domain, panels, nodes)
+    for x, w in x_rules:
+        _assert_mirror_exact(x, w)
+
+
+@pytest.mark.parametrize("x_max", [1.2, 1.5, 3.0, 60.0])
+def test_energy_grid_spans_the_truncation_box(interval_domain, x_max):
+    ((x, w),), _ = _energy_grid(interval_domain, Truncation(1e-3, 30.0, x_max))
+    assert np.sum(w) == pytest.approx(2 * x_max, rel=1e-13)
+    assert -x_max < x.min() and x.max() < x_max
+    _assert_mirror_exact(x, w)
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("case", ["interval_32", "rect_8"])
+def test_engine_matches_two_call_sine_modes(case, grad, request, monkeypatch):
+    result = request.getfixturevalue(case)
+    # points closed under x -> -x on each axis, so that mirror pairs share values
+    xs = steklov._xs([mirror_linspace(-1.6 * hi, 1.6 * hi, 33)
+                      for _, hi in result.domain.bounding_box()])
+    ts = _time_grids(result)["d01"]
+    engine = ExtensionEngine(result.basis)
+    rows = result.coefficients[:3]
+    for workers in (1, 2):
+        monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(steklov, "smoothed_sine_mode", smoothed_sine_mode)
+        distinct = engine.values(rows, xs, ts, grad=grad)
+        monkeypatch.setattr(steklov, "smoothed_sine_mode", _two_call_sine_mode)
+        assert np.array_equal(distinct, engine.values(rows, xs, ts, grad=grad))
+
+
+def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
+    entries = []
+
+    def counting_wofz(z):
+        entries.append(np.size(z))  # list.append is atomic across the worker threads
+        return wofz(z)
+
+    monkeypatch.setattr(steklov, "wofz", counting_wofz)
+    counts = {}
+    for workers, mode in ((1, smoothed_sine_mode), (2, smoothed_sine_mode),
+                          (1, _two_call_sine_mode)):
+        monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(steklov, "smoothed_sine_mode", mode)
+        entries.clear()
+        gap_identity_check(interval_32)
+        counts[workers, mode] = sum(entries)
+    one, two, both_edges = counts.values()
+    assert one == two  # every job holds each point with its mirror image
+    assert one <= 0.51 * both_edges
