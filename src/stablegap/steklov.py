@@ -35,21 +35,22 @@ under x -> -x about the window centre, the two offset sets coincide and
 the Faddeeva work halves. The energy grids make this exact on domains
 symmetric about 0: the x rules of q_functional and d01_lower_bound_check
 are closed under x -> -x to the last bit (mirror_linspace), on the
-interval and on both axes of a centred rectangle. Union windows are off
-the grid's centre and gain nothing.
+interval and on both axes of a centred rectangle. Windows off the grid's
+centre (union components, intervals not centred at 0) share only the |r|
+that coincide on the grid by chance.
 
 A 1D engine pass runs in two phases. Phase 1 evaluates the smoothed modes
 (the Faddeeva calls, nearly all of its time) and sums them against the
 coefficients, on one thread per CPU of the process's affinity mask. A job
-is one run of the nodes of a chunk, on all of the points, so each point
-meets its mirror image and their Faddeeva values are shared as in a serial
-pass. Phase 2 then contracts each chunk with its subordination weights over
+is half of the nodes of a chunk on all of the points, so each point meets
+its mirror image and their Faddeeva values are shared as in a serial pass.
+Phase 2 then contracts each chunk with its subordination weights over
 time, in the calling thread and in the serial order, so the values are
-bit-identical to a one-thread pass. The time
-contractions are held back to phase 2 because each is a multithreaded BLAS
-product, after which the idle OpenBLAS worker spins on a core for a while;
-mixed into phase 1 they would take that core from the Faddeeva jobs. A 2D
-pass, bound by its contractions, keeps one thread and the per-chunk sequence.
+bit-identical to a one-thread pass. The time contractions are held back to
+phase 2 because each is a multithreaded BLAS product, after which the idle
+OpenBLAS worker spins on a core for a while; mixed into phase 1 they would
+take that core from the Faddeeva jobs. A 2D pass, bound by its
+contractions, keeps one thread and the per-chunk sequence.
 """
 
 from __future__ import annotations
@@ -92,6 +93,19 @@ def _truncation(trunc, dim):
     return trunc
 
 
+def check_truncation(trunc, domain):
+    """Validate trunc for the energy checks of domain: besides
+    Truncation.validate, the box must reach past the domain, x_max above
+    its half-extent about 0 on every axis. Cheap, so callers can run it
+    before the solve."""
+    trunc.validate()
+    extent = max(abs(v) for box in domain.bounding_box() for v in box)
+    if not trunc.x_max > extent:
+        raise ValidationError(
+            f"x_max {trunc.x_max:g} must exceed the domain's half-extent {extent:g}"
+        )
+
+
 # ---------------- closed-form Gaussian smoothing of sine modes ----------------
 
 
@@ -119,35 +133,32 @@ def _scaled_erf(r, omega, s):
     return E
 
 
-def _edge_erfs(r, omega, s):
-    """[_scaled_erf(ri, omega, s) for ri in r], with one Faddeeva evaluation
-    per distinct |r| along the point axis.
+def _edge_erfs(u, half, omega, s):
+    """_scaled_erf at the edge offsets half - u and -half - u, as a pair, with
+    one Faddeeva evaluation per distinct |r|.
 
-    r stacks the offset arrays on its first axis. The point axis is the
-    longest axis of the offsets on which omega and s have length one (a
-    length-one axis is put in front, so there is always one). Offsets are
-    the same key when |r| agrees along every other axis, across all of r;
-    each key goes through _scaled_erf once, np.take gathers the values back
-    and the real part is negated where r < 0. The same floats go through the
-    same elementwise formula, so the result is the direct call's to the last
-    bit.
+    half is one value and u varies along one axis at most, the point axis,
+    on which omega and s have length one. np.unique takes the distinct |r|
+    of the 2n offsets, _scaled_erf runs once on them laid along the point
+    axis, np.take gathers each set back and the real part is negated where
+    r < 0. The same floats go through the same elementwise formula, so the
+    values are those of the two direct calls to the last bit.
     """
-    # the shapes of omega and s, and of each offset array, with one more
-    # length-one axis in front
-    nd = len(np.broadcast_shapes(np.shape(omega), np.shape(s), r.shape[1:])) + 1
-    fixed = np.broadcast_shapes(np.shape(omega), np.shape(s), (1,) * nd)
-    r = r.reshape(r.shape[:1] + (1,) * (nd + 1 - r.ndim) + r.shape[1:])
-    p = max((i for i, n in enumerate(fixed) if n == 1), key=lambda i: r.shape[i + 1])
-    rows = np.moveaxis(np.abs(r), p + 1, 1)  # (stack, points, other axes)
-    keys, index = np.unique(rows.reshape(rows.shape[0] * rows.shape[1], -1), axis=0,
-                            return_inverse=True)
-    table = _scaled_erf(np.moveaxis(keys.reshape((-1,) + rows.shape[2:]), 0, p), omega, s)
-    parts = []
-    for ri, ii in zip(r, index.reshape(r.shape[0], -1)):
-        E = np.take(table, ii, axis=p)[0, ...]  # without the front axis
+    shape = np.broadcast_shapes(np.shape(u), np.shape(half), np.shape(omega), np.shape(s))
+    u = np.reshape(u, (1,) * (1 + len(shape) - np.ndim(u)) + np.shape(u))  # one axis in front
+    p = int(np.argmax(u.shape))  # the point axis; the front one when u is one value
+    free = np.broadcast_shapes(np.shape(omega), np.shape(s), (1,) * u.ndim)[p] == 1
+    if np.size(half) > 1 or u.size > u.shape[p] or not free:
+        raise ValueError("one window, with points along one axis on which omega and s are fixed")
+    r = np.concatenate([half - u, -half - u], axis=p)
+    keys, index = np.unique(np.abs(r), return_inverse=True)
+    table = _scaled_erf(keys.reshape((1,) * p + (-1,) + (1,) * (u.ndim - p - 1)), omega, s)
+    pair = []
+    for ri, ii in zip(np.split(r, 2, axis=p), np.split(index.ravel(), 2)):
+        E = np.take(table, ii, axis=p)[0]  # without the front axis
         np.negative(E.real, out=E.real, where=ri[0] < 0)
-        parts.append(E)
-    return parts
+        pair.append(E)
+    return pair
 
 
 def smoothed_sine_mode(x, s, omega, center, half, grad=False):
@@ -156,20 +167,24 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     (4 pi s)^(-1/2) * integral over (c-h, c+h) of
         exp(-(x-y)^2 / (4 s)) sin(omega (y - c + h)) / sqrt(h) dy.
 
-    Broadcasts over all arguments. With grad=True returns the pair
-    (value, d/dx value), valid for the basis frequencies omega = k pi / (2 h):
-    such a mode vanishes at both ends of its window, so the x-derivative is
-    the smoothing of omega cos(omega (y - c + h)) / sqrt(h), the real part of
-    the complex expression whose imaginary part is the value.
+    One window: center and half are single values. x, s and omega
+    broadcast, with x varying along one axis at most, on which omega and s
+    have length one (the engine passes x[None, :, None], omega (modes, 1, 1)
+    and s (1, 1, nodes)); other layouts raise ValueError. With grad=True
+    returns the pair (value, d/dx value), valid for the basis frequencies
+    omega = k pi / (2 h): such a mode vanishes at both ends of its window,
+    so the x-derivative is the smoothing of omega cos(omega (y - c + h)) /
+    sqrt(h), the real part of the complex expression whose imaginary part is
+    the value.
 
     The closed form takes _scaled_erf at the two edge offsets h - u and
-    -h - u, u = x - c. Both sets go through _edge_erfs together, which calls
-    _scaled_erf once per distinct |r|: on points closed under x -> -x about c
-    (the energy grids of a domain symmetric about 0, with one window per
-    axis) that is half of the values.
+    -h - u, u = x - c. _edge_erfs evaluates it once per distinct |r| of the
+    two sets: on points closed under x -> -x about c (the energy grids of a
+    domain symmetric about 0, with one window per axis) that is half of the
+    values.
     """
     u = np.asarray(x, dtype=float) - center
-    E2, E1 = _edge_erfs(np.stack([half - u, -half - u]), omega, s)
+    E2, E1 = _edge_erfs(u, half, omega, s)
     np.subtract(E2, E1, out=E2)
     del E1
     Z = np.exp(1j * omega * (u + half)) * 0.5 * E2
@@ -391,25 +406,30 @@ class ExtensionEngine:
         """The 1D pass on worker threads, over batches of chunks whose
         components x rows x points x nodes stay within _CHUNK_ENTRIES.
 
-        Phase 1 runs on the threads: a job is one run of the nodes of a
-        chunk, one run per worker, on all of the points, and writes its
-        terms into that chunk's own buffer. Each job sees every point with
-        its mirror image, so it finds the distinct |r| of the serial pass
-        (see smoothed_sine_mode); slabs of points would split the pairs.
-        With the few rows the checks pass (at most three) these contractions
-        were measured not to wake the BLAS threads. Phase 2 runs in the
-        calling thread once phase 1 of the batch is done: the time
-        contractions, chunk by chunk in the serial order, so every sum is the
-        serial one. They wait because each is a multithreaded gemm, after
-        which the OpenBLAS worker spins for a while on a core that the
-        Faddeeva jobs could use."""
+        Phase 1 runs on the threads: a job is one half of the nodes of a
+        chunk, on all of the points, and writes its terms into that chunk's
+        own buffer. Each job sees every point with its mirror image, so it
+        finds the distinct |r| of the serial pass (see smoothed_sine_mode);
+        slabs of points would split the pairs. A job repeats the work that
+        depends on the points alone (the np.unique sort, the (modes, points)
+        phases and numpy's per-call costs): in halves that work is done
+        twice per chunk at no measurable cost, while runs of a few nodes
+        made the 1D checks take up to twice the CPU time. So the batches,
+        not finer runs, feed the threads, and each thread holds the mode
+        arrays of half a chunk. With the few rows the checks pass (at most
+        three) these contractions were measured not to wake the BLAS
+        threads. Phase 2 runs in the calling thread once phase 1 of the
+        batch is done: the time contractions, chunk by chunk in the serial
+        order, so every sum is the serial one. They wait because each is a
+        multithreaded gemm, after which the OpenBLAS worker spins for a
+        while on a core that the Faddeeva jobs could use."""
         per_batch = max(1, _CHUNK_ENTRIES // (out.shape[0] * out.shape[1] * x.size * _S_CHUNK))
 
-        def runs(sl):
-            """The nodes of the chunk sl in one run per worker, as (slice of
-            the grid, slice of the chunk)."""
+        def halves(sl):
+            """The nodes of the chunk sl in two runs, as (slice of the grid,
+            slice of the chunk)."""
             n = self.s_nodes[sl].size
-            cut = np.linspace(0, n, min(workers, n) + 1).astype(int)
+            cut = np.linspace(0, n, min(2, n) + 1).astype(int)
             return [(slice(sl.start + a, sl.start + b), slice(a, b))
                     for a, b in zip(cut[:-1], cut[1:])]
 
@@ -422,7 +442,7 @@ class ExtensionEngine:
                 batch = chunks[i : i + per_batch]
                 bufs = [np.empty((2 if grad else 1, out.shape[0], x.size, self.s_nodes[sl].size))
                         for sl in batch]
-                jobs = [(b, *run) for b, sl in zip(bufs, batch) for run in runs(sl)]
+                jobs = [(b, *run) for b, sl in zip(bufs, batch) for run in halves(sl)]
                 for f in [pool.submit(job, *j) for j in jobs]:
                     f.result()
                 for b, sl in zip(bufs, batch):
@@ -592,10 +612,7 @@ def _x_axis_rule(domain, x_max, axis, n_inner, nodes_per_panel):
     nearer), then panels growing by 1.35 out to x_max. Exactly closed under
     x -> -x (see mirror_linspace)."""
     lo, hi = domain.bounding_box()[axis]
-    extent = max(abs(lo), abs(hi))
-    if not x_max > extent:
-        raise ValidationError(f"x_max {x_max:g} must exceed the domain's half-extent {extent:g}")
-    b = min(1.6 * extent, x_max)
+    b = min(1.6 * max(abs(lo), abs(hi)), x_max)
     inner = mirror_linspace(-b, b, n_inner)
     w = 0.4 * b
     outer_left = [-b]
@@ -611,6 +628,7 @@ def _energy_grid(domain, trunc):
 
     The rules are coarser in 2d, where the field arrays grow with the square
     of the per-axis node count."""
+    check_truncation(trunc, domain)
     n_inner, x_nodes, t_nodes, t_per_decade = (49, 6, 6, 4) if domain.dim == 1 else (17, 4, 4, 3)
     x_rules = [_x_axis_rule(domain, trunc.x_max, i, n_inner, x_nodes) for i in range(domain.dim)]
     return x_rules, log_panels(trunc.eps, trunc.t_max, t_per_decade, t_nodes)

@@ -123,6 +123,20 @@ def test_gap_check_small(tmp_path, capsys):
     assert abs(doc["constant_field_Q"]) < 1e-12
 
 
+@pytest.mark.parametrize("domain, x_max", [("interval:-1,1", "1"),
+                                           ("rect:-2,2,-1,1", "1.5")])
+def test_gap_check_box_inside_domain_exits_before_solving(domain, x_max, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_spectrum ran")
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", no_solve)
+    code, out, err = run_cli(["gap-check", "--domain", domain, "--n", "8", "--x-max", x_max],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "half-extent" in err
+
+
 def test_gap_check_budget_exceeded_exits_3(capsys):
     # a tiny integration box leaves a tail bound above 1% of the gap
     code, _, err = run_cli(
@@ -376,3 +390,10 @@ def test_report_stage_times_go_to_stderr_only(tmp_path, capsys):
         runs.append((out, [Path(prefix + s).read_bytes() for s in ("_lower.dat", "_computed.dat")]))
     assert runs[0] == runs[1]  # the JSON and the plot files are byte-identical
     assert "solve" not in runs[0][0]
+    # only the stages that ran are timed; a constants-only report runs none
+    _, _, err = run_cli(["report", "--domain", "interval:-1,1"], capsys)
+    assert "report: " not in err
+    _, _, err = run_cli(["report", "--sweep", "1", "--plot-prefix", str(tmp_path / "c")], capsys)
+    assert re.search(r"^report: sweep \d+\.\d{3} s\n\Z", err, re.M)
+    _, _, err = run_cli(["report"], capsys)
+    assert err == ""

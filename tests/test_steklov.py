@@ -540,9 +540,12 @@ def test_window_split_matches_per_mode_evaluation(grad):
     x = np.linspace(-2.5, 2.5, 41)
     s = np.geomspace(1e-9, 1e3, 24)[None, None, :]
     split = steklov._axis_modes(x, s, c, h, om, grad)
-    whole = smoothed_sine_mode(x[None, :, None], s, om[:, None, None], c[:, None, None],
-                               h[:, None, None], grad=grad)
+    args = (x[None, :, None], s, om[:, None, None], c[:, None, None], h[:, None, None])
+    whole = _two_call_sine_mode(*args, grad=grad)
     assert np.array_equal(np.asarray(split), np.asarray(whole))
+    # smoothed_sine_mode takes one window: per-mode centres are refused
+    with pytest.raises(ValueError):
+        smoothed_sine_mode(*args, grad=grad)
 
 
 def test_live_chunk_counts(interval_32):
@@ -601,6 +604,12 @@ def test_energy_grid_spans_the_truncation_box(interval_domain, x_max):
     assert np.sum(w) == pytest.approx(2 * x_max, rel=1e-13)
     assert -x_max < x.min() and x.max() < x_max
     _assert_mirror_exact(x, w)
+
+
+@pytest.mark.parametrize("x_max", [0.5, 1.0])
+def test_energy_grid_rejects_a_box_inside_the_domain(interval_domain, x_max):
+    with pytest.raises(ValidationError):
+        _energy_grid(interval_domain, Truncation(1e-3, 30.0, x_max))
 
 
 @pytest.mark.parametrize("grad", [False, True])
