@@ -187,18 +187,25 @@ def cmd_mc(args):
     if len(start) != domain.dim:
         raise ValidationError("start point dimension mismatch")
     x = start[0] if domain.dim == 1 else np.array(start)
-    # the Galerkin cross-check first: a configuration it rejects exits before
-    # any path is simulated
+    configs = {
+        label: mc.McConfig(
+            alpha=args.alpha, paths=args.paths, dt=dt, t_max=args.t_max, seed=args.seed,
+        )
+        for label, dt in (("dt", args.dt), ("dt_half", args.dt / 2))
+    }
+    # the cheap checks, then the Galerkin cross-check: a configuration that
+    # any of them rejects exits before a path is simulated
+    for cfg in configs.values():
+        cfg.validate()
+    if not domain.contains(np.array([x]))[0]:
+        raise ValidationError("start point must lie in D")
     n = 256 if domain.dim == 1 else 24
     t0 = time.perf_counter()  # stage wall times go to stderr, never into the JSON
     lam_hat = float(solve_spectrum(domain, args.alpha, n_basis=n).lambda1)
     stages = [f"galerkin solve {time.perf_counter() - t0:.3f} s"]
     estimates = {}
     curves = {}
-    for label, dt in (("dt", args.dt), ("dt_half", args.dt / 2)):
-        cfg = mc.McConfig(
-            alpha=args.alpha, paths=args.paths, dt=dt, t_max=args.t_max, seed=args.seed,
-        )
+    for label, cfg in configs.items():
         t0 = time.perf_counter()
         curve = mc.survival_curve(domain, x, cfg)
         stages.append(f"survival {label} {time.perf_counter() - t0:.3f} s")

@@ -15,10 +15,9 @@ imaginary, so the form splits into same-parity blocks (pairs of different
 parity are exactly zero), each one real Gram product of amplitudes that take
 one trig value per node and one rational factor per (mode, node), in a panel
 coordinate where every mode frequency is an even integer
-(_centred_amplitudes). Interval unions use the real Gram product of
-[Re S | Im S], with S from the sinc pairs of basis_mode_transform, which stay
-stable wherever a node falls. A rectangle needs only 1D pieces: by
-subordination,
+(_centred_amplitudes). A union adds, per pair of components, the same Gram
+products weighted by the cos and sin of the phase between their centres.
+A rectangle needs only 1D pieces: by subordination,
 
     |xi|^alpha = c_alpha * integral_0^inf (1 - e^(-s |xi|^2)) s^(-1-alpha/2) ds,
 
@@ -128,7 +127,8 @@ def basis_mode_transform(table, xi):
 
     times exp(-i xi c), with sinc_-+ = sinc((omega -+ xi) h / pi) and
     s_k = (-1)^floor(k/2). The sincs of the differences keep it stable at the
-    removable singularities xi = +-omega.
+    removable singularities xi = +-omega. The form assembly does not call it:
+    it is the independent sinc reference for _centred_amplitudes.
     """
     xi = np.asarray(xi, dtype=float)
     c, h, k, om = (col[:, None] for col in table)
@@ -288,42 +288,42 @@ def _centred_amplitudes(h, n_modes, u):
 
 
 def _axis_form(table, alpha):
-    """Form matrix of an axis table (an interval union)."""
+    """Form matrix of an axis table (an interval union): per pair of components
+    (a, b), the Gram product of their amplitudes (_centred_amplitudes) times
+    cos(xi (c_b - c_a)) on same-parity entries, +-sin on the others (+ on odd-k rows)."""
     c, h, kk, om = table
     if alpha == 2:
         # the sine modes are Laplacian eigenfunctions: omega^2 on the diagonal
         return np.diag(om**2)
-    # disjoint components have distinct centers
-    centers = np.unique(c)
+    m = int(kk.max())  # modes per component, each component's rows consecutive
+    starts = range(0, c.size, m)
     h_min = h.min()
-    u, nodes, wts, xi_max = _axis_quadrature(h_min, int(kk.max()))
+    u, nodes, wts, xi_max = _axis_quadrature(h_min, m)
     root_w = np.sqrt(wts * nodes**alpha)
-
-    # real Gram products: Re(S diag(w xi^a) S^H) = X X^T with
-    # X = [Re S | Im S] sqrt(w xi^a); one interval splits into parity blocks
-    n = c.size
-    A = np.zeros((n, n))
-    chunk = max(1, _CHUNK_ENTRIES // n)
+    same = (kk[:m, None] - kk[:m]) % 2 == 0
+    row_sign = np.where(kk[:m] % 2 == 1, 1.0, -1.0)[:, None]
+    A = np.zeros((c.size, c.size))
+    chunk = max(1, _CHUNK_ENTRIES // c.size)
     for i0 in range(0, nodes.size, chunk):
-        r = root_w[i0 : i0 + chunk]
-        if centers.size == 1:  # then h_min is its half-length
-            G = _centred_amplitudes(h_min, n, u[i0 : i0 + chunk]) * r
-            for par in (slice(0, n, 2), slice(1, n, 2)):
-                X = np.ascontiguousarray(G[par])
-                A[par, par] += X @ X.T
-        else:
-            # unions: the xi grid is built on h_min, so for a component of
-            # another half-length a node can fall arbitrarily close to its
-            # omega_k, where the sinc pairs stay stable
-            S = basis_mode_transform(table, nodes[i0 : i0 + chunk])
-            X = np.concatenate([S.real * r, S.imag * r], axis=1)
-            A += X @ X.T
+        xi, r = nodes[i0 : i0 + chunk], root_w[i0 : i0 + chunk]
+        # the h_min grid in the panel coordinate of half-length h_a: u h_a / h_min
+        G = [_centred_amplitudes(h[a], m, u[i0 : i0 + chunk] * (h[a] / h_min)) * r
+             for a in starts]
+        for i, a in enumerate(starts):
+            block = A[a : a + m, a : a + m]
+            for par in (slice(0, m, 2), slice(1, m, 2)):
+                X = np.ascontiguousarray(G[i][par])
+                block[par, par] += X @ X.T
+            for j, b in enumerate(starts[i + 1 :], start=i + 1):
+                theta = xi * (c[b] - c[a])
+                cross = np.where(same, (G[i] * np.cos(theta)) @ G[j].T,
+                                 row_sign * ((G[i] * np.sin(theta)) @ G[j].T))
+                A[a : a + m, b : b + m] += cross
+                A[b : b + m, a : a + m] += cross.T
     A /= np.pi
-
-    # analytic tails, per interval component (cross-component terms decay faster)
-    for cc in centers:
-        idx = np.flatnonzero(c == cc)
-        A[np.ix_(idx, idx)] += _tail_integrals(om[idx], kk[idx], h[idx[0]], alpha, xi_max)
+    for a in starts:  # analytic tails, per component (cross-component terms decay faster)
+        own = slice(a, a + m)
+        A[own, own] += _tail_integrals(om[own], kk[own], h[a], alpha, xi_max)
     return 0.5 * (A + A.T)
 
 

@@ -67,11 +67,16 @@ class WeightProfile:
 
 
 def ground_state_weight(result):
-    """phi_1^2 of a 1D spectral result as a WeightProfile on its interval."""
-    (a, b), = result.domain.bounding_box()
-    l = 0.5 * (b - a)
+    """phi_1^2 of a spectral result on one interval (c - l, c + l) as a
+    WeightProfile on (-l, l), sampled as phi_1(x + c)^2: the quotient
+    is translation invariant."""
+    domain = result.domain
+    if domain.kind != "interval_union" or len(domain.params) != 1:
+        raise ValidationError("the ground-state weight needs a single interval")
+    ((a, b),) = domain.params
+    c, l = 0.5 * (a + b), 0.5 * (b - a)
     phi = result.eigenfunction(1)
-    return WeightProfile.from_function(lambda x: phi(x) ** 2, l)
+    return WeightProfile.from_function(lambda x: phi(x + c) ** 2, l)
 
 
 def is_log_concave(profile, tol=1e-9):

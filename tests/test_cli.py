@@ -309,6 +309,26 @@ def test_mc_rejected_configuration_exits_before_simulating(monkeypatch, capsys):
     assert err.startswith("error: ") and "alpha = 2" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--start", "5"], "lie in D"), (["--paths", "0"], "paths"),
+     (["--dt", "4", "--t-max", "3"], "dt < t_max")],
+    ids=["start-outside", "no-paths", "dt-too-large"],
+)
+def test_mc_invalid_configuration_exits_before_solving(extra, message, monkeypatch, capsys):
+    # dt and dt/2 are both validated, and the start point checked, before the
+    # Galerkin solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_spectrum ran")
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", no_solve)
+    code, out, err = run_cli(["mc", "--domain", "interval:-1,1", "--paths", "100",
+                              "--seed", "1", *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_mc_small_run(tmp_path, capsys):
     out_file = tmp_path / "mc.json"
     csv_file = tmp_path / "surv.csv"

@@ -13,6 +13,7 @@ from stablegap import (
     solve_spectrum,
     stable_eigenvalue_bracket,
 )
+from stablegap import eigensolver
 from stablegap.eigensolver import (
     _GL_NODES,
     _axis_form,
@@ -172,15 +173,18 @@ def test_mode_transform_matches_quadrature(domain):
 
 @pytest.mark.parametrize(
     "domain",
-    [Domain.interval(-1.0, 1.0), Domain.interval(0.5, 2.0)],
-    ids=["centred", "shifted"],
+    [Domain.interval(-1.0, 1.0), Domain.interval(0.5, 2.0),
+     Domain.interval_union([(-2.0, -0.5), (0.5, 2.5)])],
+    ids=["centred", "shifted", "union"],
 )
 def test_interval_form_vanishes_across_parity(domain):
-    A, _ = assemble_form_matrix(domain, 1.0, 16)
-    k = np.arange(16)
+    # within each component; distinct components couple across parity
+    A, basis = assemble_form_matrix(domain, 1.0, 16)
+    ((c, _, k, _),) = basis.meta
+    within = c[:, None] == c
     cross = (k[:, None] - k[None, :]) % 2 == 1
-    assert np.all(A[cross] == 0.0)
-    assert np.all(A[~cross] != 0.0)
+    assert np.all(A[within & cross] == 0.0)
+    assert np.all(A[within & ~cross] != 0.0)
 
 
 def _sinc_amplitudes(h, n, xi):
@@ -213,6 +217,21 @@ def test_centred_amplitudes_match_sinc_transform(h, n):
     assert np.abs(u[near] - 2 * k).min() >= offset * (1 - 1e-9)
 
 
+def _sinc_gram_form(table, alpha):
+    # the axis form on the grid and tails of _axis_form, with the Gram product
+    # of the sinc transforms [Re S | Im S] of every component at once
+    c, h, k, om = table
+    m = int(k.max())
+    _, xi, w, xi_max = _axis_quadrature(h.min(), m)
+    S = basis_mode_transform(table, xi) * np.sqrt(w * xi**alpha)
+    X = np.concatenate([S.real, S.imag], axis=1)
+    ref = X @ X.T / np.pi
+    for a in range(0, c.size, m):
+        own = slice(a, a + m)
+        ref[own, own] += _tail_integrals(om[own], k[own], h[a], alpha, xi_max)
+    return 0.5 * (ref + ref.T)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_axis_form_matches_sinc_amplitude_form(alpha):
     # the same grid, weights and tails, with the Gram product of the sinc
@@ -221,16 +240,36 @@ def test_axis_form_matches_sinc_amplitude_form(alpha):
     # sqrt(E_jj E_kk), the Cauchy-Schwarz bound on it: the sinc amplitudes
     # alone put 1e-12 relative error on the smallest entries (against an
     # 80-bit evaluation of the closed form, which the assembly meets to 8e-14)
-    n = 64
-    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), n).meta
-    _, _, k, om = table
-    _, xi, w, xi_max = _axis_quadrature(1.0, n)
-    S = basis_mode_transform(table, xi) * np.sqrt(w * xi**alpha)
-    X = np.concatenate([S.real, S.imag], axis=1)
-    ref = X @ X.T / np.pi + _tail_integrals(om, k, 1.0, alpha, xi_max)
-    ref = 0.5 * (ref + ref.T)
+    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), 64).meta
+    ref = _sinc_gram_form(table, alpha)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.max(np.abs(_axis_form(table, alpha) - ref) / scale) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize(
+    "intervals",
+    [[(-2.0, -0.5), (0.5, 2.5)], [(-3.0, -2.0), (-1.0, 0.5), (1.0, 2.2)]],
+    ids=["asymmetric", "three"],
+)
+def test_union_axis_form_matches_sinc_gram(intervals, alpha):
+    # asymmetric unions with unequal half-lengths: on a union symmetric about
+    # 0 the reflection maps one sign of the phase between components onto the
+    # other, so only an asymmetric one pins the sign. Scaled as in
+    # test_axis_form_matches_sinc_amplitude_form
+    (table,) = _sine_basis(Domain.interval_union(intervals), 24).meta
+    ref = _sinc_gram_form(table, alpha)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.max(np.abs(_axis_form(table, alpha) - ref) / scale) <= 1e-13
+
+
+def test_union_assembly_takes_no_sinc_transform(monkeypatch):
+    def no_sinc(*args):
+        raise AssertionError("basis_mode_transform called")
+
+    monkeypatch.setattr(eigensolver, "basis_mode_transform", no_sinc)
+    r = solve_spectrum(Domain.interval_union([(-2.0, -0.5), (0.5, 2.5)]), 1.0, 16)
+    assert r.lambda1 > 0
 
 
 def test_rectangle_form_vanishes_across_parity():
@@ -313,9 +352,11 @@ def test_rectangle_form_matches_direct_2d_quadrature(alpha):
 
 
 # lambda_1..lambda_4 of the assembly as it stands: the interval and union rows
-# date from the complex-arithmetic assembly that preceded the real same-parity
-# one (the two agree to rounding); the rectangle rows are those of the
-# Kronecker-sum assembly with its subordination cross term
+# date from the complex-arithmetic assembly that preceded the real closed-form
+# one (the two agree to rounding: the union row, whose cross-component blocks
+# now take the closed-form amplitudes times cos and sin of the phase, within
+# 1.2e-14 relative); the rectangle rows are those of the Kronecker-sum
+# assembly with its subordination cross term
 PINNED_EIGENVALUES = [
     (Domain.interval(-1.0, 1.0), 0.5, 64,
      [0.9721329037531323, 1.6045418680148043, 2.0325675525885916, 2.391382713366734]),

@@ -84,6 +84,26 @@ def test_min_quotient_is_reproducible(interval_domain):
     assert quotients[0] == quotients[1] == quotients[2]
 
 
+def test_ground_state_weight_off_centre_interval():
+    from stablegap import solve_spectrum
+
+    # phi_1 sampled at x + c on the centred grid: the same quotient as on (-1, 1)
+    quotients = [
+        min_antisymmetric_quotient(ground_state_weight(solve_spectrum(d, 1.0, 64)), 1.0)
+        for d in (Domain.interval(0.0, 2.0), Domain.interval(-1.0, 1.0))
+    ]
+    assert quotients[0].quotient == pytest.approx(quotients[1].quotient, rel=1e-12)
+    assert quotients[0].passed
+
+
+def test_ground_state_weight_rejects_union():
+    from stablegap import solve_spectrum
+
+    union = solve_spectrum(Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 8)
+    with pytest.raises(ValidationError, match="single interval"):
+        ground_state_weight(union)
+
+
 def test_coarse_profile_rejected():
     coarse = WeightProfile(np.linspace(-0.99, 0.99, 10),
                            np.ones(10), True)
