@@ -98,13 +98,6 @@ def _emit_columns(rows, path, header=None):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _gap(result):
-    """lambda_2 - lambda_1; ValidationError when fewer than two eigenvalues."""
-    if len(result.eigenvalues) < 2:
-        raise ValidationError(f"the gap needs two eigenvalues, got {len(result.eigenvalues)}")
-    return float(result.eigenvalues[1] - result.eigenvalues[0])
-
-
 def cmd_eig(args):
     domain = parse_domain(args.domain)
     t0 = time.perf_counter()  # the solve's wall time goes to stderr, never into the JSON
@@ -123,7 +116,7 @@ def cmd_eig(args):
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "symmetry": list(result.symmetry),
         "star_index": result.star_index,
-        "lambda_gap": _gap(result),
+        "lambda_gap": result.lambda2 - result.lambda1,
     }
     phi = result.eigenfunction(args.csv_mode) if args.csv else None
     sys.stderr.write(f"eig: solve {solve_s:.3f} s\n")
@@ -278,7 +271,7 @@ def cmd_report(args):
             spectrum = {
                 "eigenvalues": [float(v) for v in result.eigenvalues],
                 "star_index": result.star_index,
-                "gap": _gap(result),
+                "gap": result.lambda2 - result.lambda1,
                 "gap_star": float(result.lambda_star - result.lambda1)
                 if result.star_index else None,
             }

@@ -30,7 +30,8 @@ the quadrature is skipped; disks are supported at alpha = 2 only, through the
 classical Bessel modes.
 
 Rayleigh-Ritz gives one-sided (from above) approximations, nonincreasing in
-the basis size because the sine bases are nested.
+the basis size because the sine bases are nested. solve_spectrum runs eigh per
+x1-reflection block, so the symmetry labels are exact by construction.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from ._quad import log_panels
 from .errors import NumericalBudgetError, UnsupportedConfigurationError, ValidationError
 from .geometry import Domain
 
+# relative spread of a cluster of cross-block ties; used only to order it antisymmetric first
 _DEGENERACY_TOL = 1e-9
 # entries per xi-chunk of the assembly temporaries (2^21 doubles = 16 MB)
 _CHUNK_ENTRIES = 1 << 21
@@ -357,12 +359,13 @@ def _subordination_grams(table, s):
 
 @dataclass
 class SpectralResult:
-    """Eigenvalues and eigenvectors of the projected form, sorted ascending.
+    """Eigenvalues (ascending; ties antisymmetric first) and eigenvectors of the form.
 
     coefficients[n-1] holds the basis coefficients of mode n (1-based mode
-    numbering throughout). symmetry[n-1] is "symmetric", "antisymmetric", or
-    "none"; star_index is the 1-based index of the lowest x1-antisymmetric
-    mode when the domain is x1-symmetric, else None.
+    numbering throughout). symmetry[n-1] is its x1-reflection block, "symmetric"
+    or "antisymmetric"; "none" only on a domain that is not x1-symmetric.
+    star_index is the 1-based index of the lowest antisymmetric mode when it is
+    among the reported modes, else None.
     """
 
     domain: Domain
@@ -379,12 +382,15 @@ class SpectralResult:
 
     @property
     def lambda2(self):
+        if len(self.eigenvalues) < 2:
+            raise ValidationError("lambda2 needs two reported modes: n_report (and the basis) >= 2")
         return float(self.eigenvalues[1])
 
     @property
     def lambda_star(self):
         if self.star_index is None:
-            raise ValidationError("no antisymmetric mode: domain is not x1-symmetric")
+            why = "domain is not x1-symmetric" if self.symmetry[0] == "none" else "raise n_report"
+            raise ValidationError(f"no antisymmetric mode among the reported modes: {why}")
         return float(self.eigenvalues[self.star_index - 1])
 
     def eigenfunction(self, n):
@@ -427,53 +433,47 @@ def reflection_matrix(basis):
 
 
 def solve_spectrum(domain, alpha, n_basis, n_report=None):
-    """Assemble, diagonalize, classify symmetries, and locate the star mode."""
+    """Assemble, run eigh per x1-reflection block (labels by block), locate the star mode."""
     if n_report is not None and n_report < 1:
         raise ValidationError("n_report must be >= 1")
     A, basis = assemble_form_matrix(domain, alpha, n_basis)
-    evals, evecs = np.linalg.eigh(A)
-    if evals[0] <= 0:
+    if domain.summarize().symmetric_x1:
+        blocks = _reflection_blocks_eigh(A, reflection_matrix(basis))
+        evals, coeffs, anti = (np.concatenate(part) for part in zip(*blocks))
+        # cross-block ties agree only to rounding: antisymmetric first within _DEGENERACY_TOL
+        order = np.argsort(evals + ~anti * _DEGENERACY_TOL * np.maximum(1.0, evals), kind="stable")
+        evals, coeffs, anti = evals[order], coeffs[order], anti[order]
+        symmetry = np.where(anti, "antisymmetric", "symmetric").tolist()
+    else:
+        evals, evecs = np.linalg.eigh(A)
+        coeffs, anti, symmetry = evecs.T, np.zeros(evals.size, bool), ["none"] * evals.size
+    if evals.min() <= 0:
         raise NumericalBudgetError("projected form lost positivity")
-    coeffs = evecs.T  # row n = mode n
-    symmetric = domain.summarize().symmetric_x1
-    symmetry = ["none"] * len(evals)
-    star = None
-    if symmetric:
-        R = reflection_matrix(basis)
-        coeffs = _align_degenerate_blocks(evals, coeffs, R)
-        RV = coeffs @ R.T
-        sym = np.isclose(RV, coeffs, atol=1e-8).all(axis=1)
-        anti = ~sym & np.isclose(RV, -coeffs, atol=1e-8).all(axis=1)
-        symmetry = [
-            "symmetric" if s else "antisymmetric" if a else "none"
-            for s, a in zip(sym, anti)
-        ]
-        if anti.any():
-            star = int(np.argmax(anti)) + 1
-    coeffs = _normalize_signs(basis, coeffs)
-    if n_report is not None:
-        evals = evals[:n_report]
-        coeffs = coeffs[:n_report]
-        symmetry = symmetry[:n_report]
-    return SpectralResult(domain, alpha, basis, evals, coeffs, symmetry, star)
+    keep = slice(None, n_report)
+    star = int(np.argmax(anti)) + 1 if anti[keep].any() else None
+    coeffs = _normalize_signs(basis, coeffs[keep])
+    return SpectralResult(domain, alpha, basis, evals[keep], coeffs, symmetry[keep], star)
 
 
-def _align_degenerate_blocks(evals, coeffs, R):
-    """Rotate near-degenerate eigenspaces to diagonalize the reflection."""
-    out = coeffs.copy()
-    i = 0
-    n = len(evals)
-    while i < n:
-        j = i + 1
-        while j < n and abs(evals[j] - evals[i]) <= _DEGENERACY_TOL * max(1.0, evals[i]):
-            j += 1
-        if j - i > 1:
-            block = out[i:j]
-            Rb = block @ R @ block.T
-            w, q = np.linalg.eigh(0.5 * (Rb + Rb.T))
-            out[i:j] = q.T @ block
-        i = j
-    return out
+def _reflection_blocks_eigh(A, R):
+    """eigh of A per sign-eigenspace of R, a signed-permutation involution: columns
+    e_i (R e_i = sign e_i) and (e_i + t e_j) / sqrt(2), t = sign s, per pair R e_i = s e_j,
+    i < j, gathered from A. Yields eigenvalues, coefficient rows, antisymmetric flags."""
+    i, j = np.arange(len(R)), np.abs(R).argmax(axis=0)
+    s, pair, q, r = R[j, i], j > i, j[j > i], np.sqrt(0.5)
+    for sign in (-1.0, 1.0):
+        cols = np.concatenate([i[(j == i) & (s == sign)], i[pair]])
+        t, nf = r * sign * s[pair], cols.size - q.size
+        C = A[:, cols]
+        C[:, nf:] = r * C[:, nf:] + A[:, q] * t
+        B = C[cols]
+        B[nf:] = r * B[nf:] + t[:, None] * C[q]
+        w, V = np.linalg.eigh(B)
+        coeffs = np.zeros((w.size, len(A)))
+        coeffs[:, cols] = V.T
+        coeffs[:, q] = V[nf:].T * t
+        coeffs[:, cols[nf:]] *= r
+        yield w, coeffs, np.full(w.size, sign < 0)
 
 
 def _normalize_signs(basis, coeffs):

@@ -749,9 +749,9 @@ def _tail_bound(axes, tq, integrand, trunc):
 
 
 def _star_mode(result):
-    """The star mode of a result on an x1-symmetric domain."""
+    """The star mode of a result; ValidationError when it has none to report."""
     if result.star_index is None:
-        raise ValidationError("domain is not x1-symmetric")
+        result.lambda_star  # raises ValidationError, naming the cause
     return result.star_index
 
 

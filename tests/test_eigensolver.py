@@ -8,6 +8,7 @@ from scipy.special import jn_zeros
 from stablegap import (
     Domain,
     UnsupportedConfigurationError,
+    ValidationError,
     assemble_form_matrix,
     scaling_check,
     solve_spectrum,
@@ -411,6 +412,48 @@ def test_rectangle_signs_and_labels_pinned():
     assert _signed_largest_coefficient(r) == [
         1, -17, 33, -2, 18, -49, -34, -65, 50, -3, 19, 81, 66, -35, 51, -82
     ]
+
+
+@pytest.mark.parametrize(
+    "domain, alpha, n, head",
+    [
+        (Domain.interval_union([(-3.0, -1.0), (-0.5, 0.5), (1.0, 3.0)]), 1.0, 32, None),
+        # exactly degenerate clusters (the square's modes (j, m) and (m, j)):
+        # inside a cluster the antisymmetric mode comes first
+        (Domain.rectangle(-1.0, 1.0, -1.0, 1.0), 1.0, 16, "sasassasassaaass"),
+        (Domain.disk(0.0, 0.0, 1.0), 2.0, 40, "sasassasasasassa"),
+    ],
+    ids=["union3", "square", "disk"],
+)
+def test_labels_are_exact_reflection_eigenvalues(domain, alpha, n, head):
+    r = solve_spectrum(domain, alpha, n)
+    C = r.coefficients
+    sign = np.where(np.array(r.symmetry) == "symmetric", 1.0, -1.0)
+    assert set(r.symmetry) == {"symmetric", "antisymmetric"}
+    np.testing.assert_allclose(C @ reflection_matrix(r.basis).T, sign[:, None] * C,
+                               rtol=0, atol=1e-12)
+    assert r.star_index == 2
+    if head is not None:
+        assert "".join(s[0] for s in r.symmetry[:16]) == head
+
+
+@pytest.mark.parametrize(
+    "domain, n, n_report",
+    [(Domain.interval(-1.0, 1.0), 16, 1), (Domain.rectangle(-1.0, 1.0, -2.0, 2.0), 6, 2)],
+    ids=["interval", "rectangle"],
+)
+def test_star_index_counts_reported_modes_only(domain, n, n_report):
+    # the full solve has its star mode beyond n_report
+    assert solve_spectrum(domain, 1.0, n).star_index > n_report
+    r = solve_spectrum(domain, 1.0, n, n_report=n_report)
+    assert r.star_index is None and len(r.eigenvalues) == n_report
+    with pytest.raises(ValidationError, match="n_report"):
+        r.lambda_star
+    if n_report == 1:
+        with pytest.raises(ValidationError, match="n_report"):
+            r.lambda2
+    with pytest.raises(ValidationError, match="not x1-symmetric"):
+        solve_spectrum(Domain.interval(0.0, 2.0), 1.0, n, n_report=n_report).lambda_star
 
 
 @pytest.mark.parametrize(
