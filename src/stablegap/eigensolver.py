@@ -405,31 +405,30 @@ class SpectralResult:
         return fn
 
 
-def reflection_matrix(basis):
-    """Matrix of the map u(x) -> u(-x1, x2...) in basis coefficients.
+def mode_parity(k):
+    """Parity of sine mode k about its window's centre: +1 (even) for odd k, -1 for even k."""
+    return (-1.0) ** (np.asarray(k) + 1)
 
-    Requires an x1-symmetric domain; for sine bases it is a signed
-    permutation of the x1-axis modes, Kronecker times the identity on the
-    other axes.
-    """
+
+def reflection_map(basis):
+    """u(x) -> u(-x1, x2...) on the coefficients of an x1-symmetric domain's basis, a
+    signed permutation: basis function i goes to sign[i] times basis function image[i];
+    returns (image, sign). On the x1 axis of a sine basis, mode k of the component at c
+    goes to mode_parity(k) times mode k of the one at -c; other axes stay."""
     if not basis.domain.summarize().symmetric_x1:
         raise ValidationError("reflection needs an x1-symmetric domain")
     if basis.kind == "disk":
         # x1 -> -x1 means theta -> pi - theta: cos(m th) -> (-1)^m cos(m th),
         # sin(m th) -> (-1)^(m+1) sin(m th)
         m, _, _, ang = basis.meta
-        return np.diag((-1.0) ** np.where(ang == "cos", m, m + 1))
-    # on the x1 axis, mode k of the component centered at c reflects to
-    # (-1)^(k+1) times mode k of the component centered at -c; the other axes
-    # are unchanged
+        return np.arange(basis.size), mode_parity(np.where(ang == "cos", m + 1, m))
     c, h, k, _ = basis.meta[0]
-    image = (
-        np.isclose(c[:, None], -c, rtol=0, atol=1e-12)
-        & np.isclose(h[:, None], h, rtol=0, atol=1e-12)
-        & (k[:, None] == k)
-    )
-    P = np.where(image, (-1.0) ** (k + 1), 0.0)
-    return np.kron(P, np.eye(basis.size // k.size))
+    n, rest = int(k.max()), basis.size // k.size  # modes per component, per x1 mode
+    cc, hh = c[::n], h[::n]
+    mate = np.argmax(np.isclose(cc[:, None], -cc, rtol=0, atol=1e-12)
+                     & np.isclose(hh[:, None], hh, rtol=0, atol=1e-12), axis=1)
+    image = mate[np.arange(k.size) // n] * n + k - 1
+    return (image[:, None] * rest + np.arange(rest)).ravel(), np.repeat(mode_parity(k), rest)
 
 
 def solve_spectrum(domain, alpha, n_basis, n_report=None):
@@ -438,7 +437,7 @@ def solve_spectrum(domain, alpha, n_basis, n_report=None):
         raise ValidationError("n_report must be >= 1")
     A, basis = assemble_form_matrix(domain, alpha, n_basis)
     if domain.summarize().symmetric_x1:
-        blocks = _reflection_blocks_eigh(A, reflection_matrix(basis))
+        blocks = _reflection_blocks_eigh(A, *reflection_map(basis))
         evals, coeffs, anti = (np.concatenate(part) for part in zip(*blocks))
         # cross-block ties agree only to rounding: antisymmetric first within _DEGENERACY_TOL
         order = np.argsort(evals + ~anti * _DEGENERACY_TOL * np.maximum(1.0, evals), kind="stable")
@@ -455,12 +454,12 @@ def solve_spectrum(domain, alpha, n_basis, n_report=None):
     return SpectralResult(domain, alpha, basis, evals[keep], coeffs, symmetry[keep], star)
 
 
-def _reflection_blocks_eigh(A, R):
-    """eigh of A per sign-eigenspace of R, a signed-permutation involution: columns
-    e_i (R e_i = sign e_i) and (e_i + t e_j) / sqrt(2), t = sign s, per pair R e_i = s e_j,
-    i < j, gathered from A. Yields eigenvalues, coefficient rows, antisymmetric flags."""
-    i, j = np.arange(len(R)), np.abs(R).argmax(axis=0)
-    s, pair, q, r = R[j, i], j > i, j[j > i], np.sqrt(0.5)
+def _reflection_blocks_eigh(A, j, s):
+    """eigh of A per sign-eigenspace of the involution R e_i = s_i e_(j_i) (reflection_map):
+    columns e_i (j_i = i, s_i = sign) and (e_i + t e_j) / sqrt(2), t = sign s_i, per pair
+    i < j = j_i, gathered from A. Yields eigenvalues, coefficient rows, antisymmetric flags."""
+    i = np.arange(len(A))
+    pair, q, r = j > i, j[j > i], np.sqrt(0.5)
     for sign in (-1.0, 1.0):
         cols = np.concatenate([i[(j == i) & (s == sign)], i[pair]])
         t, nf = r * sign * s[pair], cols.size - q.size

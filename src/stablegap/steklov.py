@@ -28,29 +28,30 @@ kernel against phi_n but vectorizes over (mode, point, time) and stays
 accurate for small t.
 
 The closed form takes the complex error function at the two edge offsets
-h - u and -h - u of each point (u = x - c in the window (c - h, c + h)),
-and its value at -r follows from the one at |r|. So each window evaluates
-it once per distinct |r| of its points (see _edge_erfs). On a grid closed
-under x -> -x about the window centre, the two offset sets coincide and
-the Faddeeva work halves. The energy grids make this exact on domains
-symmetric about 0: the x rules of q_functional and d01_lower_bound_check
-are closed under x -> -x to the last bit (mirror_linspace), on the
-interval and on both axes of a centred rectangle. Windows off the grid's
-centre (union components, intervals not centred at 0) share only the |r|
-that coincide on the grid by chance.
+h - u and -h - u of each point (u = x - c in the window (c - h, c + h)).
+Sine mode k is even about c for odd k and odd for even k, and on a domain
+symmetric about a coordinate axis every eigenfunction is even or odd. So
+the engine folds mirror axes: where an axis has one window and its points
+are closed under u -> -u to the last bit, each row that is even or odd on
+it is evaluated, contracted and summed over time on the points u >= 0
+alone, with the modes of its parity alone, and reflected with its sign
+(see ExtensionEngine.values). The energy and probe grids are closed under
+x -> -x (mirror_linspace), on the interval and on both axes of a centred
+rectangle, so the centred gap checks do half the 1D work and a quarter of
+the 2D work. Unions, windows off the grid's centre and mixed rows keep
+every point.
 
-A 1D engine pass runs in two phases. Phase 1 evaluates the smoothed modes
+A 1D engine loop runs in two phases. Phase 1 evaluates the smoothed modes
 (the Faddeeva calls, nearly all of its time) and sums them against the
-coefficients, on one thread per CPU of the process's affinity mask. A job
-is half of the nodes of a chunk on all of the points, so each point meets
-its mirror image and their Faddeeva values are shared as in a serial pass.
-Phase 2 then contracts each chunk with its subordination weights over
-time, in the calling thread and in the serial order, so the values are
-bit-identical to a one-thread pass. The time contractions are held back to
-phase 2 because each is a multithreaded BLAS product, after which the idle
-OpenBLAS worker spins on a core for a while; mixed into phase 1 they would
-take that core from the Faddeeva jobs. A 2D pass, bound by its
-contractions, keeps one thread and the per-chunk sequence.
+coefficients, on one thread per CPU of the process's affinity mask, a job
+per half of the nodes of a chunk. Phase 2 then contracts each chunk with
+its subordination weights over time, in the calling thread and in the
+serial order, so the values are bit-identical to a one-thread pass. The
+time contractions are held back to phase 2 because each is a
+multithreaded BLAS product, after which the idle OpenBLAS worker spins on
+a core for a while; mixed into phase 1 they would take that core from the
+Faddeeva jobs. A 2D loop, bound by its contractions, keeps one thread and
+the per-chunk sequence.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from scipy.special import wofz
 
 from ._quad import axis_rules, log_panels, mirror_linspace, panel_gauss, tensor_points
 from .errors import ValidationError
-from .eigensolver import _CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum
+from .eigensolver import _CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum, mode_parity
 from .kernels import subordination_grid, subordinator_density_half
 
 
@@ -121,7 +122,6 @@ def _scaled_erf(r, omega, s):
     The parts of the argument and the real exponential that depend on r
     are built at the broadcast shape of r and s alone, so they are shared by
     every omega of one window: r without a mode axis costs them once.
-    smoothed_sine_mode calls it once per distinct |r| (see _edge_erfs).
     """
     ra = np.abs(r)
     inv = 1.0 / (2.0 * np.sqrt(s))  # (2 omega s + i|r|) / (2 sqrt s), part by part
@@ -133,61 +133,30 @@ def _scaled_erf(r, omega, s):
     return E
 
 
-def _edge_erfs(u, half, omega, s):
-    """_scaled_erf at the edge offsets half - u and -half - u, as a pair, with
-    one Faddeeva evaluation per distinct |r|.
-
-    half is one value and u varies along one axis at most, the point axis,
-    on which omega and s have length one. np.unique takes the distinct |r|
-    of the 2n offsets, _scaled_erf runs once on them laid along the point
-    axis, np.take gathers each set back and the real part is negated where
-    r < 0. The same floats go through the same elementwise formula, so the
-    values are those of the two direct calls to the last bit.
-    """
-    shape = np.broadcast_shapes(np.shape(u), np.shape(half), np.shape(omega), np.shape(s))
-    u = np.reshape(u, (1,) * (1 + len(shape) - np.ndim(u)) + np.shape(u))  # one axis in front
-    p = int(np.argmax(u.shape))  # the point axis; the front one when u is one value
-    free = np.broadcast_shapes(np.shape(omega), np.shape(s), (1,) * u.ndim)[p] == 1
-    if np.size(half) > 1 or u.size > u.shape[p] or not free:
-        raise ValueError("one window, with points along one axis on which omega and s are fixed")
-    r = np.concatenate([half - u, -half - u], axis=p)
-    keys, index = np.unique(np.abs(r), return_inverse=True)
-    table = _scaled_erf(keys.reshape((1,) * p + (-1,) + (1,) * (u.ndim - p - 1)), omega, s)
-    pair = []
-    for ri, ii in zip(np.split(r, 2, axis=p), np.split(index.ravel(), 2)):
-        E = np.take(table, ii, axis=p)[0]  # without the front axis
-        np.negative(E.real, out=E.real, where=ri[0] < 0)
-        pair.append(E)
-    return pair
-
-
 def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     """Heat-kernel smoothing of the unit sine mode of an interval:
 
     (4 pi s)^(-1/2) * integral over (c-h, c+h) of
         exp(-(x-y)^2 / (4 s)) sin(omega (y - c + h)) / sqrt(h) dy.
 
-    One window: center and half are single values. x, s and omega
-    broadcast, with x varying along one axis at most, on which omega and s
-    have length one (the engine passes x[None, :, None], omega (modes, 1, 1)
-    and s (1, 1, nodes)); other layouts raise ValueError. With grad=True
-    returns the pair (value, d/dx value), valid for the basis frequencies
-    omega = k pi / (2 h): such a mode vanishes at both ends of its window,
-    so the x-derivative is the smoothing of omega cos(omega (y - c + h)) /
-    sqrt(h), the real part of the complex expression whose imaginary part is
-    the value.
+    All arguments broadcast. The engine passes one window (center and half
+    of shape (1, 1, 1)), x[None, :, None], omega (modes, 1, 1) and s
+    (1, 1, nodes), so that the parts of _scaled_erf that depend on the point
+    alone are built once for all modes. With grad=True returns the pair
+    (value, d/dx value), valid for the basis frequencies omega = k pi / (2 h):
+    such a mode vanishes at both ends of its window, so the x-derivative is
+    the smoothing of omega cos(omega (y - c + h)) / sqrt(h), the real part of
+    the complex expression whose imaginary part is the value.
 
     The closed form takes _scaled_erf at the two edge offsets h - u and
-    -h - u, u = x - c. _edge_erfs evaluates it once per distinct |r| of the
-    two sets: on points closed under x -> -x about c (the energy grids of a
-    domain symmetric about 0, with one window per axis) that is half of the
-    values.
+    -h - u, u = x - c. A mode of parity p about c (mode_parity) takes p times
+    its value at -u, d/dx -p times; ExtensionEngine.values uses this to
+    evaluate the modes on half of a grid closed under u -> -u.
     """
     u = np.asarray(x, dtype=float) - center
-    E2, E1 = _edge_erfs(u, half, omega, s)
-    np.subtract(E2, E1, out=E2)
-    del E1
-    Z = np.exp(1j * omega * (u + half)) * 0.5 * E2
+    E = _scaled_erf(half - u, omega, s)
+    E -= _scaled_erf(-half - u, omega, s)
+    Z = np.exp(1j * omega * (u + half)) * 0.5 * E
     scale = 1.0 / np.sqrt(half)
     if grad:
         return scale * np.imag(Z), scale * omega * np.real(Z)
@@ -244,6 +213,73 @@ def _axis_modes(x, s, center, half, omega, grad):
     if grad:
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
+
+
+def _identity_map(n):
+    """The map of an axis that does not fold: every one of its n points
+    kept, each its own image, none mirrored (see _fold_map)."""
+    return np.arange(n), np.arange(n), np.zeros(n, dtype=bool)
+
+
+def _fold_map(x, table):
+    """How the points x of one axis fold about the window of its basis
+    table (centers, halves, k, omegas): (keep, image, mirrored), the indices
+    of the kept points, and per point the position in x[keep] of the kept
+    point at the same |x - c| and whether the point is its mirror image.
+
+    An axis folds when its modes share one window (c, h) and the offsets
+    u = x - c are closed under u -> -u to the last bit, as the energy and
+    probe grids are about 0 (mirror_linspace). The points with u >= 0 are
+    kept, and a mode of parity p (mode_parity) takes p times its kept value
+    at a mirrored point. Any other axis gets _identity_map."""
+    c, h = table[0], table[1]
+    u = x - c[0]
+    order = np.argsort(u, kind="stable")
+    if np.any(c != c[0]) or np.any(h != h[0]) or not np.array_equal(u[order], -u[order[::-1]]):
+        return _identity_map(x.size)
+    keep, mirrored = np.flatnonzero(u >= 0), u < 0
+    at = np.zeros(x.size, dtype=int)
+    at[keep] = np.arange(keep.size)
+    mate = np.empty_like(order)
+    mate[order] = order[::-1]  # the point at -u
+    return keep, np.where(mirrored, at[mate], at), mirrored
+
+
+def _parity_groups(C, parities, folds):
+    """The rows of the coefficient tensor C (rows, m_1, ..., m_d) grouped by
+    parity: yields (row indices, key), in order of first appearance. key[i]
+    is +1 (even) or -1 (odd) when axis i folds and the rows' coefficients on
+    the modes of the other parity (parities[i], per used mode) are exactly
+    zero, else 0: mixed rows and axes that do not fold keep every mode."""
+    keys = np.zeros((C.shape[0], len(parities)), dtype=int)
+    for i, (par, fold) in enumerate(zip(parities, folds)):
+        if fold:
+            live = np.moveaxis(C != 0, i + 1, -1).reshape(C.shape[0], -1, par.size).any(axis=1)
+            even, odd = live[:, par > 0].any(axis=1), live[:, par < 0].any(axis=1)
+            keys[:, i] = np.where(even & odd, 0, np.where(odd, -1, 1))
+    _, first = np.unique(keys, axis=0, return_index=True)
+    for key in keys[np.sort(first)]:
+        yield np.flatnonzero(np.all(keys == key, axis=1)), tuple(key.tolist())
+
+
+def _unfold(out, part, rows, maps, key):
+    """Scatter a group's pass on its kept points, part (group rows, terms,
+    kept grid, times), into its rows of out: per axis, each point takes the
+    value at its kept image, negated at mirrored points where the term is
+    odd on that axis. The value and d/dt terms have the parities key; d/dx_i
+    (term 1 + i of a grad pass) has the opposite parity on axis i."""
+    d = len(maps)
+    for j, r in enumerate(rows):
+        for term in range(part.shape[1]):
+            v, dst = part[j, term], out[r, term]
+            for i, (_, image, _) in enumerate(maps[:-1]):
+                v = np.take(v, image, axis=i)
+            # mode="clip": numpy writes into dst directly (it buffers out= under "raise")
+            np.take(v, maps[-1][1], axis=d - 1, out=dst, mode="clip")
+            for i, ((_, _, mirrored), p) in enumerate(zip(maps, key)):
+                if (-p if term == 1 + i else p) < 0:
+                    where = mirrored.reshape((1,) * i + (-1,) + (1,) * (d - i))
+                    np.negative(dst, out=dst, where=where)
 
 
 def _live_chunks(*weights):
@@ -322,10 +358,10 @@ class ExtensionEngine:
         return gw, dgw
 
     def _modes(self, rows):
-        """Per-axis (centers, halves, omegas) of the modes in use and the
-        coefficient tensor (rows, m_1, ..., m_d) over them. A mode of an axis
-        is in use when some coefficient that involves it exceeds 1e-15 of
-        the largest one."""
+        """Per-axis (centers, halves, omegas, parities) of the modes in use
+        and the coefficient tensor (rows, m_1, ..., m_d) over them. A mode of
+        an axis is in use when some coefficient that involves it exceeds
+        1e-15 of the largest one."""
         tables = self.basis.meta
         C = rows.reshape((rows.shape[0],) + tuple(t[0].size for t in tables))
         size = np.abs(C)
@@ -334,7 +370,8 @@ class ExtensionEngine:
             np.nonzero(np.max(size, axis=tuple(a for a in range(C.ndim) if a != i + 1)) > floor)[0]
             for i in range(len(tables))
         ]
-        axes = [(c[idx], h[idx], om[idx]) for (c, h, _, om), idx in zip(tables, used)]
+        axes = [(c[idx], h[idx], om[idx], mode_parity(k[idx]))
+                for (c, h, k, om), idx in zip(tables, used)]
         return axes, C[np.ix_(np.arange(C.shape[0]), *used)]
 
     def values(self, coeff_rows, xs, ts, grad=False):
@@ -353,11 +390,22 @@ class ExtensionEngine:
         on ts alone, so the value slice of a grad=True call equals the
         grad=False result exactly.
 
-        A 1D pass large enough to pay for threads runs in two phases (see
+        Mirror axes fold (see _fold_map): the rows are grouped by their
+        parity on each folding axis (_parity_groups), and each group runs
+        the engine loop on the kept half of the axes where it is pure, with
+        only the modes of its parity; _unfold then writes each point from
+        its kept image, with the sign of the term's parity. The dropped
+        coefficients are exact zeros, so the result differs from an unfolded
+        pass by rounding alone: BLAS rounds a product with fewer rows, modes
+        or points differently, and the phases of a mode at u and -u round
+        apart. Mixed rows and axes that do not fold keep every point and
+        mode; a single such group sums into the result directly.
+
+        A 1D loop large enough to pay for threads runs in two phases (see
         _values_1d_threaded): the smoothed modes on engine_workers(1)
         threads, then the time contractions in this thread, chunk by chunk,
         because each of them leaves an OpenBLAS thread spinning on a core
-        the first phase needs. Other passes run each chunk through both
+        the first phase needs. Other loops run each chunk through both
         phases in turn in this thread. Either way the result is the same to
         the last bit.
         """
@@ -371,8 +419,34 @@ class ExtensionEngine:
             gw = np.concatenate([gw, dgw])
         points = _axes(xs, len(self.basis.meta))
         modes, C = self._modes(rows)
+        folds = [_fold_map(x, table) for x, table in zip(points, self.basis.meta)]
         grid = tuple(p.size for p in points)
         out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1) + grid + (nt,))
+        parities = [m[3] for m in modes]
+        for g, key in _parity_groups(C, parities, [f[2].any() for f in folds]):
+            # on axis i: the modes of parity key[i] on the kept points, or all of them on all
+            sel = [np.flatnonzero(par == p) if p else np.arange(par.size)
+                   for par, p in zip(parities, key)]
+            maps = [f if p else _identity_map(x.size) for f, p, x in zip(folds, key, points)]
+            part = out if g.size == len(out) and not any(key) else np.zeros(
+                (g.size, out.shape[1]) + tuple(m[0].size for m in maps) + (nt,))
+            self._pass(part, C[np.ix_(g, *sel)], [x[m[0]] for x, m in zip(points, maps)],
+                       [(c[i], h[i], om[i]) for (c, h, om, _), i in zip(modes, sel)],
+                       chunks, gw, nt, grad)
+            if part is not out:
+                _unfold(out, part, g, maps, key)
+        if grad:
+            return out
+        out = out[:, 0]
+        if np.any(ts == 0.0):  # the boundary values, evaluated directly
+            phi = evaluate_basis_sum(self.basis, rows, _grid_points(points))
+            out[..., ts == 0.0] = phi.reshape(out.shape[:-1] + (1,))
+        return out
+
+    def _pass(self, out, C, points, modes, chunks, gw, nt, grad):
+        """The engine loop: the chunks of nodes, each through both phases,
+        summed into out; a 1D pass that pays for threads goes to
+        _values_1d_threaded."""
         workers = engine_workers(len(points))
         # in 1D: modes x points x nodes
         entries = modes[0][2].size * points[0].size * len(chunks) * _S_CHUNK
@@ -381,13 +455,6 @@ class ExtensionEngine:
         else:
             for sl in chunks:
                 _add_chunk(out, self._chunk_terms(C, points, modes, sl, grad), gw, sl, nt)
-        if grad:
-            return out
-        out = out[:, 0]
-        if np.any(ts == 0.0):  # the boundary values, evaluated directly
-            phi = evaluate_basis_sum(self.basis, rows, _grid_points(points))
-            out[..., ts == 0.0] = phi.reshape(out.shape[:-1] + (1,))
-        return out
 
     def _chunk_terms(self, C, points, modes, sl, grad):
         """Phase 1 for the chunk sl of nodes: the smoothed modes summed
@@ -403,22 +470,19 @@ class ExtensionEngine:
                 yield _contract(C, vals[:i] + [dx] + vals[i + 1 :])
 
     def _values_1d_threaded(self, out, C, x, modes, chunks, gw, nt, grad, workers):
-        """The 1D pass on worker threads, over batches of chunks whose
+        """The 1D loop on worker threads, over batches of chunks whose
         components x rows x points x nodes stay within _CHUNK_ENTRIES.
 
         Phase 1 runs on the threads: a job is one half of the nodes of a
         chunk, on all of the points, and writes its terms into that chunk's
-        own buffer. Each job sees every point with its mirror image, so it
-        finds the distinct |r| of the serial pass (see smoothed_sine_mode);
-        slabs of points would split the pairs. A job repeats the work that
-        depends on the points alone (the np.unique sort, the (modes, points)
-        phases and numpy's per-call costs): in halves that work is done
-        twice per chunk at no measurable cost, while runs of a few nodes
-        made the 1D checks take up to twice the CPU time. So the batches,
-        not finer runs, feed the threads, and each thread holds the mode
-        arrays of half a chunk. With the few rows the checks pass (at most
-        three) these contractions were measured not to wake the BLAS
-        threads. Phase 2 runs in the calling thread once phase 1 of the
+        own buffer. A job repeats the work that depends on the points alone
+        (the (modes, points) phases and numpy's per-call costs): in halves
+        that work is done twice per chunk at no measurable cost, while runs
+        of a few nodes made the 1D checks take up to twice the CPU time. So
+        the batches, not finer runs, feed the threads, and each thread holds
+        the mode arrays of half a chunk. With the few rows the checks pass
+        (at most three) these contractions were measured not to wake the
+        BLAS threads. Phase 2 runs in the calling thread once phase 1 of the
         batch is done: the time contractions, chunk by chunk in the serial
         order, so every sum is the serial one. They wait because each is a
         multithreaded gemm, after which the OpenBLAS worker spins for a
@@ -506,8 +570,9 @@ _FIELD_N_X, _FIELD_N_T = 80, 33  # default field grid: points per x axis, height
 
 
 def default_field_grid(domain):
-    """Default sampling grid (x axes, times): x covers D plus a 50% margin;
-    times are zero followed by a geometric ladder up to _PROBE_T_MAX.  The
+    """Default sampling grid (x axes, times): x covers D plus a 50% margin,
+    closed under x -> -x on an axis centred at 0 (mirror_linspace); times
+    are zero followed by a geometric ladder up to _PROBE_T_MAX.  The
     ladder starts at 0.02 * inradius in 1d and 0.2 * inradius in 2d: below
     that the truncated sine basis leaves a boundary-layer residual of order
     t * |(A - lambda_1) phi_1| in the extension, and the coarser per-axis
@@ -516,7 +581,7 @@ def default_field_grid(domain):
     t_min = (0.02 if domain.dim == 1 else 0.2) * domain.summarize().inradius
     ts = np.concatenate([[0.0], np.geomspace(t_min, _PROBE_T_MAX, _FIELD_N_T - 1)])
     axes = [
-        np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), _FIELD_N_X)
+        mirror_linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), _FIELD_N_X)
         for lo, hi in domain.bounding_box()
     ]
     return axes, ts
@@ -561,9 +626,10 @@ def check_boundary_derivative(result, n, x, h=1e-4):
 
 
 def _interior_axes(domain, n):
-    """Axes of n evenly spaced interior points per interval component."""
+    """Axes of n evenly spaced interior points per interval component, closed
+    under x -> -x on a component symmetric about 0 (mirror_linspace)."""
     return [
-        np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in comps])
+        np.concatenate([mirror_linspace(a, b, n + 2)[1:-1] for a, b in comps])
         for comps in domain.axis_components()
     ]
 

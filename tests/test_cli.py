@@ -227,6 +227,15 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no plot files from a failed run
 
 
+def _run_module(module, argv, cwd):
+    # a separate process, with the checkout's source tree on the path
+    src = str(Path(stablegap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["eig", "--domain", "interval:-1,1", "--n", "0"],
     ["eig", "--domain", "rect:-2,2,-1,1", "--n", "0"],
@@ -274,16 +283,21 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
         "mc-seed-negative"])
 def test_bad_counts_and_numbers_exit_2(argv, tmp_path):
     # a separate process, so that an uncaught exception shows as its traceback
-    src = str(Path(stablegap.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "stablegap.cli", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_module("stablegap.cli", argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []  # no JSON, CSV or plot files
+
+
+def test_python_m_stablegap_runs_the_cli(tmp_path):
+    proc = _run_module("stablegap", ["eig", "--domain", "interval:-1,1", "--n", "8"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["eigenvalues"][0] > 0
+    proc = _run_module("stablegap", ["eig", "--domain", "interval:-1,1", "--n", "0"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 # ---------------- mc ----------------

@@ -540,12 +540,10 @@ def test_window_split_matches_per_mode_evaluation(grad):
     x = np.linspace(-2.5, 2.5, 41)
     s = np.geomspace(1e-9, 1e3, 24)[None, None, :]
     split = steklov._axis_modes(x, s, c, h, om, grad)
+    # one call with per-mode centres and halves, broadcast over all modes
     args = (x[None, :, None], s, om[:, None, None], c[:, None, None], h[:, None, None])
-    whole = _two_call_sine_mode(*args, grad=grad)
+    whole = smoothed_sine_mode(*args, grad=grad)
     assert np.array_equal(np.asarray(split), np.asarray(whole))
-    # smoothed_sine_mode takes one window: per-mode centres are refused
-    with pytest.raises(ValueError):
-        smoothed_sine_mode(*args, grad=grad)
 
 
 def test_live_chunk_counts(interval_32):
@@ -568,18 +566,7 @@ def test_engine_rejects_non_finite_times(interval_32, bad):
         engine.values(interval_32.coefficients[:1], np.array([0.0]), np.array([bad, 0.5]))
 
 
-# ---------------- mirror pairs: one Faddeeva value per distinct |r| ----------------
-
-
-def _two_call_sine_mode(x, s, omega, center, half, grad=False):
-    # smoothed_sine_mode with _scaled_erf called at each edge offset apart
-    u = np.asarray(x, dtype=float) - center
-    Z = np.exp(1j * omega * (u + half)) * 0.5 * (_scaled_erf(half - u, omega, s)
-                                                 - _scaled_erf(-half - u, omega, s))
-    scale = 1.0 / np.sqrt(half)
-    if grad:
-        return scale * np.imag(Z), scale * omega * np.real(Z)
-    return scale * np.imag(Z)
+# ---------------- mirror folds: half of each symmetric axis, then reflect ----------------
 
 
 def _assert_mirror_exact(x, w):
@@ -596,6 +583,9 @@ def test_energy_rules_are_mirror_exact(case, request):
         x_rules += axis_rules(domain, panels, nodes)
     for x, w in x_rules:
         _assert_mirror_exact(x, w)
+    # and the probe grids of the pointwise checks, which carry no weights
+    for x in steklov.default_field_grid(domain)[0] + steklov._interior_axes(domain, 24):
+        assert np.array_equal(x[::-1], -x)
 
 
 @pytest.mark.parametrize("x_max", [1.2, 1.5, 3.0, 60.0])
@@ -612,22 +602,79 @@ def test_energy_grid_rejects_a_box_inside_the_domain(interval_domain, x_max):
         _energy_grid(interval_domain, Truncation(1e-3, 30.0, x_max))
 
 
+def _no_fold(x, table):
+    # the private fold map patched out: every axis keeps all of its points
+    return steklov._identity_map(x.size)
+
+
+def _conditioned(v, ts, grad):
+    # with grad=True, t du/dt for du/dt: at small t the d/dt sum cancels
+    # weights of size 1/t, so its rounding grows as 1/t
+    if grad:
+        v = v.copy()
+        v[:, -1] *= ts
+    return v
+
+
 @pytest.mark.parametrize("grad", [False, True])
 @pytest.mark.parametrize("case", ["interval_32", "rect_8"])
-def test_engine_matches_two_call_sine_modes(case, grad, request, monkeypatch):
+def test_folded_pass_matches_unfolded_pass(case, grad, request, monkeypatch):
     result = request.getfixturevalue(case)
-    # points closed under x -> -x on each axis, so that mirror pairs share values
-    xs = steklov._xs([mirror_linspace(-1.6 * hi, 1.6 * hi, 33)
-                      for _, hi in result.domain.bounding_box()])
+    # points closed under x -> -x on each axis, 0 among them
+    axes = [mirror_linspace(-1.6 * hi, 1.6 * hi, 33) for _, hi in result.domain.bounding_box()]
+    assert all(steklov._fold_map(x, t)[2].any() for x, t in zip(axes, result.basis.meta))
     ts = _time_grids(result)["d01"]
+    ts = ts if grad else np.concatenate([[0.0], ts])  # t = 0 rows: the boundary values
     engine = ExtensionEngine(result.basis)
-    rows = result.coefficients[:3]
-    for workers in (1, 2):
+    # the ground state (even), the star mode (odd in x1) and mode 3
+    rows = result.coefficients[[0, result.star_index - 1, 2]]
+    by_workers = []
+    for workers in (1, 2):  # the serial pass, and in 1D the threaded one
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(steklov, "smoothed_sine_mode", smoothed_sine_mode)
-        distinct = engine.values(rows, xs, ts, grad=grad)
-        monkeypatch.setattr(steklov, "smoothed_sine_mode", _two_call_sine_mode)
-        assert np.array_equal(distinct, engine.values(rows, xs, ts, grad=grad))
+        with monkeypatch.context() as m:
+            m.setattr(steklov, "_fold_map", _no_fold)
+            whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
+        folded = engine.values(rows, steklov._xs(axes), ts, grad=grad)
+        # the kept points differ from the unfolded pass only by BLAS rounding
+        # (a one-row product, and one without the other parity's zero
+        # coefficients, round differently); the mirrored ones also by the
+        # rounding of the mode phases at -u
+        f, w = (_conditioned(v, ts, grad) for v in (folded, whole))
+        assert np.max(np.abs(f - w)) <= 1e-14 * np.max(np.abs(w))
+        by_workers.append(folded)
+    assert np.array_equal(*by_workers)
+
+
+@pytest.mark.parametrize(
+    "domain, n, mix",
+    [
+        (Domain.interval(-1.0, 1.0), 32, True),
+        (Domain.interval(-0.5, 1.7), 16, False),
+        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 8, False),
+        (Domain.rectangle(0.0, 3.0, -1.0, 0.5), 6, False),
+    ],
+    ids=["mixed-rows", "off-centre", "union", "off-centre-rect"],
+)
+@pytest.mark.parametrize("grad", [False, True])
+def test_unfolded_cases_match_the_unfolded_pass(domain, n, mix, grad, monkeypatch):
+    result = solve_spectrum(domain, 1.0, n)
+    # mode 1 + mode 2 is neither even nor odd; the other domains have no
+    # window closed under reflection on these axes
+    rows = result.coefficients[:1] + result.coefficients[1:2] if mix else result.coefficients[:3]
+    axes = [x for x, _ in _energy_grid(domain, default_truncation(domain.dim))[0]]
+    if domain.dim == 2:  # a lighter grid: every other node
+        axes = [x[::2] for x in axes]
+    ts = _time_grids(result)["q"]
+    engine = ExtensionEngine(result.basis)
+    with monkeypatch.context() as m:
+        m.setattr(steklov, "_fold_map", _no_fold)
+        whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
+
+    def refuse(*args):
+        raise AssertionError("a folded group was scattered")
+
+    monkeypatch.setattr(steklov, "_unfold", refuse)
+    assert np.array_equal(engine.values(rows, steklov._xs(axes), ts, grad=grad), whole)
 
 
 def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
@@ -638,14 +685,19 @@ def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
         return wofz(z)
 
     monkeypatch.setattr(steklov, "wofz", counting_wofz)
-    counts = {}
-    for workers, mode in ((1, smoothed_sine_mode), (2, smoothed_sine_mode),
-                          (1, _two_call_sine_mode)):
+    counts = []
+    for workers, fold in ((1, steklov._fold_map), (2, steklov._fold_map), (1, _no_fold)):
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(steklov, "smoothed_sine_mode", mode)
+        monkeypatch.setattr(steklov, "_fold_map", fold)
         entries.clear()
         gap_identity_check(interval_32)
-        counts[workers, mode] = sum(entries)
-    one, two, both_edges = counts.values()
-    assert one == two  # every job holds each point with its mirror image
-    assert one <= 0.51 * both_edges
+        counts.append(sum(entries))
+    one, two, naive = counts
+    assert one == two
+    # the unfolded pass: both edge offsets at every point, used mode and live node
+    ((x, _),), (tq, _) = _energy_grid(interval_32.domain, default_truncation(1))
+    engine = ExtensionEngine(interval_32.basis)
+    modes, _ = engine._modes(interval_32.coefficients[[interval_32.star_index - 1, 0]])
+    live = len(_live_chunks(*engine._time_weights(tq))) * steklov._S_CHUNK
+    assert naive == 2 * x.size * modes[0][0].size * live
+    assert one <= 0.51 * naive
