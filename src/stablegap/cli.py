@@ -247,6 +247,10 @@ def cmd_mc(args):
 
 
 def cmd_report(args):
+    if not 0 < args.alpha <= 2:
+        raise ValidationError("alpha must lie in (0, 2]")
+    if args.n is not None and args.n < 1:
+        raise ValidationError("--n must be >= 1")
     domain = parse_domain(args.domain) if args.domain else None
     if (args.sweep is None) != (args.plot_prefix is None):
         raise ValidationError("--sweep and --plot-prefix must be given together")

@@ -109,7 +109,8 @@ def min_antisymmetric_quotient(profile, l):
     Odd functions are parameterized by their restriction to (0, l) in a P1
     finite-element space with f(0) = 0 and a free (natural) condition at l;
     g is taken piecewise constant per cell. The minimal generalized
-    eigenvalue is compared with pi^2 / (4 l^2).
+    eigenvalue is compared with pi^2 / (4 l^2). l must be the half-extent
+    of the profile's grid (ValidationError otherwise).
     """
     if not profile.symmetric:
         raise ValidationError("the antisymmetric quotient needs a symmetric weight")
@@ -119,6 +120,9 @@ def min_antisymmetric_quotient(profile, l):
     # cell values of g on (0, l): the right half of the profile
     if m % 2 != 0:
         raise UnsupportedConfigurationError("need an even number of cell samples")
+    extent = profile.grid[-1] + 0.5 * (profile.grid[1] - profile.grid[0])
+    if not abs(l - extent) <= 1e-9 * extent:  # NaN, 0 and l < 0 fail it too
+        raise ValidationError(f"l = {l!r} differs from the profile's half-extent {extent!r}")
     gc = profile.values[m // 2 :]
     n = gc.size
     h = l / n

@@ -41,17 +41,17 @@ rectangle, so the centred gap checks do half the 1D work and a quarter of
 the 2D work. Unions, windows off the grid's centre and mixed rows keep
 every point.
 
-A 1D engine loop runs in two phases. Phase 1 evaluates the smoothed modes
-(the Faddeeva calls, nearly all of its time) and sums them against the
-coefficients, on one thread per CPU of the process's affinity mask, a job
-per half of the nodes of a chunk. Phase 2 then contracts each chunk with
-its subordination weights over time, in the calling thread and in the
-serial order, so the values are bit-identical to a one-thread pass. The
-time contractions are held back to phase 2 because each is a
-multithreaded BLAS product, after which the idle OpenBLAS worker spins on
-a core for a while; mixed into phase 1 they would take that core from the
-Faddeeva jobs. A 2D loop, bound by its contractions, keeps one thread and
-the per-chunk sequence.
+The engine loop is the same in every dimension and runs in two phases.
+Phase 1 evaluates the smoothed modes of a chunk of nodes and sums them
+against the coefficients; it is mapped over a batch of chunks, on one thread
+per CPU of the process's affinity mask in a 1D pass large enough to pay for
+them, else inline. Phase 2 then contracts each chunk with its subordination
+weights over time, in the calling thread and in the serial order, so the
+values are bit-identical whatever the thread count. The time contractions
+are held back to phase 2 because each is a multithreaded BLAS product,
+after which the idle OpenBLAS worker spins on a core for a while; mixed
+into phase 1 they would take that core from the Faddeeva jobs. A 2D pass,
+bound by its contractions, keeps one thread (engine_workers).
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ from __future__ import annotations
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import wofz
@@ -169,9 +171,10 @@ _S_CHUNK = 24  # subordination nodes per pass of the mode kernel
 # a chunk is evaluated when some node in it carries at least this share of
 # the largest value or d/dt weight at some time
 _WEIGHT_FLOOR = 1e-16
-# a 1D pass goes to worker threads only from this many smoothed-mode entries
-# (modes x points x nodes, about 10 ms of Faddeeva work on one core): below
-# it, starting the threads costs more than they save
+# an engine pass goes to worker threads only from this many smoothed-mode
+# entries (modes x points x nodes, summed over the axes; about 10 ms of
+# Faddeeva work on one core): below it, starting the threads costs more than
+# they save
 _PARALLEL_ENTRIES = 1 << 16
 
 
@@ -401,13 +404,11 @@ class ExtensionEngine:
         apart. Mixed rows and axes that do not fold keep every point and
         mode; a single such group sums into the result directly.
 
-        A 1D loop large enough to pay for threads runs in two phases (see
-        _values_1d_threaded): the smoothed modes on engine_workers(1)
-        threads, then the time contractions in this thread, chunk by chunk,
-        because each of them leaves an OpenBLAS thread spinning on a core
-        the first phase needs. Other loops run each chunk through both
-        phases in turn in this thread. Either way the result is the same to
-        the last bit.
+        Each group's loop (_pass) runs in two phases, chunk by chunk of
+        nodes: the smoothed modes, on engine_workers threads when the pass
+        is large enough to pay for them, then the time contractions in this
+        thread in the serial order. The result is the same to the last bit
+        on any number of threads.
         """
         rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -444,85 +445,57 @@ class ExtensionEngine:
         return out
 
     def _pass(self, out, C, points, modes, chunks, gw, nt, grad):
-        """The engine loop: the chunks of nodes, each through both phases,
-        summed into out; a 1D pass that pays for threads goes to
-        _values_1d_threaded."""
+        """The engine loop, in any dimension: the chunks of nodes in batches
+        whose rows x terms x points x nodes stay within _CHUNK_ENTRIES.
+
+        Phase 1, _chunk_terms, is mapped over the chunks of a batch: on
+        engine_workers threads, one chunk per job, when the pass pays for
+        them, else inline with the builtin map. Phase 2, _add_chunk, sums
+        each chunk into out in this thread and in the serial order, so every
+        sum is the serial one. It waits for phase 1 of the whole batch
+        because each time contraction is a multithreaded gemm, after which
+        the OpenBLAS worker spins for a while on a core that the Faddeeva
+        jobs could use. Whole chunks feed the threads: a job repeats the
+        work that depends on the points alone, and runs of a few nodes made
+        the 1D checks take up to twice the CPU time. With the few rows the
+        checks pass (at most three) the phase-1 contractions were measured
+        not to wake the BLAS threads."""
         workers = engine_workers(len(points))
-        # in 1D: modes x points x nodes
-        entries = modes[0][2].size * points[0].size * len(chunks) * _S_CHUNK
-        if workers > 1 and entries >= _PARALLEL_ENTRIES:
-            self._values_1d_threaded(out, C, points[0], modes, chunks, gw, nt, grad, workers)
-        else:
-            for sl in chunks:
-                _add_chunk(out, self._chunk_terms(C, points, modes, sl, grad), gw, sl, nt)
+        # smoothed-mode entries: modes x points x nodes, summed over the axes
+        entries = sum(m[2].size * p.size for m, p in zip(modes, points)) * len(chunks) * _S_CHUNK
+        threaded = workers > 1 and entries >= _PARALLEL_ENTRIES
+        per_batch = max(1, _CHUNK_ENTRIES // (out[..., 0].size * _S_CHUNK))
+        with ThreadPoolExecutor(workers) if threaded else nullcontext() as pool:
+            phase1 = pool.map if threaded else map
+            chunk_terms = partial(self._chunk_terms, C, points, modes, grad=grad)
+            for i in range(0, len(chunks), per_batch):
+                batch = chunks[i : i + per_batch]
+                for sl, t in zip(batch, list(phase1(chunk_terms, batch))):
+                    _add_chunk(out, t, gw, sl, nt)
 
     def _chunk_terms(self, C, points, modes, sl, grad):
         """Phase 1 for the chunk sl of nodes: the smoothed modes summed
-        against C, one (rows, n_1, ..., n_d, nodes) term after another: the
-        value, then with grad=True d/dx_i for each axis. A generator, so a
-        serial caller holds one term at a time."""
+        against C, a list of (rows, n_1, ..., n_d, nodes) terms: the value,
+        then with grad=True d/dx_i for each axis."""
         sc = self.s_nodes[None, None, sl]
         per_axis = [_axis_modes(p, sc, c, h, om, grad) for p, (c, h, om) in zip(points, modes)]
-        vals = [v for v, _ in per_axis] if grad else per_axis
-        yield _contract(C, vals)
-        if grad:
-            for i, (_, dx) in enumerate(per_axis):
-                yield _contract(C, vals[:i] + [dx] + vals[i + 1 :])
-
-    def _values_1d_threaded(self, out, C, x, modes, chunks, gw, nt, grad, workers):
-        """The 1D loop on worker threads, over batches of chunks whose
-        components x rows x points x nodes stay within _CHUNK_ENTRIES.
-
-        Phase 1 runs on the threads: a job is one half of the nodes of a
-        chunk, on all of the points, and writes its terms into that chunk's
-        own buffer. A job repeats the work that depends on the points alone
-        (the (modes, points) phases and numpy's per-call costs): in halves
-        that work is done twice per chunk at no measurable cost, while runs
-        of a few nodes made the 1D checks take up to twice the CPU time. So
-        the batches, not finer runs, feed the threads, and each thread holds
-        the mode arrays of half a chunk. With the few rows the checks pass
-        (at most three) these contractions were measured not to wake the
-        BLAS threads. Phase 2 runs in the calling thread once phase 1 of the
-        batch is done: the time contractions, chunk by chunk in the serial
-        order, so every sum is the serial one. They wait because each is a
-        multithreaded gemm, after which the OpenBLAS worker spins for a
-        while on a core that the Faddeeva jobs could use."""
-        per_batch = max(1, _CHUNK_ENTRIES // (out.shape[0] * out.shape[1] * x.size * _S_CHUNK))
-
-        def halves(sl):
-            """The nodes of the chunk sl in two runs, as (slice of the grid,
-            slice of the chunk)."""
-            n = self.s_nodes[sl].size
-            cut = np.linspace(0, n, min(2, n) + 1).astype(int)
-            return [(slice(sl.start + a, sl.start + b), slice(a, b))
-                    for a, b in zip(cut[:-1], cut[1:])]
-
-        def job(buf, nodes, part):
-            for b, term in zip(buf, self._chunk_terms(C, [x], modes, nodes, grad)):
-                b[..., part] = term
-
-        with ThreadPoolExecutor(workers) as pool:
-            for i in range(0, len(chunks), per_batch):
-                batch = chunks[i : i + per_batch]
-                bufs = [np.empty((2 if grad else 1, out.shape[0], x.size, self.s_nodes[sl].size))
-                        for sl in batch]
-                jobs = [(b, *run) for b, sl in zip(bufs, batch) for run in halves(sl)]
-                for f in [pool.submit(job, *j) for j in jobs]:
-                    f.result()
-                for b, sl in zip(bufs, batch):
-                    _add_chunk(out, b, gw, sl, nt)
+        if not grad:
+            return [_contract(C, per_axis)]
+        vals = [v for v, _ in per_axis]
+        return [_contract(C, vals)] + [_contract(C, vals[:i] + [dx] + vals[i + 1 :])
+                                       for i, (_, dx) in enumerate(per_axis)]
 
 
 def _add_chunk(out, terms, gw, sl, nt):
     """Phase 2 for the chunk sl: contract each term over its nodes with the
     time weights gw and add it to out. The value term takes every row of gw:
     with grad=True its d/dt rows follow the nt value rows."""
-    terms = iter(terms)
-    both = _time_contract(next(terms), gw[:, sl])
+    value, *dxs = terms
+    both = _time_contract(value, gw[:, sl])
     out[:, 0] += both[..., :nt]
     if both.shape[-1] > nt:
         out[:, -1] += both[..., nt:]
-    for i, term in enumerate(terms, 1):
+    for i, term in enumerate(dxs, 1):
         out[:, i] += _time_contract(term, gw[:nt, sl])
 
 

@@ -256,6 +256,9 @@ def _run_module(module, argv, cwd):
     ["report", "--domain", "interval:-1,1", "--n", "1"],
     ["report", "--domain", "interval:-1,1", "--n", "0"],
     ["report", "--domain", "interval:-1,1", "--n", "-3"],
+    ["report", "--alpha", "nan"],
+    ["report", "--alpha", "3"],
+    ["report", "--n", "0"],
     ["report", "--domain", "rect:0,inf,-1,1"],
     ["eig", "--domain", "rect:0,inf,-1,1", "--n", "4"],
     ["eig", "--domain", "disk:nan,0,1", "--alpha", "2", "--n", "4"],
@@ -275,7 +278,7 @@ def _run_module(module, argv, cwd):
         "mc-start",
         "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
         "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1",
-        "report-n0", "report-n-3",
+        "report-n0", "report-n-3", "report-alpha-nan", "report-alpha-3", "report-no-domain-n0",
         "report-rect-inf", "rect-inf", "disk-nan-centre", "disk-inf-radius",
         "gap-check-t-max-inf", "gap-check-x-max-inf", "gap-check-x-max-in-domain",
         "mc-t-max-inf",

@@ -53,6 +53,15 @@ def test_flat_weight_scales_with_length():
     assert abs(out.quotient - BOUND / 4) < 1e-4
 
 
+@pytest.mark.parametrize("l", [1.0, 0.0, -2.0, float("nan"), 2.0 * (1 + 1e-8)])
+def test_length_must_match_the_profile(l):
+    # a flat profile sampled on (-2, 2): l = 1 would give the quotient of (-1, 1)
+    flat = WeightProfile.from_function(lambda x: np.ones_like(x), 2.0)
+    with pytest.raises(ValidationError, match="half-extent"):
+        min_antisymmetric_quotient(flat, l)
+    assert min_antisymmetric_quotient(flat, 2.0 * (1 + 1e-10)).passed
+
+
 def test_gaussian_weight_beats_flat_constant():
     gauss = WeightProfile.from_function(lambda x: np.exp(-(x**2)), 1.0)
     out = min_antisymmetric_quotient(gauss, 1.0)

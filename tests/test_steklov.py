@@ -517,7 +517,7 @@ def test_threaded_pass_with_more_workers_than_cores(interval_32, monkeypatch):
     assert np.array_equal(serial, threaded)
 
 
-def test_small_and_single_cpu_passes_build_no_pool(interval_32, monkeypatch):
+def test_small_and_single_cpu_passes_build_no_pool(interval_32, rect_8, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
@@ -525,6 +525,11 @@ def test_small_and_single_cpu_passes_build_no_pool(interval_32, monkeypatch):
     monkeypatch.setattr(steklov, "_cpu_count", lambda: 2)
     assert np.isfinite(check_boundary_derivative(interval_32, 2, 0.3))
     assert np.isfinite(check_harmonic(extend(interval_32, 2), 0.3, 0.5))
+    # a 2D pass keeps one thread however large: this one is over 3x _PARALLEL_ENTRIES
+    ts = _time_grids(rect_8)["q"]
+    xs = (np.linspace(-3.0, 3.0, 40), np.linspace(-1.5, 1.5, 30))
+    v = ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, ts, grad=True)
+    assert v.shape == (2, 4, 40, 30, ts.size)
     monkeypatch.setattr(steklov, "_cpu_count", lambda: 1)
     ts = _time_grids(interval_32)["q"]
     v = ExtensionEngine(interval_32.basis).values(interval_32.coefficients[:2],
