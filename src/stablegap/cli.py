@@ -255,6 +255,8 @@ def cmd_report(args):
     if (args.sweep is None) != (args.plot_prefix is None):
         raise ValidationError("--sweep and --plot-prefix must be given together")
     sweep = _floats(args.sweep) if args.sweep is not None else []
+    if not all(1 <= L < np.inf for L in sweep):  # rectangle_gap_lower needs L >= 1; NaN fails too
+        raise ValidationError(f"--sweep half-lengths must be finite and >= 1, got {args.sweep!r}")
     config = {
         "command": "report",
         "domain": domain.to_json() if domain else None,

@@ -413,8 +413,8 @@ def mode_parity(k):
 def reflection_map(basis):
     """u(x) -> u(-x1, x2...) on the coefficients of an x1-symmetric domain's basis, a
     signed permutation: basis function i goes to sign[i] times basis function image[i];
-    returns (image, sign). On the x1 axis of a sine basis, mode k of the component at c
-    goes to mode_parity(k) times mode k of the one at -c; other axes stay."""
+    returns (image, sign). On the x1 axis of a sine basis, mode k of component i of m goes
+    to mode_parity(k) times mode k of component m - 1 - i, its mirror; other axes stay."""
     if not basis.domain.summarize().symmetric_x1:
         raise ValidationError("reflection needs an x1-symmetric domain")
     if basis.kind == "disk":
@@ -422,12 +422,10 @@ def reflection_map(basis):
         # sin(m th) -> (-1)^(m+1) sin(m th)
         m, _, _, ang = basis.meta
         return np.arange(basis.size), mode_parity(np.where(ang == "cos", m + 1, m))
-    c, h, k, _ = basis.meta[0]
+    k = basis.meta[0][2]
     n, rest = int(k.max()), basis.size // k.size  # modes per component, per x1 mode
-    cc, hh = c[::n], h[::n]
-    mate = np.argmax(np.isclose(cc[:, None], -cc, rtol=0, atol=1e-12)
-                     & np.isclose(hh[:, None], hh, rtol=0, atol=1e-12), axis=1)
-    image = mate[np.arange(k.size) // n] * n + k - 1
+    # component i of the m on x1 mirrors component m - 1 - i (Domain._symmetric_x1)
+    image = (k.size // n - 1 - np.arange(k.size) // n) * n + k - 1
     return (image[:, None] * rest + np.arange(rest)).ravel(), np.repeat(mode_parity(k), rest)
 
 

@@ -36,11 +36,11 @@ _LEMMA_TOL = 1e-12  # check_lemma_derivative: absolute slack below its bound
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Positive weight sampled on a uniform grid (cell centers of (-l, l))."""
+    """Positive weight sampled on a uniform grid (cell centers of (-l, l)),
+    symmetric: the grid and the samples are checked to be even."""
 
     grid: np.ndarray
     values: np.ndarray
-    symmetric: bool
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -51,19 +51,17 @@ class WeightProfile:
             raise ValidationError("grid and values must be matching 1D arrays")
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise ValidationError("weight samples must be positive and finite")
-        if self.symmetric:
-            sym_err = np.max(np.abs(v - v[::-1]))
-            grid_err = np.max(np.abs(g + g[::-1]))
-            if sym_err > 1e-10 * np.max(v) or grid_err > 1e-10 * np.max(np.abs(g)):
-                raise ValidationError("profile marked symmetric but samples are not")
+        sym_err = np.max(np.abs(v - v[::-1]))
+        grid_err = np.max(np.abs(g + g[::-1]))
+        if sym_err > 1e-10 * np.max(v) or grid_err > 1e-10 * np.max(np.abs(g)):
+            raise ValidationError("weight profile samples are not symmetric")
 
     @classmethod
     def from_function(cls, fn, l):
-        """Sample fn at the cell centers of a uniform partition of (-l, l),
-        as a symmetric profile."""
+        """Sample fn at the cell centers of a uniform partition of (-l, l)."""
         edges = np.linspace(-l, l, _PROFILE_CELLS + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        return cls(centers, np.asarray(fn(centers), dtype=float), True)
+        return cls(centers, np.asarray(fn(centers), dtype=float))
 
 
 def ground_state_weight(result):
@@ -112,8 +110,6 @@ def min_antisymmetric_quotient(profile, l):
     eigenvalue is compared with pi^2 / (4 l^2). l must be the half-extent
     of the profile's grid (ValidationError otherwise).
     """
-    if not profile.symmetric:
-        raise ValidationError("the antisymmetric quotient needs a symmetric weight")
     m = profile.grid.size
     if m < 16:
         raise UnsupportedConfigurationError("weight grid too coarse (< 16 nodes)")

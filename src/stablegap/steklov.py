@@ -31,15 +31,16 @@ The closed form takes the complex error function at the two edge offsets
 h - u and -h - u of each point (u = x - c in the window (c - h, c + h)).
 Sine mode k is even about c for odd k and odd for even k, and on a domain
 symmetric about a coordinate axis every eigenfunction is even or odd. So
-the engine folds mirror axes: where an axis has one window and its points
-are closed under u -> -u to the last bit, each row that is even or odd on
-it is evaluated, contracted and summed over time on the points u >= 0
-alone, with the modes of its parity alone, and reflected with its sign
-(see ExtensionEngine.values). The energy and probe grids are closed under
-x -> -x (mirror_linspace), on the interval and on both axes of a centred
-rectangle, so the centred gap checks do half the 1D work and a quarter of
-the 2D work. Unions, windows off the grid's centre and mixed rows keep
-every point.
+the engine folds mirror axes into two reversed halves: where an axis has
+one window and its point i is the mirror u -> -u of point n - 1 - i to the
+last bit, each row that is even or odd on it is evaluated, contracted and
+summed over time on the second half alone, with the modes of its parity
+alone, and the first half takes those values reversed, times the sign of
+the parity (see ExtensionEngine.values). The energy and probe grids are
+built that way (mirror_linspace), on the interval and on both axes of a
+centred rectangle, so the centred gap checks do half the 1D work and a
+quarter of the 2D work. Unions, windows off the grid's centre and mixed
+rows keep every point.
 
 The engine loop is the same in every dimension and runs in two phases.
 Phase 1 evaluates the smoothed modes of a chunk of nodes and sums them
@@ -56,6 +57,7 @@ bound by its contractions, keeps one thread (engine_workers).
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -153,7 +155,8 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     The closed form takes _scaled_erf at the two edge offsets h - u and
     -h - u, u = x - c. A mode of parity p about c (mode_parity) takes p times
     its value at -u, d/dx -p times; ExtensionEngine.values uses this to
-    evaluate the modes on half of a grid closed under u -> -u.
+    evaluate the modes on the second half of a grid whose first half is its
+    reversed mirror.
     """
     u = np.asarray(x, dtype=float) - center
     E = _scaled_erf(half - u, omega, s)
@@ -218,34 +221,18 @@ def _axis_modes(x, s, center, half, omega, grad):
     return np.concatenate(parts)
 
 
-def _identity_map(n):
-    """The map of an axis that does not fold: every one of its n points
-    kept, each its own image, none mirrored (see _fold_map)."""
-    return np.arange(n), np.arange(n), np.zeros(n, dtype=bool)
-
-
-def _fold_map(x, table):
-    """How the points x of one axis fold about the window of its basis
-    table (centers, halves, k, omegas): (keep, image, mirrored), the indices
-    of the kept points, and per point the position in x[keep] of the kept
-    point at the same |x - c| and whether the point is its mirror image.
-
-    An axis folds when its modes share one window (c, h) and the offsets
-    u = x - c are closed under u -> -u to the last bit, as the energy and
-    probe grids are about 0 (mirror_linspace). The points with u >= 0 are
-    kept, and a mode of parity p (mode_parity) takes p times its kept value
-    at a mirrored point. Any other axis gets _identity_map."""
+def _folds(x, table):
+    """Whether the points x of one axis fold about the window of its basis
+    table (centers, halves, k, omegas): its modes share one window (c, h)
+    and the offsets u = x - c are the reversed mirror of themselves,
+    u == -u[::-1] to the last bit, as the energy and probe grids are about 0
+    (mirror_linspace). Point i is then the mirror of point n - 1 - i: a pass
+    keeps the second half x[n // 2:], and a mode of parity p (mode_parity)
+    takes p times its kept values, reversed, on the first half. A single
+    point has no mirror to spare, so its axis does not fold."""
     c, h = table[0], table[1]
     u = x - c[0]
-    order = np.argsort(u, kind="stable")
-    if np.any(c != c[0]) or np.any(h != h[0]) or not np.array_equal(u[order], -u[order[::-1]]):
-        return _identity_map(x.size)
-    keep, mirrored = np.flatnonzero(u >= 0), u < 0
-    at = np.zeros(x.size, dtype=int)
-    at[keep] = np.arange(keep.size)
-    mate = np.empty_like(order)
-    mate[order] = order[::-1]  # the point at -u
-    return keep, np.where(mirrored, at[mate], at), mirrored
+    return x.size > 1 and np.all(c == c[0]) and np.all(h == h[0]) and np.array_equal(u, -u[::-1])
 
 
 def _parity_groups(C, parities, folds):
@@ -265,24 +252,28 @@ def _parity_groups(C, parities, folds):
         yield np.flatnonzero(np.all(keys == key, axis=1)), tuple(key.tolist())
 
 
-def _unfold(out, part, rows, maps, key):
-    """Scatter a group's pass on its kept points, part (group rows, terms,
-    kept grid, times), into its rows of out: per axis, each point takes the
-    value at its kept image, negated at mirrored points where the term is
-    odd on that axis. The value and d/dt terms have the parities key; d/dx_i
-    (term 1 + i of a grad pass) has the opposite parity on axis i."""
-    d = len(maps)
-    for j, r in enumerate(rows):
-        for term in range(part.shape[1]):
-            v, dst = part[j, term], out[r, term]
-            for i, (_, image, _) in enumerate(maps[:-1]):
-                v = np.take(v, image, axis=i)
-            # mode="clip": numpy writes into dst directly (it buffers out= under "raise")
-            np.take(v, maps[-1][1], axis=d - 1, out=dst, mode="clip")
-            for i, ((_, _, mirrored), p) in enumerate(zip(maps, key)):
-                if (-p if term == 1 + i else p) < 0:
-                    where = mirrored.reshape((1,) * i + (-1,) + (1,) * (d - i))
-                    np.negative(dst, out=dst, where=where)
+def _unfold(out, part, rows, key):
+    """Write a group's pass on its kept points, part (group rows, terms,
+    kept grid, times), into its rows of out. An axis i with key[i] != 0
+    kept its second half; its first half takes the kept values reversed
+    (the centre point of an odd axis is its own mirror and is not repeated),
+    times the term's parity on that axis. The value and d/dt terms have the
+    parities key; d/dx_i (term 1 + i of a grad pass) has the opposite parity
+    on axis i. Each of the 2^d quadrants, kept or mirrored half of each
+    folded axis, is one assignment over all rows and terms."""
+    halves = []  # per axis: (out slice, part slice, mirrored) for each half
+    for n, p in zip(out.shape[2:-1], key):
+        kept = (slice(n // 2 if p else 0, None), slice(None), False)
+        halves.append([kept, (slice(None, n // 2), slice(n % 2, None), True)] if p else [kept])
+    for quadrant in itertools.product(*halves):
+        dst, src, mirrored = zip(*quadrant)
+        sign = np.ones((part.shape[1],) + (1,) * (part.ndim - 2))
+        for i in np.flatnonzero(mirrored):
+            sign *= key[i]
+            if part.shape[1] > 1:  # a grad pass: d/dx_i flips on axis i
+                sign[1 + i] *= -1
+        flip = tuple(2 + np.flatnonzero(mirrored))
+        out[(rows, slice(None)) + dst] = np.flip(part[(slice(None),) * 2 + src], flip) * sign
 
 
 def _live_chunks(*weights):
@@ -393,11 +384,12 @@ class ExtensionEngine:
         on ts alone, so the value slice of a grad=True call equals the
         grad=False result exactly.
 
-        Mirror axes fold (see _fold_map): the rows are grouped by their
-        parity on each folding axis (_parity_groups), and each group runs
-        the engine loop on the kept half of the axes where it is pure, with
-        only the modes of its parity; _unfold then writes each point from
-        its kept image, with the sign of the term's parity. The dropped
+        Mirror axes fold into two reversed halves (see _folds): the rows are
+        grouped by their parity on each folding axis (_parity_groups), and
+        each group runs the engine loop on the second half of the axes where
+        it is pure, with only the modes of its parity; _unfold then writes
+        the first half as the kept values reversed, with the sign of the
+        term's parity, one quadrant of the grid at a time. The dropped
         coefficients are exact zeros, so the result differs from an unfolded
         pass by rounding alone: BLAS rounds a product with fewer rows, modes
         or points differently, and the phases of a mode at u and -u round
@@ -420,22 +412,22 @@ class ExtensionEngine:
             gw = np.concatenate([gw, dgw])
         points = _axes(xs, len(self.basis.meta))
         modes, C = self._modes(rows)
-        folds = [_fold_map(x, table) for x, table in zip(points, self.basis.meta)]
-        grid = tuple(p.size for p in points)
-        out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1) + grid + (nt,))
+        folds = [_folds(x, table) for x, table in zip(points, self.basis.meta)]
+        out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1)
+                       + tuple(p.size for p in points) + (nt,))
         parities = [m[3] for m in modes]
-        for g, key in _parity_groups(C, parities, [f[2].any() for f in folds]):
-            # on axis i: the modes of parity key[i] on the kept points, or all of them on all
+        for g, key in _parity_groups(C, parities, folds):
+            # on axis i: the modes of parity key[i] on the kept half, or all of them on all points
             sel = [np.flatnonzero(par == p) if p else np.arange(par.size)
                    for par, p in zip(parities, key)]
-            maps = [f if p else _identity_map(x.size) for f, p, x in zip(folds, key, points)]
+            kept = [x[x.size // 2 :] if p else x for x, p in zip(points, key)]
             part = out if g.size == len(out) and not any(key) else np.zeros(
-                (g.size, out.shape[1]) + tuple(m[0].size for m in maps) + (nt,))
-            self._pass(part, C[np.ix_(g, *sel)], [x[m[0]] for x, m in zip(points, maps)],
+                (g.size, out.shape[1]) + tuple(x.size for x in kept) + (nt,))
+            self._pass(part, C[np.ix_(g, *sel)], kept,
                        [(c[i], h[i], om[i]) for (c, h, om, _), i in zip(modes, sel)],
                        chunks, gw, nt, grad)
             if part is not out:
-                _unfold(out, part, g, maps, key)
+                _unfold(out, part, g, key)
         if grad:
             return out
         out = out[:, 0]

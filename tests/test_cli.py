@@ -244,6 +244,7 @@ def _run_module(module, argv, cwd):
     ["report", "--sweep", "1,2"],
     ["report", "--sweep", "a,b"],
     ["report", "--plot-prefix", "p"],
+    ["report", "--domain", "interval:-1,1", "--sweep", "1,nan", "--plot-prefix", "p"],
     ["mc", "--domain", "interval:-1,1", "--seed", "1", "--start", "a"],
     ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "0"],
     ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--mode", "1"],
@@ -275,7 +276,7 @@ def _run_module(module, argv, cwd):
     ["mc", "--domain", "interval:-1,1", "--seed", "-1", "--paths", "100"],
 ], ids=["interval-n0", "rect-n0", "csv-mode", "report-sweep",
         "report-sweep-no-prefix", "report-bad-sweep-no-prefix", "report-prefix-no-sweep",
-        "mc-start",
+        "report-sweep-nan", "mc-start",
         "gap-check-mode0", "gap-check-mode1", "gap-check-mode-1", "gap-check-mode17",
         "interval-n1", "n-report1", "n-report0", "rect-n1", "report-n1",
         "report-n0", "report-n-3", "report-alpha-nan", "report-alpha-3", "report-no-domain-n0",
@@ -324,6 +325,21 @@ def test_mc_rejected_configuration_exits_before_simulating(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "alpha = 2" in err
+
+
+@pytest.mark.parametrize("sweep", ["2,0.5", "2,inf", "-1"])
+def test_report_sweep_checked_before_solving(sweep, monkeypatch, capsys, tmp_path):
+    # every half-length is checked before the first sweep solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_spectrum ran")
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", no_solve)
+    code, out, err = run_cli(["report", "--sweep", sweep, "--n", "8",
+                              "--plot-prefix", str(tmp_path / "p")], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--sweep" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -487,22 +487,23 @@ def test_stacked_coefficients_match_one_vector_at_a_time(domain, alpha, n, x):
 
 
 @pytest.mark.parametrize(
-    "domain, n",
+    "domain, n, span",
     [
-        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 5),
-        (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), (5, 4)),
-        (Domain.disk(0.0, 0.0, 1.0), 12),
+        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 5, 1.5),
+        (Domain.interval_union([(-3.0, -2.5), (-2.0, -1.0), (1.0, 2.0), (2.5, 3.0)]), 5, 3.2),
+        (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), (5, 4), 1.5),
+        (Domain.disk(0.0, 0.0, 1.0), 12, 1.5),
     ],
-    ids=["union", "rectangle", "disk"],
+    ids=["union", "union-4-unequal", "rectangle", "disk"],
 )
-def test_reflection_matrix_reflects_x1(domain, n):
+def test_reflection_matrix_reflects_x1(domain, n, span):
     # the signed permutation maps the coefficients of u to those of u(-x1, x2, ...)
     _, basis = assemble_form_matrix(domain, 2.0, n)
     image, _ = reflection_map(basis)
     assert np.array_equal(np.sort(image), np.arange(basis.size))
     assert np.array_equal(image[image], np.arange(basis.size))  # an involution
     C = np.random.default_rng(3).standard_normal((2, basis.size))
-    x = np.random.default_rng(4).uniform(-1.5, 1.5, (29, 2))
+    x = np.random.default_rng(4).uniform(-span, span, (29, 2))
     x = x[:, 0] if domain.dim == 1 else x
     mirrored = -x if domain.dim == 1 else x * [-1.0, 1.0]
     np.testing.assert_allclose(evaluate_basis_sum(basis, _reflect(basis, C), x),

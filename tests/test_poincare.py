@@ -114,8 +114,7 @@ def test_ground_state_weight_rejects_union():
 
 
 def test_coarse_profile_rejected():
-    coarse = WeightProfile(np.linspace(-0.99, 0.99, 10),
-                           np.ones(10), True)
+    coarse = WeightProfile(np.linspace(-0.99, 0.99, 10), np.ones(10))
     with pytest.raises(UnsupportedConfigurationError):
         min_antisymmetric_quotient(coarse, 1.0)
 

@@ -608,8 +608,8 @@ def test_energy_grid_rejects_a_box_inside_the_domain(interval_domain, x_max):
 
 
 def _no_fold(x, table):
-    # the private fold map patched out: every axis keeps all of its points
-    return steklov._identity_map(x.size)
+    # the private fold test patched out: every axis keeps all of its points
+    return False
 
 
 def _conditioned(v, ts, grad):
@@ -622,12 +622,18 @@ def _conditioned(v, ts, grad):
 
 
 @pytest.mark.parametrize("grad", [False, True])
-@pytest.mark.parametrize("case", ["interval_32", "rect_8"])
-def test_folded_pass_matches_unfolded_pass(case, grad, request, monkeypatch):
+@pytest.mark.parametrize(
+    "case, points",
+    [("interval_32", 33), ("rect_8", 33), ("interval_32", 32), ("rect_8", 32)],
+    ids=["interval_32", "rect_8", "interval_32-even", "rect_8-even"],
+)
+def test_folded_pass_matches_unfolded_pass(case, points, grad, request, monkeypatch):
     result = request.getfixturevalue(case)
-    # points closed under x -> -x on each axis, 0 among them
-    axes = [mirror_linspace(-1.6 * hi, 1.6 * hi, 33) for _, hi in result.domain.bounding_box()]
-    assert all(steklov._fold_map(x, t)[2].any() for x, t in zip(axes, result.basis.meta))
+    # point i the mirror of point n - 1 - i on each axis: 0 among them when
+    # n is odd, no point at the centre when n is even
+    axes = [mirror_linspace(-1.6 * hi, 1.6 * hi, points)
+            for _, hi in result.domain.bounding_box()]
+    assert all(steklov._folds(x, t) for x, t in zip(axes, result.basis.meta))
     ts = _time_grids(result)["d01"]
     ts = ts if grad else np.concatenate([[0.0], ts])  # t = 0 rows: the boundary values
     engine = ExtensionEngine(result.basis)
@@ -637,7 +643,7 @@ def test_folded_pass_matches_unfolded_pass(case, grad, request, monkeypatch):
     for workers in (1, 2):  # the serial pass, and in 1D the threaded one
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
         with monkeypatch.context() as m:
-            m.setattr(steklov, "_fold_map", _no_fold)
+            m.setattr(steklov, "_folds", _no_fold)
             whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
         folded = engine.values(rows, steklov._xs(axes), ts, grad=grad)
         # the kept points differ from the unfolded pass only by BLAS rounding
@@ -651,32 +657,37 @@ def test_folded_pass_matches_unfolded_pass(case, grad, request, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "domain, n, mix",
+    "domain, n, case",
     [
-        (Domain.interval(-1.0, 1.0), 32, True),
-        (Domain.interval(-0.5, 1.7), 16, False),
-        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 8, False),
-        (Domain.rectangle(0.0, 3.0, -1.0, 0.5), 6, False),
+        (Domain.interval(-1.0, 1.0), 32, "mixed"),
+        (Domain.interval(-1.0, 1.0), 32, "permuted"),
+        (Domain.interval(-0.5, 1.7), 16, None),
+        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 8, None),
+        (Domain.rectangle(0.0, 3.0, -1.0, 0.5), 6, None),
     ],
-    ids=["mixed-rows", "off-centre", "union", "off-centre-rect"],
+    ids=["mixed-rows", "permuted-mirror-grid", "off-centre", "union", "off-centre-rect"],
 )
 @pytest.mark.parametrize("grad", [False, True])
-def test_unfolded_cases_match_the_unfolded_pass(domain, n, mix, grad, monkeypatch):
+def test_unfolded_cases_match_the_unfolded_pass(domain, n, case, grad, monkeypatch):
     result = solve_spectrum(domain, 1.0, n)
     # mode 1 + mode 2 is neither even nor odd; the other domains have no
     # window closed under reflection on these axes
-    rows = result.coefficients[:1] + result.coefficients[1:2] if mix else result.coefficients[:3]
+    mixed = result.coefficients[:1] + result.coefficients[1:2]
+    rows = mixed if case == "mixed" else result.coefficients[:3]
     axes = [x for x, _ in _energy_grid(domain, default_truncation(domain.dim))[0]]
     if domain.dim == 2:  # a lighter grid: every other node
         axes = [x[::2] for x in axes]
+    if case == "permuted":  # closed under x -> -x, but i not the mirror of n - 1 - i
+        axes = [np.random.default_rng(5).permutation(x) for x in axes]
+        assert not any(steklov._folds(x, t) for x, t in zip(axes, result.basis.meta))
     ts = _time_grids(result)["q"]
     engine = ExtensionEngine(result.basis)
     with monkeypatch.context() as m:
-        m.setattr(steklov, "_fold_map", _no_fold)
+        m.setattr(steklov, "_folds", _no_fold)
         whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
 
     def refuse(*args):
-        raise AssertionError("a folded group was scattered")
+        raise AssertionError("a folded group was written back")
 
     monkeypatch.setattr(steklov, "_unfold", refuse)
     assert np.array_equal(engine.values(rows, steklov._xs(axes), ts, grad=grad), whole)
@@ -691,9 +702,9 @@ def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
 
     monkeypatch.setattr(steklov, "wofz", counting_wofz)
     counts = []
-    for workers, fold in ((1, steklov._fold_map), (2, steklov._fold_map), (1, _no_fold)):
+    for workers, fold in ((1, steklov._folds), (2, steklov._folds), (1, _no_fold)):
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(steklov, "_fold_map", fold)
+        monkeypatch.setattr(steklov, "_folds", fold)
         entries.clear()
         gap_identity_check(interval_32)
         counts.append(sum(entries))
