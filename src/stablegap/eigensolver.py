@@ -30,8 +30,11 @@ the quadrature is skipped; disks are supported at alpha = 2 only, through the
 classical Bessel modes.
 
 Rayleigh-Ritz gives one-sided (from above) approximations, nonincreasing in
-the basis size because the sine bases are nested. solve_spectrum runs eigh per
-x1-reflection block, so the symmetry labels are exact by construction.
+the basis size because the sine bases are nested. solve_spectrum runs one
+eigh per exact block of the form, on every domain: the sign-eigenspaces of
+the x1 reflection (the identity where D is not x1-symmetric), split on a
+rectangle by the parity of the x2 mode. So the symmetry labels are exact by
+construction, and each coefficient vector is exactly zero off its block.
 """
 
 from __future__ import annotations
@@ -363,7 +366,9 @@ class SpectralResult:
 
     coefficients[n-1] holds the basis coefficients of mode n (1-based mode
     numbering throughout). symmetry[n-1] is its x1-reflection block, "symmetric"
-    or "antisymmetric"; "none" only on a domain that is not x1-symmetric.
+    or "antisymmetric"; "none" only on a domain that is not x1-symmetric. On a
+    rectangle each mode also has one x2 parity: its coefficients on the x2
+    modes of the other parity are exactly 0.0.
     star_index is the 1-based index of the lowest antisymmetric mode when it is
     among the reported modes, else None.
     """
@@ -430,47 +435,58 @@ def reflection_map(basis):
 
 
 def solve_spectrum(domain, alpha, n_basis, n_report=None):
-    """Assemble, run eigh per x1-reflection block (labels by block), locate the star mode."""
+    """Assemble, run eigh per exact block (_reflection_blocks_eigh; x1 labels by
+    block), locate the star mode. The blocks are the sign-eigenspaces of the
+    x1 reflection (the identity on a domain that is not x1-symmetric), split on
+    a rectangle by the parity of each basis function's x2 mode: the form never
+    couples x2 modes of different parity, centred or not."""
     if n_report is not None and n_report < 1:
         raise ValidationError("n_report must be >= 1")
     A, basis = assemble_form_matrix(domain, alpha, n_basis)
-    if domain.summarize().symmetric_x1:
-        blocks = _reflection_blocks_eigh(A, *reflection_map(basis))
-        evals, coeffs, anti = (np.concatenate(part) for part in zip(*blocks))
-        # cross-block ties agree only to rounding: antisymmetric first within _DEGENERACY_TOL
-        order = np.argsort(evals + ~anti * _DEGENERACY_TOL * np.maximum(1.0, evals), kind="stable")
-        evals, coeffs, anti = evals[order], coeffs[order], anti[order]
-        symmetry = np.where(anti, "antisymmetric", "symmetric").tolist()
-    else:
-        evals, evecs = np.linalg.eigh(A)
-        coeffs, anti, symmetry = evecs.T, np.zeros(evals.size, bool), ["none"] * evals.size
+    symmetric = domain.summarize().symmetric_x1
+    image, sign = reflection_map(basis) if symmetric else (np.arange(len(A)), np.ones(len(A)))
+    # the k of each basis function's x2 mode (row j * n2 + m has mode m), 1 off rectangles
+    k2 = basis.meta[1][2] if domain.kind == "rectangle" else np.ones(1)
+    parity = np.tile(mode_parity(k2), len(A) // k2.size)
+    blocks = _reflection_blocks_eigh(A, image, sign, parity)
+    evals, coeffs, anti = (np.concatenate(part) for part in zip(*blocks))
+    # cross-block ties agree only to rounding: antisymmetric first within _DEGENERACY_TOL
+    order = np.argsort(evals + ~anti * _DEGENERACY_TOL * np.maximum(1.0, evals), kind="stable")
+    evals, coeffs, anti = evals[order], coeffs[order], anti[order]
     if evals.min() <= 0:
         raise NumericalBudgetError("projected form lost positivity")
     keep = slice(None, n_report)
+    symmetry = np.where(anti[keep], "antisymmetric", "symmetric" if symmetric else "none").tolist()
     star = int(np.argmax(anti)) + 1 if anti[keep].any() else None
     coeffs = _normalize_signs(basis, coeffs[keep])
-    return SpectralResult(domain, alpha, basis, evals[keep], coeffs, symmetry[keep], star)
+    return SpectralResult(domain, alpha, basis, evals[keep], coeffs, symmetry, star)
 
 
-def _reflection_blocks_eigh(A, j, s):
-    """eigh of A per sign-eigenspace of the involution R e_i = s_i e_(j_i) (reflection_map):
-    columns e_i (j_i = i, s_i = sign) and (e_i + t e_j) / sqrt(2), t = sign s_i, per pair
-    i < j = j_i, gathered from A. Yields eigenvalues, coefficient rows, antisymmetric flags."""
-    i = np.arange(len(A))
-    pair, q, r = j > i, j[j > i], np.sqrt(0.5)
+def _reflection_blocks_eigh(A, j, s, parity):
+    """eigh of A per block: per sign-eigenspace of the involution R e_i = s_i e_(j_i)
+    (reflection_map, or the identity), the part of each parity label, which R keeps
+    (parity[j_i] = parity[i]). Its columns are e_i (j_i = i, s_i = sign) and
+    (e_i + t e_j) / sqrt(2), t = sign s_i, per pair i < j = j_i, gathered from A;
+    empty blocks are skipped. Yields eigenvalues, coefficient rows, antisymmetric flags."""
+    i, r = np.arange(len(A)), np.sqrt(0.5)
     for sign in (-1.0, 1.0):
-        cols = np.concatenate([i[(j == i) & (s == sign)], i[pair]])
-        t, nf = r * sign * s[pair], cols.size - q.size
-        C = A[:, cols]
-        C[:, nf:] = r * C[:, nf:] + A[:, q] * t
-        B = C[cols]
-        B[nf:] = r * B[nf:] + t[:, None] * C[q]
-        w, V = np.linalg.eigh(B)
-        coeffs = np.zeros((w.size, len(A)))
-        coeffs[:, cols] = V.T
-        coeffs[:, q] = V[nf:].T * t
-        coeffs[:, cols[nf:]] *= r
-        yield w, coeffs, np.full(w.size, sign < 0)
+        for p in np.unique(parity):
+            pair = (j > i) & (parity == p)
+            q = j[pair]
+            cols = np.concatenate([i[(j == i) & (s == sign) & (parity == p)], i[pair]])
+            if cols.size == 0:
+                continue
+            t, nf = r * sign * s[pair], cols.size - q.size
+            C = A[:, cols]
+            C[:, nf:] = r * C[:, nf:] + A[:, q] * t
+            B = C[cols]
+            B[nf:] = r * B[nf:] + t[:, None] * C[q]
+            w, V = np.linalg.eigh(B)
+            coeffs = np.zeros((w.size, len(A)))
+            coeffs[:, cols] = V.T
+            coeffs[:, q] = V[nf:].T * t
+            coeffs[:, cols[nf:]] *= r
+            yield w, coeffs, np.full(w.size, sign < 0)
 
 
 def _normalize_signs(basis, coeffs):

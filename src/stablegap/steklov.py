@@ -39,8 +39,10 @@ alone, and the first half takes those values reversed, times the sign of
 the parity (see ExtensionEngine.values). The energy and probe grids are
 built that way (mirror_linspace), on the interval and on both axes of a
 centred rectangle, so the centred gap checks do half the 1D work and a
-quarter of the 2D work. Unions, windows off the grid's centre and mixed
-rows keep every point.
+quarter of the 2D work. Every eigenvector of a solve is even or odd on
+each mirror axis to the last bit (exact zeros on the other parity), so
+mixed rows come only from rows a caller builds; they, unions and windows
+off the grid's centre keep every point.
 
 The engine loop is the same in every dimension and runs in two phases.
 Phase 1 evaluates the smoothed modes of a chunk of nodes and sums them
@@ -76,11 +78,12 @@ from .kernels import subordination_grid, subordinator_density_half
 
 @dataclass(frozen=True)
 class Truncation:
-    """Box (-R, R)^d x (eps, T) on which half-space integrals are evaluated."""
+    """Box (-R, R)^d x (eps, T) on which half-space integrals are evaluated;
+    default_truncation(dim) gives the default box of each dimension."""
 
-    eps: float = 1e-3
-    t_max: float = 30.0
-    x_max: float = 60.0
+    eps: float
+    t_max: float
+    x_max: float
 
     def validate(self):
         if not (0 < self.eps < self.t_max < np.inf and 0 < self.x_max < np.inf):
@@ -354,16 +357,13 @@ class ExtensionEngine:
     def _modes(self, rows):
         """Per-axis (centers, halves, omegas, parities) of the modes in use
         and the coefficient tensor (rows, m_1, ..., m_d) over them. A mode of
-        an axis is in use when some coefficient that involves it exceeds
-        1e-15 of the largest one."""
+        an axis is in use when some coefficient that involves it is nonzero:
+        the solve's blocks make the coefficients of a mode outside an
+        eigenvector's block exact zeros."""
         tables = self.basis.meta
         C = rows.reshape((rows.shape[0],) + tuple(t[0].size for t in tables))
-        size = np.abs(C)
-        floor = 1e-15 * np.max(size)
-        used = [
-            np.nonzero(np.max(size, axis=tuple(a for a in range(C.ndim) if a != i + 1)) > floor)[0]
-            for i in range(len(tables))
-        ]
+        used = [np.flatnonzero(np.any(C != 0, axis=tuple(a for a in range(C.ndim) if a != i + 1)))
+                for i in range(len(tables))]
         axes = [(c[idx], h[idx], om[idx], mode_parity(k[idx]))
                 for (c, h, k, om), idx in zip(tables, used)]
         return axes, C[np.ix_(np.arange(C.shape[0]), *used)]

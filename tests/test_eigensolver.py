@@ -446,6 +446,26 @@ def test_labels_are_exact_reflection_eigenvalues(domain, alpha, n, head):
 
 
 @pytest.mark.parametrize(
+    "domain, n",
+    [
+        (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 16),
+        (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 32),
+        (Domain.rectangle(-1.0, 1.0, -1.0, 1.0), 16),
+        (Domain.rectangle(0.0, 3.0, 0.5, 1.5), 12),
+    ],
+    ids=["rect-16", "rect-32", "square-16", "off-centre-12"],
+)
+def test_rectangle_modes_have_exact_x2_parity(domain, n):
+    # basis function j * n + m has the x2 mode k = m + 1, even about the
+    # x2 centre for odd k: per mode, the largest |coefficient| on each parity
+    C = solve_spectrum(domain, 1.0, n).coefficients.reshape(-1, n, n // 2, 2)
+    per_parity = np.max(np.abs(C), axis=(1, 2))
+    assert np.all(per_parity.min(axis=1) == 0.0)
+    assert np.all(per_parity.max(axis=1) > 0.0)
+    assert set(per_parity.argmax(axis=1)) == {0, 1}
+
+
+@pytest.mark.parametrize(
     "domain, n, n_report",
     [(Domain.interval(-1.0, 1.0), 16, 1), (Domain.rectangle(-1.0, 1.0, -2.0, 2.0), 6, 2)],
     ids=["interval", "rectangle"],

@@ -693,7 +693,8 @@ def test_unfolded_cases_match_the_unfolded_pass(domain, n, case, grad, monkeypat
     assert np.array_equal(engine.values(rows, steklov._xs(axes), ts, grad=grad), whole)
 
 
-def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
+def _count_wofz_entries(monkeypatch):
+    # the Faddeeva entries evaluated from here on, one list item per call
     entries = []
 
     def counting_wofz(z):
@@ -701,6 +702,11 @@ def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
         return wofz(z)
 
     monkeypatch.setattr(steklov, "wofz", counting_wofz)
+    return entries
+
+
+def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
+    entries = _count_wofz_entries(monkeypatch)
     counts = []
     for workers, fold in ((1, steklov._folds), (2, steklov._folds), (1, _no_fold)):
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
@@ -717,3 +723,18 @@ def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
     live = len(_live_chunks(*engine._time_weights(tq))) * steklov._S_CHUNK
     assert naive == 2 * x.size * modes[0][0].size * live
     assert one <= 0.51 * naive
+
+
+@pytest.mark.parametrize("mode", [3, 5])
+def test_rect_gap_check_folds_every_pair(rect_8, mode, monkeypatch):
+    # modes 3 and 5 with mode 1: every row of the pass is pure in x1 and in
+    # x2 parity, so each parity group folds on both axes
+    entries = _count_wofz_entries(monkeypatch)
+    counts = []
+    for fold in (steklov._folds, _no_fold):
+        monkeypatch.setattr(steklov, "_folds", fold)
+        entries.clear()
+        gap_identity_check(rect_8, mode)
+        counts.append(sum(entries))
+    folded, unfolded = counts
+    assert folded <= 0.70 * unfolded
