@@ -46,14 +46,14 @@ class McConfig:
     def validate(self):
         if not (0 < self.alpha <= 2):
             raise ValidationError("alpha must lie in (0, 2]")
-        if self.paths < 1:
-            raise ValidationError("paths must be >= 1")
         if not (0 < self.dt < self.t_max < np.inf):
             raise ValidationError("need finite 0 < dt < t_max")
-        if self.record_stride < 1 or self.partitions < 1:
-            raise ValidationError("record_stride and partitions must be >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        # integers only: a record_stride of 2.5 matches no step and leaves
+        # all-zero tallies, and a bool is an Integral but not a count
+        for name, least in (("paths", 1), ("record_stride", 1), ("partitions", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def to_json(self):
         return asdict(self)

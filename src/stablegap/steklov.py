@@ -51,10 +51,13 @@ per CPU of the process's affinity mask in a 1D pass large enough to pay for
 them, else inline. Phase 2 then contracts each chunk with its subordination
 weights over time, in the calling thread and in the serial order, so the
 values are bit-identical whatever the thread count. The time contractions
-are held back to phase 2 because each is a multithreaded BLAS product,
-after which the idle OpenBLAS worker spins on a core for a while; mixed
-into phase 1 they would take that core from the Faddeeva jobs. A 2D pass,
-bound by its contractions, keeps one thread (engine_workers).
+are held back to phase 2 so that they run in that order. In 1D each is a
+series of row blocks small enough that OpenBLAS keeps them on one thread:
+after a multithreaded product the idle OpenBLAS worker spins on a core for
+a while, which the Faddeeva jobs need. The blocks depend on the shapes
+alone, so these products round the same on any number of BLAS threads.
+A 2D pass, bound by its contractions, keeps one engine thread
+(engine_workers) and one BLAS product per term, on the BLAS threads.
 """
 
 from __future__ import annotations
@@ -182,6 +185,15 @@ _WEIGHT_FLOOR = 1e-16
 # Faddeeva work on one core): below it, starting the threads costs more than
 # they save
 _PARALLEL_ENTRIES = 1 << 16
+# OpenBLAS runs a gemm of at most this many multiply-adds (m n k) on one
+# thread: SMP_THRESHOLD_MIN (65536) times GEMM_MULTITHREAD_THRESHOLD (4 by
+# default), in OpenBLAS interface/gemm.c
+_GEMM_ONE_THREAD = 1 << 18
+# row blocks of a split product start at multiples of this many rows. OpenBLAS
+# computes a product's rows in tiles, and a block that starts inside a tile
+# can round some rows apart from the single product: with OpenBLAS 0.3.31 on
+# an AVX-512 Xeon, blocks off a multiple of 12 rows did so at 276 columns
+_ROW_TILE = 24
 
 
 def _cpu_count():
@@ -302,9 +314,37 @@ def _contract(C, factors):
     return np.einsum(spec, C, *factors, optimize=True)
 
 
-def _time_contract(M, G):
-    """Contract the trailing s axis of M with G (nt, ns) in one matrix product."""
-    return (M.reshape(-1, M.shape[-1]) @ G.T).reshape(M.shape[:-1] + (G.shape[0],))
+def _row_blocks(rows, inner):
+    """Slices of rows whose products with an inner-entry matrix (k x n =
+    inner) stay within _GEMM_ONE_THREAD multiply-adds: near-equal runs of
+    whole _ROW_TILE tiles, the last one holding the partial tile. Blocks
+    that start on tile edges were measured to round every row as the single
+    product does. No slice has one row unless rows == 1 (a one-row tail joins the
+    block before it): numpy hands a one-row product to gemv, which rounds
+    apart from gemm. So where the bound admits less than one tile, and at a
+    merged tail, a block exceeds it."""
+    tiles = -(-rows // _ROW_TILE)
+    blocks = -(-tiles // max(1, _GEMM_ONE_THREAD // (inner * _ROW_TILE)))
+    edges = [min(rows, _ROW_TILE * (tiles * i // blocks)) for i in range(blocks + 1)]
+    if blocks > 1 and rows - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _gemm(a, b, out):
+    """out = a @ b, the one BLAS product of the time contractions."""
+    np.matmul(a, b, out=out)
+
+
+def _time_contract(M, G, split):
+    """Contract the trailing s axis of M with G (nt, ns): one matrix product
+    over the rows of M reshaped to (-1, ns), or with split one per
+    _row_blocks slice of them, so that OpenBLAS runs each on one thread."""
+    A = M.reshape(-1, M.shape[-1])
+    out = np.empty((A.shape[0], G.shape[0]))
+    for rows in _row_blocks(A.shape[0], G.size) if split else [slice(None)]:
+        _gemm(A[rows], G.T, out[rows])
+    return out.reshape(M.shape[:-1] + (G.shape[0],))
 
 
 def _axes(xs, dim):
@@ -444,14 +484,17 @@ class ExtensionEngine:
         engine_workers threads, one chunk per job, when the pass pays for
         them, else inline with the builtin map. Phase 2, _add_chunk, sums
         each chunk into out in this thread and in the serial order, so every
-        sum is the serial one. It waits for phase 1 of the whole batch
-        because each time contraction is a multithreaded gemm, after which
-        the OpenBLAS worker spins for a while on a core that the Faddeeva
-        jobs could use. Whole chunks feed the threads: a job repeats the
-        work that depends on the points alone, and runs of a few nodes made
-        the 1D checks take up to twice the CPU time. With the few rows the
-        checks pass (at most three) the phase-1 contractions were measured
-        not to wake the BLAS threads."""
+        sum is the serial one. It waits for phase 1 of the whole batch, so
+        that the sums run in that order while the jobs are free to run in
+        any. In 1D its time contractions are row blocks that OpenBLAS keeps
+        on one thread: a multithreaded gemm leaves its worker spinning for a
+        while on a core that the Faddeeva jobs need. The blocking depends on
+        the dimension alone, never on the thread count, so serial and
+        threaded passes do the same arithmetic. Whole chunks feed the
+        threads: a job repeats the work that depends on the points alone,
+        and runs of a few nodes made the 1D checks take up to twice the CPU
+        time. With the few rows the checks pass (at most three) the phase-1
+        contractions were measured not to wake the BLAS threads."""
         workers = engine_workers(len(points))
         # smoothed-mode entries: modes x points x nodes, summed over the axes
         entries = sum(m[2].size * p.size for m, p in zip(modes, points)) * len(chunks) * _S_CHUNK
@@ -463,7 +506,7 @@ class ExtensionEngine:
             for i in range(0, len(chunks), per_batch):
                 batch = chunks[i : i + per_batch]
                 for sl, t in zip(batch, list(phase1(chunk_terms, batch))):
-                    _add_chunk(out, t, gw, sl, nt)
+                    _add_chunk(out, t, gw, sl, nt, len(points) == 1)
 
     def _chunk_terms(self, C, points, modes, sl, grad):
         """Phase 1 for the chunk sl of nodes: the smoothed modes summed
@@ -478,17 +521,21 @@ class ExtensionEngine:
                                        for i, (_, dx) in enumerate(per_axis)]
 
 
-def _add_chunk(out, terms, gw, sl, nt):
+def _add_chunk(out, terms, gw, sl, nt, split):
     """Phase 2 for the chunk sl: contract each term over its nodes with the
     time weights gw and add it to out. The value term takes every row of gw:
-    with grad=True its d/dt rows follow the nt value rows."""
+    with grad=True its d/dt rows follow the nt value rows. split is set in a
+    1D pass: each contraction is then made of row blocks that OpenBLAS runs
+    on one thread (_time_contract), so no BLAS worker wakes to spin beside
+    the Faddeeva jobs. A 2D pass keeps one product per term, which its
+    BLAS threads speed up: row blocks made the 2D gap check slower."""
     value, *dxs = terms
-    both = _time_contract(value, gw[:, sl])
+    both = _time_contract(value, gw[:, sl], split)
     out[:, 0] += both[..., :nt]
     if both.shape[-1] > nt:
         out[:, -1] += both[..., nt:]
     for i, term in enumerate(dxs, 1):
-        out[:, i] += _time_contract(term, gw[:nt, sl])
+        out[:, i] += _time_contract(term, gw[:nt, sl], split)
 
 
 @dataclass(frozen=True, eq=False)

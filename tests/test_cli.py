@@ -227,10 +227,11 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no plot files from a failed run
 
 
-def _run_module(module, argv, cwd):
-    # a separate process, with the checkout's source tree on the path
+def _run_module(module, argv, cwd, **env):
+    # a separate process, with the checkout's source tree on the path and
+    # env added to its environment
     src = str(Path(stablegap.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
@@ -302,6 +303,19 @@ def test_python_m_stablegap_runs_the_cli(tmp_path):
     proc = _run_module("stablegap", ["eig", "--domain", "interval:-1,1", "--n", "0"], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_gap_check_interval_stdout_ignores_blas_threads(tmp_path):
+    # the 1D time contractions are products that OpenBLAS runs on one
+    # thread, whatever the thread count: the output must not depend on it
+    argv = ["gap-check", "--domain", "interval:-1,1", "--n", "32"]
+    outs = []
+    for threads in ("1", "2"):
+        proc = _run_module("stablegap", argv, tmp_path, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------- mc ----------------

@@ -41,10 +41,18 @@ def test_config_validation():
         McConfig(alpha=2.5).validate()
     with pytest.raises(ValidationError):
         McConfig(dt=-1e-3).validate()
-    for seed in (-1, 1.5):
+    for seed in (-1, 1.5, True):
         with pytest.raises(ValidationError):
             McConfig(seed=seed).validate()
     McConfig(seed=np.int64(7)).validate()  # numpy integers are seeds too
+    # a fractional stride matched no recorded step and left all-zero tallies;
+    # fractional paths and partitions failed inside numpy
+    for field, bad in [("paths", 1000.5), ("partitions", 2.5), ("record_stride", 2.5),
+                       ("paths", True), ("partitions", np.float64(4.0)), ("record_stride", 0),
+                       ("partitions", "200")]:
+        with pytest.raises(ValidationError, match=field):
+            McConfig(**{field: bad}).validate()
+    McConfig(paths=np.int32(1000), partitions=np.int64(10), record_stride=np.int8(5)).validate()
 
 
 def test_survival_curve_shape_and_monotonicity(base_curve):

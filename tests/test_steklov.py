@@ -517,6 +517,61 @@ def test_threaded_pass_with_more_workers_than_cores(interval_32, monkeypatch):
     assert np.array_equal(serial, threaded)
 
 
+def test_1d_time_contractions_run_in_one_thread_blocks(interval_32, rect_8, monkeypatch):
+    # per _time_contract call: its (rows, ns, nt) and the (m, k, n) of each
+    # product it makes; phase 2 runs in the calling thread alone
+    calls = []
+    time_contract, gemm = steklov._time_contract, steklov._gemm
+
+    def recording_time_contract(M, G, split):
+        calls.append((M.size // M.shape[-1], *G.T.shape, []))
+        return time_contract(M, G, split)
+
+    def recording_gemm(a, b, out):
+        calls[-1][-1].append((*a.shape, b.shape[1]))
+        gemm(a, b, out)
+
+    monkeypatch.setattr(steklov, "_time_contract", recording_time_contract)
+    monkeypatch.setattr(steklov, "_gemm", recording_gemm)
+    gap_identity_check(interval_32)
+    assert calls and any(len(products) > 1 for *_, products in calls)
+    for rows, k, n, products in calls:
+        assert sum(m for m, *_ in products) == rows
+        assert all((kk, nn) == (k, n) for _, kk, nn in products)
+        # OpenBLAS keeps a gemm of at most 2^18 multiply-adds on one thread
+        assert all(m * k * n <= 1 << 18 for m, *_ in products)
+        assert all(m > 1 for m, *_ in products) or rows == 1  # one row: gemv
+    calls.clear()
+    ExtensionEngine(interval_32.basis).values(interval_32.coefficients[:1], [0.3], TIMES)
+    assert calls and all(products == [(1, 24, TIMES.size)] for *_, products in calls)
+    # a 2D pass keeps one product per chunk term
+    calls.clear()
+    xs = (np.linspace(-3.0, 3.0, 40), np.linspace(-1.5, 1.5, 30))
+    ts = _time_grids(rect_8)["q"]
+    ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, ts, grad=True)
+    assert calls and all(products == [(rows, k, n)] for rows, k, n, products in calls)
+    assert max(rows * k * n for rows, k, n, _ in calls) > 1 << 18
+
+
+@pytest.mark.parametrize("rows, nt, blocks", [
+    (216, 216, [24, 48, 48, 48, 48]),
+    (216, 108, [72, 72, 72]),
+    (40, 276, [24, 16]),
+    (40, 138, [40]),
+    (100, 216, [24, 48, 28]),  # a partial tile at the end
+    (49, 276, [24, 25]),  # a one-row tail joins the block before it
+])
+def test_blocked_time_contraction_is_bit_identical(rows, nt, blocks):
+    # the first four are the gap-check shapes at n = 32: rows x 24 nodes
+    # against 24 x nt time weights
+    rng = np.random.default_rng(rows + nt)
+    M, G = rng.standard_normal((rows, 24)), rng.standard_normal((nt, 24))
+    assert [b.stop - b.start for b in steklov._row_blocks(rows, G.size)] == blocks
+    single = steklov._time_contract(M, G, False)
+    assert np.array_equal(single, M @ G.T)
+    assert np.array_equal(steklov._time_contract(M, G, True), single)
+
+
 def test_small_and_single_cpu_passes_build_no_pool(interval_32, rect_8, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was built")
