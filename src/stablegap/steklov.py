@@ -30,19 +30,21 @@ accurate for small t.
 The closed form takes the complex error function at the two edge offsets
 h - u and -h - u of each point (u = x - c in the window (c - h, c + h)).
 Sine mode k is even about c for odd k and odd for even k, and on a domain
-symmetric about a coordinate axis every eigenfunction is even or odd. So
-the engine folds mirror axes into two reversed halves: where an axis has
-one window and its point i is the mirror u -> -u of point n - 1 - i to the
-last bit, each row that is even or odd on it is evaluated, contracted and
-summed over time on the second half alone, with the modes of its parity
-alone, and the first half takes those values reversed, times the sign of
-the parity (see ExtensionEngine.values). The energy and probe grids are
-built that way (mirror_linspace), on the interval and on both axes of a
-centred rectangle, so the centred gap checks do half the 1D work and a
-quarter of the 2D work. Every eigenvector of a solve is even or odd on
-each mirror axis to the last bit (exact zeros on the other parity), so
-mixed rows come only from rows a caller builds; they, unions and windows
-off the grid's centre keep every point.
+symmetric about a coordinate axis every eigenfunction is even or odd: the
+solve's blocks make its coefficients on the other parity exact zeros. So
+the engine groups the rows it is given by their live modes and evaluates
+each group with those alone, which for an eigenvector are the modes of its
+parity (see ExtensionEngine.values); it evaluates every point it is given.
+Mirror symmetry of the points is the callers' business: where the probed or
+integrated quantity is exactly even on an axis whose windows are exact
+mirrors about 0 (_mirror_parity), the energy quadratures and the probes
+evaluate only the second half of their rules, which are exactly closed
+under x -> -x (mirror_linspace). An integral doubles the kept weights off
+the centre and an extremum needs no weights (_half_rules). So the centred
+gap checks evaluate half of the 1D grid and a quarter of the 2D one, with
+half of each axis's modes, and hold their field arrays on that part alone.
+Odd pairings, mixed rows, off-centre windows and domains symmetric only to
+within a tolerance keep the full rule.
 
 The engine loop is the same in every dimension and runs in two phases.
 Phase 1 evaluates the smoothed modes of a chunk of nodes and sums them
@@ -55,14 +57,14 @@ are held back to phase 2 so that they run in that order. In 1D each is a
 series of row blocks small enough that OpenBLAS keeps them on one thread:
 after a multithreaded product the idle OpenBLAS worker spins on a core for
 a while, which the Faddeeva jobs need. The blocks depend on the shapes
-alone, so these products round the same on any number of BLAS threads.
+alone, so these products round the same on any number of BLAS threads;
+so are the 1D mode sums of phase 1 (_contract), blocks of whole points.
 A 2D pass, bound by its contractions, keeps one engine thread
 (engine_workers) and one BLAS product per term, on the BLAS threads.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -135,7 +137,8 @@ def _scaled_erf(r, omega, s):
     """
     ra = np.abs(r)
     inv = 1.0 / (2.0 * np.sqrt(s))  # (2 omega s + i|r|) / (2 sqrt s), part by part
-    E = np.asarray(wofz(2.0 * omega * s * inv + 1j * (ra * inv)))
+    E = 2.0 * omega * s * inv + 1j * (ra * inv)
+    wofz(E, out=E)  # in place: one complex array of the full shape per call
     E *= np.exp(-(ra**2) / (4.0 * s))
     E *= np.exp(1j * omega * ra)
     np.subtract(np.exp(-(omega**2) * s), E, out=E)
@@ -160,14 +163,16 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
 
     The closed form takes _scaled_erf at the two edge offsets h - u and
     -h - u, u = x - c. A mode of parity p about c (mode_parity) takes p times
-    its value at -u, d/dx -p times; ExtensionEngine.values uses this to
-    evaluate the modes on the second half of a grid whose first half is its
-    reversed mirror.
+    its value at -u, d/dx -p times; the quadratures and probes use this to
+    evaluate even quantities on the second half of their mirror grids
+    (_half_rules). The complex arrays of the full shape are written in
+    place: the first _scaled_erf result takes the difference and the phase.
     """
     u = np.asarray(x, dtype=float) - center
-    E = _scaled_erf(half - u, omega, s)
-    E -= _scaled_erf(-half - u, omega, s)
-    Z = np.exp(1j * omega * (u + half)) * 0.5 * E
+    Z = _scaled_erf(half - u, omega, s)
+    Z -= _scaled_erf(-half - u, omega, s)
+    # in place, the phase first: numpy's complex product is not symmetric to the bit
+    np.multiply(np.exp(1j * omega * (u + half)) * 0.5, Z, out=Z)
     scale = 1.0 / np.sqrt(half)
     if grad:
         return scale * np.imag(Z), scale * omega * np.real(Z)
@@ -236,59 +241,21 @@ def _axis_modes(x, s, center, half, omega, grad):
     return np.concatenate(parts)
 
 
-def _folds(x, table):
-    """Whether the points x of one axis fold about the window of its basis
-    table (centers, halves, k, omegas): its modes share one window (c, h)
-    and the offsets u = x - c are the reversed mirror of themselves,
-    u == -u[::-1] to the last bit, as the energy and probe grids are about 0
-    (mirror_linspace). Point i is then the mirror of point n - 1 - i: a pass
-    keeps the second half x[n // 2:], and a mode of parity p (mode_parity)
-    takes p times its kept values, reversed, on the first half. A single
-    point has no mirror to spare, so its axis does not fold."""
-    c, h = table[0], table[1]
-    u = x - c[0]
-    return x.size > 1 and np.all(c == c[0]) and np.all(h == h[0]) and np.array_equal(u, -u[::-1])
-
-
-def _parity_groups(C, parities, folds):
+def _mode_groups(C):
     """The rows of the coefficient tensor C (rows, m_1, ..., m_d) grouped by
-    parity: yields (row indices, key), in order of first appearance. key[i]
-    is +1 (even) or -1 (odd) when axis i folds and the rows' coefficients on
-    the modes of the other parity (parities[i], per used mode) are exactly
-    zero, else 0: mixed rows and axes that do not fold keep every mode."""
-    keys = np.zeros((C.shape[0], len(parities)), dtype=int)
-    for i, (par, fold) in enumerate(zip(parities, folds)):
-        if fold:
-            live = np.moveaxis(C != 0, i + 1, -1).reshape(C.shape[0], -1, par.size).any(axis=1)
-            even, odd = live[:, par > 0].any(axis=1), live[:, par < 0].any(axis=1)
-            keys[:, i] = np.where(even & odd, 0, np.where(odd, -1, 1))
-    _, first = np.unique(keys, axis=0, return_index=True)
-    for key in keys[np.sort(first)]:
-        yield np.flatnonzero(np.all(keys == key, axis=1)), tuple(key.tolist())
-
-
-def _unfold(out, part, rows, key):
-    """Write a group's pass on its kept points, part (group rows, terms,
-    kept grid, times), into its rows of out. An axis i with key[i] != 0
-    kept its second half; its first half takes the kept values reversed
-    (the centre point of an odd axis is its own mirror and is not repeated),
-    times the term's parity on that axis. The value and d/dt terms have the
-    parities key; d/dx_i (term 1 + i of a grad pass) has the opposite parity
-    on axis i. Each of the 2^d quadrants, kept or mirrored half of each
-    folded axis, is one assignment over all rows and terms."""
-    halves = []  # per axis: (out slice, part slice, mirrored) for each half
-    for n, p in zip(out.shape[2:-1], key):
-        kept = (slice(n // 2 if p else 0, None), slice(None), False)
-        halves.append([kept, (slice(None, n // 2), slice(n % 2, None), True)] if p else [kept])
-    for quadrant in itertools.product(*halves):
-        dst, src, mirrored = zip(*quadrant)
-        sign = np.ones((part.shape[1],) + (1,) * (part.ndim - 2))
-        for i in np.flatnonzero(mirrored):
-            sign *= key[i]
-            if part.shape[1] > 1:  # a grad pass: d/dx_i flips on axis i
-                sign[1 + i] *= -1
-        flip = tuple(2 + np.flatnonzero(mirrored))
-        out[(rows, slice(None)) + dst] = np.flip(part[(slice(None),) * 2 + src], flip) * sign
+    their live modes: yields (row indices, [live modes of each axis]), in
+    order of first appearance. A mode is live in a row when some coefficient
+    of the row that involves it is nonzero. The solve's blocks make an
+    eigenvector's coefficients outside its block exact zeros, so on an axis
+    whose modes share one window it keeps the modes of its parity alone:
+    half of them, also on the half grids of the energy quadratures and the
+    probes (see _half_rules). Mixed rows keep every mode they use."""
+    live = [np.moveaxis(C != 0, i, -1).reshape(len(C), -1, m).any(axis=1)
+            for i, m in enumerate(C.shape[1:], 1)]
+    _, first, group = np.unique(np.hstack(live), axis=0, return_index=True, return_inverse=True)
+    for j in np.argsort(first):
+        g = np.flatnonzero(group.ravel() == j)
+        yield g, [np.flatnonzero(a[g[0]]) for a in live]
 
 
 def _live_chunks(*weights):
@@ -308,10 +275,38 @@ def _live_chunks(*weights):
 
 def _contract(C, factors):
     """Sum the coefficient tensor C (rows, m_1, ..., m_d) against per-axis
-    mode arrays factors[i] of shape (m_i, n_i, s): returns (rows, n_1, ..., n_d, s)."""
+    mode arrays factors[i] of shape (m_i, n_i, s): returns (rows, n_1, ..., n_d, s).
+    In 1D the one product C @ factor is made over the _point_blocks of its
+    columns, which OpenBLAS runs on one thread: the products einsum makes,
+    cut at whole points, which round alike. A 2D pass keeps one einsum."""
+    if len(factors) == 1:
+        (F,) = factors
+        A, out = F.reshape(len(F), F.shape[1] * F.shape[2]), np.empty((len(C),) + F.shape[1:])
+        for cols in _point_blocks(*F.shape[1:], C.shape):
+            _mode_product(C, A[:, cols], out.reshape(len(C), -1)[:, cols])
+        return out
     m, p = "jk"[: len(factors)], "ab"[: len(factors)]
     spec = f"f{m}," + ",".join(f"{mi}{pi}s" for mi, pi in zip(m, p)) + f"->f{p}s"
     return np.einsum(spec, C, *factors, optimize=True)
+
+
+def _mode_product(a, b, out):
+    """out = a @ b, the one BLAS product of a split mode sum."""
+    np.matmul(a, b, out=out)
+
+
+def _point_blocks(points, nodes, shape):
+    """Column slices of a 1D mode sum, C (rows x modes of shape) against
+    points x nodes columns: runs of whole points whose products OpenBLAS
+    runs on one thread, within _GEMM_ONE_THREAD multiply-adds for a gemm
+    and, for the gemv that numpy makes of one row, fewer than 2304 times
+    GEMM_MULTITHREAD_THRESHOLD (m n < 9216, OpenBLAS interface/gemv.c).
+    A run has one point at least, so a basis of 384 or more modes per
+    parity makes one-row products beyond the bound. The runs depend on the
+    shapes alone, never on the thread count."""
+    bound = _GEMM_ONE_THREAD if shape[0] > 1 else 2304 * 4 - 1
+    per = nodes * max(1, bound // max(1, shape[0] * shape[1] * nodes))  # 0 modes: a zero row
+    return [slice(a, a + per) for a in range(0, points * nodes, per)]
 
 
 def _row_blocks(rows, inner):
@@ -394,20 +389,6 @@ class ExtensionEngine:
         dgw[pos] = gw[pos] * (1.0 / ts[pos, None] - ts[pos, None] / (2.0 * self.s_nodes))
         return gw, dgw
 
-    def _modes(self, rows):
-        """Per-axis (centers, halves, omegas, parities) of the modes in use
-        and the coefficient tensor (rows, m_1, ..., m_d) over them. A mode of
-        an axis is in use when some coefficient that involves it is nonzero:
-        the solve's blocks make the coefficients of a mode outside an
-        eigenvector's block exact zeros."""
-        tables = self.basis.meta
-        C = rows.reshape((rows.shape[0],) + tuple(t[0].size for t in tables))
-        used = [np.flatnonzero(np.any(C != 0, axis=tuple(a for a in range(C.ndim) if a != i + 1)))
-                for i in range(len(tables))]
-        axes = [(c[idx], h[idx], om[idx], mode_parity(k[idx]))
-                for (c, h, k, om), idx in zip(tables, used)]
-        return axes, C[np.ix_(np.arange(C.shape[0]), *used)]
-
     def values(self, coeff_rows, xs, ts, grad=False):
         """Extensions of several coefficient vectors on a tensor grid.
 
@@ -424,17 +405,16 @@ class ExtensionEngine:
         on ts alone, so the value slice of a grad=True call equals the
         grad=False result exactly.
 
-        Mirror axes fold into two reversed halves (see _folds): the rows are
-        grouped by their parity on each folding axis (_parity_groups), and
-        each group runs the engine loop on the second half of the axes where
-        it is pure, with only the modes of its parity; _unfold then writes
-        the first half as the kept values reversed, with the sign of the
-        term's parity, one quadrant of the grid at a time. The dropped
-        coefficients are exact zeros, so the result differs from an unfolded
-        pass by rounding alone: BLAS rounds a product with fewer rows, modes
-        or points differently, and the phases of a mode at u and -u round
-        apart. Mixed rows and axes that do not fold keep every point and
-        mode; a single such group sums into the result directly.
+        The rows are grouped by their live modes (_mode_groups): each group
+        runs the engine loop with only the modes whose coefficients are not
+        all exact zeros, which for an eigenvector are the modes of its
+        parity on each axis with one window. So a group's values differ
+        from those of a pass over every mode and row by rounding alone: BLAS
+        rounds a product with fewer rows or modes differently. A group of
+        consecutive rows sums into its rows of the result directly. The
+        engine evaluates every point it is given: callers that probe or
+        integrate an even quantity on a mirror grid pass only its second
+        half (_half_rules).
 
         Each group's loop (_pass) runs in two phases, chunk by chunk of
         nodes: the smoothed modes, on engine_workers threads when the pass
@@ -450,24 +430,18 @@ class ExtensionEngine:
         if grad:
             _require_positive_times(ts)
             gw = np.concatenate([gw, dgw])
-        points = _axes(xs, len(self.basis.meta))
-        modes, C = self._modes(rows)
-        folds = [_folds(x, table) for x, table in zip(points, self.basis.meta)]
-        out = np.zeros((rows.shape[0], len(points) + 2 if grad else 1)
+        points, tables = _axes(xs, len(self.basis.meta)), self.basis.meta
+        C = rows.reshape((len(rows),) + tuple(t[0].size for t in tables))
+        out = np.zeros((len(rows), len(points) + 2 if grad else 1)
                        + tuple(p.size for p in points) + (nt,))
-        parities = [m[3] for m in modes]
-        for g, key in _parity_groups(C, parities, folds):
-            # on axis i: the modes of parity key[i] on the kept half, or all of them on all points
-            sel = [np.flatnonzero(par == p) if p else np.arange(par.size)
-                   for par, p in zip(parities, key)]
-            kept = [x[x.size // 2 :] if p else x for x, p in zip(points, key)]
-            part = out if g.size == len(out) and not any(key) else np.zeros(
-                (g.size, out.shape[1]) + tuple(x.size for x in kept) + (nt,))
-            self._pass(part, C[np.ix_(g, *sel)], kept,
-                       [(c[i], h[i], om[i]) for (c, h, om, _), i in zip(modes, sel)],
+        for g, sel in _mode_groups(C):
+            run = g[-1] - g[0] + 1 == g.size  # consecutive rows: a view of out
+            part = out[g[0] : g[-1] + 1] if run else np.zeros((g.size,) + out.shape[1:])
+            self._pass(part, C[np.ix_(g, *sel)], points,
+                       [(c[i], h[i], om[i]) for (c, h, _, om), i in zip(tables, sel)],
                        chunks, gw, nt, grad)
-            if part is not out:
-                _unfold(out, part, g, key)
+            if not run:
+                out[g] = part
         if grad:
             return out
         out = out[:, 0]
@@ -490,11 +464,12 @@ class ExtensionEngine:
         on one thread: a multithreaded gemm leaves its worker spinning for a
         while on a core that the Faddeeva jobs need. The blocking depends on
         the dimension alone, never on the thread count, so serial and
-        threaded passes do the same arithmetic. Whole chunks feed the
-        threads: a job repeats the work that depends on the points alone,
+        threaded passes do the same arithmetic. So is the 1D mode sum of
+        phase 1 (_contract), whose one-row products OpenBLAS would otherwise
+        run on every BLAS thread from a 16-mode parity up. Whole chunks feed
+        the threads: a job repeats the work that depends on the points alone,
         and runs of a few nodes made the 1D checks take up to twice the CPU
-        time. With the few rows the checks pass (at most three) the phase-1
-        contractions were measured not to wake the BLAS threads."""
+        time."""
         workers = engine_workers(len(points))
         # smoothed-mode entries: modes x points x nodes, summed over the axes
         entries = sum(m[2].size * p.size for m, p in zip(modes, points)) * len(chunks) * _S_CHUNK
@@ -599,6 +574,58 @@ def default_field_grid(domain):
     return axes, ts
 
 
+# ---------------- mirror symmetry: half grids for even quantities ----------------
+
+
+def _mirror_parity(result, n):
+    """Per axis, the parity of mode n of a result under x_i -> -x_i: +1 or
+    -1 where its coefficients are exactly even or odd under the mirror, else
+    0. It is 0 also on an axis whose windows are not exact mirrors about 0,
+    centre for centre to the last bit: one window centred at 0.0, or union
+    component j the mirror of component m - 1 - j. A domain symmetric only
+    to within geometry's tolerance has no such axis. The mirror takes mode k
+    of a window to mode_parity(k) times mode k of the mirror window, the
+    pairing of reflection_map."""
+    par = np.zeros(result.domain.dim, dtype=int)
+    if result.basis.kind != "sine":
+        return par
+    coeffs = result.coefficients[n - 1].reshape([t[0].size for t in result.basis.meta])
+    for i, (c, h, k, _) in enumerate(result.basis.meta):
+        image = (c.size // k.max() - 1 - np.arange(c.size) // k.max()) * k.max() + k - 1
+        if np.array_equal(c[image], -c) and np.array_equal(h[image], h):
+            C = np.moveaxis(coeffs, i, -1)
+            R = C[..., image] * mode_parity(k)
+            par[i] = 1 if np.array_equal(R, C) else -1 if np.array_equal(R, -C) else 0
+    return par
+
+
+def _half_rules(rules, fields):
+    """The rules (x, w) of the axes, each cut to its second half x[n // 2:]
+    where the product of the fields is exactly even and the rule is the
+    reversed mirror of itself to the last bit (x == -x[::-1], w == w[::-1]),
+    as the energy and probe grids of an axis centred at 0 are
+    (mirror_linspace). The product is even where the parities
+    (_mirror_parity) of the modes of its extensions and ratios multiply to
+    +1; a ConstantField is even, and any other field has no known parity.
+    An even quantity takes one value at point j and at its mirror
+    n - 1 - j: its extrema over the kept points are those over all of them,
+    and its integral doubles the kept weights, all but that of the centre
+    point, its own mirror when n is odd. w is None on a probe grid."""
+    if not all(isinstance(f, (HarmonicExtension, ConstantField)) for f in fields):
+        return list(rules)
+    modes = [(f.result, n) for f in fields if isinstance(f, HarmonicExtension)
+             for n in (f.n, f.over) if n is not None]
+    even = np.prod([_mirror_parity(r, n) for r, n in modes] + [[1] * len(rules)], axis=0) == 1
+    half = []
+    for (x, w), e in zip(rules, even):
+        n = x.size
+        if e and np.array_equal(x, -x[::-1]) and (w is None or np.array_equal(w, w[::-1])):
+            x = x[n // 2 :]
+            w = None if w is None else np.where(np.arange(x.size) < n % 2, 1, 2) * w[n // 2 :]
+        half.append((x, w))
+    return half
+
+
 # ---------------- pointwise structural checks ----------------
 
 
@@ -657,6 +684,8 @@ def ground_state_domination_check(result, xs=None, ts=None):
     grid the bound holds; inside the thin layer t < ~0.02 * inradius near the
     boundary of D the Galerkin residual (order 1e-4 for a 512-mode sine
     basis) swamps the slack, which is why the default grid starts above it.
+    On an axis where u_1 is exactly even the margin is too, so only the
+    second half of a mirror grid is evaluated (_half_rules).
     """
     axes, gt = default_field_grid(result.domain)
     axes = axes if xs is None else _axes(xs, result.domain.dim)
@@ -664,7 +693,9 @@ def ground_state_domination_check(result, xs=None, ts=None):
     ts = ts[ts != 0]
     if ts.size == 0:
         raise ValidationError("the domination margin needs heights t > 0")
-    (u,) = _eval_fields((extend(result, 1),), axes, ts, grad=False)
+    u1 = extend(result, 1)
+    axes = [x for x, _ in _half_rules([(x, None) for x in axes], (u1,))]  # even where u_1 is
+    (u,) = _eval_fields((u1,), axes, ts, grad=False)
     pts = _grid_points(axes)
     phi1 = np.where(result.domain.contains(pts), result.eigenfunction(1)(pts), 0.0)
     lower = np.exp(-result.lambda1 * ts) * phi1.reshape(u.shape[:-1])[..., None]
@@ -727,15 +758,15 @@ class ConstantField:
         self.value = float(value)
 
     def values(self, xs, ts):
+        """A read-only view, with zero strides over the grid."""
         shape = tuple(a.size for a in _axes(xs, self.dim)) + (np.atleast_1d(ts).size,)
-        return np.full(shape, self.value)
+        return np.broadcast_to(self.value, shape)
 
     def values_and_grad(self, xs, ts):
         _require_positive_times(ts)
         v = self.values(xs, ts)
-        out = np.zeros((self.dim + 2,) + v.shape)
-        out[0] = v
-        return out
+        stack = np.array([self.value] + [0.0] * (self.dim + 1))
+        return np.broadcast_to(stack.reshape((-1,) + (1,) * v.ndim), stack.shape + v.shape)
 
 
 def _eval_fields(fields, axes, ts, grad=True):
@@ -767,8 +798,11 @@ def _eval_fields(fields, axes, ts, grad=True):
         d = rows[id(f.result), f.over]
         if not grad:
             return u / d
-        w = u[0] / d[0]  # the quotient rule, value first as in values_and_grad
-        return np.concatenate([w[None], (u[1:] - w * d[1:]) / d[0]])
+        w = np.empty_like(u)  # the quotient rule, value first as in values_and_grad
+        np.divide(u[0], d[0], out=w[0])
+        np.subtract(u[1:], np.multiply(w[0], d[1:], out=w[1:]), out=w[1:])
+        w[1:] /= d[0]
+        return w
 
     done = {key: evaluate(f) for key, f in {id(f): f for f in fields}.items()}
     return [done[id(f)] for f in fields]
@@ -783,29 +817,43 @@ def q_functional(u, v, u1, trunc=None):
     u1 must be an extension, not a ratio; its result's domain sets the x rules.
     For u = v = u_n/u_1 (see extend_ratio) this equals the eigenvalue gap
     lambda_n - lambda_1. The reported tail_bound integrates a fitted envelope
-    K (t^2 + |x|^2)^(-(d+1)) over the omitted region. diagnostics holds
-    "constant_field", the pairing of ConstantField with itself against the
-    same weight on the same grid; its gradient is identically zero, so this
-    is zero by construction.
+    K (t^2 + |x|^2)^(-(d+1)) over the omitted region. On an axis where the
+    integrand is exactly even the rule is cut to its second half, with
+    doubled weights (_half_rules); n_x counts the full rule.
+    diagnostics holds "constant_field", the pairing of ConstantField with
+    itself against the same weight on the same grid (its gradient is
+    identically zero, so this is zero by construction), "halved_axes", per
+    axis whether the rule was cut, and "grid_shape", the (x..., t) shape of
+    the grid evaluated.
     """
     if not isinstance(u1, HarmonicExtension) or u1.over is not None:
         raise ValidationError("u1 must be a harmonic extension to set the quadrature grid")
-    dim = u1.dim
-    trunc = _truncation(trunc, dim)
+    trunc = _truncation(trunc, u1.dim)
     x_rules, (tq, tw) = _energy_grid(u1.result.domain, trunc)
-    axes = [x for x, _ in x_rules]
-    weights = [w for _, w in x_rules] + [tw]
-    gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(dim)), axes, tq)
+    rules = _half_rules(x_rules, (u, v, u1, u1))
+    axes = [x for x, _ in rules]
+    weights = [w for _, w in rules] + [tw]
+    gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(u1.dim)), axes, tq)
     weight = g1[0] ** 2
-    integrand = np.sum(gu[1:] * gv[1:], axis=0) * weight
+    integrand = _energy(gu, gv, weight)
     return QResult(
         _integrate(integrand, weights),
-        _tail_bound(axes, tq, np.abs(integrand), trunc),
+        _tail_bound(axes, tq, integrand, trunc),
         trunc,
-        int(np.prod([x.size for x in axes])),
+        int(np.prod([x.size for x, _ in x_rules])),
         tq.size,
-        {"constant_field": _integrate(np.sum(gc[1:] ** 2, axis=0) * weight, weights)},
+        {"constant_field": _integrate(_energy(gc, gc, weight), weights),
+         "halved_axes": [a.size < x.size for a, (x, _) in zip(axes, x_rules)],
+         "grid_shape": integrand.shape},
     )
+
+
+def _energy(gu, gv, weight):
+    """The integrand grad u . grad v * weight of two values_and_grad stacks:
+    one einsum over the gradient terms, times weight in place."""
+    f = np.einsum("i...,i...->...", gu[1:], gv[1:])
+    f *= weight
+    return f
 
 
 # envelope integrals outside the box, per dimension: (t-side, x-side) constants
@@ -816,12 +864,12 @@ def _tail_bound(axes, tq, integrand, trunc):
     # calibrate integrand <= K (t^2 + |x|^2)^(-(d+1)) on the outer shell, then
     # integrate that envelope outside the box
     d = len(axes)
-    *X, T = np.meshgrid(*axes, tq, indexing="ij")
+    *X, T = np.meshgrid(*axes, tq, indexing="ij", sparse=True)
     R2 = sum(x**2 for x in X)
     shell = (np.sqrt(R2) > 0.8 * trunc.x_max) | (T > 0.8 * trunc.t_max)
     if not np.any(shell):
         return float("inf")
-    K = float(np.max(integrand[shell] * (T[shell] ** 2 + R2[shell]) ** (d + 1)))
+    K = float(np.max(np.abs(integrand * (T**2 + R2) ** (d + 1)), where=shell, initial=0.0))
     c_t, c_x = _TAIL_CONSTANTS[d]
     return K * (c_t / trunc.t_max ** (d + 1) + c_x / trunc.x_max ** (d + 1))
 
@@ -860,21 +908,27 @@ def ratio_boundedness_check(result, n=None):
     """max |u_n / u_1| over a probe grid of the half-space above D.
 
     The ratio is bounded; the returned maximum should sit far below the
-    coarse sanity ceiling 1e6 * ||phi_n||_inf / min-grid phi_1.
+    coarse sanity ceiling 1e6 * ||phi_n||_inf / min-grid phi_1. |u_n / u_1|
+    is even on an axis where the ratio is even or odd, so only the second
+    half of a mirror grid is evaluated there (_half_rules).
     """
     w = extend_ratio(result, _star_mode(result) if n is None else n)
     axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
+    axes = [x for x, _ in _half_rules([(x, None) for x in axes], (w, w))]
     (v,) = _eval_fields((w,), axes, np.geomspace(1e-3, _PROBE_T_MAX, 25), grad=False)
     return float(np.max(np.abs(v)))
 
 
 def gradient_scale_fit(result, n=None, trunc=None):
     """Fit the constant c in |grad(u_n/u_1)| <= c / t on a probe grid of the
-    half-space above D; returns max over the grid of t * |grad(u_n/u_1)|."""
+    half-space above D; returns max over the grid of t * |grad(u_n/u_1)|,
+    which is even where the ratio is even or odd: there only the second half
+    of a mirror grid is evaluated (_half_rules)."""
     w = extend_ratio(result, _star_mode(result) if n is None else n)
     trunc = _truncation(trunc, result.domain.dim)
     tq = np.geomspace(trunc.eps, trunc.t_max, 25)
     axes = _interior_axes(result.domain, 30 if result.domain.dim == 1 else 14)
+    axes = [x for x, _ in _half_rules([(x, None) for x in axes], (w, w))]
     (gw,) = _eval_fields((w,), axes, tq)
     return float(np.max(np.sqrt(np.sum(gw[1:] ** 2, axis=0)) * tq))
 
@@ -887,19 +941,23 @@ def d01_lower_bound_check(result, trunc=None):
     which never exceeds lambda_* - lambda_1 (the weight is dominated by u_1^2
     and the region is a subset of the half-space). Also reports the minimum of
     u_1^2 - exp(-2 lambda_1 t) phi_1^2 over the grid, which must stay above
-    the Galerkin floor (see ground_state_domination_check).
+    the Galerkin floor (see ground_state_domination_check). Both integrand
+    and margin are even on an axis where u*/u_1 and u_1 are even or odd, and
+    there the rule is cut to its second half (_half_rules).
     """
     n = _star_mode(result)
     trunc = _truncation(trunc, result.domain.dim)
     lam1 = result.lambda1
     tq, tw = log_panels(1e-6, trunc.t_max, panels_per_decade=3, nodes_per_panel=6)
     # per interval component: 16 five-node panels in 1d, 10 four-node in 2d
+    w, u1 = extend_ratio(result, n), extend(result, 1)
     x_rules = axis_rules(result.domain, *((16, 5) if result.domain.dim == 1 else (10, 4)))
+    x_rules = _half_rules(x_rules, (w, w, u1, u1))
     axes = [x for x, _ in x_rules]
-    gw, g1 = _eval_fields((extend_ratio(result, n), extend(result, 1)), axes, tq)
+    gw, g1 = _eval_fields((w, u1), axes, tq)
     phi1 = result.eigenfunction(1)(_grid_points(axes)).reshape(g1.shape[1:-1])
     weight = np.exp(-2 * lam1 * tq) * phi1[..., None] ** 2
-    value = _integrate(np.sum(gw[1:] ** 2, axis=0) * weight, [xw for _, xw in x_rules] + [tw])
+    value = _integrate(_energy(gw, gw, weight), [xw for _, xw in x_rules] + [tw])
     gap = float(result.lambda_star - lam1)
     return {
         "mode": n,

@@ -445,6 +445,27 @@ def test_report_sweep_plot_files(tmp_path, capsys):
     assert lower[1, 1] == pytest.approx(0.1, rel=1e-9)
 
 
+def test_report_sweep_reuses_the_main_solve(tmp_path, capsys, monkeypatch):
+    # the sweep's L = 2 rectangle is --domain at the same n and alpha: solved once
+    solve, calls = stablegap.cli.solve_spectrum, []
+
+    def counting_solve(domain, *args, **kwargs):
+        calls.append(domain)
+        return solve(domain, *args, **kwargs)
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", counting_solve)
+    rows = []
+    for name, domain in (("main", ["--domain", "rect:-2,2,-1,1"]), ("alone", [])):
+        calls.clear()
+        prefix = str(tmp_path / name)
+        code, _, _ = run_cli(["report", *domain, "--n", "16", "--sweep", "1,2,4",
+                              "--plot-prefix", prefix], capsys)
+        assert code == 0
+        assert len(calls) == 3
+        rows.append(Path(prefix + "_computed.dat").read_bytes())
+    assert rows[0] == rows[1]
+
+
 def test_report_stage_times_go_to_stderr_only(tmp_path, capsys):
     runs = []
     for name in ("a", "b"):

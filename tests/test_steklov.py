@@ -1,7 +1,9 @@
 """Harmonic extensions to the upper half-space and the energy functional."""
 
+import dataclasses
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -553,6 +555,41 @@ def test_1d_time_contractions_run_in_one_thread_blocks(interval_32, rect_8, monk
     assert max(rows * k * n for rows, k, n, _ in calls) > 1 << 18
 
 
+@pytest.mark.parametrize("case", ["interval_32", "interval_128"])
+def test_1d_mode_sums_run_in_one_thread_blocks(case, rect_8, request, monkeypatch):
+    # per _contract call of a 1D pass: its (rows, modes, columns) and the
+    # (m, k, n) of each product it makes, in whole points of 24 nodes
+    result = request.getfixturevalue(case)
+    calls, products = [], []
+    contract, mode_product = steklov._contract, steklov._mode_product
+
+    def recording_contract(C, factors):
+        out = contract(C, factors)
+        if len(factors) == 1:
+            calls.append((*C.shape, out[0].size))
+        return out
+
+    def recording_mode_product(a, b, out):
+        products.append((*a.shape, b.shape[1]))  # atomic across the worker threads
+        mode_product(a, b, out)
+
+    monkeypatch.setattr(steklov, "_contract", recording_contract)
+    monkeypatch.setattr(steklov, "_mode_product", recording_mode_product)
+    gap_identity_check(result)
+    assert calls and len(products) > len(calls)
+    assert sum(n for *_, n in products) == sum(n for *_, n in calls)
+    assert all(n % steklov._S_CHUNK == 0 for *_, n in products)
+    for m, k, n in products:
+        # OpenBLAS keeps a gemv (one row) of fewer than 9216 multiply-adds,
+        # and a gemm of at most 2^18, on one thread
+        assert k * n < 9216 if m == 1 else m * k * n <= 1 << 18
+    # a 2D pass makes its mode sums with einsum
+    products.clear()
+    xs = (np.linspace(-3.0, 3.0, 12), np.linspace(-1.5, 1.5, 10))
+    ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, TIMES, grad=True)
+    assert products == []
+
+
 @pytest.mark.parametrize("rows, nt, blocks", [
     (216, 216, [24, 48, 48, 48, 48]),
     (216, 108, [72, 72, 72]),
@@ -619,6 +656,18 @@ def test_live_chunk_counts(interval_32):
     assert _live_chunks(*engine._time_weights(np.array([0.0]))) == []
 
 
+@pytest.mark.parametrize("case", ["interval_32", "rect_8"])
+def test_zero_row_has_a_zero_extension(case, request):
+    # a row with no live mode is a group of its own, with no mode to evaluate
+    result = request.getfixturevalue(case)
+    xs = np.linspace(-1.5, 1.5, 7) if result.domain.dim == 1 else (np.linspace(-3, 3, 5),) * 2
+    engine = ExtensionEngine(result.basis)
+    rows = np.vstack([np.zeros(result.basis.size), result.coefficients[0]])
+    for grad in (False, True):
+        both, alone = (engine.values(r, xs, TIMES, grad=grad) for r in (rows, rows[1:]))
+        assert not np.any(both[0]) and np.array_equal(both[1:], alone)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_engine_rejects_non_finite_times(interval_32, bad):
     engine = ExtensionEngine(interval_32.basis)
@@ -662,9 +711,9 @@ def test_energy_grid_rejects_a_box_inside_the_domain(interval_domain, x_max):
         _energy_grid(interval_domain, Truncation(1e-3, 30.0, x_max))
 
 
-def _no_fold(x, table):
-    # the private fold test patched out: every axis keeps all of its points
-    return False
+def _full_rules(rules, fields):
+    # the half-rule helper patched out: every axis keeps all of its points
+    return list(rules)
 
 
 def _conditioned(v, ts, grad):
@@ -676,6 +725,19 @@ def _conditioned(v, ts, grad):
     return v
 
 
+def _mirrored(v, parities, grad):
+    # v (rows, [terms,] n_1, ..., n_d, times) reflected on every grid axis,
+    # times each row's parity there; d/dx_i takes the opposite parity on axis i
+    lead = 2 if grad else 1
+    for i in range(parities.shape[1]):
+        sign = parities[:, i].astype(float).reshape((-1,) + (1,) * (v.ndim - 1))
+        if grad:
+            sign = np.repeat(sign, v.shape[1], axis=1)
+            sign[:, 1 + i] *= -1
+        v = np.flip(v, lead + i) * sign
+    return v
+
+
 @pytest.mark.parametrize("grad", [False, True])
 @pytest.mark.parametrize(
     "case, points",
@@ -683,31 +745,38 @@ def _conditioned(v, ts, grad):
     ids=["interval_32", "rect_8", "interval_32-even", "rect_8-even"],
 )
 def test_folded_pass_matches_unfolded_pass(case, points, grad, request, monkeypatch):
+    # the engine on the second half of a mirror grid (what _half_rules keeps)
+    # against the whole grid: point i the mirror of point n - 1 - i on each
+    # axis, 0 among them when n is odd, no point at the centre when n is even
     result = request.getfixturevalue(case)
-    # point i the mirror of point n - 1 - i on each axis: 0 among them when
-    # n is odd, no point at the centre when n is even
     axes = [mirror_linspace(-1.6 * hi, 1.6 * hi, points)
             for _, hi in result.domain.bounding_box()]
-    assert all(steklov._folds(x, t) for x, t in zip(axes, result.basis.meta))
+    half = [x for x, _ in steklov._half_rules([(x, None) for x in axes], (extend(result, 1),))]
+    assert [x.size for x in half] == [points - points // 2] * len(axes)
     ts = _time_grids(result)["d01"]
     ts = ts if grad else np.concatenate([[0.0], ts])  # t = 0 rows: the boundary values
     engine = ExtensionEngine(result.basis)
     # the ground state (even), the star mode (odd in x1) and mode 3
-    rows = result.coefficients[[0, result.star_index - 1, 2]]
+    modes = [1, result.star_index, 3]
+    parities = np.array([steklov._mirror_parity(result, n) for n in modes])
+    assert np.all(parities != 0)
+    rows = result.coefficients[[n - 1 for n in modes]]
     by_workers = []
     for workers in (1, 2):  # the serial pass, and in 1D the threaded one
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
-        with monkeypatch.context() as m:
-            m.setattr(steklov, "_folds", _no_fold)
-            whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
-        folded = engine.values(rows, steklov._xs(axes), ts, grad=grad)
-        # the kept points differ from the unfolded pass only by BLAS rounding
-        # (a one-row product, and one without the other parity's zero
-        # coefficients, round differently); the mirrored ones also by the
-        # rounding of the mode phases at -u
-        f, w = (_conditioned(v, ts, grad) for v in (folded, whole))
-        assert np.max(np.abs(f - w)) <= 1e-14 * np.max(np.abs(w))
-        by_workers.append(folded)
+        whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
+        kept = engine.values(rows, steklov._xs(half), ts, grad=grad)
+        # the whole pass is even or odd to rounding: its first half computes
+        # the mirrored mode phases at -u, which round apart from those at u
+        w, m = (_conditioned(v, ts, grad) for v in (whole, _mirrored(whole, parities, grad)))
+        assert np.max(np.abs(w - m)) <= 1e-14 * np.max(np.abs(w))
+        # and the half pass is the whole pass's second half, to BLAS rounding
+        # (products over fewer points can round apart)
+        kept_points = tuple(slice(x.size // 2, None) for x in axes)
+        second = whole[(slice(None),) * (2 if grad else 1) + kept_points]
+        k, s = (_conditioned(v, ts, grad) for v in (kept, second))
+        assert np.max(np.abs(k - s)) <= 1e-14 * np.max(np.abs(s))
+        by_workers.append(kept)
     assert np.array_equal(*by_workers)
 
 
@@ -717,44 +786,55 @@ def test_folded_pass_matches_unfolded_pass(case, points, grad, request, monkeypa
         (Domain.interval(-1.0, 1.0), 32, "mixed"),
         (Domain.interval(-1.0, 1.0), 32, "permuted"),
         (Domain.interval(-0.5, 1.7), 16, None),
-        (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 8, None),
+        # mirrored only to within geometry's tolerance: the solve takes it as
+        # x1-symmetric, but the component centres are no exact mirrors
+        (Domain.interval_union([(-2.0, -0.5), (0.5 + 1e-13, 2.0)]), 8, None),
         (Domain.rectangle(0.0, 3.0, -1.0, 0.5), 6, None),
     ],
     ids=["mixed-rows", "permuted-mirror-grid", "off-centre", "union", "off-centre-rect"],
 )
 @pytest.mark.parametrize("grad", [False, True])
 def test_unfolded_cases_match_the_unfolded_pass(domain, n, case, grad, monkeypatch):
+    # the quadratures and probes that keep every point: grad=True the energy
+    # of u_2/u_1 (q_functional), grad=False the domination margin of u_1
     result = solve_spectrum(domain, 1.0, n)
-    # mode 1 + mode 2 is neither even nor odd; the other domains have no
-    # window closed under reflection on these axes
-    mixed = result.coefficients[:1] + result.coefficients[1:2]
-    rows = mixed if case == "mixed" else result.coefficients[:3]
-    axes = [x for x, _ in _energy_grid(domain, default_truncation(domain.dim))[0]]
-    if domain.dim == 2:  # a lighter grid: every other node
-        axes = [x[::2] for x in axes]
+    if case == "mixed":  # a ground state row that is neither even nor odd: u_1 + u_2
+        coefficients = result.coefficients.copy()
+        coefficients[0] += coefficients[1]
+        result = dataclasses.replace(result, coefficients=coefficients)
+    rules = _energy_grid(domain, default_truncation(domain.dim))[0]
     if case == "permuted":  # closed under x -> -x, but i not the mirror of n - 1 - i
-        axes = [np.random.default_rng(5).permutation(x) for x in axes]
-        assert not any(steklov._folds(x, t) for x, t in zip(axes, result.basis.meta))
-    ts = _time_grids(result)["q"]
-    engine = ExtensionEngine(result.basis)
+        rules = [(x[p], w[p]) for (x, w), p in
+                 ((rule, np.random.default_rng(5).permutation(rule[0].size)) for rule in rules)]
+    w, u1 = extend_ratio(result, 2), extend(result, 1)
+    fields = (w, w, u1, u1) if grad else (u1,)
+    if not grad:  # the probe grids carry no weights
+        rules = [(x, None) for x, _ in rules]
+    cut = steklov._half_rules(rules, fields)
+    assert all(c is r[0] for (c, _), r in zip(cut, rules))
+
+    def run():
+        if grad and case != "permuted":  # q_functional takes no grid
+            q = q_functional(w, w, u1)
+            return q.value, q.tail_bound, q.diagnostics["halved_axes"], q.diagnostics["grid_shape"]
+        if not grad:
+            return ground_state_domination_check(result, steklov._xs([x for x, _ in rules]))
+
+    checked = run()
     with monkeypatch.context() as m:
-        m.setattr(steklov, "_folds", _no_fold)
-        whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
-
-    def refuse(*args):
-        raise AssertionError("a folded group was written back")
-
-    monkeypatch.setattr(steklov, "_unfold", refuse)
-    assert np.array_equal(engine.values(rows, steklov._xs(axes), ts, grad=grad), whole)
+        m.setattr(steklov, "_half_rules", _full_rules)
+        assert run() == checked
+    if grad and case != "permuted":
+        assert checked[2] == [False] * domain.dim
 
 
 def _count_wofz_entries(monkeypatch):
     # the Faddeeva entries evaluated from here on, one list item per call
     entries = []
 
-    def counting_wofz(z):
+    def counting_wofz(z, out=None):
         entries.append(np.size(z))  # list.append is atomic across the worker threads
-        return wofz(z)
+        return wofz(z, out=out)
 
     monkeypatch.setattr(steklov, "wofz", counting_wofz)
     return entries
@@ -763,33 +843,118 @@ def _count_wofz_entries(monkeypatch):
 def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
     entries = _count_wofz_entries(monkeypatch)
     counts = []
-    for workers, fold in ((1, steklov._folds), (2, steklov._folds), (1, _no_fold)):
+    for workers, half in ((1, steklov._half_rules), (2, steklov._half_rules), (1, _full_rules)):
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(steklov, "_folds", fold)
+        monkeypatch.setattr(steklov, "_half_rules", half)
         entries.clear()
         gap_identity_check(interval_32)
         counts.append(sum(entries))
-    one, two, naive = counts
+    one, two, full = counts
     assert one == two
-    # the unfolded pass: both edge offsets at every point, used mode and live node
+    # the full rule: both edge offsets at every point and live node, each
+    # row with the modes of its parity (u* odd, u1 even): 32 in all
     ((x, _),), (tq, _) = _energy_grid(interval_32.domain, default_truncation(1))
     engine = ExtensionEngine(interval_32.basis)
-    modes, _ = engine._modes(interval_32.coefficients[[interval_32.star_index - 1, 0]])
+    rows = interval_32.coefficients[[interval_32.star_index - 1, 0]]
+    assert np.count_nonzero(rows) == 32 and not np.any((rows[0] != 0) & (rows[1] != 0))
     live = len(_live_chunks(*engine._time_weights(tq))) * steklov._S_CHUNK
-    assert naive == 2 * x.size * modes[0][0].size * live
-    assert one <= 0.51 * naive
+    assert full == 2 * x.size * np.count_nonzero(rows) * live
+    assert one <= 0.51 * full
 
 
 @pytest.mark.parametrize("mode", [3, 5])
 def test_rect_gap_check_folds_every_pair(rect_8, mode, monkeypatch):
     # modes 3 and 5 with mode 1: every row of the pass is pure in x1 and in
-    # x2 parity, so each parity group folds on both axes
+    # x2 parity, so the energy and d01 grids are cut on both axes
     entries = _count_wofz_entries(monkeypatch)
-    counts = []
-    for fold in (steklov._folds, _no_fold):
-        monkeypatch.setattr(steklov, "_folds", fold)
+    cuts, counts = [], []
+    half_rules = steklov._half_rules
+
+    def recording_half_rules(rules, fields):
+        cut = half_rules(rules, fields)
+        cuts.append([c[0].size < r[0].size for c, r in zip(cut, rules)])
+        return cut
+
+    for half in (recording_half_rules, _full_rules):
+        monkeypatch.setattr(steklov, "_half_rules", half)
         entries.clear()
         gap_identity_check(rect_8, mode)
+        d01_lower_bound_check(rect_8)
         counts.append(sum(entries))
-    folded, unfolded = counts
-    assert folded <= 0.70 * unfolded
+    assert cuts == [[True, True]] * 2
+    # a 2D pass evaluates each axis's modes at that axis's points: half of
+    # the points of both axes is half of the entries
+    halved, full = counts
+    assert halved <= 0.51 * full
+
+
+# ---------------- the half rules against the full rules ----------------
+
+
+@pytest.mark.parametrize("case, mode", [("interval_32", None), ("rect_8", None),
+                                        ("rect_8", 3), ("rect_8", 5)])
+def test_half_rules_match_the_full_rules(case, mode, request, monkeypatch):
+    result = request.getfixturevalue(case)
+    mode = result.star_index if mode is None else mode
+
+    def run():
+        w, u1 = extend_ratio(result, mode), extend(result, 1)
+        q = q_functional(w, w, u1)
+        return (q, d01_lower_bound_check(result)["simplified_integral"],
+                [ground_state_domination_check(result), ratio_boundedness_check(result, mode),
+                 gradient_scale_fit(result, mode)])
+
+    half, d01_half, probes_half = run()
+    monkeypatch.setattr(steklov, "_half_rules", _full_rules)
+    full, d01_full, probes_full = run()
+    assert half.value == pytest.approx(full.value, rel=1e-14, abs=0.0)
+    assert d01_half == pytest.approx(d01_full, rel=1e-14, abs=0.0)
+    # the envelope constant is fitted where the integrand is near its rounding
+    # floor, and the full rule evaluates the first half's rounding afresh
+    assert half.tail_bound == pytest.approx(full.tail_bound, rel=1e-10, abs=0.0)
+    # extrema over the kept points: the mirrored points differ by rounding alone
+    assert probes_half == pytest.approx(probes_full, rel=1e-13, abs=0.0)
+    assert half.n_x == full.n_x
+    assert half.diagnostics["halved_axes"] == [True] * result.domain.dim
+    assert full.diagnostics["halved_axes"] == [False] * result.domain.dim
+    shape, full_shape = half.diagnostics["grid_shape"], full.diagnostics["grid_shape"]
+    assert shape[-1] == full_shape[-1] == half.n_t
+    assert shape == tuple(n - n // 2 for n in full_shape[:-1]) + (half.n_t,)
+
+
+@pytest.mark.parametrize("domain, n, value", [
+    (Domain.interval(-0.5, 1.7), 16, 1.456176104247933),
+    (Domain.rectangle(0.0, 3.0, -1.0, 0.5), 6, 0.7255928034119701),
+    (Domain.interval(-1.0, 1.0 + 1e-13), 16, 1.6010391991745805),
+    (Domain.interval_union([(-2.0, -0.5), (0.5 + 1e-13, 2.0)]), 8, 0.15218673583848408),
+], ids=["off-centre", "off-centre-rect", "near-symmetric", "near-symmetric-union"])
+def test_unhalved_energies_keep_their_values(domain, n, value):
+    # windows that are no exact mirrors about 0 keep the full rule, and the
+    # energy of u_2/u_1 its full-rule value, pinned from a pass without half rules
+    result = solve_spectrum(domain, 1.0, n)
+    q = q_functional(extend_ratio(result, 2), extend_ratio(result, 2), extend(result, 1))
+    assert q.diagnostics["halved_axes"] == [False] * domain.dim
+    assert q.value == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
+def test_odd_pairing_keeps_the_full_rule(interval_32):
+    # u_2/u_1 is odd and u_3/u_1 even on (-1, 1): their pairing integrates an
+    # odd function, which no half rule may double
+    u1 = extend(interval_32, 1)
+    q = q_functional(extend_ratio(interval_32, 2), extend_ratio(interval_32, 3), u1)
+    assert q.diagnostics["halved_axes"] == [False]
+    q22 = q_functional(extend_ratio(interval_32, 2), extend_ratio(interval_32, 2), u1)
+    assert abs(q.value) <= 1e-15 * q22.value
+
+
+def test_rect_gap_check_traced_memory(rect_8):
+    # the field arrays live on the quarter of the energy grid that the half
+    # rules keep: about 35 MB of numpy data at the peak, 198 MB on the full grid
+    gap_identity_check(rect_8)
+    tracemalloc.start()
+    try:
+        gap_identity_check(rect_8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2**20
