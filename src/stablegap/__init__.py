@@ -41,6 +41,7 @@ from .kernels import (
     cauchy_constant,
     cauchy_kernel,
     gaussian_kernel,
+    sample_stable_increment,
     sample_subordinator_increment,
     subordinated_gaussian,
     subordinator_density_half,

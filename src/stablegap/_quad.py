@@ -55,15 +55,32 @@ def mirror_linspace(a, b, num):
     return 0.5 * (e - e[::-1]) if a == -b else e
 
 
+def union_linspaces(comps, num):
+    """np.linspace(a, b, num) on each component (a, b) of a sorted interval
+    union, made exactly closed under x -> -x where the union is: a component
+    symmetric about 0 takes mirror_linspace, and a component j in the left
+    half whose partner m - 1 - j is its mirror to the last bit takes the
+    partner's points negated and reversed. Their concatenation x then
+    satisfies x == -x[::-1] whenever the union is an exact mirror of itself,
+    and so do the panel_gauss rules on them (see mirror_linspace)."""
+    edges = [mirror_linspace(a, b, num) for a, b in comps]
+    m = len(comps)
+    for j in range(m // 2):
+        (a, b), (c, d) = comps[j], comps[m - 1 - j]
+        if a == -d and b == -c:
+            edges[j] = -edges[m - 1 - j][::-1]
+    return edges
+
+
 def axis_rules(domain, panels, nodes):
     """Per-axis rules over a product of interval unions: ``panels`` equal
     Gauss-Legendre panels of ``nodes`` nodes on every interval component of
     an axis (see Domain.axis_components), concatenated. Returns [(x, w), ...].
-    A component symmetric about 0 gets a rule closed under x -> -x, nodes
-    and weights alike (see mirror_linspace)."""
+    An axis symmetric about 0 gets a rule closed under x -> -x, nodes and
+    weights alike (see union_linspaces)."""
     rules = []
     for comps in domain.axis_components():
-        parts = [panel_gauss(mirror_linspace(a, b, panels + 1), nodes) for a, b in comps]
+        parts = [panel_gauss(e, nodes) for e in union_linspaces(comps, panels + 1)]
         rules.append(tuple(np.concatenate(col) for col in zip(*parts)))
     return rules
 

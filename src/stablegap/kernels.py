@@ -1,9 +1,14 @@
-"""Free transition kernels, the one-sided stable subordinator, and their identities.
+"""Free transition kernels, the stable samplers, and their identities.
 
 The two building blocks are the Cauchy transition density (Fourier multiplier
 exp(-t |xi|)) and the Gaussian density with multiplier exp(-t |xi|^2). They are
 linked by subordination: integrating the Gaussian kernel in its time variable
 against the 1/2-stable subordinator density recovers the Cauchy kernel.
+
+Two samplers draw the increments of the processes: the one-sided
+beta-stable subordinator (Kanter's product), which time-changes a Gaussian
+step in any dimension, and the symmetric alpha-stable law on the line
+(Chambers, Mallows and Stuck), which draws a 1D step directly.
 """
 
 from __future__ import annotations
@@ -138,3 +143,45 @@ def sample_subordinator_increment(dt, beta, rng, size):
         1 / (1 - beta)
     )
     return dt ** (1 / beta) * (a / w) ** ((1 - beta) / beta)
+
+
+def sample_stable_increment(dt, alpha, rng, size):
+    """Draw `size` increments over a step dt of the symmetric alpha-stable
+    process on the line, E exp(i xi X) = exp(-dt |xi|^alpha), 0 < alpha < 2.
+
+    Uses the Chambers-Mallows-Stuck representation (JASA 1976): with U
+    uniform on (0,1), V = pi (U - 1/2) and W standard exponential,
+
+        X = dt^(1/alpha) sin(alpha V) / cos(V)^(1/alpha)
+            * (cos((1 - alpha) V) / W)^((1 - alpha) / alpha),
+
+    computed with one power as dt^(1/alpha) sin(alpha V) / cos(V) times
+    (cos((1 - alpha) V) / (W cos(V)))^((1 - alpha) / alpha). At alpha = 1
+    (the Cauchy process) the power is 1 and the increment is dt tan(V): W is
+    not drawn. The law is that of the subordinated Gaussian step sqrt(2 S) N,
+    S the alpha/2-stable subordinator increment (sample_subordinator_increment),
+    from one or two draws in place of three.
+    """
+    if not 0 < alpha < 2:
+        raise ValidationError("alpha must lie in (0, 2)")
+    if not dt > 0:
+        raise ValidationError("dt must be positive")
+    v = rng.uniform(0.0, 1.0, size)
+    # in place, since each temporary would be a fresh array on every
+    # Monte Carlo step
+    v -= 0.5
+    v *= np.pi
+    if alpha == 1.0:
+        x = np.tan(v, out=v)
+        x *= dt
+        return x
+    w = rng.exponential(1.0, size)
+    c = np.cos(v)
+    w *= c
+    b = np.cos((1.0 - alpha) * v)
+    b /= w
+    x = np.sin(np.multiply(alpha, v, out=v), out=v)
+    x /= c
+    x *= np.power(b, (1.0 - alpha) / alpha, out=b)
+    x *= dt ** (1.0 / alpha)
+    return x

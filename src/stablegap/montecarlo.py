@@ -1,16 +1,15 @@
 """Monte Carlo exit-time statistics for symmetric alpha-stable processes.
 
-Paths are simulated on a uniform time skeleton as subordinated Brownian
-motion: over each step the subordinator advances by a stable(alpha/2)
-increment dS and the path by a centered Gaussian of variance 2 dS per
-coordinate (exactly Brownian for alpha = 2). For the Cauchy process
-(alpha = 1) the 1/2-stable increment has the closed form
-dt^2 / (4 W cos^2(pi U/2)) from one uniform U and one exponential W, drawn
-in the same order as the general Kanter product, so the stream and the
-tallies are those of the general sampler. A path dies at the first
-skeleton time it is observed outside D; discrete monitoring therefore
-overestimates survival, a bias that shrinks with dt and is disclosed
-alongside estimates rather than corrected.
+Paths are simulated on a uniform time skeleton with exact increments. On
+the line, for alpha < 2, each step is drawn straight from the symmetric
+alpha-stable law (Chambers-Mallows-Stuck; at alpha = 1, dt tan(pi (U - 1/2))
+from one uniform U). In the plane the path is subordinated Brownian motion:
+over each step the subordinator advances by a stable(alpha/2) increment dS
+and the path by a centered Gaussian of variance 2 dS per coordinate. At
+alpha = 2 the step is that Gaussian with dS = dt, in any dimension. A path
+dies at the first skeleton time it is observed outside D; discrete
+monitoring therefore overestimates survival, a bias that shrinks with dt
+and is disclosed alongside estimates rather than corrected.
 
 Long-time behavior of the survival curve gives lambda_1 and phi_1; the
 signed occupation ratio
@@ -30,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .kernels import sample_subordinator_increment
+from .kernels import sample_stable_increment, sample_subordinator_increment
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,28 @@ class SurvivalCurve:
         return list(zip(self.times, self.survival, self.stderr))
 
 
+# a step count t_max / dt within this relative distance of an integer is
+# that integer: 0.7 / 1e-3 is 699.9999999999999 in floating point
+_STEP_RTOL = 1e-9
+
+
+def _step_count(t_max, dt):
+    """Skeleton steps of size dt up to t_max: t_max / dt rounded to the
+    nearest integer within a relative _STEP_RTOL of it, else rounded down."""
+    ratio = t_max / dt
+    nearest = round(ratio)
+    return nearest if abs(ratio - nearest) <= _STEP_RTOL * ratio else int(ratio)
+
+
 def simulate_skeleton(domain, x, cfg):
     """Simulate the killed skeleton and tally per-partition alive counts.
 
     Deterministic for fixed (domain, x, cfg): one counter-based Philox
     stream drives all increments in a fixed order; dead paths are compacted
-    away so the work per step is proportional to the survivors.
+    away so the work per step is proportional to the survivors. A 1D step
+    with alpha < 2 is one stable draw (sample_stable_increment); any other
+    step is a Gaussian of variance 2 dS per coordinate, dS a subordinator
+    draw, or dt at alpha = 2.
     """
     cfg.validate()
     dim = domain.dim
@@ -124,26 +139,29 @@ def simulate_skeleton(domain, x, cfg):
     n = cfg.paths
     pos = np.tile(x, (n, 1)) if dim > 1 else np.full(n, x[0])
     part = (np.arange(n) * cfg.partitions // n).astype(np.int32)
-    n_steps = int(np.floor(cfg.t_max / cfg.dt))
+    n_steps = _step_count(cfg.t_max, cfg.dt)
     rec_idx = np.arange(cfg.record_stride, n_steps + 1, cfg.record_stride)
     times = rec_idx * cfg.dt
+    # the last step lands on t_max up to the rounding of n_steps * dt
+    times[np.isclose(times, cfg.t_max, rtol=_STEP_RTOL, atol=0.0)] = cfg.t_max
     counts = np.zeros((cfg.partitions, rec_idx.size), dtype=np.int64)
     plus = np.zeros_like(counts)
     minus = np.zeros_like(counts)
-    beta = cfg.alpha / 2.0
+    direct = dim == 1 and cfg.alpha < 2.0
     r = 0
     for k in range(1, n_steps + 1):
         m = pos.shape[0]
         if m == 0:
             break
-        if cfg.alpha == 2.0:
-            ds = np.full(m, cfg.dt)
+        if direct:
+            step = sample_stable_increment(cfg.dt, cfg.alpha, rng, m)
         else:
-            ds = sample_subordinator_increment(cfg.dt, beta, rng, m)
-        ds *= 2.0
-        sig = np.sqrt(ds, out=ds)
-        step = rng.standard_normal(pos.shape)
-        step *= sig if dim == 1 else sig[:, None]
+            ds = (np.full(m, cfg.dt) if cfg.alpha == 2.0
+                  else sample_subordinator_increment(cfg.dt, cfg.alpha / 2.0, rng, m))
+            ds *= 2.0
+            sig = np.sqrt(ds, out=ds)
+            step = rng.standard_normal(pos.shape)
+            step *= sig if dim == 1 else sig[:, None]
         pos += step
         inside = domain.contains(pos)
         if not inside.all():

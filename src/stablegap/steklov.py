@@ -39,7 +39,7 @@ Mirror symmetry of the points is the callers' business: where the probed or
 integrated quantity is exactly even on an axis whose windows are exact
 mirrors about 0 (_mirror_parity), the energy quadratures and the probes
 evaluate only the second half of their rules, which are exactly closed
-under x -> -x (mirror_linspace). An integral doubles the kept weights off
+under x -> -x (mirror_linspace, union_linspaces). An integral doubles the kept weights off
 the centre and an extremum needs no weights (_half_rules). So the centred
 gap checks evaluate half of the 1D grid and a quarter of the 2D one, with
 half of each axis's modes, and hold their field arrays on that part alone.
@@ -75,7 +75,14 @@ from functools import partial
 import numpy as np
 from scipy.special import wofz
 
-from ._quad import axis_rules, log_panels, mirror_linspace, panel_gauss, tensor_points
+from ._quad import (
+    axis_rules,
+    log_panels,
+    mirror_linspace,
+    panel_gauss,
+    tensor_points,
+    union_linspaces,
+)
 from .errors import ValidationError
 from .eigensolver import _CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum, mode_parity
 from .kernels import subordination_grid, subordinator_density_half
@@ -603,8 +610,8 @@ def _half_rules(rules, fields):
     """The rules (x, w) of the axes, each cut to its second half x[n // 2:]
     where the product of the fields is exactly even and the rule is the
     reversed mirror of itself to the last bit (x == -x[::-1], w == w[::-1]),
-    as the energy and probe grids of an axis centred at 0 are
-    (mirror_linspace). The product is even where the parities
+    as the energy and probe grids of an axis symmetric about 0 are
+    (union_linspaces). The product is even where the parities
     (_mirror_parity) of the modes of its extensions and ratios multiply to
     +1; a ConstantField is even, and any other field has no known parity.
     An even quantity takes one value at point j and at its mirror
@@ -666,9 +673,9 @@ def check_boundary_derivative(result, n, x, h=1e-4):
 
 def _interior_axes(domain, n):
     """Axes of n evenly spaced interior points per interval component, closed
-    under x -> -x on a component symmetric about 0 (mirror_linspace)."""
+    under x -> -x on an axis symmetric about 0 (union_linspaces)."""
     return [
-        np.concatenate([mirror_linspace(a, b, n + 2)[1:-1] for a, b in comps])
+        np.concatenate([e[1:-1] for e in union_linspaces(comps, n + 2)])
         for comps in domain.axis_components()
     ]
 

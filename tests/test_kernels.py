@@ -10,6 +10,7 @@ from stablegap import (
     cauchy_constant,
     cauchy_kernel,
     gaussian_kernel,
+    sample_stable_increment,
     sample_subordinator_increment,
     subordinated_gaussian,
     subordinator_density_half,
@@ -133,6 +134,54 @@ def test_subordinator_half_finite_at_uniform_endpoints():
     got = sample_subordinator_increment(dt, 0.5, EndpointRng(), 3)
     assert np.all(np.isfinite(got)) and np.all(got > 0)
     assert np.allclose(got, dt**2 / (4 * np.cos(np.pi * u / 2) ** 2), rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_stable_sampler_characteristic_function(alpha):
+    # E cos(xi X) = exp(-dt |xi|^alpha) for the symmetric stable step; the
+    # sample mean of a bounded cos has stderr at most 1/sqrt(n)
+    dt, n = 0.3, 200_000
+    draws = sample_stable_increment(dt, alpha, np.random.Generator(np.random.Philox(13)), n)
+    assert draws.shape == (n,) and np.all(np.isfinite(draws))
+    for xi in (0.3, 1.0, 2.0, 5.0):
+        emp = np.cos(xi * draws).mean()
+        assert abs(emp - np.exp(-dt * xi**alpha)) < 5 / np.sqrt(n)
+
+
+def test_stable_sampler_alpha1_is_scaled_tangent():
+    # at alpha = 1 the step is dt tan(pi (U - 1/2)) on the same uniforms,
+    # and no exponential is drawn: the stream goes on with the next uniform
+    dt, size = 2e-3, 10_000
+    rng = np.random.Generator(np.random.Philox(5))
+    got = sample_stable_increment(dt, 1.0, rng, size)
+    after = rng.uniform(0.0, 1.0, 3)
+    ref = np.random.Generator(np.random.Philox(5))
+    u = ref.uniform(0.0, 1.0, size)
+    assert np.array_equal(got, dt * np.tan(np.pi * (u - 0.5)))
+    assert np.array_equal(after, ref.uniform(0.0, 1.0, 3))
+
+
+def test_stable_sampler_matches_cms_formula():
+    # the one-power form against the Chambers-Mallows-Stuck product as written
+    dt, size = 1e-3, 100_000
+    for alpha in (0.5, 1.5, 1.9):
+        got = sample_stable_increment(dt, alpha, np.random.Generator(np.random.Philox(9)), size)
+        rng = np.random.Generator(np.random.Philox(9))
+        v = np.pi * (rng.uniform(0.0, 1.0, size) - 0.5)
+        w = rng.exponential(1.0, size)
+        expected = (dt ** (1 / alpha) * np.sin(alpha * v) / np.cos(v) ** (1 / alpha)
+                    * (np.cos((1 - alpha) * v) / w) ** ((1 - alpha) / alpha))
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_stable_sampler_validation():
+    rng = np.random.default_rng(0)
+    for alpha in (0.0, -1.0, 2.0, 2.5, np.nan):
+        with pytest.raises(ValidationError):
+            sample_stable_increment(1e-3, alpha, rng, 10)
+    for dt in (0.0, -1e-3, np.nan):
+        with pytest.raises(ValidationError):
+            sample_stable_increment(dt, 1.0, rng, 10)
 
 
 def test_kernel_validation():

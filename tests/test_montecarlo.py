@@ -82,11 +82,14 @@ def _tally_digest(curve):
 
 
 # sha256 of (times, counts, plus, minus); recorded with numpy 2.4.6, whose
-# Philox stream and uniform/exponential/normal transforms they depend on
+# Philox stream and uniform/exponential/normal transforms they depend on.
+# The interval pins are those of the direct stable steps (one uniform per
+# step at alpha = 1, a uniform and an exponential at 1.5); the rectangle pin
+# is that of the subordinated Gaussian step, unchanged since it was recorded
 STREAM_PINS = {
-    "interval-alpha1": "75f7691e16bfb82c3f5d10c1d194e4855118993a30cf50dfa7deb4bbf9f6c1fc",
+    "interval-alpha1": "c5f2e00aac5faf59692f57b2cc25091a189eb40c8f50fb4413ae60d0963a1880",
     "rect-alpha1": "50786ce2d34b92e610c412cc23708613eba0cb3fea1144458da0e72808ac2ae3",
-    "interval-alpha1.5": "bf5f89c86f7669544ddf0e8be31010ce9d7ae59eea66ddee1af0b40e5bbbd887",
+    "interval-alpha1.5": "fd39eb73ba555b0f98e8073526ff2715d5bb59eef048a92c9b028764131dbed5",
 }
 
 
@@ -103,6 +106,26 @@ def test_stream_pins(interval, rect_domain):
     }
     got = {name: _tally_digest(simulate_skeleton(*run)) for name, run in runs.items()}
     assert got == STREAM_PINS
+
+
+@pytest.mark.parametrize("t_max, dt", [(0.7, 1e-3), (0.3, 0.1), (1.4, 5e-4), (3.8, 2e-3),
+                                        (4.6, 5e-3), (19.9, 0.01), (4.6, 2e-3)])
+def test_skeleton_runs_to_t_max(interval, t_max, dt):
+    # t_max / dt lies just below an integer in floating point for all but the
+    # last case (0.7 / 1e-3 is 699.9999999999999), and rounding it down lost
+    # the last step; in the last, 2300 * 2e-3 rounds away from 4.6
+    cfg = McConfig(alpha=1.0, paths=200, dt=dt, t_max=t_max, seed=1, record_stride=1)
+    curve = simulate_skeleton(interval, 0.5, cfg)
+    assert curve.times.size == round(t_max / dt)
+    assert curve.times[-1] == t_max
+
+
+def test_skeleton_step_count_rounds_down_off_the_grid(interval):
+    # a t_max between two steps keeps the last whole step
+    cfg = McConfig(alpha=1.0, paths=200, dt=0.1, t_max=1.05, seed=1, record_stride=1)
+    curve = simulate_skeleton(interval, 0.5, cfg)
+    assert curve.times.size == 10
+    assert curve.times[-1] == 10 * 0.1
 
 
 def test_lambda1_against_galerkin(base_curve):

@@ -29,7 +29,7 @@ from stablegap import (
     solve_spectrum,
 )
 from stablegap import steklov
-from stablegap._quad import axis_rules, log_panels, mirror_linspace
+from stablegap._quad import axis_rules, log_panels, mirror_linspace, panel_gauss
 from stablegap.steklov import (
     ExtensionEngine,
     _energy_grid,
@@ -920,6 +920,57 @@ def test_half_rules_match_the_full_rules(case, mode, request, monkeypatch):
     shape, full_shape = half.diagnostics["grid_shape"], full.diagnostics["grid_shape"]
     assert shape[-1] == full_shape[-1] == half.n_t
     assert shape == tuple(n - n // 2 for n in full_shape[:-1]) + (half.n_t,)
+
+
+MIRROR_UNIONS = [[(-2.3, -0.7), (0.7, 2.3)], [(-2.0, -0.5), (0.5, 2.0)],
+                 [(-3.1, -1.3), (-0.4, 0.4), (1.3, 3.1)]]
+
+
+@pytest.mark.parametrize("comps", MIRROR_UNIONS, ids=["wide-gap", "gap-1", "three"])
+def test_union_rules_are_mirror_exact(comps):
+    # a left component is its mirror's points negated and reversed: one
+    # np.linspace per component left the pairs apart in the last bit, so the
+    # d01 rule (16 panels of 5) and the probe axes (30 and 40 points) were
+    # not closed under x -> -x and no half rule could cut them
+    domain = Domain.interval_union(comps)
+    for panels, nodes in ((16, 5), (24, 4), (24, 6)):
+        ((x, w),) = axis_rules(domain, panels, nodes)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for n in (30, 40):
+        (x,) = steklov._interior_axes(domain, n)
+        assert np.array_equal(x, -x[::-1])
+        assert x.size == n * len(comps)
+
+
+def test_union_rules_keep_single_components_bit_identical():
+    # one component keeps the panel rule on its own linspace
+    for a, b in ((-0.5, 1.7), (-1.0, 1.0), (0.7, 2.3)):
+        ((x, w),) = axis_rules(Domain.interval(a, b), 16, 5)
+        ((x0, w0),) = [panel_gauss(mirror_linspace(a, b, 17), 5)]
+        assert np.array_equal(x, x0) and np.array_equal(w, w0)
+
+
+def test_union_d01_and_probes_are_halved(monkeypatch):
+    # on an exact mirror union the d01 rule and the probe axes are cut to
+    # their second half, and give the full rules' values to rounding
+    result = solve_spectrum(Domain.interval_union(MIRROR_UNIONS[0]), 1.0, 8)
+    mode = result.star_index
+    half_rules, cuts = steklov._half_rules, []
+
+    def recording_half_rules(rules, fields):
+        cut = half_rules(rules, fields)
+        cuts.append([c[0].size < r[0].size for c, r in zip(cut, rules)])
+        return cut
+
+    def run():
+        return [d01_lower_bound_check(result)["simplified_integral"],
+                ratio_boundedness_check(result, mode), gradient_scale_fit(result, mode)]
+
+    monkeypatch.setattr(steklov, "_half_rules", recording_half_rules)
+    half = run()
+    assert cuts == [[True]] * 3
+    monkeypatch.setattr(steklov, "_half_rules", _full_rules)
+    assert half == pytest.approx(run(), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("domain, n, value", [
