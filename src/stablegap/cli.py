@@ -100,6 +100,8 @@ def _emit_columns(rows, path, header=None):
 
 def cmd_eig(args):
     domain = parse_domain(args.domain)
+    if args.csv and not 1 <= args.csv_mode <= args.n_report:
+        raise ValidationError(f"--csv-mode {args.csv_mode} outside 1..--n-report {args.n_report}")
     t0 = time.perf_counter()  # the solve's wall time goes to stderr, never into the JSON
     result = solve_spectrum(domain, args.alpha, n_basis=args.n, n_report=args.n_report)
     solve_s = time.perf_counter() - t0
@@ -136,6 +138,8 @@ def cmd_gap_check(args):
     given = {k: v for k in ("eps", "t_max", "x_max") if (v := getattr(args, k)) is not None}
     trunc = dataclasses.replace(steklov.default_truncation(domain.dim), **given)
     steklov.check_truncation(trunc, domain)  # before the solve, which a bad box would waste
+    if args.mode is not None and args.mode < 2:
+        raise ValidationError(f"--mode {args.mode} < 2: mode 1 has no gap to lambda_1")
     t0 = time.perf_counter()  # stage wall times go to stderr, never into the JSON
     result = solve_spectrum(domain, args.alpha, n_basis=args.n)
     t1 = time.perf_counter()

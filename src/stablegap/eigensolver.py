@@ -17,29 +17,36 @@ one trig value per node and one rational factor per (mode, node), in a panel
 coordinate where every mode frequency is an even integer
 (_centred_amplitudes). A union adds, per pair of components, the same Gram
 products weighted by the cos and sin of the phase between their centres.
-A rectangle needs only 1D pieces: by subordination,
+A product of d interval unions (a rectangle at d = 2) needs only 1D pieces:
+by subordination,
 
     |xi|^alpha = c_alpha * integral_0^inf (1 - e^(-s |xi|^2)) s^(-1-alpha/2) ds,
 
-c_alpha = (alpha/2) / Gamma(1 - alpha/2), and 1 - e^(-s |xi|^2) = d1 + d2 -
-d1 d2 with d_i = 1 - e^(-s xi_i^2), so in the orthonormal basis the form is
-A1 (x) I + I (x) A2 minus c_alpha * integral s^(-1-alpha/2) D1(s) (x) D2(s) ds,
-with A_i the axis forms and D_i(s)_jk = (1/pi) integral_0^inf d_i G_j G_k dxi_i.
-For alpha = 2 (c_alpha = 0) the sine basis diagonalizes the form exactly and
-the quadrature is skipped; disks are supported at alpha = 2 only, through the
-classical Bessel modes.
+c_alpha = (alpha/2) / Gamma(1 - alpha/2), and with d_i = 1 - e^(-s xi_i^2),
+1 - e^(-s |xi|^2) = 1 - prod_i (1 - d_i) = sum over nonempty axis sets S of
+(-1)^(|S|+1) prod_(i in S) d_i. So in the orthonormal basis the form is a
+sum over those sets, each term with identities on the other axes: the axis
+form A_i for S = {i}, and (-1)^(|S|+1) c_alpha * integral s^(-1-alpha/2)
+(x)_(i in S) D_i(s) ds for two or more axes, with D_i(s)_jk = (1/pi)
+integral_0^inf d_i G_j G_k dxi_i. On a rectangle that is A1 (x) I + I (x) A2
+minus one cross term. For alpha = 2 the sine basis diagonalizes the form
+exactly: each axis form is its diagonal omega^2, with no xi quadrature, and
+the cross terms carry the weight c_alpha = 0. Disks are supported at
+alpha = 2 only, through the classical Bessel modes.
 
 Rayleigh-Ritz gives one-sided (from above) approximations, nonincreasing in
 the basis size because the sine bases are nested. solve_spectrum runs one
 eigh per exact block of the form, on every domain: the sign-eigenspaces of
-the x1 reflection (the identity where D is not x1-symmetric), split on a
-rectangle by the parity of the x2 mode. So the symmetry labels are exact by
+the x1 reflection (the identity where D is not x1-symmetric), split by the
+parity of the mode of every later axis. So the symmetry labels are exact by
 construction, and each coefficient vector is exactly zero off its block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -66,7 +73,8 @@ class SpectralBasis:
     axis of Domain.axis_components(): four column arrays (center,
     half_length, k, omega) with one entry per mode of that axis, the modes of
     each interval component consecutive; basis functions are products of one
-    mode per axis, indexed row-major (j * n2 + m on a rectangle).
+    mode per axis, indexed row-major over the axes, x1 slowest (j * n2 + m on
+    a rectangle).
     kind "disk": Bessel modes on a disk, alpha = 2 only; meta holds the
     columns (m, k, zero, "cos"/"sin").
     """
@@ -109,13 +117,7 @@ def _disk_basis(domain, n_modes):
         for m in range(0, 2 * int(np.sqrt(n_modes)) + 8)
         for k, z in enumerate(jn_zeros(m, kmax), start=1)
     )
-    modes = []
-    for z, m, k in cand:
-        modes.append((m, k, float(z), "cos"))
-        if m > 0:
-            modes.append((m, k, float(z), "sin"))
-        if len(modes) >= n_modes:
-            break
+    modes = [(m, k, float(z), ang) for z, m, k in cand for ang in ("cos", "sin")[: 1 + (m > 0)]]
     meta = tuple(np.array(col) for col in zip(*modes[:n_modes]))
     return SpectralBasis(domain, "disk", meta[0].size, meta)
 
@@ -152,8 +154,8 @@ def basis_mode_transform(table, xi):
 
 _GL_NODES = 10  # Gauss-Legendre nodes per xi panel
 _TAIL_FACTOR = 8.0  # xi cut-off / largest mode frequency of the axis
-# rectangle cross term: log panels in s on [_S_MIN, _S_MAX]; beyond _S_MAX,
-# D1(s) (x) D2(s) is taken as I
+# cross terms of two or more axes: log panels in s on [_S_MIN, _S_MAX];
+# beyond _S_MAX, each product of the D_i(s) is taken as I
 _S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES = 1e-10, 1e10, 2, 10
 
 
@@ -232,29 +234,34 @@ def assemble_form_matrix(domain, alpha, n_basis):
 
 
 def _assemble_sine(basis, alpha):
-    """Kronecker sum of the per-axis forms, minus the cross term on a
-    rectangle (module docstring); row (j, m) = j * n2 + m."""
+    """The form (module docstring) as a sum of row-major Kronecker products:
+    each axis form with identities on the other axes, then per set S of two or
+    more axes (-1)^(|S|+1) c_alpha integral s^(-1-alpha/2) (x)_(i in S) D_i(s) ds
+    with identities elsewhere, and that set's diagonal tail beyond _S_MAX."""
     forms = [_axis_form(table, alpha) for table in basis.meta]
-    if len(forms) == 1:
-        return forms[0]
-    (A1, A2), (T1, T2) = forms, basis.meta
-    n1, n2 = len(A1), len(A2)
-    E = np.zeros((n1, n2, n1, n2))
-    E[:, np.arange(n2), :, np.arange(n2)] += A1  # A1 (x) I
-    E[np.arange(n1), :, np.arange(n1)] += A2  # I (x) A2
-    if alpha == 2:  # c_alpha = 0
-        return E.reshape(n1 * n2, -1)
+    eye = [np.eye(len(A)) for A in forms]
+    E = sum(_kron(eye[:i] + [A[None]] + eye[i + 1 :], np.ones(1)) for i, A in enumerate(forms))
+    subsets = [S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
     c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
     s, ws = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
-    D1 = _subordination_grams(T1, s) * (c * ws * s ** (-1 - 0.5 * alpha))[:, None, None]
-    D2 = _subordination_grams(T2, s)
-    rows = max(1, _CHUNK_ENTRIES // (n1 * n2 * n2))
-    for j0 in range(0, n1, rows):
-        E[j0 : j0 + rows] -= np.einsum("sjk,sml->jmkl", D1[:, j0 : j0 + rows], D2, optimize=True)
-    E = E.reshape(n1 * n2, -1)
-    # s > _S_MAX, where D1(s) (x) D2(s) = I + O(s^-1/2)
-    E[np.diag_indices_from(E)] -= c * _S_MAX ** (-0.5 * alpha) / (0.5 * alpha)
+    w, tail = c * ws * s ** (-1 - 0.5 * alpha), c * _S_MAX ** (-0.5 * alpha) / (0.5 * alpha)
+    grams = [_subordination_grams(table, s) for table in basis.meta] if subsets else []
+    for S in subsets:
+        sign = (-1.0) ** (len(S) + 1)
+        E += _kron([grams[i] if i in S else I for i, I in enumerate(eye)], sign * w)
+        # s > _S_MAX, where the product of the D_i(s) is I + O(s^-1/2)
+        E[np.diag_indices_from(E)] += sign * tail
     return 0.5 * (E + E.T)
+
+
+def _kron(factors, weights):
+    """sum_s weights[s] F_1(s) (x) ... (x) F_d(s) as one row-major matrix, each
+    factor an array (len(weights), n_i, n_i), or (n_i, n_i) where it does not
+    depend on s."""
+    rows, cols = "abcdefgh"[: len(factors)], "ijklmnop"[: len(factors)]
+    spec = ",".join("s" * (f.ndim - 2) + r + c for f, r, c in zip(factors, rows, cols))
+    out = np.einsum(f"s,{spec}->{rows}{cols}", weights, *factors, optimize=True)
+    return out.reshape(np.prod(out.shape[: len(rows)]), -1)
 
 
 def _centred_amplitudes(h, n_modes, u):
@@ -367,8 +374,8 @@ class SpectralResult:
     coefficients[n-1] holds the basis coefficients of mode n (1-based mode
     numbering throughout). symmetry[n-1] is its x1-reflection block, "symmetric"
     or "antisymmetric"; "none" only on a domain that is not x1-symmetric. On a
-    rectangle each mode also has one x2 parity: its coefficients on the x2
-    modes of the other parity are exactly 0.0.
+    rectangle each mode also has one parity per axis after x1: its coefficients
+    on the modes of the other parity are exactly 0.0.
     star_index is the 1-based index of the lowest antisymmetric mode when it is
     among the reported modes, else None.
     """
@@ -402,12 +409,7 @@ class SpectralResult:
         """Callable evaluating mode n (1-based) at points in R^d."""
         if not 1 <= n <= len(self.coefficients):
             raise ValidationError(f"mode {n} outside 1..{len(self.coefficients)}")
-        coeffs = self.coefficients[n - 1]
-
-        def fn(x):
-            return evaluate_basis_sum(self.basis, coeffs, x)
-
-        return fn
+        return partial(evaluate_basis_sum, self.basis, self.coefficients[n - 1])
 
 
 def mode_parity(k):
@@ -418,8 +420,8 @@ def mode_parity(k):
 def reflection_map(basis):
     """u(x) -> u(-x1, x2...) on the coefficients of an x1-symmetric domain's basis, a
     signed permutation: basis function i goes to sign[i] times basis function image[i];
-    returns (image, sign). On the x1 axis of a sine basis, mode k of component i of m goes
-    to mode_parity(k) times mode k of component m - 1 - i, its mirror; other axes stay."""
+    returns (image, sign). On the x1 axis of a sine basis, mode k goes to mode_parity(k)
+    times mode k of the mirror component (mirror_index); other axes stay."""
     if not basis.domain.summarize().symmetric_x1:
         raise ValidationError("reflection needs an x1-symmetric domain")
     if basis.kind == "disk":
@@ -428,27 +430,35 @@ def reflection_map(basis):
         m, _, _, ang = basis.meta
         return np.arange(basis.size), mode_parity(np.where(ang == "cos", m + 1, m))
     k = basis.meta[0][2]
-    n, rest = int(k.max()), basis.size // k.size  # modes per component, per x1 mode
-    # component i of the m on x1 mirrors component m - 1 - i (Domain._symmetric_x1)
-    image = (k.size // n - 1 - np.arange(k.size) // n) * n + k - 1
-    return (image[:, None] * rest + np.arange(rest)).ravel(), np.repeat(mode_parity(k), rest)
+    n = basis.size // k.size  # basis functions per x1 mode
+    return (mirror_index(k)[:, None] * n + np.arange(n)).ravel(), np.repeat(mode_parity(k), n)
+
+
+def mirror_index(k):
+    """Index of the mirror image under x -> -x of each mode of an axis table
+    with mode column k: mode k of component i of m goes to mode k of component
+    m - 1 - i, the component that mirrors it on a symmetric axis
+    (Domain._symmetric_x1)."""
+    n = k.max()  # modes per component, each component's rows consecutive
+    return (k.size // n - 1 - np.arange(k.size) // n) * n + k - 1
 
 
 def solve_spectrum(domain, alpha, n_basis, n_report=None):
     """Assemble, run eigh per exact block (_reflection_blocks_eigh; x1 labels by
     block), locate the star mode. The blocks are the sign-eigenspaces of the
-    x1 reflection (the identity on a domain that is not x1-symmetric), split on
-    a rectangle by the parity of each basis function's x2 mode: the form never
-    couples x2 modes of different parity, centred or not."""
+    x1 reflection (the identity on a domain that is not x1-symmetric), split by
+    the parities of each basis function's modes on every axis after x1: the
+    form never couples modes of different parity on a one-interval axis,
+    centred or not."""
     if n_report is not None and n_report < 1:
         raise ValidationError("n_report must be >= 1")
     A, basis = assemble_form_matrix(domain, alpha, n_basis)
     symmetric = domain.summarize().symmetric_x1
     image, sign = reflection_map(basis) if symmetric else (np.arange(len(A)), np.ones(len(A)))
-    # the k of each basis function's x2 mode (row j * n2 + m has mode m), 1 off rectangles
-    k2 = basis.meta[1][2] if domain.kind == "rectangle" else np.ones(1)
-    parity = np.tile(mode_parity(k2), len(A) // k2.size)
-    blocks = _reflection_blocks_eigh(A, image, sign, parity)
+    # one label per basis function, row-major: its mode parities on the axes after x1
+    later = basis.meta[1:] if basis.kind == "sine" else ()
+    label = reduce(lambda p, t: np.add.outer(2 * p, mode_parity(t[2])).ravel(), later, np.zeros(1))
+    blocks = _reflection_blocks_eigh(A, image, sign, np.tile(label, len(A) // label.size))
     evals, coeffs, anti = (np.concatenate(part) for part in zip(*blocks))
     # cross-block ties agree only to rounding: antisymmetric first within _DEGENERACY_TOL
     order = np.argsort(evals + ~anti * _DEGENERACY_TOL * np.maximum(1.0, evals), kind="stable")

@@ -135,7 +135,7 @@ class Domain:
     def _symmetric_x1(self):
         """Whether x1 -> -x1 maps the domain onto itself, to _SYMMETRY_TOL.
         On the sorted x1 components of m this pairs component i with the
-        mirror of component m - 1 - i; reflection_map relies on that pairing."""
+        mirror of component m - 1 - i; eigensolver.mirror_index relies on that pairing."""
         if self.kind == "disk":
             (cx, _), _ = self.params
             return abs(cx) < _SYMMETRY_TOL

@@ -84,7 +84,8 @@ from ._quad import (
     union_linspaces,
 )
 from .errors import ValidationError
-from .eigensolver import _CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum, mode_parity
+from .eigensolver import (_CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum, mirror_index,
+                          mode_parity)
 from .kernels import subordination_grid, subordinator_density_half
 
 
@@ -591,14 +592,14 @@ def _mirror_parity(result, n):
     centre for centre to the last bit: one window centred at 0.0, or union
     component j the mirror of component m - 1 - j. A domain symmetric only
     to within geometry's tolerance has no such axis. The mirror takes mode k
-    of a window to mode_parity(k) times mode k of the mirror window, the
-    pairing of reflection_map."""
+    of a window to mode_parity(k) times mode k of the mirror window
+    (mirror_index), the pairing of reflection_map."""
     par = np.zeros(result.domain.dim, dtype=int)
     if result.basis.kind != "sine":
         return par
     coeffs = result.coefficients[n - 1].reshape([t[0].size for t in result.basis.meta])
     for i, (c, h, k, _) in enumerate(result.basis.meta):
-        image = (c.size // k.max() - 1 - np.arange(c.size) // k.max()) * k.max() + k - 1
+        image = mirror_index(k)
         if np.array_equal(c[image], -c) and np.array_equal(h[image], h):
             C = np.moveaxis(coeffs, i, -1)
             R = C[..., image] * mode_parity(k)

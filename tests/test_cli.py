@@ -356,6 +356,29 @@ def test_report_sweep_checked_before_solving(sweep, monkeypatch, capsys, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["eig", "--csv-mode", "9"], "--csv-mode"),
+    (["eig", "--csv-mode", "0"], "--csv-mode"),
+    (["eig", "--n-report", "3", "--csv-mode", "4"], "--csv-mode"),
+    (["gap-check", "--mode", "1"], "--mode"),
+    (["gap-check", "--mode", "-1"], "--mode"),
+], ids=["csv-mode-above-n-report", "csv-mode0", "csv-mode-above-n-report3",
+        "gap-check-mode1", "gap-check-mode-1"])
+def test_mode_flags_checked_before_solving(argv, flag, monkeypatch, capsys, tmp_path):
+    # a mode number that cannot be reported is refused before the solve it would waste
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_spectrum ran")
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", no_solve)
+    csv = ["--csv", str(tmp_path / "f")] if argv[0] == "eig" else []
+    code, out, err = run_cli(argv[:1] + ["--domain", "interval:-1,1", "--n", "512"] + argv[1:] + csv,
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [(["--start", "5"], "lie in D"), (["--paths", "0"], "paths"),

@@ -1,5 +1,7 @@
 """Galerkin eigensolver: brackets, exact cases, scaling, symmetry labels."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +21,7 @@ from stablegap.eigensolver import (
     _GL_NODES,
     _axis_form,
     _axis_quadrature,
+    _axis_table,
     _centred_amplitudes,
     _sine_basis,
     _tail_integrals,
@@ -282,6 +285,31 @@ def test_rectangle_form_vanishes_across_parity():
         assert np.all(A[cross] == 0.0), alpha
         assert np.all(A[~cross] != 0.0), alpha
         assert np.array_equal(A, A.T), alpha
+
+
+def test_three_axis_form_reproduces_cube_lambda1():
+    # the assembly has one path for every number of axes: on (-1, 1)^3, built
+    # from axis tables alone, lambda1 at n = 6 per axis is the d = 3 Kronecker
+    # form's value in ROADMAP item 13's table
+    tables = (_axis_table([(-1.0, 1.0)], 6),) * 3
+    basis = eigensolver.SpectralBasis(Domain.interval(-1.0, 1.0), "sine", 6**3, tables)
+    parity = np.array(np.meshgrid(*[np.arange(6) % 2] * 3, indexing="ij")).reshape(3, -1)
+    cross = (parity[:, :, None] != parity[:, None, :]).any(axis=0)
+    for alpha, lam1 in ((0.5, 1.495472), (1.0, 2.389885), (1.5, 4.066274)):
+        A = eigensolver._assemble_sine(basis, alpha)
+        assert np.array_equal(A, A.T) and np.all(A[cross] == 0.0), alpha
+        assert round(np.linalg.eigvalsh(A)[0], 6) == lam1, alpha
+    # the Kronecker helper against nested np.kron, with one factor free of s
+    rng = np.random.default_rng(13)
+    for sizes in ((3,), (3, 2), (3, 2, 4)):
+        weights = rng.standard_normal(5)
+        factors = [rng.standard_normal((5, n, n)) for n in sizes]
+        factors[-1][:] = factors[-1][0]
+        expected = sum(w * reduce(np.kron, [f[i] for f in factors])
+                       for i, w in enumerate(weights))
+        for last in (factors[-1], factors[-1][0]):
+            got = eigensolver._kron(factors[:-1] + [last], weights)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
 
 
 def _direct_axis(h, n, R):
