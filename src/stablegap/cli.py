@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .eigensolver import solve_spectrum
+from .eigensolver import _disk_basis, _sine_basis, solve_spectrum
 from .geometry import Domain
 
 _GAP_REL_TOL = 0.05  # gap-check passes below this relative error of the identity
@@ -100,8 +100,14 @@ def _emit_columns(rows, path, header=None):
 
 def cmd_eig(args):
     domain = parse_domain(args.domain)
-    if args.csv and not 1 <= args.csv_mode <= args.n_report:
-        raise ValidationError(f"--csv-mode {args.csv_mode} outside 1..--n-report {args.n_report}")
+    if args.csv:
+        # the modes reported are the first --n-report of the basis, which is
+        # built without assembly
+        size = (_disk_basis if domain.kind == "disk" else _sine_basis)(domain, args.n).size
+        top = min(args.n_report, size)
+        if not 1 <= args.csv_mode <= top:
+            raise ValidationError(f"--csv-mode {args.csv_mode} outside 1..{top}"
+                                  f" (--n-report {args.n_report}, basis size {size})")
     t0 = time.perf_counter()  # the solve's wall time goes to stderr, never into the JSON
     result = solve_spectrum(domain, args.alpha, n_basis=args.n, n_report=args.n_report)
     solve_s = time.perf_counter() - t0
@@ -235,6 +241,7 @@ def cmd_mc(args):
             "seed": args.seed,
             "start": start,
             "record_stride": mc.McConfig.record_stride,
+            "streams": mc.stream_count(configs["dt"]),
         },
         "estimates": estimates,
         "galerkin": galerkin,

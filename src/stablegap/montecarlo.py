@@ -11,6 +11,13 @@ dies at the first skeleton time it is observed outside D; discrete
 monitoring therefore overestimates survival, a bias that shrinks with dt
 and is disclosed alongside estimates rather than corrected.
 
+The partitions below are split into two contiguous blocks (one if there is
+one partition), each driven by its own counter-based Philox stream keyed by
+a child of SeedSequence(seed) (Salmon et al., SC 2011), and simulated on its
+own thread where the process has a second CPU. A stream draws the steps of
+a record stride for all of its survivors at once, so the tallies depend on
+the seed, the stride and the block layout, never on the thread count.
+
 Long-time behavior of the survival curve gives lambda_1 and phi_1; the
 signed occupation ratio
 
@@ -24,10 +31,13 @@ partitions yields honest (cluster-level) standard errors.
 from __future__ import annotations
 
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
+from ._cpu import cpu_count as _cpu_count
 from .errors import EstimationError, ValidationError
 from .kernels import sample_stable_increment, sample_subordinator_increment
 
@@ -118,15 +128,80 @@ def _step_count(t_max, dt):
     return nearest if abs(ratio - nearest) <= _STEP_RTOL * ratio else int(ratio)
 
 
+# the partitions are split into this many contiguous blocks, each simulated
+# from its own Philox key on its own thread where there is a CPU for it
+_STREAMS = 2
+# the steps of one record stride are drawn in row chunks of at most this many
+# entries (512 KB of float64): drawing whole strides of 10 steps for two
+# streams of 25 000 paths raised the peak RSS of a 50 000-path run from 81.6
+# to 86.2 MB, at the same speed
+_DRAW_ENTRIES = 1 << 16
+
+
+def stream_count(cfg):
+    """Random streams that simulate_skeleton splits cfg's partitions over."""
+    return min(_STREAMS, cfg.partitions)
+
+
+def _draw_steps(cfg, dim, rng, shape):
+    """Increments of shape (steps, paths), with a last axis of dim in 2D: one
+    stable draw each in 1D for alpha < 2, else a Gaussian of variance 2 dS per
+    coordinate, dS a subordinator draw, or dt at alpha = 2."""
+    if dim == 1 and cfg.alpha < 2.0:
+        return sample_stable_increment(cfg.dt, cfg.alpha, rng, shape)
+    ds = (np.full(shape, cfg.dt) if cfg.alpha == 2.0
+          else sample_subordinator_increment(cfg.dt, cfg.alpha / 2.0, rng, shape))
+    ds *= 2.0
+    sig = np.sqrt(ds, out=ds)
+    step = rng.standard_normal(shape if dim == 1 else shape + (dim,))
+    step *= sig if dim == 1 else sig[..., None]
+    return step
+
+
+def _simulate_stream(domain, x, cfg, rng, paths, parts, tallies):
+    """Simulate the paths in the range `paths`, which make up the partitions
+    in the slice `parts`, from rng, and write those partitions' rows of the
+    tallies (counts, plus, minus) at each record time."""
+    dim, stride = domain.dim, cfg.record_stride
+    part = (np.arange(paths.start, paths.stop) * cfg.partitions // cfg.paths).astype(np.int32)
+    pos = np.tile(x, (len(paths), 1)) if dim > 1 else np.full(len(paths), x[0])
+    for r in range(tallies[0].shape[1]):
+        m = len(part)
+        if m == 0:
+            break
+        alive = np.ones(m, dtype=bool)
+        rows = max(1, _DRAW_ENTRIES // pos.size)
+        for j0 in range(0, stride, rows):
+            # the positions after each step: a running sum of the increments,
+            # one row add at a time, which rounds as pos += step does
+            path = _draw_steps(cfg, dim, rng, (min(rows, stride - j0), m))
+            path[0] += pos
+            for j in range(1, len(path)):
+                path[j] += path[j - 1]
+            # a path dies at the first skeleton time it is outside D
+            alive &= domain.contains(path).all(axis=0)
+            pos = path[-1]
+        pos, part = pos[alive], part[alive]
+        x1 = pos if dim == 1 else pos[:, 0]
+        for tally, sel in zip(tallies, (slice(None), x1 > 0, x1 < 0)):
+            tally[parts, r] = np.bincount(part[sel], minlength=parts.stop)[parts]
+
+
 def simulate_skeleton(domain, x, cfg):
     """Simulate the killed skeleton and tally per-partition alive counts.
 
-    Deterministic for fixed (domain, x, cfg): one counter-based Philox
-    stream drives all increments in a fixed order; dead paths are compacted
-    away so the work per step is proportional to the survivors. A 1D step
-    with alpha < 2 is one stable draw (sample_stable_increment); any other
-    step is a Gaussian of variance 2 dS per coordinate, dS a subordinator
-    draw, or dt at alpha = 2.
+    Deterministic for fixed (domain, x, cfg), on any number of threads. The
+    partitions are split into stream_count(cfg) contiguous blocks; each
+    block's paths are driven by its own counter-based Philox stream, keyed by
+    a child of SeedSequence(cfg.seed), and only its own tally rows are
+    written. Streams past the first run on worker threads, one per further
+    CPU. Each stream draws the steps of a record stride for all of its
+    survivors at once, in row chunks: a 1D step with alpha < 2 is one stable
+    draw (sample_stable_increment), any other step a Gaussian of variance
+    2 dS per coordinate, dS a subordinator draw, or dt at alpha = 2. A path
+    dies at the first skeleton time it is outside D; paths that die inside a
+    stride still draw the rest of it, and the dead are compacted away at its
+    end, the record time. Steps after the last record time are not drawn.
     """
     cfg.validate()
     dim = domain.dim
@@ -135,44 +210,34 @@ def simulate_skeleton(domain, x, cfg):
         raise ValidationError("start point dimension mismatch")
     if not np.atleast_1d(domain.contains(x[None, :] if dim > 1 else x[0:1]))[0]:
         raise ValidationError("start point must lie in D")
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    n = cfg.paths
-    pos = np.tile(x, (n, 1)) if dim > 1 else np.full(n, x[0])
-    part = (np.arange(n) * cfg.partitions // n).astype(np.int32)
+    n, P = cfg.paths, cfg.partitions
     n_steps = _step_count(cfg.t_max, cfg.dt)
     rec_idx = np.arange(cfg.record_stride, n_steps + 1, cfg.record_stride)
     times = rec_idx * cfg.dt
     # the last step lands on t_max up to the rounding of n_steps * dt
     times[np.isclose(times, cfg.t_max, rtol=_STEP_RTOL, atol=0.0)] = cfg.t_max
-    counts = np.zeros((cfg.partitions, rec_idx.size), dtype=np.int64)
+    counts = np.zeros((P, rec_idx.size), dtype=np.int64)
     plus = np.zeros_like(counts)
     minus = np.zeros_like(counts)
-    direct = dim == 1 and cfg.alpha < 2.0
-    r = 0
-    for k in range(1, n_steps + 1):
-        m = pos.shape[0]
-        if m == 0:
-            break
-        if direct:
-            step = sample_stable_increment(cfg.dt, cfg.alpha, rng, m)
-        else:
-            ds = (np.full(m, cfg.dt) if cfg.alpha == 2.0
-                  else sample_subordinator_increment(cfg.dt, cfg.alpha / 2.0, rng, m))
-            ds *= 2.0
-            sig = np.sqrt(ds, out=ds)
-            step = rng.standard_normal(pos.shape)
-            step *= sig if dim == 1 else sig[:, None]
-        pos += step
-        inside = domain.contains(pos)
-        if not inside.all():
-            pos = pos[inside]
-            part = part[inside]
-        if r < rec_idx.size and k == rec_idx[r]:
-            counts[:, r] = np.bincount(part, minlength=cfg.partitions)
-            x1 = pos if dim == 1 else pos[:, 0]
-            plus[:, r] = np.bincount(part[x1 > 0], minlength=cfg.partitions)
-            minus[:, r] = np.bincount(part[x1 < 0], minlength=cfg.partitions)
-            r += 1
+    streams = stream_count(cfg)
+    edges = [s * P // streams for s in range(streams + 1)]
+    # path i is in partition i P // n, so partition p starts at path ceil(p n / P)
+    first = [-(-p * n // P) for p in edges]
+    keys = np.random.SeedSequence(cfg.seed).spawn(streams)
+    jobs = [partial(_simulate_stream, domain, x, cfg, np.random.Generator(np.random.Philox(key)),
+                    range(first[s], first[s + 1]), slice(edges[s], edges[s + 1]),
+                    (counts, plus, minus))
+            for s, key in enumerate(keys)]
+    workers = min(len(jobs), _cpu_count())
+    if workers == 1:
+        for job in jobs:
+            job()
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            later = [pool.submit(job) for job in jobs[1:]]
+            jobs[0]()
+            for future in later:
+                future.result()
     return SurvivalCurve(times, counts, plus, minus, cfg, x)
 
 

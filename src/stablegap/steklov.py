@@ -66,7 +66,6 @@ A 2D pass, bound by its contractions, keeps one engine thread
 from __future__ import annotations
 
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -75,6 +74,7 @@ from functools import partial
 import numpy as np
 from scipy.special import wofz
 
+from ._cpu import cpu_count as _cpu_count
 from ._quad import (
     axis_rules,
     log_panels,
@@ -207,13 +207,6 @@ _GEMM_ONE_THREAD = 1 << 18
 # can round some rows apart from the single product: with OpenBLAS 0.3.31 on
 # an AVX-512 Xeon, blocks off a multiple of 12 rows did so at 276 columns
 _ROW_TILE = 24
-
-
-def _cpu_count():
-    """The CPUs this process may run on (its affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def engine_workers(dim):

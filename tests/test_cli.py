@@ -379,6 +379,29 @@ def test_mode_flags_checked_before_solving(argv, flag, monkeypatch, capsys, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("domain, n, n_report, mode", [
+    ("interval:-1,1", "4", "8", "6"),
+    ("intervals:-2,-0.5,0.5,2", "2", "8", "5"),
+    ("rect:-2,2,-1,1", "2", "8", "5"),
+    ("disk:0,0,1", "3", "8", "4"),
+], ids=["interval", "union", "rect", "disk"])
+def test_csv_mode_checked_against_basis_size_before_solving(domain, n, n_report, mode,
+                                                            monkeypatch, capsys, tmp_path):
+    # a mode within --n-report but beyond the basis is refused before the solve:
+    # the basis has n modes per interval component, n**2 on a rectangle
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_spectrum ran")
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", no_solve)
+    alpha = ["--alpha", "2"] if domain.startswith("disk") else []
+    code, out, err = run_cli(["eig", "--domain", domain, "--n", n, "--n-report", n_report,
+                              "--csv-mode", mode, "--csv", str(tmp_path / "f"), *alpha], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--csv-mode" in err and "basis size" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [(["--start", "5"], "lie in D"), (["--paths", "0"], "paths"),
@@ -413,6 +436,9 @@ def test_mc_small_run(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["schema"] == 1
     assert doc["config"]["seed"] == 9
+    # the stream layout that produced the tallies is named beside the stride
+    assert doc["config"]["streams"] == 2
+    assert doc["config"]["record_stride"] == 10
     assert doc["estimates"]["dt"]["lambda1"]["value"] > 0
     assert "dt_half" in doc["estimates"]
     assert "z_score" in doc["galerkin"]

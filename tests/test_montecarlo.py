@@ -1,6 +1,7 @@
 """Skeleton Monte Carlo: survival curves, rate estimators, determinism."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stablegap import (
     survival_curve,
     time_to_equilibrium_bounds,
 )
+from stablegap import montecarlo
 
 GALERKIN_LAMBDA1 = 1.15810  # interval (-1,1), alpha = 1, N = 512
 GALERKIN_GAP = 1.59786
@@ -83,13 +85,15 @@ def _tally_digest(curve):
 
 # sha256 of (times, counts, plus, minus); recorded with numpy 2.4.6, whose
 # Philox stream and uniform/exponential/normal transforms they depend on.
+# The stream is that of two Philox keys spawned from the seed, one per block
+# of partitions, each drawing a record stride of steps at once in row chunks.
 # The interval pins are those of the direct stable steps (one uniform per
 # step at alpha = 1, a uniform and an exponential at 1.5); the rectangle pin
-# is that of the subordinated Gaussian step, unchanged since it was recorded
+# is that of the subordinated Gaussian step
 STREAM_PINS = {
-    "interval-alpha1": "c5f2e00aac5faf59692f57b2cc25091a189eb40c8f50fb4413ae60d0963a1880",
-    "rect-alpha1": "50786ce2d34b92e610c412cc23708613eba0cb3fea1144458da0e72808ac2ae3",
-    "interval-alpha1.5": "fd39eb73ba555b0f98e8073526ff2715d5bb59eef048a92c9b028764131dbed5",
+    "interval-alpha1": "c6ea1d40205cc4d828d330fb5f8ea157edc57c63727c7e23e303667117159c15",
+    "rect-alpha1": "f5c0aa0a43ef772c5b8e6e960a3083ce32dacbcdf5f011015f26c500e0454dd2",
+    "interval-alpha1.5": "7f5b7918938149ed20ffa085bf999a5da87de50e80f5b638c3932cdb3c8213b5",
 }
 
 
@@ -144,6 +148,88 @@ def test_lambda1_alpha2_against_shifted_barrier(interval):
     l_eff = 1.0 + 0.5826 * np.sqrt(2 * dt)
     oracle = (np.pi / (2 * l_eff)) ** 2
     assert abs(est.value - oracle) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("case", ["interval-alpha1", "interval-alpha1.5", "rect-alpha1"])
+def test_tallies_identical_on_one_thread(case, interval, rect_domain, monkeypatch):
+    # each stream writes only its own partitions' rows, so the tallies do not
+    # depend on how many threads the streams share
+    domain, x = (rect_domain, np.array([0.5, 0.0])) if case == "rect-alpha1" else (interval, 0.5)
+    cfg = McConfig(alpha=1.5 if case.endswith("1.5") else 1.0, paths=20_000, dt=2e-3,
+                   t_max=1.0, seed=13)
+    default = simulate_skeleton(domain, x, cfg)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    one = simulate_skeleton(domain, x, cfg)
+    for name in ("times", "counts", "plus", "minus"):
+        assert np.array_equal(getattr(default, name), getattr(one, name)), name
+
+
+def test_streams_on_more_threads_than_cores(interval, monkeypatch):
+    # eight streams on eight threads that switch every microsecond write
+    # disjoint rows of the shared tallies: a lost or crossed update would
+    # make them differ from the same eight streams run one after another
+    cfg = McConfig(alpha=1.0, paths=8_000, dt=2e-3, t_max=0.5, seed=19, partitions=16)
+    monkeypatch.setattr(montecarlo, "_STREAMS", 8)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    serial = simulate_skeleton(interval, 0.5, cfg)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_skeleton(interval, 0.5, cfg)
+    finally:
+        sys.setswitchinterval(switch)
+    assert montecarlo.stream_count(cfg) == 8
+    assert np.all(serial.counts[:, 0] > 0)
+    for name in ("counts", "plus", "minus"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+
+@pytest.mark.parametrize("partitions, t_max, stride", [(1, 1.0, 10), (3, 1.0, 10), (3, 1.05, 4)],
+                         ids=["one-stream", "three-partitions", "partial-last-stride"])
+def test_stream_blocks_edge_cases(interval, partitions, t_max, stride):
+    # one partition is one stream; three split 1 + 2; steps past the last
+    # record time are not tallied
+    paths = 3_000
+    cfg = McConfig(alpha=1.0, paths=paths, dt=0.01, t_max=t_max, seed=5,
+                   record_stride=stride, partitions=partitions)
+    curve = simulate_skeleton(interval, 0.5, cfg)
+    n_rec = round(t_max / 0.01) // stride
+    assert montecarlo.stream_count(cfg) == min(2, partitions)
+    assert curve.times.size == n_rec
+    assert np.allclose(curve.times, 0.01 * stride * np.arange(1, n_rec + 1))
+    for tally in (curve.counts, curve.plus, curve.minus):
+        assert tally.shape == (partitions, n_rec)
+    assert np.all(curve.plus + curve.minus == curve.counts)
+    assert np.all(np.diff(curve.counts, axis=1) <= 0)
+    # partition p holds the paths i with i * partitions // paths == p
+    sizes = np.bincount(np.arange(paths) * partitions // paths, minlength=partitions)
+    assert np.all(curve.counts <= sizes[:, None])
+
+
+@pytest.mark.parametrize("paths, partitions", [(1001, 3), (150, 200), (1, 2), (7, 1)])
+def test_every_path_tallied_in_its_partition(interval, paths, partitions):
+    # Gaussian steps of standard deviation 1.4e-4 do not carry a path from 0
+    # out of (-1, 1) in ten steps, so every path is alive at every record
+    # time, in the partition i * partitions // paths of its index i, whichever
+    # stream simulated it
+    cfg = McConfig(alpha=2.0, paths=paths, dt=1e-8, t_max=1e-7, seed=3, record_stride=2,
+                   partitions=partitions)
+    curve = simulate_skeleton(interval, 0.0, cfg)
+    sizes = np.bincount(np.arange(paths) * partitions // paths, minlength=partitions)
+    assert curve.counts.shape == (partitions, 5)
+    assert np.array_equal(curve.counts, np.repeat(sizes[:, None], 5, axis=1))
+
+
+def test_monitoring_inside_a_record_stride(interval):
+    # the skeleton is observed at every step, not only at record times: with
+    # four steps per stride, survival at t = 1 is the four-observation
+    # skeleton probability (observing only t = 1 would give about 0.460)
+    cfg = McConfig(alpha=1.0, paths=400_000, dt=0.25, t_max=1.0, seed=17, record_stride=4)
+    curve = survival_curve(interval, 0.5, cfg)
+    assert curve.times.tolist() == [1.0]
+    oracle = skeleton_survival(interval, 0.5, [0.25, 0.5, 0.75, 1.0])
+    assert abs(curve.survival[0] - oracle) < 4 * curve.stderr[0]
 
 
 def test_coarse_skeleton_matches_quadrature_oracle(interval):
