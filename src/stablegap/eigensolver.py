@@ -241,8 +241,10 @@ def _assemble_sine(basis, alpha):
     forms = [_axis_form(table, alpha) for table in basis.meta]
     eye = [np.eye(len(A)) for A in forms]
     E = sum(_kron(eye[:i] + [A[None]] + eye[i + 1 :], np.ones(1)) for i, A in enumerate(forms))
-    subsets = [S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
     c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
+    # at alpha = 2, c = 0 and every cross term is an exact zero: none is built
+    subsets = ([S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
+               if c else [])
     s, ws = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
     w, tail = c * ws * s ** (-1 - 0.5 * alpha), c * _S_MAX ** (-0.5 * alpha) / (0.5 * alpha)
     grams = [_subordination_grams(table, s) for table in basis.meta] if subsets else []

@@ -126,7 +126,8 @@ def sample_subordinator_increment(dt, beta, rng, size):
         raise ValidationError("beta must lie in (0, 1)")
     if not dt > 0:
         raise ValidationError("dt must be positive")
-    u = rng.uniform(0.0, 1.0, size)
+    # random() is uniform(0, 1) to the bit (0 + 1 x), without its extra pass
+    u = rng.random(size)
     w = rng.exponential(1.0, size)
     if beta == 0.5:
         # 1/cos^2 as 1 + tan^2, tan being the cheaper ufunc; in place, since
@@ -166,7 +167,7 @@ def sample_stable_increment(dt, alpha, rng, size):
         raise ValidationError("alpha must lie in (0, 2)")
     if not dt > 0:
         raise ValidationError("dt must be positive")
-    v = rng.uniform(0.0, 1.0, size)
+    v = rng.random(size)  # uniform(0, 1) to the bit, without its extra pass
     # in place, since each temporary would be a fresh array on every
     # Monte Carlo step
     v -= 0.5

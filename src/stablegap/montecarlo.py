@@ -158,6 +158,16 @@ def _draw_steps(cfg, dim, rng, shape):
     return step
 
 
+def _tally(part, x1, parts):
+    """Alive, plus and minus counts of the survivors in the partitions of the
+    slice `parts`, given each survivor's partition and first coordinate, from
+    one bincount keyed 3 part + sign(x1) + 1: a survivor at x1 = 0 is alive
+    but in neither half."""
+    key = 3 * part + (x1 > 0) - (x1 < 0) + 1
+    n = np.bincount(key, minlength=3 * parts.stop)[3 * parts.start :].reshape(-1, 3)
+    return n.sum(axis=1), n[:, 2], n[:, 0]
+
+
 def _simulate_stream(domain, x, cfg, rng, paths, parts, tallies):
     """Simulate the paths in the range `paths`, which make up the partitions
     in the slice `parts`, from rng, and write those partitions' rows of the
@@ -182,9 +192,8 @@ def _simulate_stream(domain, x, cfg, rng, paths, parts, tallies):
             alive &= domain.contains(path).all(axis=0)
             pos = path[-1]
         pos, part = pos[alive], part[alive]
-        x1 = pos if dim == 1 else pos[:, 0]
-        for tally, sel in zip(tallies, (slice(None), x1 > 0, x1 < 0)):
-            tally[parts, r] = np.bincount(part[sel], minlength=parts.stop)[parts]
+        for tally, column in zip(tallies, _tally(part, pos if dim == 1 else pos[:, 0], parts)):
+            tally[parts, r] = column
 
 
 def simulate_skeleton(domain, x, cfg):

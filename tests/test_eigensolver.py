@@ -287,6 +287,18 @@ def test_rectangle_form_vanishes_across_parity():
         assert np.array_equal(A, A.T), alpha
 
 
+def test_alpha2_rectangle_form_is_its_diagonal(monkeypatch):
+    # at alpha = 2 the cross terms carry the weight c_alpha = 0, so no Gram
+    # matrix is built and the form is omega1^2 + omega2^2 on the diagonal
+    def no_grams(table, s):
+        raise AssertionError("cross-term Gram matrices built at alpha = 2")
+
+    monkeypatch.setattr(eigensolver, "_subordination_grams", no_grams)
+    A, basis = assemble_form_matrix(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 2.0, (6, 5))
+    om1, om2 = (table[3] for table in basis.meta)
+    assert np.array_equal(A, np.diag((om1[:, None] ** 2 + om2[None] ** 2).ravel()))
+
+
 def test_three_axis_form_reproduces_cube_lambda1():
     # the assembly has one path for every number of axes: on (-1, 1)^3, built
     # from axis tables alone, lambda1 at n = 6 per axis is the d = 3 Kronecker

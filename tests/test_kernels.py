@@ -126,6 +126,9 @@ def test_subordinator_half_finite_at_uniform_endpoints():
         def uniform(self, low, high, size):
             return np.array([0.0, 0.5, 1.0 - 2.0**-53])
 
+        def random(self, size):
+            return self.uniform(0.0, 1.0, size)
+
         def exponential(self, scale, size):
             return np.ones(3)
 

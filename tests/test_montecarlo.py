@@ -221,6 +221,30 @@ def test_every_path_tallied_in_its_partition(interval, paths, partitions):
     assert np.array_equal(curve.counts, np.repeat(sizes[:, None], 5, axis=1))
 
 
+@pytest.mark.parametrize("parts", [slice(0, 6), slice(2, 6), slice(4, 9)],
+                         ids=["first-block", "later-block", "empty-tail"])
+def test_tally_matches_three_bincounts(parts):
+    # the one-bincount tally against one bincount per tally: a survivor at
+    # x1 = 0 is alive and in neither half; partitions 3 and those past 5 hold
+    # no survivor, and a block may start past partition 0
+    part = np.array([0, 0, 1, 2, 2, 2, 4, 5, 5], dtype=np.int32)
+    x1 = np.array([0.3, -0.2, 0.0, -0.5, 0.0, 0.7, -1e-300, 1e-300, 0.9])
+    keep = (part >= parts.start) & (part < parts.stop)
+    part, x1 = part[keep], x1[keep]
+    got = montecarlo._tally(part, x1, parts)
+    expected = [np.bincount(part[sel], minlength=parts.stop)[parts]
+                for sel in (slice(None), x1 > 0, x1 < 0)]
+    for name, g, e in zip(("counts", "plus", "minus"), got, expected):
+        assert g.shape == (parts.stop - parts.start,), name
+        assert np.array_equal(g, e), name
+    counts, plus, minus = got
+    assert np.all(plus + minus <= counts)
+    for p, alive, right, left in ((1, 1, 0, 0), (2, 3, 1, 1), (3, 0, 0, 0), (8, 0, 0, 0)):
+        if parts.start <= p < parts.stop:
+            q = p - parts.start
+            assert (counts[q], plus[q], minus[q]) == (alive, right, left), p
+
+
 def test_monitoring_inside_a_record_stride(interval):
     # the skeleton is observed at every step, not only at record times: with
     # four steps per stride, survival at t = 1 is the four-observation
