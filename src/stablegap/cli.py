@@ -242,6 +242,7 @@ def cmd_mc(args):
             "start": start,
             "record_stride": mc.McConfig.record_stride,
             "streams": mc.stream_count(configs["dt"]),
+            "bit_generator": mc.BIT_GENERATOR.__name__,
         },
         "estimates": estimates,
         "galerkin": galerkin,

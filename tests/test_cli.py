@@ -438,6 +438,7 @@ def test_mc_small_run(tmp_path, capsys):
     assert doc["config"]["seed"] == 9
     # the stream layout that produced the tallies is named beside the stride
     assert doc["config"]["streams"] == 2
+    assert doc["config"]["bit_generator"] == "SFC64"
     assert doc["config"]["record_stride"] == 10
     assert doc["estimates"]["dt"]["lambda1"]["value"] > 0
     assert "dt_half" in doc["estimates"]

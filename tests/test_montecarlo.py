@@ -84,16 +84,16 @@ def _tally_digest(curve):
 
 
 # sha256 of (times, counts, plus, minus); recorded with numpy 2.4.6, whose
-# Philox stream and uniform/exponential/normal transforms they depend on.
-# The stream is that of two Philox keys spawned from the seed, one per block
+# SFC64 stream and random/exponential/normal transforms they depend on.
+# The stream is that of two SFC64 keys spawned from the seed, one per block
 # of partitions, each drawing a record stride of steps at once in row chunks.
 # The interval pins are those of the direct stable steps (one uniform per
 # step at alpha = 1, a uniform and an exponential at 1.5); the rectangle pin
 # is that of the subordinated Gaussian step
 STREAM_PINS = {
-    "interval-alpha1": "c6ea1d40205cc4d828d330fb5f8ea157edc57c63727c7e23e303667117159c15",
-    "rect-alpha1": "f5c0aa0a43ef772c5b8e6e960a3083ce32dacbcdf5f011015f26c500e0454dd2",
-    "interval-alpha1.5": "7f5b7918938149ed20ffa085bf999a5da87de50e80f5b638c3932cdb3c8213b5",
+    "interval-alpha1": "c7df0b3c49c017cd9fe79ff081070fd25cdfdfe08a0483dc18986c7685282e47",
+    "rect-alpha1": "2080a4647ee2144c9f00743f55f9743d8316f63bf8c5a9ab6f896cdf29324ea3",
+    "interval-alpha1.5": "73a7ca7f7efca6687a7e51d9280022be9e727e49262ffaaa457d2fac2eae19a7",
 }
 
 
