@@ -15,9 +15,10 @@ The partitions below are split into two contiguous blocks (one if there is
 one partition), each driven by its own SFC64 stream (Doty-Humphrey's Small
 Fast Chaotic generator: 256 bits of state, one of them a counter, so a
 period of at least 2^64) seeded by a child of SeedSequence(seed), and
-simulated on its own thread where the process has a second CPU. A stream draws the steps of
-a record stride for all of its survivors at once, so the tallies depend on
-the seed, the stride and the block layout, never on the thread count.
+simulated on its own thread where the process has a second CPU. A stream
+draws the steps of a record stride for all of its survivors at once, so the
+tallies depend on the seed, the stride and the block layout, never on the
+thread count.
 
 Long-time behavior of the survival curve gives lambda_1 and phi_1; the
 signed occupation ratio
