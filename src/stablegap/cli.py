@@ -158,9 +158,13 @@ def cmd_gap_check(args):
         )
     d01 = steklov.d01_lower_bound_check(result, trunc=trunc) if result.star_index else None
     t3 = time.perf_counter()
+    # the engine's cost goes to stderr with the stage times, never into the JSON
+    tallies = [c["faddeeva_entries"] for c in (chk, d01) if c]
+    evaluated, skipped = (sum(t[k] for t in tallies) for k in ("evaluated", "skipped"))
     sys.stderr.write(
         f"gap-check: solve {t1 - t0:.3f} s, gap identity {t2 - t1:.3f} s, d01 {t3 - t2:.3f} s; "
-        f"extension engine workers {steklov.engine_workers(domain.dim)}\n"
+        f"extension engine workers {steklov.engine_workers(domain.dim)}; "
+        f"Faddeeva entries {evaluated} evaluated, {skipped} skipped\n"
     )
     out = {
         "schema": 1,

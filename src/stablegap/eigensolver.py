@@ -237,14 +237,17 @@ def _assemble_sine(basis, alpha):
     """The form (module docstring) as a sum of row-major Kronecker products:
     each axis form with identities on the other axes, then per set S of two or
     more axes (-1)^(|S|+1) c_alpha integral s^(-1-alpha/2) (x)_(i in S) D_i(s) ds
-    with identities elsewhere, and that set's diagonal tail beyond _S_MAX."""
+    with identities elsewhere, and that set's diagonal tail beyond _S_MAX.
+    At alpha = 2 every axis form is diagonal and every cross term an exact
+    zero (c_alpha = 0), so the form is the diagonal of the Kronecker sum of
+    the omega^2, built as such: the same entries as the sum of products."""
     forms = [_axis_form(table, alpha) for table in basis.meta]
+    c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
+    if not c:
+        return np.diag(reduce(np.add.outer, [np.diag(A) for A in forms]).ravel())
     eye = [np.eye(len(A)) for A in forms]
     E = sum(_kron(eye[:i] + [A[None]] + eye[i + 1 :], np.ones(1)) for i, A in enumerate(forms))
-    c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
-    # at alpha = 2, c = 0 and every cross term is an exact zero: none is built
-    subsets = ([S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
-               if c else [])
+    subsets = [S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
     s, ws = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
     w, tail = c * ws * s ** (-1 - 0.5 * alpha), c * _S_MAX ** (-0.5 * alpha) / (0.5 * alpha)
     grams = [_subordination_grams(table, s) for table in basis.meta] if subsets else []

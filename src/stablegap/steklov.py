@@ -29,6 +29,14 @@ accurate for small t.
 
 The closed form takes the complex error function at the two edge offsets
 h - u and -h - u of each point (u = x - c in the window (c - h, c + h)).
+Its Faddeeva term at an offset r is at most e^(-a^2), a = |r| / (2 sqrt s),
+so within a chunk it is evaluated only at the points where a at the
+chunk's largest node is below _A_CUT, the points in Gaussian reach of the
+edge (_scaled_erf); the others take the rest of the closed form exactly
+and differ by less than 2^-64. This is the per-point counterpart of the
+chunk restriction, and the skipped set depends on the points and the chunk
+alone. The engine tallies the Faddeeva entries that it evaluated and
+skipped (ExtensionEngine.faddeeva_entries), which the energy checks report.
 Sine mode k is even about c for odd k and odd for even k, and on a domain
 symmetric about a coordinate axis every eigenfunction is even or odd: the
 solve's blocks make its coefficients on the other parity exact zeros. So
@@ -69,7 +77,7 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import wofz
@@ -130,27 +138,71 @@ def check_truncation(trunc, domain):
 # ---------------- closed-form Gaussian smoothing of sine modes ----------------
 
 
+# the Faddeeva term of _scaled_erf is evaluated at a point only where
+# a = |r| / (2 sqrt s) at the largest node is below this cut: elsewhere it is
+# at most e^(-a^2) < e^(-_A_CUT^2) = 3.2e-20 <= 2^-64, and it is left out
+_A_CUT = 6.7
+
+
+def _in_reach(r, s):
+    """Where the Faddeeva term of _scaled_erf at the offsets r can exceed
+    e^(-_A_CUT^2) at some node of s: a = |r| / (2 sqrt s), taken at the
+    largest node, below _A_CUT. Shape of r."""
+    return np.abs(r) / (2.0 * np.sqrt(np.max(s))) < _A_CUT
+
+
 def _scaled_erf(r, omega, s):
     """e^(-omega^2 s) * erf((r - 2 i omega s) / (2 sqrt s)), overflow-safe.
 
     All arguments broadcast; omega >= 0, s > 0, r real. Uses
     erfc(q) = e^(-q^2) w(iq) with the Faddeeva function w, whose argument is
     kept in the upper half-plane by the sign symmetry in r: the value at
-    r < 0 is minus the conjugate of the value at |r|. The prefactor
-    e^(-r^2 / (4 s) + i omega |r|) of w is applied in place as a real
-    exponential, which needs s, times a unit phase, which does not.
-    The parts of the argument and the real exponential that depend on r
-    are built at the broadcast shape of r and s alone, so they are shared by
-    every omega of one window: r without a mode axis costs them once.
+    r < 0 is minus the conjugate of the value at |r|. So the value at |r| is
+    e^(-omega^2 s) - E with E = e^(-a^2) e^(i omega |r|) w(omega sqrt s + i a),
+    a = |r| / (2 sqrt s). |w| <= 1 on the closed upper half-plane
+    (Abramowitz and Stegun 7.1), so |E| <= e^(-a^2), and E is evaluated only
+    at the points in reach of the window edge (_in_reach): elsewhere the
+    value is e^(-omega^2 s) exactly, off by less than 2^-64. The points are
+    gathered along the last axis along which r varies (the point axis of
+    the engine), so the skipped set depends on the points and the nodes
+    alone. The prefactor of w is applied in place as a real exponential,
+    which needs s, times a unit phase, which does not. The parts of the
+    argument and the real exponential that depend on r are built at the
+    broadcast shape of r and s alone, so they are shared by every omega of
+    one window: r without a mode axis costs them once. One complex array of
+    the full shape is made per call: E itself where every point is in
+    reach, else e^(-omega^2 s), into which the points in reach are written.
     """
-    ra = np.abs(r)
+    shape = np.broadcast_shapes(np.shape(r), np.shape(omega), np.shape(s))
+    r, omega, s = (np.reshape(a, (1,) * (len(shape) - np.ndim(a)) + np.shape(a))
+                   for a in (r, omega, s))
+    g = np.exp(-(omega**2) * s)
+    near = _in_reach(r, s)
+    if near.all():
+        E = _faddeeva_term(np.abs(r), omega, s)
+        np.subtract(g, E, out=E)
+    else:
+        E = np.empty(shape, dtype=complex)
+        E[...] = g
+        if near.any():  # then r varies along some axis
+            k = max(i for i, n in enumerate(r.shape) if n > 1)
+            cut = (slice(None),) * k + (np.flatnonzero(
+                near.any(axis=tuple(i for i in range(r.ndim) if i != k))),)
+            part = [a[cut] if a.shape[k] > 1 else a for a in (r, omega, s, g)]
+            live = _faddeeva_term(np.abs(part[0]), *part[1:3])
+            E[cut] = np.subtract(part[3], live, out=live)
+    np.negative(E.real, out=E.real, where=r < 0)
+    return E
+
+
+def _faddeeva_term(ra, omega, s):
+    """E = e^(-a^2) e^(i omega ra) w(omega sqrt s + i a) of _scaled_erf at
+    |r| = ra, in one complex array of the broadcast shape."""
     inv = 1.0 / (2.0 * np.sqrt(s))  # (2 omega s + i|r|) / (2 sqrt s), part by part
     E = 2.0 * omega * s * inv + 1j * (ra * inv)
-    wofz(E, out=E)  # in place: one complex array of the full shape per call
+    wofz(E, out=E)  # in place
     E *= np.exp(-(ra**2) / (4.0 * s))
     E *= np.exp(1j * omega * ra)
-    np.subtract(np.exp(-(omega**2) * s), E, out=E)
-    np.negative(E.real, out=E.real, where=np.asarray(r) < 0)
     return E
 
 
@@ -274,21 +326,38 @@ def _live_chunks(*weights):
             if live[i0 : i0 + _S_CHUNK].any()]
 
 
+def _contract_spec(dim):
+    """The einsum of a mode sum in dim axes: coefficients (rows, m_1, ...)
+    against one (m_i, n_i, s) mode array per axis, to (rows, n_1, ..., s)."""
+    m, p = "jk"[:dim], "ab"[:dim]
+    return f"f{m}," + ",".join(f"{mi}{pi}s" for mi, pi in zip(m, p)) + f"->f{p}s"
+
+
+@lru_cache(maxsize=64)
+def _contract_path(shapes):
+    """The greedy einsum path (what optimize=True finds) of a 2D mode sum
+    over operands of these shapes, from the shapes alone. The shapes are
+    fixed within a pass, so the path is searched once for all of its chunk
+    terms, not once per term; it is the same path, so the same sums."""
+    ops = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(_contract_spec(len(shapes) - 1), *ops, optimize=True)[0]
+
+
 def _contract(C, factors):
     """Sum the coefficient tensor C (rows, m_1, ..., m_d) against per-axis
     mode arrays factors[i] of shape (m_i, n_i, s): returns (rows, n_1, ..., n_d, s).
     In 1D the one product C @ factor is made over the _point_blocks of its
     columns, which OpenBLAS runs on one thread: the products einsum makes,
-    cut at whole points, which round alike. A 2D pass keeps one einsum."""
+    cut at whole points, which round alike. A 2D pass keeps one einsum,
+    along the path that _contract_path finds once for its shapes."""
     if len(factors) == 1:
         (F,) = factors
         A, out = F.reshape(len(F), F.shape[1] * F.shape[2]), np.empty((len(C),) + F.shape[1:])
         for cols in _point_blocks(*F.shape[1:], C.shape):
             _mode_product(C, A[:, cols], out.reshape(len(C), -1)[:, cols])
         return out
-    m, p = "jk"[: len(factors)], "ab"[: len(factors)]
-    spec = f"f{m}," + ",".join(f"{mi}{pi}s" for mi, pi in zip(m, p)) + f"->f{p}s"
-    return np.einsum(spec, C, *factors, optimize=True)
+    path = _contract_path((C.shape,) + tuple(f.shape for f in factors))
+    return np.einsum(_contract_spec(len(factors)), C, *factors, optimize=path)
 
 
 def _mode_product(a, b, out):
@@ -373,6 +442,9 @@ class ExtensionEngine:
             raise ValidationError("harmonic extensions need a sine basis")
         self.basis = basis
         self.s_nodes, self.s_weights = subordination_grid()
+        # Faddeeva entries of every values call so far, [evaluated, skipped]:
+        # counted in phase 2, so the same on any number of threads
+        self.faddeeva_entries = np.zeros(2, dtype=np.int64)
 
     def _time_weights(self, ts):
         """Subordination weights at each time: the value weights g(t, s) w and
@@ -483,6 +555,7 @@ class ExtensionEngine:
                 batch = chunks[i : i + per_batch]
                 for sl, t in zip(batch, list(phase1(chunk_terms, batch))):
                     _add_chunk(out, t, gw, sl, nt, len(points) == 1)
+                    self.faddeeva_entries += _faddeeva_entries(points, modes, self.s_nodes[sl])
 
     def _chunk_terms(self, C, points, modes, sl, grad):
         """Phase 1 for the chunk sl of nodes: the smoothed modes summed
@@ -495,6 +568,21 @@ class ExtensionEngine:
         vals = [v for v, _ in per_axis]
         return [_contract(C, vals)] + [_contract(C, vals[:i] + [dx] + vals[i + 1 :])
                                        for i, (_, dx) in enumerate(per_axis)]
+
+
+def _faddeeva_entries(points, modes, s):
+    """The Faddeeva entries of the smoothed modes of one chunk of nodes s, as
+    [evaluated, skipped]: per axis, window and edge offset of
+    smoothed_sine_mode, the window's modes times the nodes times the points
+    in reach of that edge (_in_reach), and times the points out of it."""
+    counts = np.zeros(2, dtype=np.int64)
+    for x, (c, h, om) in zip(points, modes):
+        for w in _windows(c, h):
+            u = x[None, :] - c[w][:1, None]  # no row where the window has no mode
+            for r in (h[w][:1, None] - u, -h[w][:1, None] - u):
+                near = np.count_nonzero(_in_reach(r, s))
+                counts += om[w].size * s.size * np.array([near, r.size - near])
+    return counts
 
 
 def _add_chunk(out, terms, gw, sl, nt, split):
@@ -770,14 +858,16 @@ class ConstantField:
         return np.broadcast_to(stack.reshape((-1,) + (1,) * v.ndim), stack.shape + v.shape)
 
 
-def _eval_fields(fields, axes, ts, grad=True):
+def _eval_fields(fields, axes, ts, grad=True, tally=None):
     """Values and gradients (as values_and_grad), or with grad=False values
     alone, of several fields on the tensor grid of axes and times ts.
 
     This is the one place that builds an ExtensionEngine. Extensions are
     batched by result: the modes of one result, in order of first appearance
     (a ratio's numerator before its denominator), go through one engine pass.
-    Other fields evaluate themselves; a field passed twice is evaluated once."""
+    Other fields evaluate themselves; a field passed twice is evaluated once.
+    The engines' Faddeeva entries, [evaluated, skipped], are added to the
+    integer array tally when one is given."""
     batches = {}  # id(result) -> (result, [modes])
     for f in fields:
         if isinstance(f, HarmonicExtension):
@@ -786,8 +876,10 @@ def _eval_fields(fields, axes, ts, grad=True):
     xs = _xs(axes)
     rows = {}  # (id(result), mode) -> its values, or values and gradient
     for key, (result, modes) in batches.items():
-        v = ExtensionEngine(result.basis).values(
-            np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts, grad=grad)
+        engine = ExtensionEngine(result.basis)
+        v = engine.values(np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts, grad=grad)
+        if tally is not None:
+            tally += engine.faddeeva_entries
         rows.update(((key, n), vn) for n, vn in zip(modes, v))
 
     def evaluate(f):
@@ -824,8 +916,9 @@ def q_functional(u, v, u1, trunc=None):
     diagnostics holds "constant_field", the pairing of ConstantField with
     itself against the same weight on the same grid (its gradient is
     identically zero, so this is zero by construction), "halved_axes", per
-    axis whether the rule was cut, and "grid_shape", the (x..., t) shape of
-    the grid evaluated.
+    axis whether the rule was cut, "grid_shape", the (x..., t) shape of
+    the grid evaluated, and "faddeeva_entries", those that the engine
+    evaluated and those that it skipped (_faddeeva_counts).
     """
     if not isinstance(u1, HarmonicExtension) or u1.over is not None:
         raise ValidationError("u1 must be a harmonic extension to set the quadrature grid")
@@ -834,7 +927,8 @@ def q_functional(u, v, u1, trunc=None):
     rules = _half_rules(x_rules, (u, v, u1, u1))
     axes = [x for x, _ in rules]
     weights = [w for _, w in rules] + [tw]
-    gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(u1.dim)), axes, tq)
+    tally = np.zeros(2, dtype=np.int64)
+    gu, gv, g1, gc = _eval_fields((u, v, u1, ConstantField(u1.dim)), axes, tq, tally=tally)
     weight = g1[0] ** 2
     integrand = _energy(gu, gv, weight)
     return QResult(
@@ -845,8 +939,14 @@ def q_functional(u, v, u1, trunc=None):
         tq.size,
         {"constant_field": _integrate(_energy(gc, gc, weight), weights),
          "halved_axes": [a.size < x.size for a, (x, _) in zip(axes, x_rules)],
-         "grid_shape": integrand.shape},
+         "grid_shape": integrand.shape,
+         "faddeeva_entries": _faddeeva_counts(tally)},
     )
+
+
+def _faddeeva_counts(tally):
+    """An engine tally [evaluated, skipped] as the dict that the checks report."""
+    return {"evaluated": int(tally[0]), "skipped": int(tally[1])}
 
 
 def _energy(gu, gv, weight):
@@ -886,7 +986,8 @@ def gap_identity_check(result, n=None, trunc=None):
     """Compare the energy Q(u_n/u_1, u_n/u_1) with lambda_n - lambda_1.
 
     Returns {"lhs": eigenvalue gap, "rhs": energy, "relative_error", ...,
-    "constant_field_Q": the constant field's energy on the same pass};
+    "constant_field_Q": the constant field's energy on the same pass,
+    "faddeeva_entries": the engine's, as in QResult.diagnostics};
     n defaults to the star mode.
     """
     n = _star_mode(result) if n is None else n
@@ -902,6 +1003,7 @@ def gap_identity_check(result, n=None, trunc=None):
         "relative_error": abs(q.value - gap) / gap,
         "tail_bound": q.tail_bound,
         "constant_field_Q": q.diagnostics["constant_field"],
+        "faddeeva_entries": q.diagnostics["faddeeva_entries"],
     }
 
 
@@ -944,7 +1046,8 @@ def d01_lower_bound_check(result, trunc=None):
     u_1^2 - exp(-2 lambda_1 t) phi_1^2 over the grid, which must stay above
     the Galerkin floor (see ground_state_domination_check). Both integrand
     and margin are even on an axis where u*/u_1 and u_1 are even or odd, and
-    there the rule is cut to its second half (_half_rules).
+    there the rule is cut to its second half (_half_rules). "faddeeva_entries"
+    counts the engine's, as in QResult.diagnostics.
     """
     n = _star_mode(result)
     trunc = _truncation(trunc, result.domain.dim)
@@ -955,7 +1058,8 @@ def d01_lower_bound_check(result, trunc=None):
     x_rules = axis_rules(result.domain, *((16, 5) if result.domain.dim == 1 else (10, 4)))
     x_rules = _half_rules(x_rules, (w, w, u1, u1))
     axes = [x for x, _ in x_rules]
-    gw, g1 = _eval_fields((w, u1), axes, tq)
+    tally = np.zeros(2, dtype=np.int64)
+    gw, g1 = _eval_fields((w, u1), axes, tq, tally=tally)
     phi1 = result.eigenfunction(1)(_grid_points(axes)).reshape(g1.shape[1:-1])
     weight = np.exp(-2 * lam1 * tq) * phi1[..., None] ** 2
     value = _integrate(_energy(gw, gw, weight), [xw for _, xw in x_rules] + [tw])
@@ -966,4 +1070,5 @@ def d01_lower_bound_check(result, trunc=None):
         "gap": gap,
         "weight_slack": float(np.min(g1[0] ** 2 - weight)),
         "pass": bool(value <= gap + 1e-3),
+        "faddeeva_entries": _faddeeva_counts(tally),
     }

@@ -299,6 +299,20 @@ def test_alpha2_rectangle_form_is_its_diagonal(monkeypatch):
     assert np.array_equal(A, np.diag((om1[:, None] ** 2 + om2[None] ** 2).ravel()))
 
 
+@pytest.mark.parametrize("domain, n", [(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 32),
+                                       (Domain.interval(-1.0, 1.0), 64)],
+                         ids=["rectangle", "interval"])
+def test_alpha2_diagonal_equals_the_kronecker_sum(domain, n):
+    # the alpha = 2 form, built as a diagonal, has every entry of the sum of
+    # Kronecker products of the axis forms and its symmetrization
+    basis = _sine_basis(domain, n)
+    forms = [_axis_form(table, 2.0) for table in basis.meta]
+    eye = [np.eye(len(A)) for A in forms]
+    E = sum(eigensolver._kron(eye[:i] + [A[None]] + eye[i + 1 :], np.ones(1))
+            for i, A in enumerate(forms))
+    assert np.array_equal(eigensolver._assemble_sine(basis, 2.0), 0.5 * (E + E.T))
+
+
 def test_three_axis_form_reproduces_cube_lambda1():
     # the assembly has one path for every number of axes: on (-1, 1)^3, built
     # from axis tables alone, lambda1 at n = 6 per axis is the d = 3 Kronecker

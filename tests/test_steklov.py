@@ -30,6 +30,7 @@ from stablegap import (
 )
 from stablegap import steklov
 from stablegap._quad import axis_rules, log_panels, mirror_linspace, panel_gauss
+from stablegap.kernels import subordination_grid, subordinator_density_half
 from stablegap.steklov import (
     ExtensionEngine,
     _energy_grid,
@@ -455,6 +456,72 @@ def test_scaled_erf_matches_unfactored_expression():
     assert np.max(np.abs(_scaled_erf(r, omega, s) - _old_scaled_erf(r, omega, s))) <= 1e-15
 
 
+def test_scaled_erf_skips_only_weightless_faddeeva_terms(monkeypatch):
+    # engine shapes, one chunk of nodes per call: at the points in reach of
+    # the edge the value is that of the full evaluation to the bit; elsewhere
+    # it is e^(-omega^2 s), off by less than e^(-_A_CUT^2)
+    r = np.linspace(-62.0, 62.0, 249)[None, :, None]
+    omega = (np.arange(1, 33) * np.pi / 2)[:, None, None]
+    bound = np.exp(-steklov._A_CUT**2)
+    assert bound <= 2.0**-64
+    skipped = 0
+    for s in np.split(subordination_grid()[0], 28)[::2]:
+        s = s[None, None, :]
+        cut = _scaled_erf(r, omega, s)
+        with monkeypatch.context() as m:
+            m.setattr(steklov, "_A_CUT", np.inf)
+            full = _scaled_erf(r, omega, s)
+        near = np.abs(r[0, :, 0]) / (2.0 * np.sqrt(s.max())) < steklov._A_CUT
+        assert np.array_equal(cut[:, near], full[:, near])
+        assert np.array_equal(cut[:, ~near], (np.exp(-(omega**2) * s) * np.sign(r))[:, ~near])
+        assert np.max(np.abs(cut - full)) <= bound
+        assert np.max(np.abs(cut - _old_scaled_erf(r, omega, s))) <= 1e-15 + bound
+        skipped += np.count_nonzero(~near)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("case", ["interval_32", "rect_8", "union", "off-centre"])
+def test_faddeeva_cut_leaves_the_energies(case, request, monkeypatch):
+    # the gap identity's energy and the d01 integral with and without the cut
+    if case in ("interval_32", "rect_8"):
+        result = request.getfixturevalue(case)
+    else:
+        domain = (Domain.interval_union(MIRROR_UNIONS[1]) if case == "union"
+                  else Domain.interval(-0.5, 1.7))
+        result = solve_spectrum(domain, 1.0, 8 if case == "union" else 16)
+
+    entries = _count_wofz_entries(monkeypatch)
+
+    def run():
+        checks = [gap_identity_check(result, 2 if result.star_index is None else None)]
+        if result.star_index is not None:
+            checks.append(d01_lower_bound_check(result))
+        return checks
+
+    cut = run()
+    # the tally counts what wofz saw, on every window and axis
+    assert sum(c["faddeeva_entries"]["evaluated"] for c in cut) == sum(entries)
+    monkeypatch.setattr(steklov, "_A_CUT", np.inf)
+    full = run()
+    assert all(c["faddeeva_entries"]["skipped"] == 0 for c in full)
+    assert sum(c["faddeeva_entries"]["skipped"] for c in cut) > 0
+    assert [sum(c["faddeeva_entries"].values()) for c in cut] == [
+        c["faddeeva_entries"]["evaluated"] for c in full]
+    assert cut[0]["rhs"] == pytest.approx(full[0]["rhs"], rel=1e-15, abs=0.0)
+    for c, f in zip(cut[1:], full[1:]):
+        assert c["simplified_integral"] == pytest.approx(f["simplified_integral"], rel=1e-15, abs=0.0)
+
+
+def test_2d_mode_sum_takes_the_greedy_path():
+    # the path found once from the shapes is the one einsum's optimize=True
+    # finds, so the 2D mode sums are the same to the bit
+    rng = np.random.default_rng(3)
+    C = rng.standard_normal((2, 8, 4))
+    factors = [rng.standard_normal((8, 9, 24)), rng.standard_normal((4, 7, 24))]
+    assert np.array_equal(steklov._contract(C, factors),
+                          np.einsum("fjk,jas,kbs->fabs", C, *factors, optimize=True))
+
+
 def _time_grids(result):
     """The q_functional and d01_lower_bound_check time rules of a result."""
     trunc = default_truncation(result.domain.dim)
@@ -842,24 +909,60 @@ def _count_wofz_entries(monkeypatch):
 
 def test_gap_check_halves_the_faddeeva_entries(interval_32, monkeypatch):
     entries = _count_wofz_entries(monkeypatch)
-    counts = []
-    for workers, half in ((1, steklov._half_rules), (2, steklov._half_rules), (1, _full_rules)):
+    counts, tallies = [], []
+    for workers, half, cut in ((1, steklov._half_rules, steklov._A_CUT),
+                               (2, steklov._half_rules, steklov._A_CUT),
+                               (1, _full_rules, steklov._A_CUT),
+                               (1, steklov._half_rules, np.inf), (1, _full_rules, np.inf)):
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
         monkeypatch.setattr(steklov, "_half_rules", half)
+        monkeypatch.setattr(steklov, "_A_CUT", cut)
         entries.clear()
-        gap_identity_check(interval_32)
+        tallies.append(gap_identity_check(interval_32)["faddeeva_entries"])
         counts.append(sum(entries))
-    one, two, full = counts
+    one, two, full, one_all, full_all = counts
     assert one == two
-    # the full rule: both edge offsets at every point and live node, each
-    # row with the modes of its parity (u* odd, u1 even): 32 in all
+    # the engine's tally is what wofz saw, and it skipped the rest of the entries
+    assert [t["evaluated"] for t in tallies] == counts
+    assert [t["evaluated"] + t["skipped"] for t in tallies] == [one_all, one_all, full_all,
+                                                                one_all, full_all]
+    # the rules themselves: the chunks of 24 subordination nodes where some
+    # node carries 1e-16 of the largest value or d/dt weight at some time;
+    # in each, both edge offsets r = +-1 - x of the points x whose
+    # a = |r| / (2 sqrt s) at the chunk's largest node s is below the cut;
+    # each row with the modes of its parity (u* odd, u1 even): 32 in all
     ((x, _),), (tq, _) = _energy_grid(interval_32.domain, default_truncation(1))
-    engine = ExtensionEngine(interval_32.basis)
     rows = interval_32.coefficients[[interval_32.star_index - 1, 0]]
     assert np.count_nonzero(rows) == 32 and not np.any((rows[0] != 0) & (rows[1] != 0))
-    live = len(_live_chunks(*engine._time_weights(tq))) * steklov._S_CHUNK
-    assert full == 2 * x.size * np.count_nonzero(rows) * live
-    assert one <= 0.51 * full
+    s, sw = subordination_grid()
+    g = subordinator_density_half(tq[:, None], s[None, :]) * sw
+    weighty = np.zeros(s.size, dtype=bool)
+    for a in (np.abs(g), np.abs(g * (1.0 / tq[:, None] - tq[:, None] / (2.0 * s)))):
+        top = a.max(axis=1, keepdims=True)
+        weighty |= np.any((a >= 1e-16 * top) & (top > 0), axis=0)
+    tops = [s[i : i + 24].max() for i in range(0, s.size, 24) if weighty[i : i + 24].any()]
+
+    def rule(points):
+        return 32 * 24 * sum(np.count_nonzero(np.abs(edge - points) / (2.0 * np.sqrt(top)) < 6.7)
+                             for top in tops for edge in (1.0, -1.0))
+
+    assert full_all == 2 * x.size * 32 * 24 * len(tops)
+    assert (full, one) == (rule(x), rule(x[x.size // 2 :]))
+    assert one_all <= 0.51 * full_all and one <= 0.51 * full
+    # the cut skips more than 30% of the entries of the centred pass
+    assert one <= 0.70 * one_all
+
+
+def test_interval_gap_faddeeva_tally(interval_32, monkeypatch):
+    # the gap identity and d01 passes of the interval gap check: the same
+    # tallies on one engine thread and on two, and at most 5.7M entries
+    tallies = []
+    for workers in (1, 2):
+        monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
+        tallies.append([check(interval_32)["faddeeva_entries"]
+                        for check in (gap_identity_check, d01_lower_bound_check)])
+    assert tallies[0] == tallies[1]
+    assert sum(t["evaluated"] for t in tallies[0]) <= 5.7e6
 
 
 @pytest.mark.parametrize("mode", [3, 5])
