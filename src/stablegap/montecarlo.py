@@ -325,21 +325,27 @@ def estimate_lambda1(curve, min_survivors=100):
 
 def estimate_phi1(curve, t, lambda1):
     """phi_1 at the curve's start point, up to normalization:
-    exp(lambda1 * t) * survival(t).
+    exp(lambda1 * t) * survival(t), lambda1 the McEstimate of
+    estimate_lambda1 and t taken at the first record time from t on.
 
     Requires the compensated curve s -> exp(lambda1 s) survival(s) to have
-    stabilized before t (each of the last few record values within
-    _PLATEAU_TOL standard errors of the value at t).
+    stabilized before t: at each record time s from t / 2 to t it must lie
+    within _PLATEAU_TOL standard errors of the value at t. Those combine the
+    survival stderrs at s and at t with the tilt that an error of lambda1
+    gives the compensated curve, |t - s| stderr(lambda1) comp(s). The
+    returned stderr is the survival's alone: an error of lambda1 scales the
+    estimate at every start point alike, which the normalization absorbs.
     """
     if t > curve.times[-1]:
         raise ValidationError("t beyond simulated horizon")
     j = int(np.searchsorted(curve.times, t))
-    comp = np.exp(lambda1 * curve.times) * curve.survival
-    comp_err = np.exp(lambda1 * curve.times) * curve.stderr
+    comp = np.exp(lambda1.value * curve.times) * curve.survival
+    comp_err = np.exp(lambda1.value * curve.times) * curve.stderr
     lo = int(np.searchsorted(curve.times, 0.5 * t))
     ref = comp[j]
     dev = np.abs(comp[lo : j + 1] - ref)
-    tol = _PLATEAU_TOL * np.sqrt(comp_err[lo : j + 1] ** 2 + comp_err[j] ** 2)
+    tilt = (curve.times[j] - curve.times[lo : j + 1]) * lambda1.stderr * comp[lo : j + 1]
+    tol = _PLATEAU_TOL * np.sqrt(comp_err[lo : j + 1] ** 2 + comp_err[j] ** 2 + tilt**2)
     if np.any(dev > np.maximum(tol, 1e-12)):
         raise EstimationError("compensated survival has not reached its plateau by t")
     return McEstimate(float(ref), float(comp_err[j]), int(curve.alive[j]),

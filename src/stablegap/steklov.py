@@ -30,12 +30,18 @@ accurate for small t.
 The closed form takes the complex error function at the two edge offsets
 h - u and -h - u of each point (u = x - c in the window (c - h, c + h)).
 Its Faddeeva term at an offset r is at most e^(-a^2), a = |r| / (2 sqrt s),
-so within a chunk it is evaluated only at the points where a at the
-chunk's largest node is below _A_CUT, the points in Gaussian reach of the
-edge (_scaled_erf); the others take the rest of the closed form exactly
-and differ by less than 2^-64. This is the per-point counterpart of the
-chunk restriction, and the skipped set depends on the points and the chunk
-alone. The engine tallies the Faddeeva entries that it evaluated and
+so within a chunk it is evaluated only on the run of points in Gaussian
+reach of the edge (_reach): along the point axis, from the first point
+where a at the chunk's largest node is below _A_CUT to the last. The run is
+written in place into a slice view of the output (_scaled_erf); the points
+outside it take the rest of the closed form exactly and differ by less
+than 2^-64. Every caller builds sorted grids, on which the run holds
+exactly the points in reach; on an unsorted axis it also holds points out
+of reach, which take the term exactly. This is the per-point counterpart
+of the chunk restriction, and the skipped set depends on the points and
+the chunk alone. Each pass turns the live modes of each axis into a window
+table (_window_table), which the smoothed modes read and from which the
+engine tallies the same runs: the Faddeeva entries that it evaluated and
 skipped (ExtensionEngine.faddeeva_entries), which the energy checks report.
 Sine mode k is even about c for odd k and odd for even k, and on a domain
 symmetric about a coordinate axis every eigenfunction is even or odd: the
@@ -144,11 +150,20 @@ def check_truncation(trunc, domain):
 _A_CUT = 6.7
 
 
-def _in_reach(r, s):
-    """Where the Faddeeva term of _scaled_erf at the offsets r can exceed
-    e^(-_A_CUT^2) at some node of s: a = |r| / (2 sqrt s), taken at the
-    largest node, below _A_CUT. Shape of r."""
-    return np.abs(r) / (2.0 * np.sqrt(np.max(s))) < _A_CUT
+def _reach(r, s):
+    """The run of points in Gaussian reach of a window edge at the offsets r,
+    where the Faddeeva term of _scaled_erf can exceed e^(-_A_CUT^2) at some
+    node of s: as (k, run), k the last axis along which r varies (the point
+    axis of the engine) and run the slice of it from the first point whose
+    a = |r| / (2 sqrt s), taken at the largest node, is below _A_CUT to the
+    last; run is None when no point is in reach. Where r varies along no
+    axis, k is None and the run is its one point or nothing. On a sorted
+    point axis the run is exactly the set of points in reach."""
+    near = np.abs(r) / (2.0 * np.sqrt(np.max(s))) < _A_CUT
+    k = max((i for i, n in enumerate(near.shape) if n > 1), default=None)
+    hit = np.flatnonzero(near if k is None else
+                         near.any(axis=tuple(i for i in range(near.ndim) if i != k)))
+    return k, slice(hit[0], hit[-1] + 1) if hit.size else None
 
 
 def _scaled_erf(r, omega, s):
@@ -161,49 +176,37 @@ def _scaled_erf(r, omega, s):
     e^(-omega^2 s) - E with E = e^(-a^2) e^(i omega |r|) w(omega sqrt s + i a),
     a = |r| / (2 sqrt s). |w| <= 1 on the closed upper half-plane
     (Abramowitz and Stegun 7.1), so |E| <= e^(-a^2), and E is evaluated only
-    at the points in reach of the window edge (_in_reach): elsewhere the
-    value is e^(-omega^2 s) exactly, off by less than 2^-64. The points are
-    gathered along the last axis along which r varies (the point axis of
-    the engine), so the skipped set depends on the points and the nodes
-    alone. The prefactor of w is applied in place as a real exponential,
-    which needs s, times a unit phase, which does not. The parts of the
-    argument and the real exponential that depend on r are built at the
-    broadcast shape of r and s alone, so they are shared by every omega of
-    one window: r without a mode axis costs them once. One complex array of
-    the full shape is made per call: E itself where every point is in
-    reach, else e^(-omega^2 s), into which the points in reach are written.
+    on the run of points in reach of the window edge (_reach): the output is
+    filled with e^(-omega^2 s), and e^(-omega^2 s) - E is written in place
+    into the run's slice view. Outside the run the value is e^(-omega^2 s)
+    exactly, off by less than 2^-64. On a sorted point axis the run holds
+    exactly the points in reach, so the skipped set depends on the points
+    and the nodes alone; on an unsorted one the points of the run out of
+    reach take E too. The prefactor of w is applied in place as a real
+    exponential, which needs s, times a unit phase, which does not. The
+    parts of the argument and the real exponential that depend on r are
+    built at the broadcast shape of r and s alone, so they are shared by
+    every omega of one window: r without a mode axis costs them once.
     """
     shape = np.broadcast_shapes(np.shape(r), np.shape(omega), np.shape(s))
     r, omega, s = (np.reshape(a, (1,) * (len(shape) - np.ndim(a)) + np.shape(a))
                    for a in (r, omega, s))
     g = np.exp(-(omega**2) * s)
-    near = _in_reach(r, s)
-    if near.all():
-        E = _faddeeva_term(np.abs(r), omega, s)
-        np.subtract(g, E, out=E)
-    else:
-        E = np.empty(shape, dtype=complex)
-        E[...] = g
-        if near.any():  # then r varies along some axis
-            k = max(i for i, n in enumerate(r.shape) if n > 1)
-            cut = (slice(None),) * k + (np.flatnonzero(
-                near.any(axis=tuple(i for i in range(r.ndim) if i != k))),)
-            part = [a[cut] if a.shape[k] > 1 else a for a in (r, omega, s, g)]
-            live = _faddeeva_term(np.abs(part[0]), *part[1:3])
-            E[cut] = np.subtract(part[3], live, out=live)
-    np.negative(E.real, out=E.real, where=r < 0)
-    return E
-
-
-def _faddeeva_term(ra, omega, s):
-    """E = e^(-a^2) e^(i omega ra) w(omega sqrt s + i a) of _scaled_erf at
-    |r| = ra, in one complex array of the broadcast shape."""
-    inv = 1.0 / (2.0 * np.sqrt(s))  # (2 omega s + i|r|) / (2 sqrt s), part by part
-    E = 2.0 * omega * s * inv + 1j * (ra * inv)
-    wofz(E, out=E)  # in place
-    E *= np.exp(-(ra**2) / (4.0 * s))
-    E *= np.exp(1j * omega * ra)
-    return E
+    S = np.empty(shape, dtype=complex)
+    S[...] = g
+    k, run = _reach(r, s)
+    if run is not None:  # slice the operands that vary along the point axis
+        ra, om, sc, gc, E = (a if k is None or a.shape[k] == 1 else a[(slice(None),) * k + (run,)]
+                             for a in (np.abs(r), omega, s, g, S))
+        inv = 1.0 / (2.0 * np.sqrt(sc))  # (2 omega s + i|r|) / (2 sqrt s), part by part
+        E.real = 2.0 * om * sc * inv
+        E.imag = ra * inv
+        wofz(E, out=E)  # in place
+        E *= np.exp(-(ra**2) / (4.0 * sc))
+        E *= np.exp(1j * om * ra)
+        np.subtract(gc, E, out=E)
+    np.negative(S.real, out=S.real, where=r < 0)
+    return S
 
 
 def smoothed_sine_mode(x, s, omega, center, half, grad=False):
@@ -212,14 +215,15 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     (4 pi s)^(-1/2) * integral over (c-h, c+h) of
         exp(-(x-y)^2 / (4 s)) sin(omega (y - c + h)) / sqrt(h) dy.
 
-    All arguments broadcast. The engine passes one window (center and half
-    of shape (1, 1, 1)), x[None, :, None], omega (modes, 1, 1) and s
-    (1, 1, nodes), so that the parts of _scaled_erf that depend on the point
-    alone are built once for all modes. With grad=True returns the pair
-    (value, d/dx value), valid for the basis frequencies omega = k pi / (2 h):
-    such a mode vanishes at both ends of its window, so the x-derivative is
-    the smoothing of omega cos(omega (y - c + h)) / sqrt(h), the real part of
-    the complex expression whose imaginary part is the value.
+    All arguments broadcast; with every argument a scalar the result is 0-d.
+    The engine passes one window (a scalar center and half), x[None, :, None],
+    omega (modes, 1, 1) and s (1, 1, nodes), so that the parts of _scaled_erf
+    that depend on the point alone are built once for all modes. With
+    grad=True returns the pair (value, d/dx value), valid for the basis
+    frequencies omega = k pi / (2 h): such a mode vanishes at both ends of
+    its window, so the x-derivative is the smoothing of
+    omega cos(omega (y - c + h)) / sqrt(h), the real part of the complex
+    expression whose imaginary part is the value.
 
     The closed form takes _scaled_erf at the two edge offsets h - u and
     -h - u, u = x - c. A mode of parity p about c (mode_parity) takes p times
@@ -268,25 +272,24 @@ def engine_workers(dim):
     return _cpu_count() if dim == 1 else 1
 
 
-def _windows(center, half):
-    """Runs of consecutive modes of one axis that share a window (center,
-    half), as slices: one for an interval, one per component of a union."""
-    cut = np.flatnonzero((np.diff(center) != 0) | (np.diff(half) != 0)) + 1
-    edges = [0, *cut.tolist(), center.size]
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+def _window_table(table, live):
+    """The windows of the live modes of one axis, from its basis table
+    (center, half, k, omega): a list of (center, half, omegas), one per run
+    of consecutive live modes that share a window (an interval has one, a
+    union one per component), in mode order; empty when no mode is live."""
+    c, h, _, om = (a[live] for a in table)
+    cut = np.flatnonzero((np.diff(c) != 0) | (np.diff(h) != 0)) + 1
+    return [(c[i], h[i], o) for i, o in zip([0, *cut], np.split(om, cut))] if c.size else []
 
 
-def _axis_modes(x, s, center, half, omega, grad):
+def _axis_modes(x, s, windows, grad):
     """The smoothed modes of one axis at the points x and nodes s, shape
-    (modes, points, nodes), or the (value, d/dx) pair with grad=True. One
-    smoothed_sine_mode call per window, so the factors that depend on the
-    point and the window alone are built once for all of its modes (the
-    window's center and half keep one entry, none when no mode is in use)."""
-    parts = [
-        smoothed_sine_mode(x[None, :, None], s, omega[w, None, None],
-                           center[w, None, None][:1], half[w, None, None][:1], grad=grad)
-        for w in _windows(center, half)
-    ]
+    (modes, points, nodes), or the (value, d/dx) pair with grad=True, from
+    its window table (_window_table). One smoothed_sine_mode call per window,
+    so the factors that depend on the point and the window alone are built
+    once for all of its modes."""
+    parts = [smoothed_sine_mode(x[None, :, None], s, om[:, None, None], c, h, grad=grad)
+             for c, h, om in windows]
     if len(parts) == 1:
         return parts[0]
     if grad:
@@ -483,7 +486,11 @@ class ExtensionEngine:
         all exact zeros, which for an eigenvector are the modes of its
         parity on each axis with one window. So a group's values differ
         from those of a pass over every mode and row by rounding alone: BLAS
-        rounds a product with fewer rows or modes differently. A group of
+        rounds a product with fewer rows or modes differently. Each group's
+        live modes become a window table per axis (_window_table), built
+        once per pass, which the smoothed modes and the Faddeeva tally read.
+        A group with no live mode, a zero row, has an extension of exactly 0
+        and skips the pass. A group of
         consecutive rows sums into its rows of the result directly. The
         engine evaluates every point it is given: callers that probe or
         integrate an even quantity on a mirror grid pass only its second
@@ -508,11 +515,12 @@ class ExtensionEngine:
         out = np.zeros((len(rows), len(points) + 2 if grad else 1)
                        + tuple(p.size for p in points) + (nt,))
         for g, sel in _mode_groups(C):
+            windows = [_window_table(t, i) for t, i in zip(tables, sel)]
+            if not all(windows):  # a zero row
+                continue
             run = g[-1] - g[0] + 1 == g.size  # consecutive rows: a view of out
             part = out[g[0] : g[-1] + 1] if run else np.zeros((g.size,) + out.shape[1:])
-            self._pass(part, C[np.ix_(g, *sel)], points,
-                       [(c[i], h[i], om[i]) for (c, h, _, om), i in zip(tables, sel)],
-                       chunks, gw, nt, grad)
+            self._pass(part, C[np.ix_(g, *sel)], points, windows, chunks, gw, nt, grad)
             if not run:
                 out[g] = part
         if grad:
@@ -523,7 +531,7 @@ class ExtensionEngine:
             out[..., ts == 0.0] = phi.reshape(out.shape[:-1] + (1,))
         return out
 
-    def _pass(self, out, C, points, modes, chunks, gw, nt, grad):
+    def _pass(self, out, C, points, windows, chunks, gw, nt, grad):
         """The engine loop, in any dimension: the chunks of nodes in batches
         whose rows x terms x points x nodes stay within _CHUNK_ENTRIES.
 
@@ -545,24 +553,24 @@ class ExtensionEngine:
         time."""
         workers = engine_workers(len(points))
         # smoothed-mode entries: modes x points x nodes, summed over the axes
-        entries = sum(m[2].size * p.size for m, p in zip(modes, points)) * len(chunks) * _S_CHUNK
+        entries = sum(m * p.size for m, p in zip(C.shape[1:], points)) * len(chunks) * _S_CHUNK
         threaded = workers > 1 and entries >= _PARALLEL_ENTRIES
         per_batch = max(1, _CHUNK_ENTRIES // (out[..., 0].size * _S_CHUNK))
         with ThreadPoolExecutor(workers) if threaded else nullcontext() as pool:
             phase1 = pool.map if threaded else map
-            chunk_terms = partial(self._chunk_terms, C, points, modes, grad=grad)
+            chunk_terms = partial(self._chunk_terms, C, points, windows, grad=grad)
             for i in range(0, len(chunks), per_batch):
                 batch = chunks[i : i + per_batch]
                 for sl, t in zip(batch, list(phase1(chunk_terms, batch))):
                     _add_chunk(out, t, gw, sl, nt, len(points) == 1)
-                    self.faddeeva_entries += _faddeeva_entries(points, modes, self.s_nodes[sl])
+                    self.faddeeva_entries += _faddeeva_entries(points, windows, self.s_nodes[sl])
 
-    def _chunk_terms(self, C, points, modes, sl, grad):
+    def _chunk_terms(self, C, points, windows, sl, grad):
         """Phase 1 for the chunk sl of nodes: the smoothed modes summed
         against C, a list of (rows, n_1, ..., n_d, nodes) terms: the value,
         then with grad=True d/dx_i for each axis."""
         sc = self.s_nodes[None, None, sl]
-        per_axis = [_axis_modes(p, sc, c, h, om, grad) for p, (c, h, om) in zip(points, modes)]
+        per_axis = [_axis_modes(p, sc, w, grad) for p, w in zip(points, windows)]
         if not grad:
             return [_contract(C, per_axis)]
         vals = [v for v, _ in per_axis]
@@ -570,18 +578,20 @@ class ExtensionEngine:
                                        for i, (_, dx) in enumerate(per_axis)]
 
 
-def _faddeeva_entries(points, modes, s):
+def _faddeeva_entries(points, windows, s):
     """The Faddeeva entries of the smoothed modes of one chunk of nodes s, as
-    [evaluated, skipped]: per axis, window and edge offset of
+    [evaluated, skipped]: per axis, window of its table and edge offset of
     smoothed_sine_mode, the window's modes times the nodes times the points
-    in reach of that edge (_in_reach), and times the points out of it."""
+    of the run in reach of that edge (_reach, as _scaled_erf takes it), and
+    times the points outside the run."""
     counts = np.zeros(2, dtype=np.int64)
-    for x, (c, h, om) in zip(points, modes):
-        for w in _windows(c, h):
-            u = x[None, :] - c[w][:1, None]  # no row where the window has no mode
-            for r in (h[w][:1, None] - u, -h[w][:1, None] - u):
-                near = np.count_nonzero(_in_reach(r, s))
-                counts += om[w].size * s.size * np.array([near, r.size - near])
+    for x, axis_windows in zip(points, windows):
+        for c, h, om in axis_windows:
+            u = x - c
+            for r in (h - u, -h - u):
+                run = _reach(r, s)[1]
+                near = 0 if run is None else r[run].size
+                counts += om.size * s.size * np.array([near, r.size - near])
     return counts
 
 

@@ -10,6 +10,7 @@ from stablegap import (
     Domain,
     EstimationError,
     McConfig,
+    McEstimate,
     ValidationError,
     estimate_gap_star,
     estimate_lambda1,
@@ -296,7 +297,7 @@ def test_stderr_scales_with_paths(interval):
 
 
 def test_phi1_ratio_against_galerkin(interval, base_curve, interval_128):
-    lam = estimate_lambda1(base_curve).value
+    lam = estimate_lambda1(base_curve)
     a = estimate_phi1(base_curve, 3.0, lam)
     cfg0 = McConfig(alpha=1.0, paths=200_000, dt=1e-3, t_max=10.0, seed=31)
     curve0 = survival_curve(interval, 0.0, cfg0)
@@ -306,6 +307,30 @@ def test_phi1_ratio_against_galerkin(interval, base_curve, interval_128):
     got = a.value / b.value
     rel_se = got * np.hypot(a.stderr / a.value, b.stderr / b.value)
     assert abs(got - expected) < 4 * rel_se + 0.02
+
+
+def _exact_curve(survival, times, paths=10_000_000):
+    # a curve whose alive counts follow survival(times) to the nearest path
+    counts = np.rint(paths * survival(times))[None, :].astype(np.int64)
+    cfg = McConfig(alpha=1.0, paths=paths, dt=1e-3, t_max=float(times[-1]), partitions=1)
+    return montecarlo.SurvivalCurve(times, counts, counts, 0 * counts, cfg, np.array([0.5]))
+
+
+def test_phi1_plateau_allows_for_the_lambda1_error():
+    # an exact exp(-s) curve read with lambda1 off by 1.5 of its stderrs:
+    # exp(lambda1 s) S(s) tilts by 1.5 stderrs per unit of s, which the
+    # survival stderrs alone do not cover; a second mode that has not
+    # decayed by t still fails the plateau rule
+    times = np.linspace(0.0, 4.0, 401)
+    lam = McEstimate(1.0 + 1.5 * 0.005, 0.005, 10_000)
+    one = _exact_curve(lambda s: 0.8 * np.exp(-s), times)
+    est = estimate_phi1(one, 3.0, lam)
+    assert est.value == pytest.approx(0.8 * np.exp(1.5 * 0.005 * 3.0), rel=1e-5)
+    with pytest.raises(EstimationError):
+        estimate_phi1(one, 3.0, McEstimate(lam.value, 0.0, 10_000))
+    two = _exact_curve(lambda s: 0.6 * np.exp(-s) + 0.3 * np.exp(-2.0 * s), times)
+    with pytest.raises(EstimationError):
+        estimate_phi1(two, 3.0, lam)
 
 
 def test_gap_star_against_galerkin(interval, base_curve):

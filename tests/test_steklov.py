@@ -320,6 +320,17 @@ def test_smoothed_sine_mode_x_derivative():
         assert_gradient_matches(dx, fd)
 
 
+def test_smoothed_sine_mode_takes_scalars():
+    # every argument a scalar: a 0-d result equal to that of the one-point
+    # array call, in reach of the edges and out of it
+    for x in (0.3, 30.3):
+        for grad in (False, True):
+            got = smoothed_sine_mode(x, 0.1, np.pi / 2, 0.0, 1.0, grad=grad)
+            ref = smoothed_sine_mode(np.array([x]), 0.1, np.pi / 2, 0.0, 1.0, grad=grad)
+            for g, r in zip(got, ref) if grad else [(got, ref)]:
+                assert np.ndim(g) == 0 and np.array_equal(g, r[0])
+
+
 def test_engine_gradient_matches_central_differences_1d(interval_32):
     engine = ExtensionEngine(interval_32.basis)
     rows = interval_32.coefficients[:3]
@@ -478,6 +489,48 @@ def test_scaled_erf_skips_only_weightless_faddeeva_terms(monkeypatch):
         assert np.max(np.abs(cut - _old_scaled_erf(r, omega, s))) <= 1e-15 + bound
         skipped += np.count_nonzero(~near)
     assert skipped > 0
+
+
+def test_shuffled_points_take_the_sorted_values(interval_32, monkeypatch):
+    # on an unsorted point axis the run in reach of an edge, from its first
+    # point in reach to its last, also holds points out of reach: they take
+    # the Faddeeva term exactly, where the sorted axis skips it
+    entries = _count_wofz_entries(monkeypatch)
+    x = np.linspace(-3.0, 3.0, 61)
+    perm = np.random.default_rng(5).permutation(x.size)
+    values, tallies = [], []
+    for xs in (x, x[perm]):
+        engine = ExtensionEngine(interval_32.basis)
+        entries.clear()
+        values.append(engine.values(interval_32.coefficients[:3], xs, TIMES))
+        tallies.append(engine.faddeeva_entries.copy())
+        assert tallies[-1][0] == sum(entries)
+    assert np.max(np.abs(values[1] - values[0][:, perm])) <= np.exp(-steklov._A_CUT**2)
+    assert tallies[1][0] > tallies[0][0] and tallies[1].sum() == tallies[0].sum()
+
+
+@pytest.mark.parametrize("x", [0.3, 40.0])
+def test_one_point_is_in_reach_or_not(interval_32, x, monkeypatch):
+    # one point, as check_boundary_derivative evaluates: r varies along no
+    # axis, so the run is every mode and node of the chunk or none of them
+    nodes = subordination_grid()[0]
+    i = np.searchsorted(nodes, 0.01) // steklov._S_CHUNK * steklov._S_CHUNK
+    s = nodes[i : i + steklov._S_CHUNK][None, None, :]
+    omega = (np.arange(1, 17) * np.pi / 2)[:, None, None]
+    r = np.full((1, 1, 1), 1.0 - x)
+    near = abs(1.0 - x) / (2.0 * np.sqrt(s.max())) < steklov._A_CUT
+    assert near == (x < 1.0)
+    cut = _scaled_erf(r, omega, s)
+    with monkeypatch.context() as m:
+        m.setattr(steklov, "_A_CUT", np.inf)
+        full = _scaled_erf(r, omega, s)
+    assert np.array_equal(cut, full if near else np.exp(-(omega**2) * s) * np.sign(r))
+    # the engine's one-point pass: its tally is what wofz saw
+    entries = _count_wofz_entries(monkeypatch)
+    engine = ExtensionEngine(interval_32.basis)
+    assert np.all(np.isfinite(engine.values(interval_32.coefficients[:1], np.array([x]), TIMES)))
+    assert engine.faddeeva_entries[0] == sum(entries) and engine.faddeeva_entries[1] > 0
+    assert np.isfinite(check_boundary_derivative(interval_32, 2, x))
 
 
 @pytest.mark.parametrize("case", ["interval_32", "rect_8", "union", "off-centre"])
@@ -699,11 +752,13 @@ def test_small_and_single_cpu_passes_build_no_pool(interval_32, rect_8, monkeypa
 @pytest.mark.parametrize("grad", [False, True])
 def test_window_split_matches_per_mode_evaluation(grad):
     union = solve_spectrum(Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 16)
-    ((c, h, _, om),) = union.basis.meta
-    assert len(steklov._windows(c, h)) == 2
+    (table,) = union.basis.meta
+    c, h, _, om = table
+    windows = steklov._window_table(table, np.arange(c.size))
+    assert len(windows) == 2
     x = np.linspace(-2.5, 2.5, 41)
     s = np.geomspace(1e-9, 1e3, 24)[None, None, :]
-    split = steklov._axis_modes(x, s, c, h, om, grad)
+    split = steklov._axis_modes(x, s, windows, grad)
     # one call with per-mode centres and halves, broadcast over all modes
     args = (x[None, :, None], s, om[:, None, None], c[:, None, None], h[:, None, None])
     whole = smoothed_sine_mode(*args, grad=grad)
@@ -724,7 +779,7 @@ def test_live_chunk_counts(interval_32):
 
 
 @pytest.mark.parametrize("case", ["interval_32", "rect_8"])
-def test_zero_row_has_a_zero_extension(case, request):
+def test_zero_row_has_a_zero_extension(case, request, monkeypatch):
     # a row with no live mode is a group of its own, with no mode to evaluate
     result = request.getfixturevalue(case)
     xs = np.linspace(-1.5, 1.5, 7) if result.domain.dim == 1 else (np.linspace(-3, 3, 5),) * 2
@@ -733,6 +788,12 @@ def test_zero_row_has_a_zero_extension(case, request):
     for grad in (False, True):
         both, alone = (engine.values(r, xs, TIMES, grad=grad) for r in (rows, rows[1:]))
         assert not np.any(both[0]) and np.array_equal(both[1:], alone)
+    # its group skips the pass: no Faddeeva entry is evaluated or tallied
+    entries = _count_wofz_entries(monkeypatch)
+    zero = ExtensionEngine(result.basis)
+    for grad in (False, True):
+        assert not np.any(zero.values(rows[:1], xs, TIMES, grad=grad)[..., TIMES > 0])
+    assert entries == [] and not np.any(zero.faddeeva_entries)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
