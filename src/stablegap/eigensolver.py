@@ -15,10 +15,11 @@ imaginary, so the form splits into same-parity blocks (pairs of different
 parity are exactly zero), each one real Gram product of amplitudes that take
 one trig value per node and one rational factor per (mode, node), in a panel
 coordinate where every mode frequency is an even integer
-(_centred_amplitudes). A union adds, per pair of components, the same Gram
-products weighted by the cos and sin of the phase between their centres.
-A product of d interval unions (a rectangle at d = 2) needs only 1D pieces:
-by subordination,
+(_parity_amplitudes, which builds each parity's rows contiguously). A union
+adds, per pair of components, the same Gram products weighted by the cos of
+the phase between their centres on same-parity pairs and by its sin on the
+others. A product of d interval unions (a rectangle at d = 2) needs only 1D
+pieces: by subordination,
 
     |xi|^alpha = c_alpha * integral_0^inf (1 - e^(-s |xi|^2)) s^(-1-alpha/2) ds,
 
@@ -29,10 +30,13 @@ sum over those sets, each term with identities on the other axes: the axis
 form A_i for S = {i}, and (-1)^(|S|+1) c_alpha * integral s^(-1-alpha/2)
 (x)_(i in S) D_i(s) ds for two or more axes, with D_i(s)_jk = (1/pi)
 integral_0^inf d_i G_j G_k dxi_i. On a rectangle that is A1 (x) I + I (x) A2
-minus one cross term. For alpha = 2 the sine basis diagonalizes the form
-exactly: each axis form is its diagonal omega^2, with no xi quadrature, and
-the cross terms carry the weight c_alpha = 0. Disks are supported at
-alpha = 2 only, through the classical Bessel modes.
+minus one cross term. Where s xi^2 >= _X_SAT, d_i rounds to exactly 1, so
+_subordination_grams sums those entries once per block of xi without expm1;
+the Grams and axis forms are built once per distinct axis table. For
+alpha = 2 the sine basis diagonalizes the form exactly: each axis form is
+its diagonal omega^2, with no xi quadrature, and the cross terms carry the
+weight c_alpha = 0. Disks are supported at alpha = 2 only, through the
+classical Bessel modes.
 
 Rayleigh-Ritz gives one-sided (from above) approximations, nonincreasing in
 the basis size because the sine bases are nested. solve_spectrum runs one
@@ -135,7 +139,7 @@ def basis_mode_transform(table, xi):
     times exp(-i xi c), with sinc_-+ = sinc((omega -+ xi) h / pi) and
     s_k = (-1)^floor(k/2). The sincs of the differences keep it stable at the
     removable singularities xi = +-omega. The form assembly does not call it:
-    it is the independent sinc reference for _centred_amplitudes.
+    it is the independent sinc reference for _parity_amplitudes.
     """
     xi = np.asarray(xi, dtype=float)
     c, h, k, om = (col[:, None] for col in table)
@@ -157,6 +161,9 @@ _TAIL_FACTOR = 8.0  # xi cut-off / largest mode frequency of the axis
 # cross terms of two or more axes: log panels in s on [_S_MIN, _S_MAX];
 # beyond _S_MAX, each product of the D_i(s) is taken as I
 _S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES = 1e-10, 1e10, 2, 10
+# _subordination_grams: -expm1(-x) rounds to exactly 1.0 for x >= 37.43, so
+# s xi^2 >= _X_SAT is saturated; xi panels per saturation block
+_X_SAT, _SAT_PANELS = 40.0, 32
 
 
 def _axis_quadrature(h, n_modes):
@@ -166,7 +173,7 @@ def _axis_quadrature(h, n_modes):
     u = xi / (pi / (4 h)) they are the unit intervals [p, p + 1] and the mode
     frequencies omega_k are the even integers 2k, panel edges that no node
     reaches. Returns the nodes in u (built as p + 1/2 + x_GL / 2, for
-    _centred_amplitudes), the same nodes in xi, their weights in xi, and Xi.
+    _parity_amplitudes), the same nodes in xi, their weights in xi, and Xi.
     """
     panel_w = np.pi / (4 * h)
     npan = int(np.ceil(_TAIL_FACTOR * 2 * n_modes))  # Xi = _TAIL_FACTOR * omega_max
@@ -241,7 +248,7 @@ def _assemble_sine(basis, alpha):
     At alpha = 2 every axis form is diagonal and every cross term an exact
     zero (c_alpha = 0), so the form is the diagonal of the Kronecker sum of
     the omega^2, built as such: the same entries as the sum of products."""
-    forms = [_axis_form(table, alpha) for table in basis.meta]
+    forms = _once_per_table(partial(_axis_form, alpha=alpha), basis.meta)
     c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
     if not c:
         return np.diag(reduce(np.add.outer, [np.diag(A) for A in forms]).ravel())
@@ -250,13 +257,23 @@ def _assemble_sine(basis, alpha):
     subsets = [S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
     s, ws = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
     w, tail = c * ws * s ** (-1 - 0.5 * alpha), c * _S_MAX ** (-0.5 * alpha) / (0.5 * alpha)
-    grams = [_subordination_grams(table, s) for table in basis.meta] if subsets else []
+    grams = _once_per_table(partial(_subordination_grams, s=s), basis.meta) if subsets else []
     for S in subsets:
         sign = (-1.0) ** (len(S) + 1)
         E += _kron([grams[i] if i in S else I for i, I in enumerate(eye)], sign * w)
         # s > _S_MAX, where the product of the D_i(s) is I + O(s^-1/2)
         E[np.diag_indices_from(E)] += sign * tail
     return 0.5 * (E + E.T)
+
+
+def _once_per_table(fn, tables):
+    """[fn(t) for t in tables], with fn evaluated once per distinct axis table
+    (the two axes of a square share one)."""
+    out = []
+    for i, t in enumerate(tables):
+        same = next((j for j in range(i) if all(map(np.array_equal, t, tables[j]))), None)
+        out.append(fn(t) if same is None else out[same])
+    return out
 
 
 def _kron(factors, weights):
@@ -271,14 +288,26 @@ def _kron(factors, weights):
 
 def _centred_amplitudes(h, n_modes, u):
     """Real amplitudes G (n_modes, len(u)) of the sine modes of (-h, h) at the
-    panel coordinates u = xi / (pi / (4 h)) of _axis_quadrature.
+    panel coordinates u = xi / (pi / (4 h)) of _axis_quadrature, in the row
+    order of basis_mode_transform: the two blocks of _parity_amplitudes
+    interleaved."""
+    G = np.empty((n_modes, np.size(u)))
+    G[0::2], G[1::2] = _parity_amplitudes(h, n_modes, u)
+    return G
 
-    The transforms of the odd modes k = 1, 3, ... (rows 0, 2, ...) are real
-    and those of the even modes imaginary, so G holds the real parts of the
-    former and the imaginary parts of the latter. The form is translation
-    invariant, so any component of half-length h has the same
-    single-component form matrix, E_jk = G_j G_k, which vanishes exactly for
-    j, k of different parity. In closed form (basis_mode_transform),
+
+def _parity_amplitudes(h, n_modes, u, weight=None):
+    """The amplitudes of the odd modes k = 1, 3, ... and of the even modes
+    k = 2, 4, ... of (-h, h) at the panel coordinates u = xi / (pi / (4 h)) of
+    _axis_quadrature: two contiguous blocks (ceil(n_modes / 2), len(u)) and
+    (floor(n_modes / 2), len(u)), each times ``weight`` (per node) if given.
+
+    The transforms of the odd modes are real and those of the even modes
+    imaginary, so the blocks hold the real parts of the former and the
+    imaginary parts of the latter. The form is translation invariant, so any
+    component of half-length h has the same single-component form matrix,
+    E_jk = G_j G_k, which vanishes exactly for j, k of different parity. In
+    closed form (basis_mode_transform),
 
         G_k = 2 omega_k trig_k(xi h) / (sqrt(h) (omega_k^2 - xi^2))
             = (16 sqrt(h) / pi) k trig_k(pi u / 4) / ((2k - u) (2k + u)),
@@ -294,19 +323,23 @@ def _centred_amplitudes(h, n_modes, u):
     t = 0.25 * np.pi * (u - q)
     s, c = np.sin(t), np.cos(t)
     m = (0.5 * q % 4).astype(int)  # pi u / 4 = m pi / 2 + t
-    cos_u = np.choose(m, (c, -s, -c, s))
-    sin_u = np.choose(m, (s, c, -s, -c))
+    trig = (np.choose(m, (c, -s, -c, s)), np.choose(m, (s, c, -s, -c)))  # cos, sin
     two_k = 2.0 * np.arange(1, n_modes + 1)[:, None]
-    G = (two_k - u) * (two_k + u)
-    np.divide(two_k * (8 * np.sqrt(h) / np.pi), G, out=G)
-    G[0::2] *= cos_u
-    G[1::2] *= sin_u
-    return G
+    blocks = []
+    for first, trig_u in enumerate(trig):
+        tk = two_k[first::2]
+        G = (tk - u) * (tk + u)
+        np.divide(tk * (8 * np.sqrt(h) / np.pi), G, out=G)
+        G *= trig_u
+        if weight is not None:
+            G *= weight
+        blocks.append(G)
+    return blocks
 
 
 def _axis_form(table, alpha):
     """Form matrix of an axis table (an interval union): per pair of components
-    (a, b), the Gram product of their amplitudes (_centred_amplitudes) times
+    (a, b), the Gram product of their amplitudes (_parity_amplitudes) times
     cos(xi (c_b - c_a)) on same-parity entries, +-sin on the others (+ on odd-k rows)."""
     c, h, kk, om = table
     if alpha == 2:
@@ -317,24 +350,25 @@ def _axis_form(table, alpha):
     h_min = h.min()
     u, nodes, wts, xi_max = _axis_quadrature(h_min, m)
     root_w = np.sqrt(wts * nodes**alpha)
-    same = (kk[:m, None] - kk[:m]) % 2 == 0
-    row_sign = np.where(kk[:m] % 2 == 1, 1.0, -1.0)[:, None]
+    pars = (slice(0, m, 2), slice(1, m, 2))  # the rows of odd k, of even k
     A = np.zeros((c.size, c.size))
     chunk = max(1, _CHUNK_ENTRIES // c.size)
     for i0 in range(0, nodes.size, chunk):
         xi, r = nodes[i0 : i0 + chunk], root_w[i0 : i0 + chunk]
         # the h_min grid in the panel coordinate of half-length h_a: u h_a / h_min
-        G = [_centred_amplitudes(h[a], m, u[i0 : i0 + chunk] * (h[a] / h_min)) * r
+        G = [_parity_amplitudes(h[a], m, u[i0 : i0 + chunk] * (h[a] / h_min), r)
              for a in starts]
         for i, a in enumerate(starts):
             block = A[a : a + m, a : a + m]
-            for par in (slice(0, m, 2), slice(1, m, 2)):
-                X = np.ascontiguousarray(G[i][par])
+            for par, X in zip(pars, G[i]):
                 block[par, par] += X @ X.T
             for j, b in enumerate(starts[i + 1 :], start=i + 1):
                 theta = xi * (c[b] - c[a])
-                cross = np.where(same, (G[i] * np.cos(theta)) @ G[j].T,
-                                 row_sign * ((G[i] * np.sin(theta)) @ G[j].T))
+                cos, sin = np.cos(theta), np.sin(theta)
+                cross = np.empty((m, m))
+                for p, sign in enumerate((1.0, -1.0)):
+                    cross[pars[p], pars[p]] = (G[i][p] * cos) @ G[j][p].T
+                    cross[pars[p], pars[1 - p]] = (G[i][p] * (sign * sin)) @ G[j][1 - p].T
                 A[a : a + m, b : b + m] += cross
                 A[b : b + m, a : a + m] += cross.T
     A /= np.pi
@@ -345,21 +379,37 @@ def _axis_form(table, alpha):
 
 
 def _subordination_grams(table, s):
-    """D(s) (module docstring) at every s, shape (len(s), n, n), for the axis
-    table of one interval, on the xi grid and parity blocks of _axis_form."""
+    """D(s) (module docstring) at every s (ascending), shape (len(s), n, n),
+    for the axis table of one interval, on the xi grid and parity blocks of
+    _axis_form. Per parity block only the entries j <= k are formed, then
+    mirrored. The xi nodes go in blocks of _SAT_PANELS whole panels: where
+    s xi_0^2 >= _X_SAT at the block's smallest node xi_0, the weight
+    -expm1(-s xi^2) is exactly 1 on the whole block, so those rows take the
+    block's wts-weighted product sum, added to every row from the first
+    saturated one on by one cumulative sum over s; expm1 and the Gram product
+    run only on the rows below it."""
     _, hs, kk, om = table
     h, n = hs[0], kk.size
     u, nodes, wts, xi_max = _axis_quadrature(h, n)
+    rows = [np.arange(n)[par] for par in (slice(0, n, 2), slice(1, n, 2))]
+    upper = [np.triu_indices(r.size) for r in rows]
+    live = [np.zeros((s.size, j.size)) for j, _ in upper]
+    jumps = [np.zeros((s.size + 1, j.size)) for j, _ in upper]  # row s.size: never saturated
+    step = _SAT_PANELS * _GL_NODES
+    for i0 in range(0, nodes.size, step):
+        xi, w = nodes[i0 : i0 + step], wts[i0 : i0 + step]
+        cut = np.searchsorted(s, _X_SAT / xi[0] ** 2)  # rows [cut:] saturated
+        W = -np.expm1(-np.outer(s[:cut], xi**2)) * w
+        G = _parity_amplitudes(h, n, u[i0 : i0 + step])
+        for Gp, (j, k), L, J in zip(G, upper, live, jumps):
+            products = Gp[j] * Gp[k]
+            L[:cut] += W @ products.T
+            J[cut] += products @ w
     D = np.zeros((s.size, n, n))
-    chunk = max(1, _CHUNK_ENTRIES // max(s.size, ((n + 1) // 2) ** 2))
-    for i0 in range(0, nodes.size, chunk):
-        xi = nodes[i0 : i0 + chunk]
-        W = -np.expm1(-np.outer(s, xi**2)) * wts[i0 : i0 + chunk]
-        G = _centred_amplitudes(h, n, u[i0 : i0 + chunk])
-        for par in (slice(0, n, 2), slice(1, n, 2)):
-            Gp = G[par]
-            products = (Gp[:, None] * Gp[None]).reshape(-1, xi.size)
-            D[:, par, par] += (W @ products.T).reshape(s.size, len(Gp), len(Gp))
+    for r, (j, k), L, J in zip(rows, upper, live, jumps):
+        L += np.cumsum(J[:-1], axis=0)
+        D[:, r[j], r[k]] = L
+        D[:, r[k], r[j]] = L
     D /= np.pi
     # beyond Xi: the alpha = 0 tail times the ratio of the integrals over
     # (Xi, inf) of (1 - e^(-s xi^2)) xi^-4 and of xi^-4, with x = s Xi^2

@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jn_zeros
+from scipy.special import erfc, jn_zeros
 
 from stablegap import (
     Domain,
@@ -17,13 +17,20 @@ from stablegap import (
     stable_eigenvalue_bracket,
 )
 from stablegap import eigensolver
+from stablegap._quad import log_panels
 from stablegap.eigensolver import (
     _GL_NODES,
+    _S_MAX,
+    _S_MIN,
+    _S_NODES,
+    _S_PANELS_PER_DECADE,
+    _X_SAT,
     _axis_form,
     _axis_quadrature,
     _axis_table,
     _centred_amplitudes,
     _sine_basis,
+    _subordination_grams,
     _tail_integrals,
     basis_mode_transform,
     evaluate_basis_sum,
@@ -234,6 +241,96 @@ def _sinc_gram_form(table, alpha):
         own = slice(a, a + m)
         ref[own, own] += _tail_integrals(om[own], k[own], h[a], alpha, xi_max)
     return 0.5 * (ref + ref.T)
+
+
+def _interleaved_axis_form(table, alpha):
+    # the single-interval axis form from the interleaved amplitude rows of
+    # _centred_amplitudes: weighted after they are built, and each parity's
+    # rows gathered into a contiguous copy for its Gram product
+    _, h, k, om = table
+    m = k.size
+    u, xi, w, xi_max = _axis_quadrature(h[0], m)
+    root_w = np.sqrt(w * xi**alpha)
+    A = np.zeros((m, m))
+    chunk = max(1, eigensolver._CHUNK_ENTRIES // m)
+    for i0 in range(0, xi.size, chunk):
+        G = _centred_amplitudes(h[0], m, u[i0 : i0 + chunk]) * root_w[i0 : i0 + chunk]
+        for par in (slice(0, m, 2), slice(1, m, 2)):
+            X = np.ascontiguousarray(G[par])
+            A[par, par] += X @ X.T
+    A /= np.pi
+    A += _tail_integrals(om, k, h[0], alpha, xi_max)
+    return 0.5 * (A + A.T)
+
+
+def _dense_subordination_grams(table, s):
+    # D(s) with expm1 and the Gram product on every (s, xi) entry and on
+    # every pair (j, k) of a parity block, saturated or not
+    _, hs, kk, om = table
+    h, n = hs[0], kk.size
+    u, nodes, wts, xi_max = _axis_quadrature(h, n)
+    D = np.zeros((s.size, n, n))
+    chunk = max(1, eigensolver._CHUNK_ENTRIES // max(s.size, ((n + 1) // 2) ** 2))
+    for i0 in range(0, nodes.size, chunk):
+        xi = nodes[i0 : i0 + chunk]
+        W = -np.expm1(-np.outer(s, xi**2)) * wts[i0 : i0 + chunk]
+        G = _centred_amplitudes(h, n, u[i0 : i0 + chunk])
+        for par in (slice(0, n, 2), slice(1, n, 2)):
+            Gp = G[par]
+            products = (Gp[:, None] * Gp[None]).reshape(-1, xi.size)
+            D[:, par, par] += (W @ products.T).reshape(s.size, len(Gp), len(Gp))
+    D /= np.pi
+    x = s * xi_max**2
+    ramp = -np.expm1(-x) + 2 * x * np.exp(-x) - 2 * np.sqrt(np.pi) * x**1.5 * erfc(np.sqrt(x))
+    D += ramp[:, None, None] * _tail_integrals(om, kk, h, 0.0, xi_max)
+    return D
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [16, 64])
+def test_parity_blocks_keep_the_interval_form_bits(n, alpha):
+    # the parity rows built contiguously with the root weights folded in take
+    # the same operations in the same order as the interleaved rows
+    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), n).meta
+    assert np.array_equal(_axis_form(table, alpha), _interleaved_axis_form(table, alpha))
+
+
+def test_saturation_threshold_rounds_to_one():
+    assert -np.expm1(-_X_SAT) == 1.0
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("h", [1.0, 2.0])
+def test_subordination_grams_match_the_dense_evaluation(h, n):
+    # saturated rows summed per xi block and upper-triangle products against
+    # expm1 on every entry: the same sums in another order
+    (table,) = _sine_basis(Domain.interval(-h, h), n).meta
+    s, _ = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
+    ref = _dense_subordination_grams(table, s)
+    D = _subordination_grams(table, s)
+    assert np.max(np.abs(D - ref)) <= 4e-15 * np.max(np.abs(ref))
+    assert np.array_equal(D, D.transpose(0, 2, 1))
+    assert np.array_equal(D == 0.0, ref == 0.0)
+
+
+def test_square_builds_each_axis_once(monkeypatch):
+    # the two axes of a square share one axis table, so one form and one Gram
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kw):
+            calls.append(fn.__name__)
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(eigensolver, "_axis_form", counted(_axis_form))
+    monkeypatch.setattr(eigensolver, "_subordination_grams", counted(_subordination_grams))
+    square = solve_spectrum(Domain.rectangle(-1.0, 1.0, -1.0, 1.0), 1.0, 8)
+    assert sorted(calls) == ["_axis_form", "_subordination_grams"]
+    calls.clear()
+    rect = solve_spectrum(Domain.rectangle(-1.0, 1.0, -1.0 - 1e-9, 1.0 + 1e-9), 1.0, 8)
+    assert len(calls) == 4
+    np.testing.assert_allclose(square.eigenvalues, rect.eigenvalues, rtol=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])

@@ -1,13 +1,19 @@
 """Weighted Poincare quotients, log-concavity, skeleton survival, and the
 exponential-weight derivative inequality."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stablegap
 from stablegap import (
     Domain,
+    NumericalBudgetError,
     UnsupportedConfigurationError,
     ValidationError,
     WeightProfile,
@@ -60,6 +66,41 @@ def test_length_must_match_the_profile(l):
     with pytest.raises(ValidationError, match="half-extent"):
         min_antisymmetric_quotient(flat, l)
     assert min_antisymmetric_quotient(flat, 2.0 * (1 + 1e-10)).passed
+
+
+@pytest.mark.parametrize("l", [1.0, 2.0])
+def test_flat_weight_meets_the_p1_eigenvalue(l):
+    # on n uniform cells of (0, l), with f(0) = 0 and a free end, the P1 pencil
+    # has the eigenvector sin(i theta), theta = pi h / (2 l), and the eigenvalue
+    # (6 / h^2) 2 sin^2(theta / 2) / (2 + cos theta)
+    flat = WeightProfile.from_function(lambda x: np.ones_like(x), l)
+    h = l / (flat.grid.size // 2)
+    theta = np.pi * h / (2 * l)
+    exact = 6 * 2 * np.sin(theta / 2) ** 2 / (h**2 * (2 + np.cos(theta)))
+    assert abs(min_antisymmetric_quotient(flat, l).quotient - exact) <= 1e-13
+
+
+def test_quotient_iteration_is_capped(monkeypatch):
+    # two steps are still descending on a Gaussian weight
+    from stablegap import poincare
+
+    monkeypatch.setattr(poincare, "_QUOTIENT_STEPS", 2)
+    gauss = WeightProfile.from_function(lambda x: np.exp(-(x**2)), 1.0)
+    with pytest.raises(NumericalBudgetError, match="still descending after 2 steps"):
+        min_antisymmetric_quotient(gauss, 1.0)
+
+
+def test_import_leaves_out_scipy_sparse():
+    # the quotient runs on LAPACK's tridiagonal solver: scipy.sparse (and with
+    # it ARPACK, whose threaded BLAS is a second pool beside numpy's) stays out
+    src = str(Path(stablegap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, stablegap; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_gaussian_weight_beats_flat_constant():
@@ -211,6 +252,12 @@ def test_skeleton_survival_validation(interval_domain):
         skeleton_survival(interval_domain, 0.0, [1.0, 0.5])  # not increasing
     with pytest.raises(UnsupportedConfigurationError):
         skeleton_survival(interval_domain, 0.0, [1, 2, 3, 4, 5])
+
+
+@pytest.mark.parametrize("times", [[], np.array([])])
+def test_skeleton_survival_rejects_no_times(interval_domain, times):
+    with pytest.raises(ValidationError, match="nonempty"):
+        skeleton_survival(interval_domain, 0.0, times)
 
 
 def test_segment_log_concavity(interval_domain):
