@@ -247,6 +247,7 @@ def cmd_mc(args):
             "record_stride": mc.McConfig.record_stride,
             "streams": mc.stream_count(configs["dt"]),
             "bit_generator": mc.BIT_GENERATOR.__name__,
+            "draw_entries": mc.DRAW_ENTRIES,
         },
         "estimates": estimates,
         "galerkin": galerkin,

@@ -405,8 +405,9 @@ def test_csv_mode_checked_against_basis_size_before_solving(domain, n, n_report,
 @pytest.mark.parametrize(
     "extra, message",
     [(["--start", "5"], "lie in D"), (["--paths", "0"], "paths"),
-     (["--dt", "4", "--t-max", "3"], "dt < t_max")],
-    ids=["start-outside", "no-paths", "dt-too-large"],
+     (["--dt", "4", "--t-max", "3"], "dt < t_max"),
+     (["--dt", "1e-3", "--t-max", "0.005"], "record stride")],
+    ids=["start-outside", "no-paths", "dt-too-large", "shorter-than-a-stride"],
 )
 def test_mc_invalid_configuration_exits_before_solving(extra, message, monkeypatch, capsys):
     # dt and dt/2 are both validated, and the start point checked, before the
@@ -440,6 +441,8 @@ def test_mc_small_run(tmp_path, capsys):
     assert doc["config"]["streams"] == 2
     assert doc["config"]["bit_generator"] == "SFC64"
     assert doc["config"]["record_stride"] == 10
+    # and the chunk size the steps are drawn in, on which the tallies depend
+    assert doc["config"]["draw_entries"] == stablegap.montecarlo.DRAW_ENTRIES == 1 << 17
     assert doc["estimates"]["dt"]["lambda1"]["value"] > 0
     assert "dt_half" in doc["estimates"]
     assert "z_score" in doc["galerkin"]

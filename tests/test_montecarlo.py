@@ -58,6 +58,22 @@ def test_config_validation():
     McConfig(paths=np.int32(1000), partitions=np.int64(10), record_stride=np.int8(5)).validate()
 
 
+@pytest.mark.parametrize("t_max, dt, stride",
+                         [(0.005, 1e-3, 10), (0.3, 0.1, 4), (0.0999, 0.01, 10)],
+                         ids=["half-a-stride", "three-of-four-steps", "just-below-a-stride"])
+def test_config_rejects_a_skeleton_shorter_than_one_stride(interval, t_max, dt, stride):
+    # with fewer steps than one record stride there is no record time, and
+    # simulate_skeleton returned a curve with no times
+    cfg = McConfig(paths=10, dt=dt, t_max=t_max, record_stride=stride)
+    with pytest.raises(ValidationError, match="record stride"):
+        cfg.validate()
+    with pytest.raises(ValidationError, match="record stride"):
+        simulate_skeleton(interval, 0.5, cfg)
+    # one whole stride is enough: 0.01 / 1e-3 is 9.999999999999998
+    curve = simulate_skeleton(interval, 0.5, McConfig(paths=10, dt=1e-3, t_max=0.01))
+    assert curve.times.tolist() == [0.01]
+
+
 def test_survival_curve_shape_and_monotonicity(base_curve):
     s = base_curve.survival
     assert s[0] <= 1.0
@@ -87,14 +103,16 @@ def _tally_digest(curve):
 # sha256 of (times, counts, plus, minus); recorded with numpy 2.4.6, whose
 # SFC64 stream and random/exponential/normal transforms they depend on.
 # The stream is that of two SFC64 keys spawned from the seed, one per block
-# of partitions, each drawing a record stride of steps at once in row chunks.
-# The interval pins are those of the direct stable steps (one uniform per
-# step at alpha = 1, a uniform and an exponential at 1.5); the rectangle pin
-# is that of the subordinated Gaussian step
+# of partitions, each drawing a record stride of steps at once in row chunks
+# of at most DRAW_ENTRIES = 1 << 17 entries, and as many whole records as fit
+# in one chunk once two strides of the survivors fit. The interval pins are
+# those of the direct stable steps (one uniform per step at alpha = 1, a
+# uniform and an exponential at 1.5); the rectangle pin is that of the
+# subordinated Gaussian step
 STREAM_PINS = {
-    "interval-alpha1": "c7df0b3c49c017cd9fe79ff081070fd25cdfdfe08a0483dc18986c7685282e47",
-    "rect-alpha1": "2080a4647ee2144c9f00743f55f9743d8316f63bf8c5a9ab6f896cdf29324ea3",
-    "interval-alpha1.5": "73a7ca7f7efca6687a7e51d9280022be9e727e49262ffaaa457d2fac2eae19a7",
+    "interval-alpha1": "d22a1974236a285ac0df318ef8ce12b98d40fa4c85ce5804d7d488794bef153c",
+    "rect-alpha1": "e095c575ec1732037ec3cf9bdee82c061eaafe9d3c3a3d5cf9ce5b9d57375123",
+    "interval-alpha1.5": "4e8f40bfb7e9cd4934e88579116e6f13e68894fdaa41be0b1ed2ff10a89527c7",
 }
 
 
@@ -151,13 +169,16 @@ def test_lambda1_alpha2_against_shifted_barrier(interval):
     assert abs(est.value - oracle) < 4 * est.stderr
 
 
-@pytest.mark.parametrize("case", ["interval-alpha1", "interval-alpha1.5", "rect-alpha1"])
+@pytest.mark.parametrize("case", ["interval-alpha1", "interval-alpha1.5", "rect-alpha1",
+                                  "interval-alpha1-tail", "rect-alpha1-tail"])
 def test_tallies_identical_on_one_thread(case, interval, rect_domain, monkeypatch):
     # each stream writes only its own partitions' rows, so the tallies do not
-    # depend on how many threads the streams share
-    domain, x = (rect_domain, np.array([0.5, 0.0])) if case == "rect-alpha1" else (interval, 0.5)
-    cfg = McConfig(alpha=1.5 if case.endswith("1.5") else 1.0, paths=20_000, dt=2e-3,
-                   t_max=1.0, seed=13)
+    # depend on how many threads the streams share; the tail cases run 2 000
+    # paths a stream to t = 4, drawn in chunks of whole records throughout
+    domain, x = (rect_domain, np.array([0.5, 0.0])) if case.startswith("rect") else (interval, 0.5)
+    tail = case.endswith("-tail")
+    cfg = McConfig(alpha=1.5 if case.endswith("1.5") else 1.0, paths=4_000 if tail else 20_000,
+                   dt=2e-3, t_max=4.0 if tail else 1.0, seed=13)
     default = simulate_skeleton(domain, x, cfg)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
     one = simulate_skeleton(domain, x, cfg)
@@ -244,6 +265,125 @@ def test_tally_matches_three_bincounts(parts):
         if parts.start <= p < parts.stop:
             q = p - parts.start
             assert (counts[q], plus[q], minus[q]) == (alive, right, left), p
+
+
+@pytest.mark.parametrize("parts", [slice(0, 6), slice(2, 6), slice(4, 9)],
+                         ids=["first-block", "later-block", "empty-tail"])
+@pytest.mark.parametrize("records", [1, 2, 5])
+def test_tally_over_records_matches_one_bincount_per_record(parts, records):
+    # the tally of k records from one bincount keyed by record, against the
+    # three bincounts of each record's survivors on their own
+    rng = np.random.default_rng(records)
+    part = np.repeat(np.arange(parts.start, parts.stop, dtype=np.int32), 3)[::2]
+    x1 = rng.choice([-0.5, -1e-300, 0.0, 1e-300, 0.4], size=(records, part.size))
+    alive = np.logical_and.accumulate(rng.random((records, part.size)) < 0.8, axis=0)
+    got = montecarlo._tally(part, x1, parts, alive)
+    width = parts.stop - parts.start
+    for name, g in zip(("counts", "plus", "minus"), got):
+        assert g.shape == (width, records), name
+    for r in range(records):
+        sel = alive[r]
+        expected = [np.bincount(part[sel][keep], minlength=parts.stop)[parts]
+                    for keep in (slice(None), x1[r, sel] > 0, x1[r, sel] < 0)]
+        for name, g, e in zip(("counts", "plus", "minus"), got, expected):
+            assert np.array_equal(g[:, r], e), (name, r)
+
+
+class _ScriptedSteps:
+    """_draw_steps stand-in that hands path i the increments inc[:, i] in
+    order. It follows the compaction of the stream it feeds by stepping every
+    path itself: when the stream asks for fewer columns, the paths it kept are
+    those still alive at the last step drawn."""
+
+    def __init__(self, domain, x, inc):
+        self.inc, self.step, self.shapes = inc, 0, []
+        self.ids = np.arange(inc.shape[1])
+        self.alive = np.logical_and.accumulate(domain.contains(_running(x, inc)), axis=0)
+
+    def __call__(self, cfg, dim, rng, shape):
+        rows, m = shape
+        if m < len(self.ids):
+            self.ids = self.ids[self.alive[self.step - 1, self.ids]]
+        assert len(self.ids) == m
+        self.shapes.append(shape)
+        out = self.inc[self.step : self.step + rows, self.ids].copy()
+        self.step += rows
+        return out
+
+
+def _running(x, inc):
+    # positions after each step, summed one step at a time
+    path = inc.copy()
+    path[0] += x
+    for j in range(1, len(path)):
+        path[j] += path[j - 1]
+    return path
+
+
+def _per_step_tallies(domain, x, cfg, inc):
+    # the tallies of paths observed at every step, killed at their first
+    # step outside D, and counted at every record_stride-th step
+    path = _running(x, inc)
+    alive = np.logical_and.accumulate(domain.contains(path), axis=0)
+    stride = cfg.record_stride
+    rec = slice(stride - 1, len(inc) - len(inc) % stride, stride)
+    part = np.arange(cfg.paths) * cfg.partitions // cfg.paths
+    tallies = []
+    for keep in (alive[rec], alive[rec] & (path[rec] > 0), alive[rec] & (path[rec] < 0)):
+        tallies.append(np.stack([np.bincount(part[k], minlength=cfg.partitions) for k in keep],
+                                axis=1))
+    return tallies
+
+
+@pytest.mark.parametrize("paths, draw_entries",
+                         [(60, montecarlo.DRAW_ENTRIES), (60, 300), (600, montecarlo.DRAW_ENTRIES)],
+                         ids=["one-narrow-chunk", "row-chunks-first", "one-wide-chunk"])
+def test_path_that_leaves_and_returns_inside_a_chunk_stays_dead(interval, paths, draw_entries,
+                                                                 monkeypatch):
+    # path 0 sits at 0.5 until step 53, jumps to 1.5 (outside D) and is back
+    # at 0.5 after step 54; its record time is step 59. With the whole run in
+    # one chunk (60 paths take the numpy accumulations, 600 the row loops),
+    # and with row chunks of 5 steps until 15 of 60 paths are left and whole
+    # records after that, the tallies are those of stepping every path one
+    # step at a time, and path 0 is dead from step 59 on
+    cfg = McConfig(alpha=1.0, paths=paths, dt=0.01, t_max=2.0, seed=1, partitions=3)
+    inc = np.random.default_rng(5).normal(0.0, 0.1, size=(200, cfg.paths))
+    inc[:, 0] = 0.0
+    inc[53, 0], inc[54, 0] = 1.0, -1.0
+    steps = _ScriptedSteps(interval, 0.5, inc)
+    monkeypatch.setattr(montecarlo, "_STREAMS", 1)
+    monkeypatch.setattr(montecarlo, "DRAW_ENTRIES", draw_entries)
+    monkeypatch.setattr(montecarlo, "_draw_steps", steps)
+    curve = simulate_skeleton(interval, 0.5, cfg)
+    if draw_entries == 300:
+        assert steps.shapes[0] == (5, 60) and steps.shapes[-1][0] >= 2 * cfg.record_stride
+    else:
+        assert steps.shapes == [(200, paths)]
+    expected = _per_step_tallies(interval, 0.5, cfg, inc)
+    for name, got, want in zip(("counts", "plus", "minus"), (curve.counts, curve.plus, curve.minus),
+                               expected):
+        assert np.array_equal(got, want), name
+    # against the same paths without the excursion, partition 0 has one path
+    # fewer from the record at step 59 on, and the same count before it
+    inc[53, 0] = inc[54, 0] = 0.0
+    stays = _per_step_tallies(interval, 0.5, cfg, inc)[0]
+    lost = stays[0] - curve.counts[0]
+    assert lost.tolist() == [0] * 5 + [1] * 15
+    assert np.array_equal(stays[1:], curve.counts[1:])
+    assert curve.counts[:, -1].sum() < cfg.paths - 1  # other paths die too
+
+
+def test_record_times_inside_one_chunk_match_the_oracle(interval):
+    # 40 000 paths, two streams of 20 000, a stride of one step: a chunk holds
+    # six records, so all four record times come from one chunk, each the
+    # skeleton probability of the observations up to it
+    cfg = McConfig(alpha=1.0, paths=40_000, dt=0.25, t_max=1.0, seed=17, record_stride=1)
+    assert montecarlo.DRAW_ENTRIES // (cfg.record_stride * cfg.paths // 2) >= 4
+    curve = survival_curve(interval, 0.5, cfg)
+    assert curve.times.tolist() == [0.25, 0.5, 0.75, 1.0]
+    for j in range(4):
+        oracle = skeleton_survival(interval, 0.5, curve.times[: j + 1])
+        assert abs(curve.survival[j] - oracle) < 4 * curve.stderr[j], curve.times[j]
 
 
 def test_monitoring_inside_a_record_stride(interval):
