@@ -1,7 +1,8 @@
 """Command-line interface: spectra, gap checks, Monte Carlo runs, reports.
 
-Exit codes: 0 success, 2 invalid input or unsupported configuration,
-3 numeric budget or estimation failure. All file outputs are written
+Exit codes: 0 success, 2 invalid input or unsupported configuration (an
+output path in a missing directory, or a failed write, among them), 3
+numeric budget or estimation failure. All file outputs are written
 atomically (temp file + rename), UTF-8, with sorted JSON keys, a top-level
 "schema": 1, and a full echo of the resolved configuration; reruns with the
 same arguments (and seed, for stochastic commands) are byte-identical.
@@ -68,17 +69,35 @@ def parse_domain(text):
     raise ValidationError(f"bad domain spec {text!r}")
 
 
+def _output_dir(path):
+    return os.path.dirname(os.path.abspath(path))
+
+
+def _check_output_dirs(args):
+    """ValidationError unless the directory of every output file that args
+    name exists, so that a bad path fails before any solve or simulation."""
+    paths = [getattr(args, name, None) for name in ("out", "csv")]
+    if getattr(args, "plot_prefix", None):
+        paths.append(args.plot_prefix + "_lower.dat")
+    for path in filter(None, paths):
+        if not os.path.isdir(_output_dir(path)):
+            raise ValidationError(f"no directory {_output_dir(path)} to write {path} in")
+
+
 def _write_atomic(path, data):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    # an OSError (no permission, a full disk, a directory removed since
+    # _check_output_dirs) is a ValidationError: exit 2, no traceback
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=_output_dir(path), prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_json(obj, path):
@@ -386,6 +405,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (ValidationError, UnsupportedConfigurationError) as exc:
         sys.stderr.write(f"error: {exc}\n")

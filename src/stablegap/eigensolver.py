@@ -286,16 +286,6 @@ def _kron(factors, weights):
     return out.reshape(np.prod(out.shape[: len(rows)]), -1)
 
 
-def _centred_amplitudes(h, n_modes, u):
-    """Real amplitudes G (n_modes, len(u)) of the sine modes of (-h, h) at the
-    panel coordinates u = xi / (pi / (4 h)) of _axis_quadrature, in the row
-    order of basis_mode_transform: the two blocks of _parity_amplitudes
-    interleaved."""
-    G = np.empty((n_modes, np.size(u)))
-    G[0::2], G[1::2] = _parity_amplitudes(h, n_modes, u)
-    return G
-
-
 def _parity_amplitudes(h, n_modes, u, weight=None):
     """The amplitudes of the odd modes k = 1, 3, ... and of the even modes
     k = 2, 4, ... of (-h, h) at the panel coordinates u = xi / (pi / (4 h)) of

@@ -16,10 +16,10 @@ one partition), each driven by its own SFC64 stream (Doty-Humphrey's Small
 Fast Chaotic generator: 256 bits of state, one of them a counter, so a
 period of at least 2^64) seeded by a child of SeedSequence(seed), and
 simulated on its own thread where the process has a second CPU. A stream
-draws the steps of a record stride for all of its survivors at once, and
-once few paths survive, the steps of as many whole records as fit in
-DRAW_ENTRIES; so the tallies depend on the seed, the stride, DRAW_ENTRIES
-and the block layout, never on the thread count.
+draws the steps of as many whole records of all of its survivors as fit in
+DRAW_ENTRIES, at least one, in pieces of at most DRAW_ENTRIES entries; so
+the tallies depend on the seed, the stride, DRAW_ENTRIES and the block
+layout, never on the thread count.
 
 Long-time behavior of the survival curve gives lambda_1 and phi_1; the
 signed occupation ratio
@@ -145,22 +145,22 @@ _STREAMS = 2
 # 1.5 ns each on one thread, against 3.6 ns for Philox
 BIT_GENERATOR = np.random.SFC64
 # the steps are drawn in chunks of at most this many entries (1 MB of
-# float64). While two record strides of a stream's survivors do not fit, it
-# draws one record at a time in row chunks; once they fit, it draws as many
-# whole records as fit as one chunk, and a path that dies inside the chunk
-# draws to its end. Fewer, larger numpy calls leave the two streams less
-# per-call work to take turns on the interpreter lock for: the 50 000-path
-# curves at dt = 1e-3 and 5e-4 took 0.36 s on two threads of a 2-core Xeon
-# with 1 << 16 entries, 0.33 s with 1 << 17 and 0.34 s with 1 << 18, and
-# 1 << 17 raises the peak RSS of that benchmark by 2 to 3.5%
+# float64). A stream draws as many whole records of its survivors as fit as
+# one chunk, and a path that dies inside the chunk draws to its end; while
+# not even one record fits, it draws that record in pieces of as many steps
+# as fit. Fewer, larger numpy calls leave the two streams less per-call work
+# to take turns on the interpreter lock for: the 50 000-path curves at
+# dt = 1e-3 and 5e-4 took 0.36 s on two threads of a 2-core Xeon with
+# 1 << 16 entries, 0.33 s with 1 << 17 and 0.34 s with 1 << 18, and 1 << 17
+# raises the peak RSS of that benchmark by 2 to 3.5%
 DRAW_ENTRIES = 1 << 17
 # a chunk at least this many entries a step wide runs its running sums (the
 # positions over its steps, the alive masks over its records) as a loop of
-# row operations, a narrower one as one numpy accumulation along the first
-# axis (np.cumsum, np.logical_and.accumulate), which gives the same bits. An
-# accumulation costs about 2 ns an entry there, a row operation about 0.7 ns
-# an entry and 0.5 us a call: np.cumsum halves a 400-path run to t = 6,
-# and the loop saves 50 us on each chunk of two records of 5 000 paths
+# row operations, a narrower one as one ufunc accumulation along the first
+# axis, which gives the same bits. An accumulation costs about 2 ns an entry
+# there, a row operation about 0.7 ns an entry and 0.5 us a call: the
+# accumulation halves a 400-path run to t = 6, and the loop saves 50 us on
+# each chunk of two records of 5 000 paths
 _ROW_LOOP_WIDTH = 256
 
 
@@ -184,34 +184,29 @@ def _draw_steps(cfg, dim, rng, shape):
     return step
 
 
-def _tally(part, x1, parts, alive=None):
-    """Alive, plus and minus counts of the survivors in the partitions of the
-    slice `parts`, given each survivor's partition and first coordinate, from
-    one bincount keyed 3 part + sign(x1) + 1: a survivor at x1 = 0 is alive
-    but in neither half. Given x1 at k record times, shape (k, paths), and
-    the mask `alive` of the paths alive at each, the key also holds the
-    record and each count has shape (partitions, k)."""
-    key = 3 * part + (x1 > 0) - (x1 < 0) + 1
-    if alive is None:
-        n = np.bincount(key, minlength=3 * parts.stop)[3 * parts.start :].reshape(-1, 3)
-    else:
-        k = len(x1)
-        key = key + 3 * parts.stop * np.arange(k)[:, None]
-        n = np.bincount(key[alive], minlength=3 * parts.stop * k)
-        n = n.reshape(k, parts.stop, 3)[:, parts.start :].swapaxes(0, 1)
+def _tally(key, x1, width, alive):
+    """Alive, plus and minus counts of shape (width, k) at k record times,
+    given each path's key 3 q + 1, q its partition's place among the width
+    partitions of its stream, its first coordinate x1 at each record time,
+    shape (k, paths), and the mask `alive` of the paths alive at each. One
+    bincount keyed by record and 3 q + sign(x1) + 1: a survivor at x1 = 0 is
+    alive but in neither half."""
+    k = len(x1)
+    key = key + (x1 > 0) - (x1 < 0) + 3 * width * np.arange(k)[:, None]
+    n = np.bincount(key[alive], minlength=3 * width * k).reshape(k, width, 3).swapaxes(0, 1)
     return n.sum(axis=-1), n[..., 2], n[..., 0]
 
 
-def _positions(path, pos):
-    """The positions after each step, written over the increments `path`
-    (steps first) of paths that start from pos: a running sum over the
-    steps."""
-    path[0] += pos
-    if pos.size < _ROW_LOOP_WIDTH:
-        return np.cumsum(path, axis=0, out=path)
-    for j in range(1, len(path)):
-        path[j] += path[j - 1]
-    return path
+def _accumulate(ufunc, a):
+    """The running ufunc of `a` along its first axis, written over it: a
+    loop of row operations when a row holds at least _ROW_LOOP_WIDTH
+    entries, else one ufunc.accumulate, which gives the same bits."""
+    if a[0].size < _ROW_LOOP_WIDTH:
+        return ufunc.accumulate(a, axis=0, out=a)
+    for j in range(1, len(a)):
+        # out positionally: the keyword form costs about 20 ns more a call
+        ufunc(a[j], a[j - 1], a[j])
+    return a
 
 
 def _simulate_stream(domain, x, cfg, rng, paths, parts, tallies):
@@ -219,39 +214,31 @@ def _simulate_stream(domain, x, cfg, rng, paths, parts, tallies):
     in the slice `parts`, from rng, and write those partitions' rows of the
     tallies (counts, plus, minus) at each record time."""
     dim, stride, records = domain.dim, cfg.record_stride, tallies[0].shape[1]
-    part = (np.arange(paths.start, paths.stop) * cfg.partitions // cfg.paths).astype(np.int32)
+    part = np.arange(paths.start, paths.stop) * cfg.partitions // cfg.paths - parts.start
+    key = (3 * part + 1).astype(np.int32)
     pos = np.tile(x, (len(paths), 1)) if dim > 1 else np.full(len(paths), x[0])
     r = 0
-    while r < records and len(part):
-        k = min(records - r, DRAW_ENTRIES // (stride * pos.size))
-        if k < 2:
-            # one record in row chunks
-            k, alive = 1, np.ones(len(part), dtype=bool)
-            rows = max(1, DRAW_ENTRIES // pos.size)
-            for j0 in range(0, stride, rows):
-                steps = _draw_steps(cfg, dim, rng, (min(rows, stride - j0), len(part)))
-                path = _positions(steps, pos)
-                # a path dies at the first skeleton time it is outside D
-                alive &= domain.contains(path).all(axis=0)
-                pos = path[-1]
-            pos, part = pos[alive], part[alive]
-            columns = [c[:, None] for c in _tally(part, pos if dim == 1 else pos[:, 0], parts)]
-        else:
-            # k whole records in one chunk: a path is alive at a record time
-            # if it was inside D at every step up to it, so one that leaves
-            # and comes back inside the chunk stays dead
-            path = _positions(_draw_steps(cfg, dim, rng, (k * stride, len(part))), pos)
-            alive = domain.contains(path).reshape(k, stride, -1).all(axis=1)
-            if pos.size < _ROW_LOOP_WIDTH:
-                np.logical_and.accumulate(alive, axis=0, out=alive)
-            else:
-                for i in range(1, k):
-                    alive[i] &= alive[i - 1]
-            ends = path[stride - 1 :: stride]
-            columns = _tally(part, ends if dim == 1 else ends[..., 0], parts, alive)
-            pos, part = path[-1][alive[-1]], part[alive[-1]]
+    while r < records and len(key):
+        # k whole records, drawn as one chunk if they fit in DRAW_ENTRIES,
+        # else the one record in pieces of as many rows as fit
+        m = len(key)
+        k = max(1, min(records - r, DRAW_ENTRIES // pos.size // stride))
+        rows = max(1, DRAW_ENTRIES // pos.size)
+        # a path is alive at a record time if it was inside D at every step
+        # up to it, so one that leaves and comes back inside a chunk stays dead
+        alive = np.ones((k, m), dtype=bool)
+        for j0 in range(0, k * stride, rows):
+            path = _draw_steps(cfg, dim, rng, (min(rows, k * stride - j0), m))
+            path[0] += pos
+            _accumulate(np.add, path)
+            alive &= domain.contains(path).reshape(k, -1, m).all(axis=1)
+            pos = path[-1]
+        _accumulate(np.logical_and, alive)
+        ends = path[(1 - k) * stride - 1 :: stride]
+        columns = _tally(key, ends if dim == 1 else ends[..., 0], parts.stop - parts.start, alive)
         for tally, column in zip(tallies, columns):
             tally[parts, r : r + k] = column
+        pos, key = pos[alive[-1]], key[alive[-1]]
         r += k
 
 
@@ -263,15 +250,15 @@ def simulate_skeleton(domain, x, cfg):
     block's paths are driven by its own BIT_GENERATOR (SFC64) stream, seeded
     by a child of SeedSequence(cfg.seed), and only its own tally rows are
     written. Streams past the first run on worker threads, one per further
-    CPU. Each stream draws the steps of a record stride for all of its
-    survivors at once, in row chunks of at most DRAW_ENTRIES entries; once
-    two strides of its survivors fit in DRAW_ENTRIES, it draws as many whole
-    records as fit as one chunk. A 1D step with alpha < 2 is one stable draw
-    (sample_stable_increment), any other step a Gaussian of variance 2 dS per
-    coordinate, dS a subordinator draw, or dt at alpha = 2. A path dies at
-    the first skeleton time it is outside D; paths that die inside a chunk
-    still draw the rest of it, and the dead are compacted away at its end, a
-    record time. Steps after the last record time are not drawn.
+    CPU. Each stream draws the steps of as many whole records of all of its
+    survivors as fit in DRAW_ENTRIES as one chunk; while not even one record
+    fits, it draws that record in pieces of as many steps as fit. A 1D step
+    with alpha < 2 is one stable draw (sample_stable_increment), any other
+    step a Gaussian of variance 2 dS per coordinate, dS a subordinator draw,
+    or dt at alpha = 2. A path dies at the first skeleton time it is outside
+    D; paths that die inside a chunk still draw the rest of it, and the dead
+    are compacted away at its end, a record time. Steps after the last
+    record time are not drawn.
     """
     cfg.validate()
     dim = domain.dim

@@ -321,6 +321,43 @@ def test_gap_check_interval_stdout_ignores_blas_threads(tmp_path):
 # ---------------- mc ----------------
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["eig", "--domain", "interval:-1,1", "--n", "8"], "--out"),
+    (["eig", "--domain", "interval:-1,1", "--n", "8"], "--csv"),
+    (["gap-check", "--domain", "interval:-1,1", "--n", "8"], "--out"),
+    (["mc", "--domain", "interval:-1,1", "--paths", "100", "--seed", "1"], "--csv"),
+    (["report", "--domain", "interval:-1,1", "--n", "8", "--sweep", "1,2"], "--plot-prefix"),
+], ids=["eig-out", "eig-csv", "gap-check-out", "mc-csv", "report-plot-prefix"])
+def test_missing_output_dir_exits_2(argv, flag, monkeypatch, capsys, tmp_path):
+    # an output path in a directory that does not exist is refused before any
+    # solve or simulation, with no traceback and nothing on stdout
+    def no_run(*args, **kwargs):
+        raise AssertionError("a solve or simulation ran")
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", no_run)
+    monkeypatch.setattr(stablegap.montecarlo, "survival_curve", no_run)
+    missing = tmp_path / "missing" / "f"
+    code, out, err = run_cli(argv + [flag, str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing.parent) in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_exits_2(capsys, tmp_path):
+    # a write that fails after the run (here onto a directory) exits 2 and
+    # leaves no temporary file behind
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, err = run_cli(["report", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ") and str(target) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+
+
 def test_mc_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--domain", "interval:-1,1"])

@@ -28,7 +28,7 @@ from stablegap.eigensolver import (
     _axis_form,
     _axis_quadrature,
     _axis_table,
-    _centred_amplitudes,
+    _parity_amplitudes,
     _sine_basis,
     _subordination_grams,
     _tail_integrals,
@@ -241,6 +241,15 @@ def _sinc_gram_form(table, alpha):
         own = slice(a, a + m)
         ref[own, own] += _tail_integrals(om[own], k[own], h[a], alpha, xi_max)
     return 0.5 * (ref + ref.T)
+
+
+def _centred_amplitudes(h, n_modes, u):
+    # the real amplitudes (n_modes, len(u)) of the sine modes of (-h, h) at
+    # the panel coordinates u of _axis_quadrature, in the row order of
+    # basis_mode_transform: the two blocks of _parity_amplitudes interleaved
+    G = np.empty((n_modes, np.size(u)))
+    G[0::2], G[1::2] = _parity_amplitudes(h, n_modes, u)
+    return G
 
 
 def _interleaved_axis_form(table, alpha):

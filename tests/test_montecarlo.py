@@ -103,12 +103,12 @@ def _tally_digest(curve):
 # sha256 of (times, counts, plus, minus); recorded with numpy 2.4.6, whose
 # SFC64 stream and random/exponential/normal transforms they depend on.
 # The stream is that of two SFC64 keys spawned from the seed, one per block
-# of partitions, each drawing a record stride of steps at once in row chunks
-# of at most DRAW_ENTRIES = 1 << 17 entries, and as many whole records as fit
-# in one chunk once two strides of the survivors fit. The interval pins are
-# those of the direct stable steps (one uniform per step at alpha = 1, a
-# uniform and an exponential at 1.5); the rectangle pin is that of the
-# subordinated Gaussian step
+# of partitions, each drawing as many whole records of its survivors as fit
+# in DRAW_ENTRIES = 1 << 17 entries as one chunk, and while not even one
+# record fits, that record in pieces of as many steps as fit. The interval
+# pins are those of the direct stable steps (one uniform per step at
+# alpha = 1, a uniform and an exponential at 1.5); the rectangle pin is that
+# of the subordinated Gaussian step
 STREAM_PINS = {
     "interval-alpha1": "d22a1974236a285ac0df318ef8ce12b98d40fa4c85ce5804d7d488794bef153c",
     "rect-alpha1": "e095c575ec1732037ec3cf9bdee82c061eaafe9d3c3a3d5cf9ce5b9d57375123",
@@ -253,11 +253,15 @@ def test_tally_matches_three_bincounts(parts):
     x1 = np.array([0.3, -0.2, 0.0, -0.5, 0.0, 0.7, -1e-300, 1e-300, 0.9])
     keep = (part >= parts.start) & (part < parts.stop)
     part, x1 = part[keep], x1[keep]
-    got = montecarlo._tally(part, x1, parts)
+    # one record with every path alive, each path keyed as the stream carries it
+    width = parts.stop - parts.start
+    got = montecarlo._tally(3 * (part - parts.start) + 1, x1[None], width,
+                            np.ones((1, part.size), dtype=bool))
+    got = [g[:, 0] for g in got]
     expected = [np.bincount(part[sel], minlength=parts.stop)[parts]
                 for sel in (slice(None), x1 > 0, x1 < 0)]
     for name, g, e in zip(("counts", "plus", "minus"), got, expected):
-        assert g.shape == (parts.stop - parts.start,), name
+        assert g.shape == (width,), name
         assert np.array_equal(g, e), name
     counts, plus, minus = got
     assert np.all(plus + minus <= counts)
@@ -277,8 +281,8 @@ def test_tally_over_records_matches_one_bincount_per_record(parts, records):
     part = np.repeat(np.arange(parts.start, parts.stop, dtype=np.int32), 3)[::2]
     x1 = rng.choice([-0.5, -1e-300, 0.0, 1e-300, 0.4], size=(records, part.size))
     alive = np.logical_and.accumulate(rng.random((records, part.size)) < 0.8, axis=0)
-    got = montecarlo._tally(part, x1, parts, alive)
     width = parts.stop - parts.start
+    got = montecarlo._tally(3 * (part - parts.start) + 1, x1, width, alive)
     for name, g in zip(("counts", "plus", "minus"), got):
         assert g.shape == (width, records), name
     for r in range(records):
@@ -335,17 +339,38 @@ def _per_step_tallies(domain, x, cfg, inc):
     return tallies
 
 
+# the draws of the scripted run below, as (shape, repeats): pieces of
+# DRAW_ENTRIES // m steps while one record of the m survivors does not fit,
+# then DRAW_ENTRIES // (10 m) whole records at a time
+SCRIPTED_DRAWS = {
+    (60, 300): [((5, 60), 2), ((5, 59), 2), ((5, 53), 2), ((7, 41), 1), ((3, 41), 1),
+                ((7, 38), 1), ((3, 38), 1), ((8, 34), 1), ((2, 34), 1), ((9, 32), 1),
+                ((1, 32), 1), ((10, 28), 1), ((10, 26), 1), ((10, 23), 1), ((10, 19), 1),
+                ((10, 17), 2), ((10, 16), 1), ((20, 14), 1), ((20, 12), 1), ((20, 8), 1)],
+    (600, 700): [((1, 600), 10), ((1, 536), 10), ((1, 454), 10), ((1, 394), 10),
+                 ((2, 345), 5), ((2, 319), 5), ((2, 277), 5), ((2, 252), 5),
+                 ((3, 229), 3), ((1, 229), 1), ((3, 210), 3), ((1, 210), 1),
+                 ((3, 194), 3), ((1, 194), 1), ((3, 179), 3), ((1, 179), 1),
+                 ((4, 165), 2), ((2, 165), 1), ((4, 149), 2), ((2, 149), 1), ((5, 131), 2),
+                 ((6, 112), 1), ((4, 112), 1), ((6, 104), 1), ((4, 104), 1), ((7, 91), 1),
+                 ((3, 91), 1), ((8, 79), 1), ((2, 79), 1), ((10, 70), 1)],
+}
+
+
 @pytest.mark.parametrize("paths, draw_entries",
-                         [(60, montecarlo.DRAW_ENTRIES), (60, 300), (600, montecarlo.DRAW_ENTRIES)],
-                         ids=["one-narrow-chunk", "row-chunks-first", "one-wide-chunk"])
+                         [(60, montecarlo.DRAW_ENTRIES), (60, 300), (600, montecarlo.DRAW_ENTRIES),
+                          (600, 700)],
+                         ids=["one-narrow-chunk", "row-chunks-first", "one-wide-chunk",
+                              "one-step-pieces"])
 def test_path_that_leaves_and_returns_inside_a_chunk_stays_dead(interval, paths, draw_entries,
                                                                  monkeypatch):
     # path 0 sits at 0.5 until step 53, jumps to 1.5 (outside D) and is back
     # at 0.5 after step 54; its record time is step 59. With the whole run in
     # one chunk (60 paths take the numpy accumulations, 600 the row loops),
-    # and with row chunks of 5 steps until 15 of 60 paths are left and whole
-    # records after that, the tallies are those of stepping every path one
-    # step at a time, and path 0 is dead from step 59 on
+    # with row pieces of 5 steps until one record of the survivors fits and
+    # whole records after that, and with pieces of one step and more, the
+    # tallies are those of stepping every path one step at a time, and path 0
+    # is dead from step 59 on
     cfg = McConfig(alpha=1.0, paths=paths, dt=0.01, t_max=2.0, seed=1, partitions=3)
     inc = np.random.default_rng(5).normal(0.0, 0.1, size=(200, cfg.paths))
     inc[:, 0] = 0.0
@@ -355,10 +380,8 @@ def test_path_that_leaves_and_returns_inside_a_chunk_stays_dead(interval, paths,
     monkeypatch.setattr(montecarlo, "DRAW_ENTRIES", draw_entries)
     monkeypatch.setattr(montecarlo, "_draw_steps", steps)
     curve = simulate_skeleton(interval, 0.5, cfg)
-    if draw_entries == 300:
-        assert steps.shapes[0] == (5, 60) and steps.shapes[-1][0] >= 2 * cfg.record_stride
-    else:
-        assert steps.shapes == [(200, paths)]
+    draws = SCRIPTED_DRAWS.get((paths, draw_entries), [((200, paths), 1)])
+    assert steps.shapes == [shape for shape, repeats in draws for _ in range(repeats)]
     expected = _per_step_tallies(interval, 0.5, cfg, inc)
     for name, got, want in zip(("counts", "plus", "minus"), (curve.counts, curve.plus, curve.minus),
                                expected):
