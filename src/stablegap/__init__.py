@@ -23,11 +23,13 @@ from .bounds import (
     weighted_poincare_constant,
 )
 from .eigensolver import (
-    SpectralBasis,
+    DiskBasis,
+    SineBasis,
     SpectralResult,
     assemble_form_matrix,
     scaling_check,
     solve_spectrum,
+    spectral_basis,
 )
 from .errors import (
     EstimationError,

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .eigensolver import _disk_basis, _sine_basis, solve_spectrum
+from .eigensolver import solve_spectrum, spectral_basis
 from .geometry import Domain
 
 _GAP_REL_TOL = 0.05  # gap-check passes below this relative error of the identity
@@ -122,7 +122,7 @@ def cmd_eig(args):
     if args.csv:
         # the modes reported are the first --n-report of the basis, which is
         # built without assembly
-        size = (_disk_basis if domain.kind == "disk" else _sine_basis)(domain, args.n).size
+        size = spectral_basis(domain, args.n).size
         top = min(args.n_report, size)
         if not 1 <= args.csv_mode <= top:
             raise ValidationError(f"--csv-mode {args.csv_mode} outside 1..{top}"

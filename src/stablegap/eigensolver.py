@@ -48,6 +48,7 @@ construction, and each coefficient vector is exactly zero off its block.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
@@ -70,36 +71,142 @@ _CHUNK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralBasis:
-    """Orthonormal Dirichlet basis metadata.
+class SineBasis:
+    """Orthonormal Dirichlet basis of an interval union or a rectangle:
+    products of one sine mode per axis of Domain.axis_components(), indexed
+    row-major over the axes, x1 slowest (j * n2 + m on a rectangle).
 
-    kind "sine": interval union or rectangle. meta holds one axis table per
-    axis of Domain.axis_components(): four column arrays (center,
-    half_length, k, omega) with one entry per mode of that axis, the modes of
-    each interval component consecutive; basis functions are products of one
-    mode per axis, indexed row-major over the axes, x1 slowest (j * n2 + m on
-    a rectangle).
-    kind "disk": Bessel modes on a disk, alpha = 2 only; meta holds the
-    columns (m, k, zero, "cos"/"sin").
+    counts holds the modes per interval component of each axis, the request
+    that rebuilds the basis. tables holds one axis table per axis: four
+    column arrays (center, half_length, k, omega) with one entry per mode of
+    that axis, the modes of each interval component consecutive.
     """
 
     domain: Domain
-    kind: str
     size: int
-    meta: tuple
+    counts: tuple
+    tables: tuple
+
+    def form(self, alpha):
+        """The form matrix at alpha (_assemble_sine)."""
+        return _assemble_sine(self, alpha)
+
+    def reflection(self):
+        """u(x) -> u(-x1, x2...) on the coefficients of an x1-symmetric
+        domain's basis, a signed permutation: basis function i goes to
+        sign[i] times basis function image[i]; returns (image, sign). On the
+        x1 axis mode k goes to mode_parity(k) times mode k of the mirror
+        component (mirror_index); other axes stay."""
+        k = self.tables[0][2]
+        n = self.size // k.size  # basis functions per x1 mode
+        return (mirror_index(k)[:, None] * n + np.arange(n)).ravel(), np.repeat(mode_parity(k), n)
+
+    def labels(self):
+        """One label per basis function, row-major: its mode parities on the axes after x1."""
+        label = reduce(lambda p, t: np.add.outer(2 * p, mode_parity(t[2])).ravel(),
+                       self.tables[1:], np.zeros(1))
+        return np.tile(label, self.size // label.size)
+
+    def probe_point(self):
+        """Per axis, a fixed fraction of its last component: 0.618 on the last
+        axis, 0.809 on x1 of a rectangle."""
+        comps = self.domain.axis_components()
+        point = [a + f * (b - a) for f, (*_, (a, b)) in zip((0.809, 0.618)[-len(comps) :], comps)]
+        return np.array(point if len(point) > 1 else point[0])
+
+    def evaluate(self, C, x):
+        """sum_p C[..., p] * basis function p at the points x (evaluate_basis_sum)."""
+        d = len(self.tables)
+        coords = [x] if d == 1 else [x[..., i] for i in range(d)]
+        # per axis: the sine factors of its modes, zero outside their component
+        factors = []
+        for (c, h, _, om), u in zip(self.tables, coords):
+            local = u.reshape(-1, 1) - c
+            inside = np.abs(local) < h
+            factors.append(np.where(inside, np.sin(om * (local + h)) / np.sqrt(h), 0.0))
+        axes = "jklm"[:d]
+        spec = ",".join(f"p{a}" for a in axes) + f",...{axes}->...p"
+        Ct = C.reshape(C.shape[:-1] + tuple(t[0].size for t in self.tables))
+        return np.einsum(spec, *factors, Ct, optimize=True).reshape(C.shape[:-1] + coords[0].shape)
+
+
+@dataclass(frozen=True, eq=False)
+class DiskBasis:
+    """Orthonormal Dirichlet basis of a disk, alpha = 2 only: the classical
+    Bessel modes, the Laplacian eigenfunctions. counts is the number of
+    modes requested; modes holds the columns (m, k, zero, "cos"/"sin")."""
+
+    domain: Domain
+    size: int
+    counts: int
+    modes: tuple
+
+    def form(self, alpha):
+        """The diagonal (zero / r)^2 at alpha = 2."""
+        if alpha != 2:
+            raise UnsupportedConfigurationError("disk domains are supported at alpha = 2 only")
+        return np.diag((self.modes[2] / self.domain.params[1]) ** 2)
+
+    def reflection(self):
+        """(image, sign) as in SineBasis.reflection: x1 -> -x1 is theta -> pi - theta,
+        so cos(m th) -> (-1)^m cos(m th) and sin(m th) -> (-1)^(m+1) sin(m th)."""
+        m, _, _, ang = self.modes
+        return np.arange(self.size), mode_parity(np.where(ang == "cos", m + 1, m))
+
+    def labels(self):
+        """No parity label: every basis function has label 0."""
+        return np.zeros(self.size)
+
+    def probe_point(self):
+        """A fixed point of the disk, off its centre and its axes."""
+        (cx, cy), r = self.domain.params
+        return np.array([cx + 0.53 * r, cy + 0.31 * r])
+
+    def evaluate(self, C, x):
+        """sum_p C[..., p] * basis function p at the points x (evaluate_basis_sum)."""
+        (cx, cy), r = self.domain.params
+        pts = x.reshape(-1, 2)
+        rho = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+        th = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
+        m, _, z, ang = self.modes
+        radial = np.where((rho < r)[:, None], jv(m, np.outer(rho, z) / r), 0.0)
+        angular = np.where(ang == "cos", np.cos(np.outer(th, m)), np.sin(np.outer(th, m)))
+        # L2 norm of J_m(z rho / r) times the angular factor over the disk
+        norm = np.sqrt(np.where(m == 0, 2 * np.pi, np.pi) * r**2 * jv(m + 1, z) ** 2 / 2)
+        return (C @ (radial * angular / norm).T).reshape(C.shape[:-1] + x.shape[:-1])
+
+
+def mode_parity(k):
+    """Parity of sine mode k about its window's centre: +1 (even) for odd k, -1 for even k."""
+    return (-1.0) ** (np.asarray(k) + 1)
+
+
+def mirror_index(k):
+    """Index of the mirror image under x -> -x of each mode of an axis table
+    with mode column k: mode k of component i of m goes to mode k of component
+    m - 1 - i, the component that mirrors it on a symmetric axis
+    (Domain._symmetric_x1)."""
+    n = k.max()  # modes per component, each component's rows consecutive
+    return (k.size // n - 1 - np.arange(k.size) // n) * n + k - 1
+
+
+def spectral_basis(domain, n_basis):
+    """The basis of a domain: Bessel modes on a disk (n_basis modes), sine
+    products on a product of interval unions (_sine_basis)."""
+    return (_disk_basis if domain.kind == "disk" else _sine_basis)(domain, n_basis)
 
 
 def _sine_basis(domain, n_basis):
     """Sine basis with n_basis modes per interval component: one int for
     every axis, or one int per axis."""
     comps = domain.axis_components()
-    counts = (n_basis,) * len(comps) if np.isscalar(n_basis) else tuple(n_basis)
+    counts = tuple(map(int, (n_basis,) * len(comps) if np.isscalar(n_basis) else n_basis))
     if len(counts) != len(comps):
         raise ValidationError(f"need one mode count per axis ({len(comps)})")
     if min(counts) < 1:
         raise ValidationError("need at least one mode per interval component")
-    tables = tuple(_axis_table(ivs, int(n)) for ivs, n in zip(comps, counts))
-    return SpectralBasis(domain, "sine", int(np.prod([t[0].size for t in tables])), tables)
+    tables = tuple(_axis_table(ivs, n) for ivs, n in zip(comps, counts))
+    return SineBasis(domain, int(np.prod([t[0].size for t in tables])), counts, tables)
 
 
 def _axis_table(intervals, n):
@@ -112,6 +219,7 @@ def _axis_table(intervals, n):
 
 
 def _disk_basis(domain, n_modes):
+    n_modes = int(n_modes)
     if n_modes < 1:
         raise ValidationError("need at least one disk mode")
     # lowest zeros j(m, k) of J_m, each with the angular factors cos and sin
@@ -122,8 +230,8 @@ def _disk_basis(domain, n_modes):
         for k, z in enumerate(jn_zeros(m, kmax), start=1)
     )
     modes = [(m, k, float(z), ang) for z, m, k in cand for ang in ("cos", "sin")[: 1 + (m > 0)]]
-    meta = tuple(np.array(col) for col in zip(*modes[:n_modes]))
-    return SpectralBasis(domain, "disk", meta[0].size, meta)
+    columns = tuple(np.array(col) for col in zip(*modes[:n_modes]))
+    return DiskBasis(domain, columns[0].size, n_modes, columns)
 
 
 def basis_mode_transform(table, xi):
@@ -223,21 +331,12 @@ def assemble_form_matrix(domain, alpha, n_basis):
 
     Returns
     -------
-    A, basis : (ndarray, SpectralBasis)
+    A, basis : (ndarray, SineBasis or DiskBasis)
     """
     if not 0 < alpha <= 2:
         raise ValidationError("alpha must lie in (0, 2]")
-    if domain.kind == "disk":
-        if alpha != 2:
-            raise UnsupportedConfigurationError(
-                "disk domains are supported at alpha = 2 only"
-            )
-        basis = _disk_basis(domain, int(n_basis))
-        r = domain.params[1]
-        return np.diag((basis.meta[2] / r) ** 2), basis
-
-    basis = _sine_basis(domain, n_basis)
-    return _assemble_sine(basis, alpha), basis
+    basis = spectral_basis(domain, n_basis)
+    return basis.form(alpha), basis
 
 
 def _assemble_sine(basis, alpha):
@@ -248,7 +347,7 @@ def _assemble_sine(basis, alpha):
     At alpha = 2 every axis form is diagonal and every cross term an exact
     zero (c_alpha = 0), so the form is the diagonal of the Kronecker sum of
     the omega^2, built as such: the same entries as the sum of products."""
-    forms = _once_per_table(partial(_axis_form, alpha=alpha), basis.meta)
+    forms = _once_per_table(partial(_axis_form, alpha=alpha), basis.tables)
     c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
     if not c:
         return np.diag(reduce(np.add.outer, [np.diag(A) for A in forms]).ravel())
@@ -257,7 +356,7 @@ def _assemble_sine(basis, alpha):
     subsets = [S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
     s, ws = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
     w, tail = c * ws * s ** (-1 - 0.5 * alpha), c * _S_MAX ** (-0.5 * alpha) / (0.5 * alpha)
-    grams = _once_per_table(partial(_subordination_grams, s=s), basis.meta) if subsets else []
+    grams = _once_per_table(partial(_subordination_grams, s=s), basis.tables) if subsets else []
     for S in subsets:
         sign = (-1.0) ** (len(S) + 1)
         E += _kron([grams[i] if i in S else I for i, I in enumerate(eye)], sign * w)
@@ -427,7 +526,7 @@ class SpectralResult:
 
     domain: Domain
     alpha: float
-    basis: SpectralBasis
+    basis: SineBasis | DiskBasis
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     symmetry: list
@@ -450,42 +549,18 @@ class SpectralResult:
             raise ValidationError(f"no antisymmetric mode among the reported modes: {why}")
         return float(self.eigenvalues[self.star_index - 1])
 
-    def eigenfunction(self, n):
-        """Callable evaluating mode n (1-based) at points in R^d."""
+    def check_mode(self, n):
+        """Raise ValidationError unless n numbers a reported mode (1-based): an
+        integer, numpy's too, but not a bool, which is an Integral yet no count."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValidationError(f"mode must be an integer, got {n!r}")
         if not 1 <= n <= len(self.coefficients):
             raise ValidationError(f"mode {n} outside 1..{len(self.coefficients)}")
+
+    def eigenfunction(self, n):
+        """Callable evaluating mode n (1-based) at points in R^d."""
+        self.check_mode(n)
         return partial(evaluate_basis_sum, self.basis, self.coefficients[n - 1])
-
-
-def mode_parity(k):
-    """Parity of sine mode k about its window's centre: +1 (even) for odd k, -1 for even k."""
-    return (-1.0) ** (np.asarray(k) + 1)
-
-
-def reflection_map(basis):
-    """u(x) -> u(-x1, x2...) on the coefficients of an x1-symmetric domain's basis, a
-    signed permutation: basis function i goes to sign[i] times basis function image[i];
-    returns (image, sign). On the x1 axis of a sine basis, mode k goes to mode_parity(k)
-    times mode k of the mirror component (mirror_index); other axes stay."""
-    if not basis.domain.summarize().symmetric_x1:
-        raise ValidationError("reflection needs an x1-symmetric domain")
-    if basis.kind == "disk":
-        # x1 -> -x1 means theta -> pi - theta: cos(m th) -> (-1)^m cos(m th),
-        # sin(m th) -> (-1)^(m+1) sin(m th)
-        m, _, _, ang = basis.meta
-        return np.arange(basis.size), mode_parity(np.where(ang == "cos", m + 1, m))
-    k = basis.meta[0][2]
-    n = basis.size // k.size  # basis functions per x1 mode
-    return (mirror_index(k)[:, None] * n + np.arange(n)).ravel(), np.repeat(mode_parity(k), n)
-
-
-def mirror_index(k):
-    """Index of the mirror image under x -> -x of each mode of an axis table
-    with mode column k: mode k of component i of m goes to mode k of component
-    m - 1 - i, the component that mirrors it on a symmetric axis
-    (Domain._symmetric_x1)."""
-    n = k.max()  # modes per component, each component's rows consecutive
-    return (k.size // n - 1 - np.arange(k.size) // n) * n + k - 1
 
 
 def solve_spectrum(domain, alpha, n_basis, n_report=None):
@@ -499,11 +574,8 @@ def solve_spectrum(domain, alpha, n_basis, n_report=None):
         raise ValidationError("n_report must be >= 1")
     A, basis = assemble_form_matrix(domain, alpha, n_basis)
     symmetric = domain.summarize().symmetric_x1
-    image, sign = reflection_map(basis) if symmetric else (np.arange(len(A)), np.ones(len(A)))
-    # one label per basis function, row-major: its mode parities on the axes after x1
-    later = basis.meta[1:] if basis.kind == "sine" else ()
-    label = reduce(lambda p, t: np.add.outer(2 * p, mode_parity(t[2])).ravel(), later, np.zeros(1))
-    blocks = _reflection_blocks_eigh(A, image, sign, np.tile(label, len(A) // label.size))
+    image, sign = basis.reflection() if symmetric else (np.arange(len(A)), np.ones(len(A)))
+    blocks = _reflection_blocks_eigh(A, image, sign, basis.labels())
     evals, coeffs, anti = (np.concatenate(part) for part in zip(*blocks))
     # cross-block ties agree only to rounding: antisymmetric first within _DEGENERACY_TOL
     order = np.argsort(evals + ~anti * _DEGENERACY_TOL * np.maximum(1.0, evals), kind="stable")
@@ -519,8 +591,8 @@ def solve_spectrum(domain, alpha, n_basis, n_report=None):
 
 def _reflection_blocks_eigh(A, j, s, parity):
     """eigh of A per block: per sign-eigenspace of the involution R e_i = s_i e_(j_i)
-    (reflection_map, or the identity), the part of each parity label, which R keeps
-    (parity[j_i] = parity[i]). Its columns are e_i (j_i = i, s_i = sign) and
+    (the basis's reflection(), or the identity), the part of each parity label (its
+    labels()), which R keeps (parity[j_i] = parity[i]). Its columns are e_i (j_i = i, s_i = sign) and
     (e_i + t e_j) / sqrt(2), t = sign s_i, per pair i < j = j_i, gathered from A;
     empty blocks are skipped. Yields eigenvalues, coefficient rows, antisymmetric flags."""
     i, r = np.arange(len(A)), np.sqrt(0.5)
@@ -546,22 +618,11 @@ def _reflection_blocks_eigh(A, j, s, parity):
 
 def _normalize_signs(basis, coeffs):
     """Fix eigenfunction signs: positive at a probe point in the upper half."""
-    v = evaluate_basis_sum(basis, coeffs, _probe_point(basis.domain))
+    v = evaluate_basis_sum(basis, coeffs, basis.probe_point())
     # probe on a nodal line: fall back to the largest coefficient
     largest = coeffs[np.arange(len(coeffs)), np.argmax(np.abs(coeffs), axis=1)]
     v = np.where(v == 0, largest, v)
     return np.where((v < 0)[:, None], -coeffs, coeffs)
-
-
-def _probe_point(domain):
-    if domain.kind == "disk":
-        (cx, cy), r = domain.params
-        return np.array([cx + 0.53 * r, cy + 0.31 * r])
-    # per axis, a fixed fraction of its last component: 0.618 on the last
-    # axis, 0.809 on x1 of a rectangle
-    fractions = (0.809, 0.618)[-domain.dim :]
-    point = [a + f * (b - a) for f, (*_, (a, b)) in zip(fractions, domain.axis_components())]
-    return np.array(point if domain.dim > 1 else point[0])
 
 
 def evaluate_basis_sum(basis, coeffs, x):
@@ -571,49 +632,12 @@ def evaluate_basis_sum(basis, coeffs, x):
     a float for a single point. ``coeffs`` may also be a stack (m, size) of
     coefficient vectors; the result then gains a leading axis of length m.
     """
-    x = np.asarray(x, dtype=float)
-    C = np.asarray(coeffs, dtype=float)
-    if basis.kind == "sine":
-        d = len(basis.meta)
-        coords = [x] if d == 1 else [x[..., i] for i in range(d)]
-        shape = coords[0].shape
-        # per axis: the sine factors of its modes, zero outside their component
-        factors = []
-        for (c, h, _, om), u in zip(basis.meta, coords):
-            local = u.reshape(-1, 1) - c
-            inside = np.abs(local) < h
-            factors.append(np.where(inside, np.sin(om * (local + h)) / np.sqrt(h), 0.0))
-        axes = "jklm"[:d]
-        spec = ",".join(f"p{a}" for a in axes) + f",...{axes}->...p"
-        Ct = C.reshape(C.shape[:-1] + tuple(t[0].size for t in basis.meta))
-        out = np.einsum(spec, *factors, Ct, optimize=True)
-    else:
-        (cx, cy), r = basis.domain.params
-        shape = x.shape[:-1]
-        pts = x.reshape(-1, 2)
-        rho = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-        th = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
-        m, _, z, ang = basis.meta
-        radial = np.where((rho < r)[:, None], jv(m, np.outer(rho, z) / r), 0.0)
-        angular = np.where(ang == "cos", np.cos(np.outer(th, m)), np.sin(np.outer(th, m)))
-        # L2 norm of J_m(z rho / r) times the angular factor over the disk
-        norm = np.sqrt(np.where(m == 0, 2 * np.pi, np.pi) * r**2 * jv(m + 1, z) ** 2 / 2)
-        out = C @ (radial * angular / norm).T
-    out = out.reshape(C.shape[:-1] + shape)
+    out = basis.evaluate(np.asarray(coeffs, dtype=float), np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
 def scaling_check(result, k):
     """lambda_n(k D) * k^alpha should reproduce lambda_n(D); returns the
     scaled eigenvalues of the dilated domain for comparison."""
-    scaled = solve_spectrum(
-        result.domain.scale(k), result.alpha, _basis_request(result.basis)
-    )
+    scaled = solve_spectrum(result.domain.scale(k), result.alpha, result.basis.counts)
     return scaled.eigenvalues * k**result.alpha
-
-
-def _basis_request(basis):
-    # the mode counts that rebuild the basis: per axis, the largest k
-    if basis.kind == "disk":
-        return basis.size
-    return tuple(int(k.max()) for _, _, k, _ in basis.meta)

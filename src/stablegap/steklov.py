@@ -79,7 +79,6 @@ A 2D pass, bound by its contractions, keeps one engine thread
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -98,8 +97,8 @@ from ._quad import (
     union_linspaces,
 )
 from .errors import ValidationError
-from .eigensolver import (_CHUNK_ENTRIES, SpectralResult, evaluate_basis_sum, mirror_index,
-                          mode_parity)
+from .eigensolver import (_CHUNK_ENTRIES, SineBasis, SpectralResult, evaluate_basis_sum,
+                          mirror_index, mode_parity)
 from .kernels import subordination_grid, subordinator_density_half
 
 
@@ -441,7 +440,7 @@ class ExtensionEngine:
     and its gradient, batched over tensor grids of points and times."""
 
     def __init__(self, basis):
-        if basis.kind != "sine":
+        if not isinstance(basis, SineBasis):
             raise ValidationError("harmonic extensions need a sine basis")
         self.basis = basis
         self.s_nodes, self.s_weights = subordination_grid()
@@ -510,7 +509,7 @@ class ExtensionEngine:
         if grad:
             _require_positive_times(ts)
             gw = np.concatenate([gw, dgw])
-        points, tables = _axes(xs, len(self.basis.meta)), self.basis.meta
+        points, tables = _axes(xs, len(self.basis.tables)), self.basis.tables
         C = rows.reshape((len(rows),) + tuple(t[0].size for t in tables))
         out = np.zeros((len(rows), len(points) + 2 if grad else 1)
                        + tuple(p.size for p in points) + (nt,))
@@ -638,10 +637,7 @@ def extend(result: SpectralResult, n: int) -> HarmonicExtension:
     """Harmonic extension of mode n (1-based) of a Cauchy-process result."""
     if result.alpha != 1.0:
         raise ValidationError("harmonic extensions apply to alpha = 1 results")
-    if not isinstance(n, numbers.Integral):
-        raise ValidationError(f"mode must be an integer, got {n!r}")
-    if not 1 <= n <= len(result.coefficients):
-        raise ValidationError(f"mode {n} outside 1..{len(result.coefficients)}")
+    result.check_mode(n)
     return HarmonicExtension(result, n)
 
 
@@ -684,12 +680,12 @@ def _mirror_parity(result, n):
     component j the mirror of component m - 1 - j. A domain symmetric only
     to within geometry's tolerance has no such axis. The mirror takes mode k
     of a window to mode_parity(k) times mode k of the mirror window
-    (mirror_index), the pairing of reflection_map."""
+    (mirror_index), the pairing of SineBasis.reflection. A result with an
+    extension has a sine basis: extensions need alpha = 1, and a disk
+    result exists only at alpha = 2."""
     par = np.zeros(result.domain.dim, dtype=int)
-    if result.basis.kind != "sine":
-        return par
-    coeffs = result.coefficients[n - 1].reshape([t[0].size for t in result.basis.meta])
-    for i, (c, h, k, _) in enumerate(result.basis.meta):
+    coeffs = result.coefficients[n - 1].reshape([t[0].size for t in result.basis.tables])
+    for i, (c, h, k, _) in enumerate(result.basis.tables):
         image = mirror_index(k)
         if np.array_equal(c[image], -c) and np.array_equal(h[image], h):
             C = np.moveaxis(coeffs, i, -1)
@@ -728,10 +724,16 @@ def _half_rules(rules, fields):
 # ---------------- pointwise structural checks ----------------
 
 
+def _require_step(h):
+    if not 0 < h < np.inf:
+        raise ValidationError(f"the step h must be finite and > 0, got {h!r}")
+
+
 def check_harmonic(field, x, t, h=1e-3):
     """Residual of the (d+1)-dimensional Laplacian of the field u at (x, t),
     h-stencil, normalized by |u(x, t)| + 1. Any field with dim and values
     (a HarmonicExtension, for one) will do."""
+    _require_step(h)
     if t - h <= 0:
         raise ValidationError("stencil must stay inside t > 0")
     stencil = np.array([-h, 0.0, h])
@@ -750,6 +752,7 @@ def check_boundary_derivative(result, n, x, h=1e-4):
     """One-sided residual |(u(x, h) - phi(x)) / h + lambda_n phi(x)| at one
     point x in D. For x outside the closure of D returns |u(x, h)| instead
     (the boundary value there is zero)."""
+    _require_step(h)
     ext = extend(result, n)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (result.domain.dim,):

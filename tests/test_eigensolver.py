@@ -34,7 +34,6 @@ from stablegap.eigensolver import (
     _tail_integrals,
     basis_mode_transform,
     evaluate_basis_sum,
-    reflection_map,
 )
 
 # interval (-1, 1), alpha = 1: Kulczycki, Kwasnicki, Malecki and Stos,
@@ -171,7 +170,7 @@ def _quad_transform(c, h, om, xi):
     ids=["interval", "union"],
 )
 def test_mode_transform_matches_quadrature(domain):
-    (table,) = _sine_basis(domain, 6).meta
+    (table,) = _sine_basis(domain, 6).tables
     c, h, _, om = table
     om3, om4 = om[2], om[3]
     # zero, within 1e-9 of +-omega (the removable singularities), and large
@@ -191,7 +190,7 @@ def test_mode_transform_matches_quadrature(domain):
 def test_interval_form_vanishes_across_parity(domain):
     # within each component; distinct components couple across parity
     A, basis = assemble_form_matrix(domain, 1.0, 16)
-    ((c, _, k, _),) = basis.meta
+    ((c, _, k, _),) = basis.tables
     within = c[:, None] == c
     cross = (k[:, None] - k[None, :]) % 2 == 1
     assert np.all(A[within & cross] == 0.0)
@@ -200,7 +199,7 @@ def test_interval_form_vanishes_across_parity(domain):
 
 def _sinc_amplitudes(h, n, xi):
     # the real amplitudes of the sinc-pair transform: Re for odd k, Im for even k
-    (table,) = _sine_basis(Domain.interval(-h, h), n).meta
+    (table,) = _sine_basis(Domain.interval(-h, h), n).tables
     S = basis_mode_transform(table, xi)
     G = S.real.copy()
     G[1::2] = S.imag[1::2]
@@ -300,7 +299,7 @@ def _dense_subordination_grams(table, s):
 def test_parity_blocks_keep_the_interval_form_bits(n, alpha):
     # the parity rows built contiguously with the root weights folded in take
     # the same operations in the same order as the interleaved rows
-    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), n).meta
+    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), n).tables
     assert np.array_equal(_axis_form(table, alpha), _interleaved_axis_form(table, alpha))
 
 
@@ -313,7 +312,7 @@ def test_saturation_threshold_rounds_to_one():
 def test_subordination_grams_match_the_dense_evaluation(h, n):
     # saturated rows summed per xi block and upper-triangle products against
     # expm1 on every entry: the same sums in another order
-    (table,) = _sine_basis(Domain.interval(-h, h), n).meta
+    (table,) = _sine_basis(Domain.interval(-h, h), n).tables
     s, _ = log_panels(_S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES)
     ref = _dense_subordination_grams(table, s)
     D = _subordination_grams(table, s)
@@ -350,7 +349,7 @@ def test_axis_form_matches_sinc_amplitude_form(alpha):
     # sqrt(E_jj E_kk), the Cauchy-Schwarz bound on it: the sinc amplitudes
     # alone put 1e-12 relative error on the smallest entries (against an
     # 80-bit evaluation of the closed form, which the assembly meets to 8e-14)
-    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), 64).meta
+    (table,) = _sine_basis(Domain.interval(-1.0, 1.0), 64).tables
     ref = _sinc_gram_form(table, alpha)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.max(np.abs(_axis_form(table, alpha) - ref) / scale) <= 1e-13
@@ -367,7 +366,7 @@ def test_union_axis_form_matches_sinc_gram(intervals, alpha):
     # 0 the reflection maps one sign of the phase between components onto the
     # other, so only an asymmetric one pins the sign. Scaled as in
     # test_axis_form_matches_sinc_amplitude_form
-    (table,) = _sine_basis(Domain.interval_union(intervals), 24).meta
+    (table,) = _sine_basis(Domain.interval_union(intervals), 24).tables
     ref = _sinc_gram_form(table, alpha)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.max(np.abs(_axis_form(table, alpha) - ref) / scale) <= 1e-13
@@ -401,7 +400,7 @@ def test_alpha2_rectangle_form_is_its_diagonal(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_subordination_grams", no_grams)
     A, basis = assemble_form_matrix(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 2.0, (6, 5))
-    om1, om2 = (table[3] for table in basis.meta)
+    om1, om2 = (table[3] for table in basis.tables)
     assert np.array_equal(A, np.diag((om1[:, None] ** 2 + om2[None] ** 2).ravel()))
 
 
@@ -412,7 +411,7 @@ def test_alpha2_diagonal_equals_the_kronecker_sum(domain, n):
     # the alpha = 2 form, built as a diagonal, has every entry of the sum of
     # Kronecker products of the axis forms and its symmetrization
     basis = _sine_basis(domain, n)
-    forms = [_axis_form(table, 2.0) for table in basis.meta]
+    forms = [_axis_form(table, 2.0) for table in basis.tables]
     eye = [np.eye(len(A)) for A in forms]
     E = sum(eigensolver._kron(eye[:i] + [A[None]] + eye[i + 1 :], np.ones(1))
             for i, A in enumerate(forms))
@@ -424,7 +423,7 @@ def test_three_axis_form_reproduces_cube_lambda1():
     # from axis tables alone, lambda1 at n = 6 per axis is the d = 3 Kronecker
     # form's value in ROADMAP item 13's table
     tables = (_axis_table([(-1.0, 1.0)], 6),) * 3
-    basis = eigensolver.SpectralBasis(Domain.interval(-1.0, 1.0), "sine", 6**3, tables)
+    basis = eigensolver.SineBasis(Domain.interval(-1.0, 1.0), 6**3, (6, 6, 6), tables)
     parity = np.array(np.meshgrid(*[np.arange(6) % 2] * 3, indexing="ij")).reshape(3, -1)
     cross = (parity[:, :, None] != parity[:, None, :]).any(axis=0)
     for alpha, lam1 in ((0.5, 1.495472), (1.0, 2.389885), (1.5, 4.066274)):
@@ -577,7 +576,7 @@ def test_rectangle_signs_and_labels_pinned():
 def _reflect(basis, C):
     # the coefficients of u(-x1, x2, ...) for each row of C: basis function i
     # goes to sign[i] times basis function image[i]
-    image, sign = reflection_map(basis)
+    image, sign = basis.reflection()
     out = np.empty_like(C)
     out[:, image] = sign * C
     return out
@@ -678,8 +677,11 @@ def test_stacked_coefficients_match_one_vector_at_a_time(domain, alpha, n, x):
 )
 def test_reflection_matrix_reflects_x1(domain, n, span):
     # the signed permutation maps the coefficients of u to those of u(-x1, x2, ...)
-    _, basis = assemble_form_matrix(domain, 2.0, n)
-    image, _ = reflection_map(basis)
+    A, basis = assemble_form_matrix(domain, 2.0, n)
+    assert basis.size == len(A)
+    image, _ = basis.reflection()
+    # the reflection keeps every parity label, as _reflection_blocks_eigh requires
+    assert np.array_equal(basis.labels()[image], basis.labels())
     assert np.array_equal(np.sort(image), np.arange(basis.size))
     assert np.array_equal(image[image], np.arange(basis.size))  # an involution
     C = np.random.default_rng(3).standard_normal((2, basis.size))

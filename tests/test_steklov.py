@@ -435,6 +435,28 @@ def test_extend_mode_out_of_range(interval_32, rect_8):
         check_boundary_derivative(rect_8, 1, 0.1)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, True, np.True_], ids=["1.5", "2.0", "True", "np.True_"])
+def test_mode_number_is_an_integer_and_not_a_bool(interval_32, n):
+    # a float indexes no mode, and a bool is an Integral that counts nothing
+    for mode in (interval_32.eigenfunction, lambda n: extend(interval_32, n)):
+        with pytest.raises(ValidationError, match="integer"):
+            mode(n)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+def test_finite_difference_step_is_finite_and_positive(interval_32, h):
+    with pytest.raises(ValidationError, match="step"):
+        check_harmonic(extend(interval_32, 1), 0.0, 1.0, h=h)
+    with pytest.raises(ValidationError, match="step"):
+        check_boundary_derivative(interval_32, 1, 0.0, h=h)
+
+
+def test_engine_refuses_a_disk_basis():
+    disk = solve_spectrum(Domain.disk(0.0, 0.0, 1.0), 2.0, 6)
+    with pytest.raises(ValidationError, match="sine basis"):
+        ExtensionEngine(disk.basis)
+
+
 def test_ratio_field_builds_one_engine(interval_32, monkeypatch):
     # u_2 / u_1 and its gradient come from one engine pass over both modes
     builds = []
@@ -752,7 +774,7 @@ def test_small_and_single_cpu_passes_build_no_pool(interval_32, rect_8, monkeypa
 @pytest.mark.parametrize("grad", [False, True])
 def test_window_split_matches_per_mode_evaluation(grad):
     union = solve_spectrum(Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 16)
-    (table,) = union.basis.meta
+    (table,) = union.basis.tables
     c, h, _, om = table
     windows = steklov._window_table(table, np.arange(c.size))
     assert len(windows) == 2
