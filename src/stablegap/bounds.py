@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import jv, jvp
 
-from .errors import ValidationError
+from .errors import ValidationError, require_count
 
 
 _NEWTON_MAXITER = 50  # Newton steps allowed after the McMahon seed
@@ -21,9 +21,8 @@ _NEWTON_MAXITER = 50  # Newton steps allowed after the McMahon seed
 
 def bessel_zero(p, k):
     """k-th positive zero of J_p (k >= 1), Newton from the McMahon seed."""
-    if k < 1 or int(k) != k:
-        raise ValidationError("zero index k must be a positive integer")
-    if p < -0.5:
+    require_count(k, "zero index k")
+    if not p >= -0.5:
         raise ValidationError("orders below -1/2 are not supported")
     mu = 4 * p * p
     beta = (k + 0.5 * p - 0.25) * np.pi
@@ -45,7 +44,7 @@ def ball_laplacian_eigenvalues(dim, radius):
 
     mu1 = j(d/2-1, 1)^2 / r^2,  mu2 = j(d/2, 1)^2 / r^2.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValidationError("radius must be positive")
     j0 = bessel_zero(dim / 2 - 1, 1)
     j1 = bessel_zero(dim / 2, 1)
@@ -57,7 +56,7 @@ def stable_eigenvalue_bracket(mu, alpha):
     corresponding to a Dirichlet-Laplacian eigenvalue mu of the ball."""
     if not 0 < alpha <= 2:
         raise ValidationError("alpha must lie in (0, 2]")
-    if mu <= 0:
+    if not mu > 0:
         raise ValidationError("mu must be positive")
     top = mu ** (alpha / 2)
     return 0.5 * top, top
@@ -76,7 +75,7 @@ def gap_upper(dim, inradius, alpha=1.0):
     """
     if not 0 < alpha <= 2:
         raise ValidationError("alpha must lie in (0, 2]")
-    if inradius <= 0:
+    if not inradius > 0:
         raise ValidationError("inradius must be positive")
     j0 = bessel_zero(dim / 2 - 1, 1)
     j1 = bessel_zero(dim / 2, 1)
@@ -88,8 +87,7 @@ def main_gap_constants(dim):
 
     C_d = pi^2 (d+1) / (2 pi d (d+2) + 4 (d+1)),  C'_d = 4 C_d / pi^2.
     """
-    if dim < 1 or int(dim) != dim:
-        raise ValidationError("dimension must be a positive integer")
+    require_count(dim, "dimension")
     c = np.pi**2 * (dim + 1) / (2 * np.pi * dim * (dim + 2) + 4 * (dim + 1))
     return float(c), float(4 * c / np.pi**2)
 
@@ -97,7 +95,7 @@ def main_gap_constants(dim):
 def gap_lower_main(dim, half_extent, inradius):
     """min(C_d r / L^2, C'_d / r) for the Cauchy process on an x1-symmetric
     convex domain with horizontal half-extent L and inradius r."""
-    if inradius <= 0 or half_extent <= 0:
+    if not (inradius > 0 and half_extent > 0):
         raise ValidationError("geometry parameters must be positive")
     if inradius > half_extent + 1e-12:
         raise ValidationError("inradius cannot exceed the half-extent")
@@ -107,7 +105,7 @@ def gap_lower_main(dim, half_extent, inradius):
 
 def disk_gap_lower(radius):
     """Simplified disk bound: lambda* - lambda1 >= 1 / (6 r)."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValidationError("radius must be positive")
     return 1.0 / (6.0 * radius)
 
@@ -115,7 +113,7 @@ def disk_gap_lower(radius):
 def rectangle_gap_lower(half_extent):
     """Simplified bound for the rectangle (-L, L) x (-1, 1):
     lambda* - lambda1 >= min(2 / (5 L^2), 1/6)."""
-    if half_extent < 1:
+    if not half_extent >= 1:
         raise ValidationError("rectangle bound assumes L >= 1")
     return min(2.0 / (5.0 * half_extent**2), 1.0 / 6.0)
 
@@ -123,15 +121,14 @@ def rectangle_gap_lower(half_extent):
 def weighted_poincare_constant(dim):
     """C(d) = pi d (d+2) / (4 (d+1)), the constant in the weighted Poincare
     inequality for the ground-state weight."""
-    if dim < 1 or int(dim) != dim:
-        raise ValidationError("dimension must be a positive integer")
+    require_count(dim, "dimension")
     return float(np.pi * dim * (dim + 2) / (4 * (dim + 1)))
 
 
 def final_inequality(lambda1, half_extent):
     """Gap lower bound in terms of lambda1 for x1-symmetric convex planar
     domains of inradius 1: min(pi^2 / (4 (2 lambda1 + 1) L^2), 1 / (2 lambda1 + 1))."""
-    if lambda1 <= 0 or half_extent <= 0:
+    if not (lambda1 > 0 and half_extent > 0):
         raise ValidationError("arguments must be positive")
     c = 2 * lambda1 + 1
     return min(np.pi**2 / (4 * c * half_extent**2), 1.0 / c)

@@ -48,7 +48,6 @@ construction, and each coefficient vector is exactly zero off its block.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
@@ -58,7 +57,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc, gamma, jn_zeros, jv
 
 from ._quad import log_panels
-from .errors import NumericalBudgetError, UnsupportedConfigurationError, ValidationError
+from .errors import (NumericalBudgetError, UnsupportedConfigurationError, ValidationError,
+                     require_count)
 from .geometry import Domain
 
 # relative spread of a cluster of cross-block ties; used only to order it antisymmetric first
@@ -200,11 +200,12 @@ def _sine_basis(domain, n_basis):
     """Sine basis with n_basis modes per interval component: one int for
     every axis, or one int per axis."""
     comps = domain.axis_components()
-    counts = tuple(map(int, (n_basis,) * len(comps) if np.isscalar(n_basis) else n_basis))
+    counts = (n_basis,) * len(comps) if np.isscalar(n_basis) else tuple(n_basis)
     if len(counts) != len(comps):
         raise ValidationError(f"need one mode count per axis ({len(comps)})")
-    if min(counts) < 1:
-        raise ValidationError("need at least one mode per interval component")
+    for n in counts:
+        require_count(n, "n_basis (modes per interval component)")
+    counts = tuple(map(int, counts))
     tables = tuple(_axis_table(ivs, n) for ivs, n in zip(comps, counts))
     return SineBasis(domain, int(np.prod([t[0].size for t in tables])), counts, tables)
 
@@ -219,9 +220,7 @@ def _axis_table(intervals, n):
 
 
 def _disk_basis(domain, n_modes):
-    n_modes = int(n_modes)
-    if n_modes < 1:
-        raise ValidationError("need at least one disk mode")
+    require_count(n_modes, "n_basis (disk modes)")
     # lowest zeros j(m, k) of J_m, each with the angular factors cos and sin
     kmax = int(np.sqrt(n_modes)) + 5
     cand = sorted(
@@ -550,11 +549,10 @@ class SpectralResult:
         return float(self.eigenvalues[self.star_index - 1])
 
     def check_mode(self, n):
-        """Raise ValidationError unless n numbers a reported mode (1-based): an
-        integer, numpy's too, but not a bool, which is an Integral yet no count."""
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValidationError(f"mode must be an integer, got {n!r}")
-        if not 1 <= n <= len(self.coefficients):
+        """Raise ValidationError unless n numbers a reported mode (1-based): a
+        count (require_count) no larger than the number of reported modes."""
+        require_count(n, "mode")
+        if n > len(self.coefficients):
             raise ValidationError(f"mode {n} outside 1..{len(self.coefficients)}")
 
     def eigenfunction(self, n):
@@ -570,8 +568,8 @@ def solve_spectrum(domain, alpha, n_basis, n_report=None):
     the parities of each basis function's modes on every axis after x1: the
     form never couples modes of different parity on a one-interval axis,
     centred or not."""
-    if n_report is not None and n_report < 1:
-        raise ValidationError("n_report must be >= 1")
+    if n_report is not None:
+        require_count(n_report, "n_report")
     A, basis = assemble_form_matrix(domain, alpha, n_basis)
     symmetric = domain.summarize().symmetric_x1
     image, sign = basis.reflection() if symmetric else (np.arange(len(A)), np.ones(len(A)))

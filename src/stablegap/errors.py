@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check on counts."""
+
+import numbers
 
 
 class StableGapError(Exception):
@@ -19,3 +21,11 @@ class NumericalBudgetError(StableGapError, RuntimeError):
 
 class EstimationError(StableGapError, RuntimeError):
     """A statistical estimate could not be formed (no stable window, too few survivors)."""
+
+
+def require_count(value, name, least=1):
+    """Raise ValidationError unless value is an integer >= least: numpy's
+    integers too, but not a bool, which is an Integral yet no count, nor a
+    float, even one that holds a whole number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -40,7 +40,7 @@ def cauchy_kernel(t, x, y, dim):
     p(t, x, y) = c_d * t / (t^2 + |x-y|^2)^((d+1)/2). In 1D, x and y are
     arrays of points; in 2D their last axis holds the coordinates.
     """
-    if np.any(np.asarray(t) <= 0):
+    if not np.all(np.asarray(t) > 0):
         raise ValidationError("time must be positive")
     return cauchy_kernel_r2(t, _dist_sq(x, y, dim), dim)
 
@@ -56,7 +56,7 @@ def gaussian_kernel(t, x, y, dim=1):
 
     p(t, x, y) = (4 pi t)^(-d/2) exp(-|x-y|^2 / (4 t)).
     """
-    if np.any(np.asarray(t) <= 0):
+    if not np.all(np.asarray(t) > 0):
         raise ValidationError("time must be positive")
     r2 = _dist_sq(x, y, dim)
     return np.exp(-dim / 2 * np.log(4 * np.pi * t) - r2 / (4 * t))
@@ -69,7 +69,7 @@ def subordinator_density_half(t, s):
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValidationError("time must be positive")
     out = np.zeros(np.broadcast(t, s).shape)
     pos = np.broadcast_to(s, out.shape) > 0

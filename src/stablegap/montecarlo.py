@@ -33,7 +33,6 @@ partitions yields honest (cluster-level) standard errors.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -41,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from ._cpu import cpu_count as _cpu_count
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, require_count
 from .kernels import sample_stable_increment, sample_subordinator_increment
 
 
@@ -63,9 +62,7 @@ class McConfig:
         # integers only: a record_stride of 2.5 matches no step and leaves
         # all-zero tallies, and a bool is an Integral but not a count
         for name, least in (("paths", 1), ("record_stride", 1), ("partitions", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+            require_count(getattr(self, name), name, least)
         # a skeleton shorter than one stride has no record time to tally
         steps = _step_count(self.t_max, self.dt)
         if steps < self.record_stride:
@@ -473,7 +470,7 @@ def estimate_gap_star(domain, curve):
 def time_to_equilibrium_bounds(gap, epsilon, c1):
     """Bracket for the time at which the conditioned distribution is within
     epsilon of its limit: (log(1/eps)/gap, c1 + log(1/eps)/gap)."""
-    if gap <= 0:
+    if not gap > 0:
         raise ValidationError("gap must be positive")
     if not (0 < epsilon < 1):
         raise ValidationError("epsilon must lie in (0, 1)")

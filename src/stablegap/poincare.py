@@ -245,7 +245,7 @@ def check_lemma_derivative(ts, fs, c):
     which dominates f(0)^2 / (c + 1). Returns {"I", "bound", "pass",
     "ratio"}; f' is a second-order finite difference of the samples.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValidationError("rate c must be positive")
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)

@@ -9,8 +9,10 @@ into the weighted Dirichlet energy
     Q(w, w) = integral over the half-space of |grad w|^2 u_1^2,
 
 evaluated here for w = u_n / u_1 on a truncated box with graded tensor
-quadrature and analytic gradients: one engine pass returns each extension's
-value together with its x- and t-derivatives.
+quadrature and analytic gradients. The engine has one output: at heights
+t > 0, each extension's value together with its x- and t-derivatives. The
+boundary values at t = 0 are the eigenfunctions themselves
+(SpectralResult.eigenfunction), which no extension is asked for.
 
 An extension is a spectral result and a mode number, or the quotient of two
 modes of one result (u_n / u_1 in the gap identity). Every extension value
@@ -97,8 +99,7 @@ from ._quad import (
     union_linspaces,
 )
 from .errors import ValidationError
-from .eigensolver import (_CHUNK_ENTRIES, SineBasis, SpectralResult, evaluate_basis_sum,
-                          mirror_index, mode_parity)
+from .eigensolver import _CHUNK_ENTRIES, SineBasis, SpectralResult, mirror_index, mode_parity
 from .kernels import subordination_grid, subordinator_density_half
 
 
@@ -208,7 +209,7 @@ def _scaled_erf(r, omega, s):
     return S
 
 
-def smoothed_sine_mode(x, s, omega, center, half, grad=False):
+def smoothed_sine_mode(x, s, omega, center, half):
     """Heat-kernel smoothing of the unit sine mode of an interval:
 
     (4 pi s)^(-1/2) * integral over (c-h, c+h) of
@@ -217,8 +218,8 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     All arguments broadcast; with every argument a scalar the result is 0-d.
     The engine passes one window (a scalar center and half), x[None, :, None],
     omega (modes, 1, 1) and s (1, 1, nodes), so that the parts of _scaled_erf
-    that depend on the point alone are built once for all modes. With
-    grad=True returns the pair (value, d/dx value), valid for the basis
+    that depend on the point alone are built once for all modes. Returns
+    the pair (value, d/dx value); the derivative holds for the basis
     frequencies omega = k pi / (2 h): such a mode vanishes at both ends of
     its window, so the x-derivative is the smoothing of
     omega cos(omega (y - c + h)) / sqrt(h), the real part of the complex
@@ -237,9 +238,7 @@ def smoothed_sine_mode(x, s, omega, center, half, grad=False):
     # in place, the phase first: numpy's complex product is not symmetric to the bit
     np.multiply(np.exp(1j * omega * (u + half)) * 0.5, Z, out=Z)
     scale = 1.0 / np.sqrt(half)
-    if grad:
-        return scale * np.imag(Z), scale * omega * np.real(Z)
-    return scale * np.imag(Z)
+    return scale * np.imag(Z), scale * omega * np.real(Z)
 
 
 # ---------------- evaluation engine ----------------
@@ -281,19 +280,17 @@ def _window_table(table, live):
     return [(c[i], h[i], o) for i, o in zip([0, *cut], np.split(om, cut))] if c.size else []
 
 
-def _axis_modes(x, s, windows, grad):
-    """The smoothed modes of one axis at the points x and nodes s, shape
-    (modes, points, nodes), or the (value, d/dx) pair with grad=True, from
-    its window table (_window_table). One smoothed_sine_mode call per window,
-    so the factors that depend on the point and the window alone are built
-    once for all of its modes."""
-    parts = [smoothed_sine_mode(x[None, :, None], s, om[:, None, None], c, h, grad=grad)
+def _axis_modes(x, s, windows):
+    """The smoothed modes of one axis at the points x and nodes s, as the
+    (value, d/dx) pair of (modes, points, nodes) arrays, from its window
+    table (_window_table). One smoothed_sine_mode call per window, so the
+    factors that depend on the point and the window alone are built once
+    for all of its modes."""
+    parts = [smoothed_sine_mode(x[None, :, None], s, om[:, None, None], c, h)
              for c, h, om in windows]
     if len(parts) == 1:
         return parts[0]
-    if grad:
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _mode_groups(C):
@@ -313,17 +310,14 @@ def _mode_groups(C):
         yield g, [np.flatnonzero(a[g[0]]) for a in live]
 
 
-def _live_chunks(*weights):
+def _live_chunks(weights):
     """Slices of the _S_CHUNK-node chunks of the subordination grid that carry
     weight: some node reaches _WEIGHT_FLOOR of its row's largest |weight| in
-    some nonzero row of the (times, nodes) weight tables. Whole chunks only:
+    some row of the (rows, nodes) weight table. Whole chunks only:
     a kept chunk is summed exactly as in a full pass, so the skipped terms,
     far below rounding, are all that changes."""
-    live = np.zeros(weights[0].shape[1], dtype=bool)
-    for w in weights:
-        a = np.abs(w)
-        top = np.max(a, axis=1, keepdims=True)
-        live |= np.any((a >= _WEIGHT_FLOOR * top) & (top > 0), axis=0)
+    a = np.abs(weights)
+    live = np.any(a >= _WEIGHT_FLOOR * np.max(a, axis=1, keepdims=True), axis=0)
     return [slice(i0, i0 + _S_CHUNK) for i0 in range(0, live.size, _S_CHUNK)
             if live[i0 : i0 + _S_CHUNK].any()]
 
@@ -431,13 +425,17 @@ def _grid_points(axes):
 
 
 def _require_positive_times(ts):
-    if np.any(np.asarray(ts) <= 0.0):
-        raise ValidationError("gradients need t > 0")
+    """The one check on heights: at least one, each finite and > 0 (the
+    extensions live on the open half-space t > 0)."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.size == 0 or not np.all((0.0 < ts) & (ts < np.inf)):
+        raise ValidationError(f"heights t must be finite and > 0, got {ts!r}")
 
 
 class ExtensionEngine:
-    """Evaluates P_t applied to arbitrary coefficient vectors of a sine basis,
-    and its gradient, batched over tensor grids of points and times."""
+    """Evaluates P_t applied to arbitrary coefficient vectors of a sine basis
+    together with its gradient, batched over tensor grids of points and
+    heights t > 0."""
 
     def __init__(self, basis):
         if not isinstance(basis, SineBasis):
@@ -449,36 +447,27 @@ class ExtensionEngine:
         self.faddeeva_entries = np.zeros(2, dtype=np.int64)
 
     def _time_weights(self, ts):
-        """Subordination weights at each time: the value weights g(t, s) w and
-        the d/dt weights g w (1/t - t / (2 s)), both (len(ts), nodes), with
-        zero rows at t = 0."""
-        ts = np.asarray(ts, dtype=float)
-        if not np.all(np.isfinite(ts)):
-            raise ValidationError("times must be finite")
-        if np.any(ts < 0):
-            raise ValidationError("times must be nonnegative")
-        pos = ts > 0
-        gw = np.zeros((ts.size, self.s_nodes.size))
-        gw[pos] = subordinator_density_half(ts[pos, None], self.s_nodes[None, :]) * self.s_weights
-        dgw = np.zeros_like(gw)
-        dgw[pos] = gw[pos] * (1.0 / ts[pos, None] - ts[pos, None] / (2.0 * self.s_nodes))
-        return gw, dgw
+        """Subordination weights at the heights ts, each > 0, as one
+        (2 len(ts), nodes) table: the value weights g(t, s) w of each height,
+        then the d/dt weights g w (1/t - t / (2 s))."""
+        _require_positive_times(ts)
+        t = np.asarray(ts, dtype=float)[:, None]
+        gw = subordinator_density_half(t, self.s_nodes[None, :]) * self.s_weights
+        return np.vstack([gw, gw * (1.0 / t - t / (2.0 * self.s_nodes))])
 
-    def values(self, coeff_rows, xs, ts, grad=False):
-        """Extensions of several coefficient vectors on a tensor grid.
+    def values(self, coeff_rows, xs, ts):
+        """Extensions of several coefficient vectors and their gradients on a
+        tensor grid of points and heights ts, each finite and > 0.
 
-        1D: xs is an array of points; returns (n_rows, len(xs), len(ts)).
-        2D: xs = (x1s, x2s); returns (n_rows, len(x1s), len(x2s), len(ts)).
-        Entries with t = 0 are the boundary values (the functions themselves).
-
-        With grad=True an axis of length dim + 2 follows the rows, holding the
-        value, d/dx (or d/dx1, d/dx2) and d/dt, all from the same mode arrays:
-        the x-derivatives come with the smoothed modes, and d/dt is the same
-        subordination sum taken against dg/dt = g (1/t - t / (2 s)). Gradients
-        need every t > 0. Only the chunks of subordination nodes that carry
-        weight at these times are evaluated (see _live_chunks); they depend
-        on ts alone, so the value slice of a grad=True call equals the
-        grad=False result exactly.
+        1D: xs is an array of points; returns (n_rows, 3, len(xs), len(ts)).
+        2D: xs = (x1s, x2s); returns (n_rows, 4, len(x1s), len(x2s), len(ts)).
+        The axis after the rows holds the value, d/dx (or d/dx1, d/dx2) and
+        d/dt, all from the same mode arrays: the x-derivatives come with the
+        smoothed modes, and d/dt is the same subordination sum taken against
+        dg/dt = g (1/t - t / (2 s)). Boundary values at t = 0 are the
+        eigenfunctions themselves (SpectralResult.eigenfunction). Only the
+        chunks of subordination nodes that carry weight at these heights are
+        evaluated (see _live_chunks); they depend on ts alone.
 
         The rows are grouped by their live modes (_mode_groups): each group
         runs the engine loop with only the modes whose coefficients are not
@@ -503,36 +492,26 @@ class ExtensionEngine:
         """
         rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        gw, dgw = self._time_weights(ts)
-        chunks = _live_chunks(gw, dgw)
-        nt = ts.size
-        if grad:
-            _require_positive_times(ts)
-            gw = np.concatenate([gw, dgw])
+        gw = self._time_weights(ts)
+        chunks = _live_chunks(gw)
         points, tables = _axes(xs, len(self.basis.tables)), self.basis.tables
         C = rows.reshape((len(rows),) + tuple(t[0].size for t in tables))
-        out = np.zeros((len(rows), len(points) + 2 if grad else 1)
-                       + tuple(p.size for p in points) + (nt,))
+        out = np.zeros((len(rows), len(points) + 2) + tuple(p.size for p in points) + (ts.size,))
         for g, sel in _mode_groups(C):
             windows = [_window_table(t, i) for t, i in zip(tables, sel)]
             if not all(windows):  # a zero row
                 continue
             run = g[-1] - g[0] + 1 == g.size  # consecutive rows: a view of out
             part = out[g[0] : g[-1] + 1] if run else np.zeros((g.size,) + out.shape[1:])
-            self._pass(part, C[np.ix_(g, *sel)], points, windows, chunks, gw, nt, grad)
+            self._pass(part, C[np.ix_(g, *sel)], points, windows, chunks, gw)
             if not run:
                 out[g] = part
-        if grad:
-            return out
-        out = out[:, 0]
-        if np.any(ts == 0.0):  # the boundary values, evaluated directly
-            phi = evaluate_basis_sum(self.basis, rows, _grid_points(points))
-            out[..., ts == 0.0] = phi.reshape(out.shape[:-1] + (1,))
         return out
 
-    def _pass(self, out, C, points, windows, chunks, gw, nt, grad):
+    def _pass(self, out, C, points, windows, chunks, gw):
         """The engine loop, in any dimension: the chunks of nodes in batches
-        whose rows x terms x points x nodes stay within _CHUNK_ENTRIES.
+        whose rows x terms x points x nodes stay within _CHUNK_ENTRIES, with
+        the time weights gw of _time_weights.
 
         Phase 1, _chunk_terms, is mapped over the chunks of a batch: on
         engine_workers threads, one chunk per job, when the pass pays for
@@ -557,21 +536,19 @@ class ExtensionEngine:
         per_batch = max(1, _CHUNK_ENTRIES // (out[..., 0].size * _S_CHUNK))
         with ThreadPoolExecutor(workers) if threaded else nullcontext() as pool:
             phase1 = pool.map if threaded else map
-            chunk_terms = partial(self._chunk_terms, C, points, windows, grad=grad)
+            chunk_terms = partial(self._chunk_terms, C, points, windows)
             for i in range(0, len(chunks), per_batch):
                 batch = chunks[i : i + per_batch]
                 for sl, t in zip(batch, list(phase1(chunk_terms, batch))):
-                    _add_chunk(out, t, gw, sl, nt, len(points) == 1)
+                    _add_chunk(out, t, gw, sl, len(points) == 1)
                     self.faddeeva_entries += _faddeeva_entries(points, windows, self.s_nodes[sl])
 
-    def _chunk_terms(self, C, points, windows, sl, grad):
+    def _chunk_terms(self, C, points, windows, sl):
         """Phase 1 for the chunk sl of nodes: the smoothed modes summed
         against C, a list of (rows, n_1, ..., n_d, nodes) terms: the value,
-        then with grad=True d/dx_i for each axis."""
+        then d/dx_i for each axis."""
         sc = self.s_nodes[None, None, sl]
-        per_axis = [_axis_modes(p, sc, w, grad) for p, w in zip(points, windows)]
-        if not grad:
-            return [_contract(C, per_axis)]
+        per_axis = [_axis_modes(p, sc, w) for p, w in zip(points, windows)]
         vals = [v for v, _ in per_axis]
         return [_contract(C, vals)] + [_contract(C, vals[:i] + [dx] + vals[i + 1 :])
                                        for i, (_, dx) in enumerate(per_axis)]
@@ -594,21 +571,23 @@ def _faddeeva_entries(points, windows, s):
     return counts
 
 
-def _add_chunk(out, terms, gw, sl, nt, split):
+def _add_chunk(out, terms, gw, sl, split):
     """Phase 2 for the chunk sl: contract each term over its nodes with the
-    time weights gw and add it to out. The value term takes every row of gw:
-    with grad=True its d/dt rows follow the nt value rows. split is set in a
-    1D pass: each contraction is then made of row blocks that OpenBLAS runs
-    on one thread (_time_contract), so no BLAS worker wakes to spin beside
-    the Faddeeva jobs. A 2D pass keeps one product per term, which its
+    time weights gw (_time_weights) and add it to out. The value term makes
+    the value plane against the value weights of the nt heights, and the
+    d/dt plane, in a product of its own, against their d/dt weights; each
+    d/dx_i term takes the value weights. So the value plane is made of the
+    products of a value-only contraction, whatever the heights: one product
+    against the stacked weights would turn a one-row, one-height product
+    from numpy's dot into a gemv, which rounds apart. split is set in a 1D
+    pass: each contraction is then made of row blocks that OpenBLAS runs on
+    one thread (_time_contract), so no BLAS worker wakes to spin beside the
+    Faddeeva jobs. A 2D pass keeps one product per contraction, which its
     BLAS threads speed up: row blocks made the 2D gap check slower."""
-    value, *dxs = terms
-    both = _time_contract(value, gw[:, sl], split)
-    out[:, 0] += both[..., :nt]
-    if both.shape[-1] > nt:
-        out[:, -1] += both[..., nt:]
-    for i, term in enumerate(dxs, 1):
+    nt = out.shape[-1]
+    for i, term in enumerate(terms):
         out[:, i] += _time_contract(term, gw[:nt, sl], split)
+    out[:, -1] += _time_contract(terms[0], gw[nt:, sl], split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,10 +605,12 @@ class HarmonicExtension:
         return self.result.domain.dim
 
     def values(self, xs, ts):
-        return _eval_fields((self,), _axes(xs, self.dim), ts, grad=False)[0]
+        """The value plane [0] of values_and_grad."""
+        return self.values_and_grad(xs, ts)[0]
 
     def values_and_grad(self, xs, ts):
-        """Value and gradient stacked on the first axis (see ExtensionEngine.values)."""
+        """Value and gradient stacked on the first axis, at heights ts > 0
+        (see ExtensionEngine.values)."""
         return _eval_fields((self,), _axes(xs, self.dim), ts)[0]
 
 
@@ -648,20 +629,20 @@ def extend_ratio(result, n):
 
 
 _PROBE_T_MAX = 20.0  # top height of the probe grids above D
-_FIELD_N_X, _FIELD_N_T = 80, 33  # default field grid: points per x axis, heights
+_FIELD_N_X, _FIELD_N_T = 80, 32  # default field grid: points per x axis, heights
 
 
 def default_field_grid(domain):
     """Default sampling grid (x axes, times): x covers D plus a 50% margin,
-    closed under x -> -x on an axis centred at 0 (mirror_linspace); times
-    are zero followed by a geometric ladder up to _PROBE_T_MAX.  The
+    closed under x -> -x on an axis centred at 0 (mirror_linspace); heights
+    are a geometric ladder up to _PROBE_T_MAX.  The
     ladder starts at 0.02 * inradius in 1d and 0.2 * inradius in 2d: below
     that the truncated sine basis leaves a boundary-layer residual of order
     t * |(A - lambda_1) phi_1| in the extension, and the coarser per-axis
     resolution of the tensor basis makes the layer thicker in 2d.
     """
     t_min = (0.02 if domain.dim == 1 else 0.2) * domain.summarize().inradius
-    ts = np.concatenate([[0.0], np.geomspace(t_min, _PROBE_T_MAX, _FIELD_N_T - 1)])
+    ts = np.geomspace(t_min, _PROBE_T_MAX, _FIELD_N_T)
     axes = [
         mirror_linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), _FIELD_N_X)
         for lo, hi in domain.bounding_box()
@@ -734,7 +715,7 @@ def check_harmonic(field, x, t, h=1e-3):
     h-stencil, normalized by |u(x, t)| + 1. Any field with dim and values
     (a HarmonicExtension, for one) will do."""
     _require_step(h)
-    if t - h <= 0:
+    if not t - h > 0:
         raise ValidationError("stencil must stay inside t > 0")
     stencil = np.array([-h, 0.0, h])
     axes = [xi + stencil for xi in _axes(x, field.dim)]
@@ -758,7 +739,7 @@ def check_boundary_derivative(result, n, x, h=1e-4):
     if x.shape != (result.domain.dim,):
         raise ValidationError(f"x must be one point of R^{result.domain.dim}, got {x.shape}")
     axes = [c[None] for c in x]
-    u_h = _eval_fields((ext,), axes, [h], grad=False)[0].item()
+    u_h = ext.values(_xs(axes), [h]).item()
     pt = _grid_points(axes)
     if not result.domain.contains(pt)[0]:
         return abs(u_h)
@@ -780,9 +761,9 @@ def ground_state_domination_check(result, xs=None, ts=None):
 
     The free evolution of the nonnegative ground state dominates its killed
     evolution, so the margin should be >= -1e-8 wherever the discretization
-    error of the eigenpair is below the true slack. At t = 0 the two sides
-    agree exactly (u_1 = phi_1, also outside D), so t = 0 is left out;
-    otherwise the margin would always read 0. On the default field
+    error of the eigenpair is below the true slack. Heights must be > 0: at
+    t = 0 the two sides agree exactly (u_1 = phi_1, also outside D), and
+    the margin would always read 0. On the default field
     grid the bound holds; inside the thin layer t < ~0.02 * inradius near the
     boundary of D the Galerkin residual (order 1e-4 for a 512-mode sine
     basis) swamps the slack, which is why the default grid starts above it.
@@ -791,13 +772,10 @@ def ground_state_domination_check(result, xs=None, ts=None):
     """
     axes, gt = default_field_grid(result.domain)
     axes = axes if xs is None else _axes(xs, result.domain.dim)
-    ts = np.asarray(gt if ts is None else ts, dtype=float)
-    ts = ts[ts != 0]
-    if ts.size == 0:
-        raise ValidationError("the domination margin needs heights t > 0")
+    ts = np.atleast_1d(np.asarray(gt if ts is None else ts, dtype=float))
     u1 = extend(result, 1)
     axes = [x for x, _ in _half_rules([(x, None) for x in axes], (u1,))]  # even where u_1 is
-    (u,) = _eval_fields((u1,), axes, ts, grad=False)
+    u = u1.values(_xs(axes), ts)
     pts = _grid_points(axes)
     phi1 = np.where(result.domain.contains(pts), result.eigenfunction(1)(pts), 0.0)
     lower = np.exp(-result.lambda1 * ts) * phi1.reshape(u.shape[:-1])[..., None]
@@ -860,20 +838,20 @@ class ConstantField:
         self.value = float(value)
 
     def values(self, xs, ts):
-        """A read-only view, with zero strides over the grid."""
+        """A read-only view, with zero strides over the grid of heights ts > 0."""
+        _require_positive_times(ts)
         shape = tuple(a.size for a in _axes(xs, self.dim)) + (np.atleast_1d(ts).size,)
         return np.broadcast_to(self.value, shape)
 
     def values_and_grad(self, xs, ts):
-        _require_positive_times(ts)
         v = self.values(xs, ts)
         stack = np.array([self.value] + [0.0] * (self.dim + 1))
         return np.broadcast_to(stack.reshape((-1,) + (1,) * v.ndim), stack.shape + v.shape)
 
 
-def _eval_fields(fields, axes, ts, grad=True, tally=None):
-    """Values and gradients (as values_and_grad), or with grad=False values
-    alone, of several fields on the tensor grid of axes and times ts.
+def _eval_fields(fields, axes, ts, tally=None):
+    """Values and gradients (as values_and_grad) of several fields on the
+    tensor grid of axes and heights ts > 0.
 
     This is the one place that builds an ExtensionEngine. Extensions are
     batched by result: the modes of one result, in order of first appearance
@@ -887,23 +865,21 @@ def _eval_fields(fields, axes, ts, grad=True, tally=None):
             modes = batches.setdefault(id(f.result), (f.result, []))[1]
             modes.extend(n for n in (f.n, f.over) if n is not None and n not in modes)
     xs = _xs(axes)
-    rows = {}  # (id(result), mode) -> its values, or values and gradient
+    rows = {}  # (id(result), mode) -> its value and gradient
     for key, (result, modes) in batches.items():
         engine = ExtensionEngine(result.basis)
-        v = engine.values(np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts, grad=grad)
+        v = engine.values(np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts)
         if tally is not None:
             tally += engine.faddeeva_entries
         rows.update(((key, n), vn) for n, vn in zip(modes, v))
 
     def evaluate(f):
         if not isinstance(f, HarmonicExtension):
-            return f.values_and_grad(xs, ts) if grad else f.values(xs, ts)
+            return f.values_and_grad(xs, ts)
         u = rows[id(f.result), f.n]
         if f.over is None:
             return u
         d = rows[id(f.result), f.over]
-        if not grad:
-            return u / d
         w = np.empty_like(u)  # the quotient rule, value first as in values_and_grad
         np.divide(u[0], d[0], out=w[0])
         np.subtract(u[1:], np.multiply(w[0], d[1:], out=w[1:]), out=w[1:])
@@ -1031,7 +1007,7 @@ def ratio_boundedness_check(result, n=None):
     w = extend_ratio(result, _star_mode(result) if n is None else n)
     axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
     axes = [x for x, _ in _half_rules([(x, None) for x in axes], (w, w))]
-    (v,) = _eval_fields((w,), axes, np.geomspace(1e-3, _PROBE_T_MAX, 25), grad=False)
+    v = w.values(_xs(axes), np.geomspace(1e-3, _PROBE_T_MAX, 25))
     return float(np.max(np.abs(v)))
 
 

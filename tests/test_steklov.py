@@ -65,8 +65,8 @@ def test_extension_boundary_values(interval_128):
     ext = extend(interval_128, 1)
     xs = np.linspace(-0.9, 0.9, 7)
     phi = interval_128.eigenfunction(1)(xs)
-    at_zero = ext.values(xs, np.array([0.0]))[:, 0]
-    assert np.max(np.abs(at_zero - phi)) < 1e-12
+    with pytest.raises(ValidationError):  # the boundary values are the eigenfunction's
+        ext.values(xs, np.array([0.0]))
     near_zero = ext.values(xs, np.array([1e-6]))[:, 0]
     assert np.max(np.abs(near_zero - phi)) < 1e-4
 
@@ -85,10 +85,10 @@ def test_smoothed_sine_mode_solves_half_space_problem():
     omega, c, halfw = 3.0, 0.2, 1.0
     xs = np.linspace(c - halfw + 0.05, c + halfw - 0.05, 9)
     s = 1e-14  # smoothing scale ~ sqrt(s)
-    vals = smoothed_sine_mode(xs, s, omega, c, halfw)
+    vals, _ = smoothed_sine_mode(xs, s, omega, c, halfw)
     # convention: the mode vanishes at the left edge of the window
     assert np.max(np.abs(vals - np.sin(omega * (xs - c + halfw)))) < 1e-5
-    outside = smoothed_sine_mode(np.array([c + 2.0, c - 3.0]), s, omega, c, halfw)
+    outside, _ = smoothed_sine_mode(np.array([c + 2.0, c - 3.0]), s, omega, c, halfw)
     assert np.max(np.abs(outside)) < 1e-10
 
 
@@ -228,7 +228,7 @@ def test_ground_state_domination_default_grid(interval_512):
     # only at high basis order; the guarantee is stated for N = 512
     margin = ground_state_domination_check(interval_512)
     assert margin >= -1e-8
-    # t = 0, where u_1 = phi_1 and the margin is exactly 0, is left out
+    # the grid has no t = 0, where u_1 = phi_1 and the margin is exactly 0
     assert margin > 0
 
 
@@ -313,10 +313,10 @@ def test_smoothed_sine_mode_x_derivative():
     xs = np.linspace(-2.0, 2.5, 11)[:, None]
     for k in (1, 6, 32):
         omega = k * np.pi / 2.0
-        value, dx = smoothed_sine_mode(xs, s, omega, 0.2, 1.0, grad=True)
-        assert np.array_equal(value, smoothed_sine_mode(xs, s, omega, 0.2, 1.0))
-        fd = (smoothed_sine_mode(xs + FD_STEP, s, omega, 0.2, 1.0)
-              - smoothed_sine_mode(xs - FD_STEP, s, omega, 0.2, 1.0)) / (2 * FD_STEP)
+        value, dx = smoothed_sine_mode(xs, s, omega, 0.2, 1.0)
+        assert np.array_equal(value, smoothed_sine_mode(xs, s, omega, 0.2, 1.0)[0])
+        fd = (smoothed_sine_mode(xs + FD_STEP, s, omega, 0.2, 1.0)[0]
+              - smoothed_sine_mode(xs - FD_STEP, s, omega, 0.2, 1.0)[0]) / (2 * FD_STEP)
         assert_gradient_matches(dx, fd)
 
 
@@ -324,11 +324,10 @@ def test_smoothed_sine_mode_takes_scalars():
     # every argument a scalar: a 0-d result equal to that of the one-point
     # array call, in reach of the edges and out of it
     for x in (0.3, 30.3):
-        for grad in (False, True):
-            got = smoothed_sine_mode(x, 0.1, np.pi / 2, 0.0, 1.0, grad=grad)
-            ref = smoothed_sine_mode(np.array([x]), 0.1, np.pi / 2, 0.0, 1.0, grad=grad)
-            for g, r in zip(got, ref) if grad else [(got, ref)]:
-                assert np.ndim(g) == 0 and np.array_equal(g, r[0])
+        got = smoothed_sine_mode(x, 0.1, np.pi / 2, 0.0, 1.0)
+        ref = smoothed_sine_mode(np.array([x]), 0.1, np.pi / 2, 0.0, 1.0)
+        for g, r in zip(got, ref):
+            assert np.ndim(g) == 0 and np.array_equal(g, r[0])
 
 
 def test_engine_gradient_matches_central_differences_1d(interval_32):
@@ -336,11 +335,15 @@ def test_engine_gradient_matches_central_differences_1d(interval_32):
     rows = interval_32.coefficients[:3]
     xs = np.array([-1.3, -0.7, 0.0, 0.45, 0.9, 1.6])
     h = FD_STEP
-    g = engine.values(rows, xs, TIMES, grad=True)
+    g = engine.values(rows, xs, TIMES)
     assert g.shape == (3, 3, xs.size, TIMES.size)
-    assert np.array_equal(g[:, 0], engine.values(rows, xs, TIMES))
-    dx = (engine.values(rows, xs + h, TIMES) - engine.values(rows, xs - h, TIMES)) / (2 * h)
-    dt = (engine.values(rows, xs, TIMES + h) - engine.values(rows, xs, TIMES - h)) / (2 * h)
+
+    def vals(a, ts=TIMES):
+        return engine.values(rows, a, ts)[:, 0]
+
+    assert np.array_equal(g[:, 0], vals(xs))
+    dx = (vals(xs + h) - vals(xs - h)) / (2 * h)
+    dt = (vals(xs, TIMES + h) - vals(xs, TIMES - h)) / (2 * h)
     assert_gradient_matches(g[:, 1], dx)
     assert_gradient_matches(g[:, 2], dt)
 
@@ -350,11 +353,11 @@ def test_engine_gradient_matches_central_differences_rect(rect_8):
     rows = rect_8.coefficients[:2]
     x1, x2 = np.array([-2.5, -1.0, 0.3, 1.9]), np.array([-0.5, 0.1, 0.8, 1.4])
     h = FD_STEP
-    g = engine.values(rows, (x1, x2), TIMES, grad=True)
+    g = engine.values(rows, (x1, x2), TIMES)
     assert g.shape == (2, 4, x1.size, x2.size, TIMES.size)
 
     def vals(a, b, ts=TIMES):
-        return engine.values(rows, (a, b), ts)
+        return engine.values(rows, (a, b), ts)[:, 0]
 
     assert_gradient_matches(g[:, 1], (vals(x1 + h, x2) - vals(x1 - h, x2)) / (2 * h))
     assert_gradient_matches(g[:, 2], (vals(x1, x2 + h) - vals(x1, x2 - h)) / (2 * h))
@@ -386,9 +389,9 @@ def test_gradient_at_t_zero_is_rejected(interval_32):
         extend_ratio(interval_32, 2).values_and_grad(np.array([0.0]), ts)
     with pytest.raises(ValidationError):
         ConstantField(1).values_and_grad(np.array([0.0]), ts)
-    # value-only calls at t = 0 still return the boundary values
-    assert ext.values(np.array([0.0]), ts)[0, 0] == pytest.approx(
-        interval_32.eigenfunction(1)(np.array([0.0]))[0], abs=1e-14)
+    # and values, the value plane of the same pass
+    with pytest.raises(ValidationError):
+        ext.values(np.array([0.0]), ts)
 
 
 def test_q_functional_needs_a_basis(interval_32):
@@ -524,7 +527,7 @@ def test_shuffled_points_take_the_sorted_values(interval_32, monkeypatch):
     for xs in (x, x[perm]):
         engine = ExtensionEngine(interval_32.basis)
         entries.clear()
-        values.append(engine.values(interval_32.coefficients[:3], xs, TIMES))
+        values.append(engine.values(interval_32.coefficients[:3], xs, TIMES)[:, 0])
         tallies.append(engine.faddeeva_entries.copy())
         assert tallies[-1][0] == sum(entries)
     assert np.max(np.abs(values[1] - values[0][:, perm])) <= np.exp(-steklov._A_CUT**2)
@@ -605,6 +608,12 @@ def _time_grids(result):
     return {"q": q_grid, "d01": d01_grid}
 
 
+def _planes(v, grad):
+    # the whole value and gradient stack of an engine pass, or with grad False
+    # the value plane alone, which the probes and HarmonicExtension.values read
+    return v if grad else v[:, 0]
+
+
 @pytest.mark.parametrize("grad", [False, True])
 @pytest.mark.parametrize("grid", ["q", "d01"])
 @pytest.mark.parametrize("case", ["interval_32", "rect_8"])
@@ -621,10 +630,10 @@ def test_skipped_chunks_leave_engine_values_unchanged(case, grid, grad, request,
     for workers in (1, 2):  # the serial pass, and in 1D the threaded one
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
         monkeypatch.setattr(steklov, "_WEIGHT_FLOOR", floor)
-        trimmed = engine.values(rows, xs, ts, grad=grad)
+        trimmed = _planes(engine.values(rows, xs, ts), grad)
         monkeypatch.setattr(steklov, "_WEIGHT_FLOOR", 0.0)  # every chunk
-        assert len(_live_chunks(*engine._time_weights(ts))) == 28
-        assert np.array_equal(trimmed, engine.values(rows, xs, ts, grad=grad))
+        assert len(_live_chunks(engine._time_weights(ts))) == 28
+        assert np.array_equal(trimmed, _planes(engine.values(rows, xs, ts), grad))
         by_workers.append(trimmed)
     assert np.array_equal(*by_workers)
 
@@ -650,12 +659,12 @@ def test_threaded_pass_with_more_workers_than_cores(interval_32, monkeypatch):
     rows, xs = interval_32.coefficients[:3], np.linspace(-1.5, 1.5, 37)
     ts = _time_grids(interval_32)["d01"]
     monkeypatch.setattr(steklov, "_cpu_count", lambda: 1)
-    serial = engine.values(rows, xs, ts, grad=True)
+    serial = engine.values(rows, xs, ts)
     monkeypatch.setattr(steklov, "_cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = engine.values(rows, xs, ts, grad=True)
+        threaded = engine.values(rows, xs, ts)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(serial, threaded)
@@ -692,7 +701,7 @@ def test_1d_time_contractions_run_in_one_thread_blocks(interval_32, rect_8, monk
     calls.clear()
     xs = (np.linspace(-3.0, 3.0, 40), np.linspace(-1.5, 1.5, 30))
     ts = _time_grids(rect_8)["q"]
-    ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, ts, grad=True)
+    ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, ts)
     assert calls and all(products == [(rows, k, n)] for rows, k, n, products in calls)
     assert max(rows * k * n for rows, k, n, _ in calls) > 1 << 18
 
@@ -728,7 +737,7 @@ def test_1d_mode_sums_run_in_one_thread_blocks(case, rect_8, request, monkeypatc
     # a 2D pass makes its mode sums with einsum
     products.clear()
     xs = (np.linspace(-3.0, 3.0, 12), np.linspace(-1.5, 1.5, 10))
-    ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, TIMES, grad=True)
+    ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, TIMES)
     assert products == []
 
 
@@ -762,12 +771,12 @@ def test_small_and_single_cpu_passes_build_no_pool(interval_32, rect_8, monkeypa
     # a 2D pass keeps one thread however large: this one is over 3x _PARALLEL_ENTRIES
     ts = _time_grids(rect_8)["q"]
     xs = (np.linspace(-3.0, 3.0, 40), np.linspace(-1.5, 1.5, 30))
-    v = ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, ts, grad=True)
+    v = ExtensionEngine(rect_8.basis).values(rect_8.coefficients[:2], xs, ts)
     assert v.shape == (2, 4, 40, 30, ts.size)
     monkeypatch.setattr(steklov, "_cpu_count", lambda: 1)
     ts = _time_grids(interval_32)["q"]
     v = ExtensionEngine(interval_32.basis).values(interval_32.coefficients[:2],
-                                                  np.linspace(-2.0, 2.0, 50), ts, grad=True)
+                                                  np.linspace(-2.0, 2.0, 50), ts)
     assert v.shape == (2, 3, 50, ts.size)
 
 
@@ -780,24 +789,27 @@ def test_window_split_matches_per_mode_evaluation(grad):
     assert len(windows) == 2
     x = np.linspace(-2.5, 2.5, 41)
     s = np.geomspace(1e-9, 1e3, 24)[None, None, :]
-    split = steklov._axis_modes(x, s, windows, grad)
+    split = steklov._axis_modes(x, s, windows)
     # one call with per-mode centres and halves, broadcast over all modes
     args = (x[None, :, None], s, om[:, None, None], c[:, None, None], h[:, None, None])
-    whole = smoothed_sine_mode(*args, grad=grad)
-    assert np.array_equal(np.asarray(split), np.asarray(whole))
+    whole = smoothed_sine_mode(*args)
+    # grad False: the values alone, as the value plane reads them
+    pick = slice(None) if grad else slice(1)
+    assert np.array_equal(np.asarray(split[pick]), np.asarray(whole[pick]))
 
 
 def test_live_chunk_counts(interval_32):
     engine = ExtensionEngine(interval_32.basis)
     grids = _time_grids(interval_32)
-    chunks = {k: _live_chunks(*engine._time_weights(ts)) for k, ts in grids.items()}
+    chunks = {k: _live_chunks(engine._time_weights(ts)) for k, ts in grids.items()}
     assert engine.s_nodes.size == 28 * steklov._S_CHUNK
     assert (len(chunks["q"]), len(chunks["d01"])) == (21, 27)
     # a single small height keeps the decade s in [1e-15, 1e-14] and drops the one below
-    first = _live_chunks(*engine._time_weights(np.array([1e-6])))[0]
+    first = _live_chunks(engine._time_weights(np.array([1e-6])))[0]
     assert 1e-15 < engine.s_nodes[first][0] < engine.s_nodes[first][-1] < 1e-14
-    # t = 0 rows carry no weight: boundary values need no chunk at all
-    assert _live_chunks(*engine._time_weights(np.array([0.0]))) == []
+    # t = 0 is no height of the half-space: it has no weights
+    with pytest.raises(ValidationError):
+        engine._time_weights(np.array([0.0]))
 
 
 @pytest.mark.parametrize("case", ["interval_32", "rect_8"])
@@ -807,22 +819,40 @@ def test_zero_row_has_a_zero_extension(case, request, monkeypatch):
     xs = np.linspace(-1.5, 1.5, 7) if result.domain.dim == 1 else (np.linspace(-3, 3, 5),) * 2
     engine = ExtensionEngine(result.basis)
     rows = np.vstack([np.zeros(result.basis.size), result.coefficients[0]])
-    for grad in (False, True):
-        both, alone = (engine.values(r, xs, TIMES, grad=grad) for r in (rows, rows[1:]))
-        assert not np.any(both[0]) and np.array_equal(both[1:], alone)
+    both, alone = (engine.values(r, xs, TIMES) for r in (rows, rows[1:]))
+    assert not np.any(both[0]) and np.array_equal(both[1:], alone)
     # its group skips the pass: no Faddeeva entry is evaluated or tallied
     entries = _count_wofz_entries(monkeypatch)
     zero = ExtensionEngine(result.basis)
-    for grad in (False, True):
-        assert not np.any(zero.values(rows[:1], xs, TIMES, grad=grad)[..., TIMES > 0])
+    assert not np.any(zero.values(rows[:1], xs, TIMES))
     assert entries == [] and not np.any(zero.faddeeva_entries)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_engine_rejects_non_finite_times(interval_32, bad):
-    engine = ExtensionEngine(interval_32.basis)
-    with pytest.raises(ValidationError):
-        engine.values(interval_32.coefficients[:1], np.array([0.0]), np.array([bad, 0.5]))
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+def test_every_height_is_finite_and_positive(interval_32, bad):
+    # one check on heights for the engine and every field sampler: t = 0 is
+    # the boundary, whose values are the eigenfunctions themselves
+    x, ts = np.array([0.0]), np.array([bad, 0.5])
+    ext = extend(interval_32, 1)
+    calls = [lambda: ExtensionEngine(interval_32.basis).values(interval_32.coefficients[:1], x, ts),
+             lambda: ext.values(x, ts), lambda: ext.values_and_grad(x, ts),
+             lambda: ConstantField(1).values(x, ts),
+             lambda: ConstantField(1).values_and_grad(x, ts),
+             lambda: ground_state_domination_check(interval_32, x, ts)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            call()
+
+
+@pytest.mark.parametrize("case", ["interval_32", "rect_8"])
+def test_values_are_the_value_plane_of_values_and_grad(case, request):
+    # to the bit, for an extension and a ratio: at one point and height,
+    # where the contraction is one-row products, and on a grid
+    result = request.getfixturevalue(case)
+    for x, ts in ((np.array([0.3]), np.array([1e-3])), (np.linspace(-1.5, 1.5, 13), TIMES)):
+        xs = x if result.domain.dim == 1 else (x, 0.5 * x)
+        for field in (extend(result, 1), extend_ratio(result, 2)):
+            assert np.array_equal(field.values(xs, ts), field.values_and_grad(xs, ts)[0])
 
 
 # ---------------- mirror folds: half of each symmetric axis, then reflect ----------------
@@ -904,7 +934,6 @@ def test_folded_pass_matches_unfolded_pass(case, points, grad, request, monkeypa
     half = [x for x, _ in steklov._half_rules([(x, None) for x in axes], (extend(result, 1),))]
     assert [x.size for x in half] == [points - points // 2] * len(axes)
     ts = _time_grids(result)["d01"]
-    ts = ts if grad else np.concatenate([[0.0], ts])  # t = 0 rows: the boundary values
     engine = ExtensionEngine(result.basis)
     # the ground state (even), the star mode (odd in x1) and mode 3
     modes = [1, result.star_index, 3]
@@ -914,8 +943,8 @@ def test_folded_pass_matches_unfolded_pass(case, points, grad, request, monkeypa
     by_workers = []
     for workers in (1, 2):  # the serial pass, and in 1D the threaded one
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
-        whole = engine.values(rows, steklov._xs(axes), ts, grad=grad)
-        kept = engine.values(rows, steklov._xs(half), ts, grad=grad)
+        whole = _planes(engine.values(rows, steklov._xs(axes), ts), grad)
+        kept = _planes(engine.values(rows, steklov._xs(half), ts), grad)
         # the whole pass is even or odd to rounding: its first half computes
         # the mirrored mode phases at -u, which round apart from those at u
         w, m = (_conditioned(v, ts, grad) for v in (whole, _mirrored(whole, parities, grad)))

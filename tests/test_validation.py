@@ -1,0 +1,70 @@
+"""Input checks shared across the modules: one rule for counts, and
+positivity guards that NaN cannot pass."""
+
+import numpy as np
+import pytest
+
+from stablegap import ConstantField, Domain, ValidationError, check_harmonic, solve_spectrum
+from stablegap.bounds import (
+    ball_laplacian_eigenvalues,
+    bessel_zero,
+    disk_gap_lower,
+    final_inequality,
+    gap_lower_main,
+    gap_upper,
+    main_gap_constants,
+    rectangle_gap_lower,
+    stable_eigenvalue_bracket,
+    weighted_poincare_constant,
+)
+from stablegap.eigensolver import spectral_basis
+from stablegap.kernels import cauchy_kernel, gaussian_kernel, subordinator_density_half
+from stablegap.montecarlo import time_to_equilibrium_bounds
+from stablegap.poincare import check_lemma_derivative
+
+INTERVAL = Domain.interval(-1.0, 1.0)
+
+
+# a bool is an Integral but no count, and a float is no count even when whole
+@pytest.mark.parametrize("call, name", [
+    (lambda: solve_spectrum(INTERVAL, 1.0, True), "n_basis"),
+    (lambda: solve_spectrum(INTERVAL, 1.0, 2.7), "n_basis"),
+    (lambda: solve_spectrum(INTERVAL, 1.0, 4.0), "n_basis"),
+    (lambda: spectral_basis(Domain.rectangle(-2.0, 2.0, -1.0, 1.0), (4, 2.5)), "n_basis"),
+    (lambda: spectral_basis(Domain.disk(0.0, 0.0, 1.0), 2.5), "n_basis"),
+    (lambda: solve_spectrum(INTERVAL, 1.0, 4, n_report=2.5), "n_report"),
+    (lambda: solve_spectrum(INTERVAL, 1.0, 4, n_report=True), "n_report"),
+    (lambda: bessel_zero(0, True), "index k"),
+    (lambda: bessel_zero(0, 2.0), "index k"),
+    (lambda: main_gap_constants(True), "dimension"),
+    (lambda: weighted_poincare_constant(np.True_), "dimension"),
+], ids=["n_basis-True", "n_basis-2.7", "n_basis-4.0", "rect-counts-2.5", "disk-2.5",
+        "n_report-2.5", "n_report-True", "bessel-k-True", "bessel-k-2.0",
+        "main-dim-True", "poincare-dim-np.True_"])
+def test_counts_are_integers_and_not_bools(call, name):
+    with pytest.raises(ValidationError, match=name):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ball_laplacian_eigenvalues(2, np.nan),
+    lambda: stable_eigenvalue_bracket(np.nan, 1.0),
+    lambda: gap_upper(2, np.nan),
+    lambda: gap_lower_main(2, np.nan, 1.0),
+    lambda: disk_gap_lower(np.nan),
+    lambda: rectangle_gap_lower(np.nan),
+    lambda: final_inequality(np.nan, 2.0),
+    lambda: bessel_zero(np.nan, 1),
+    lambda: cauchy_kernel(np.nan, 0.0, 0.5, 1),
+    lambda: gaussian_kernel(np.nan, 0.0, 0.5),
+    lambda: subordinator_density_half(np.nan, 1.0),
+    lambda: time_to_equilibrium_bounds(np.nan, 0.1, 1.0),
+    lambda: check_lemma_derivative(np.linspace(0.0, 1.0, 5), np.ones(5), np.nan),
+    lambda: check_harmonic(ConstantField(1), 0.0, np.nan),
+], ids=["ball", "bracket", "gap_upper", "gap_lower_main", "disk", "rectangle", "final",
+        "bessel_zero", "cauchy", "gaussian", "subordinator", "equilibrium", "lemma",
+        "harmonic-stencil"])
+def test_nan_fails_every_positivity_guard(call):
+    # every comparison with NaN is false, so a guard written x <= 0 let it through
+    with pytest.raises(ValidationError):
+        call()
