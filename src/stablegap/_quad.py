@@ -7,6 +7,8 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import ValidationError
+
 
 def panel_gauss(edges, nodes_per_panel=10):
     """Composite Gauss-Legendre rule on the panels defined by ``edges``.
@@ -24,8 +26,8 @@ def panel_gauss(edges, nodes_per_panel=10):
         Quadrature nodes and weights.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with at least two entries")
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ValidationError("edges must be strictly increasing with at least two entries")
     xg, wg = leggauss(nodes_per_panel)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -36,8 +38,8 @@ def panel_gauss(edges, nodes_per_panel=10):
 
 def log_panels(lo, hi, panels_per_decade=2, nodes_per_panel=10):
     """Log-spaced panels on [lo, hi], suited to integrands smooth in log x."""
-    if lo <= 0 or hi <= lo:
-        raise ValueError("need 0 < lo < hi")
+    if not 0 < lo < hi < np.inf:
+        raise ValidationError("need 0 < lo < hi < inf")
     ndec = np.log10(hi / lo)
     n = max(1, int(np.ceil(ndec * panels_per_decade)))
     edges = np.exp(np.linspace(np.log(lo), np.log(hi), n + 1))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import jv, jvp
 
 from .errors import ValidationError, require_count
 
@@ -21,6 +20,8 @@ _NEWTON_MAXITER = 50  # Newton steps allowed after the McMahon seed
 
 def bessel_zero(p, k):
     """k-th positive zero of J_p (k >= 1), Newton from the McMahon seed."""
+    from scipy.special import jv, jvp
+
     require_count(k, "zero index k")
     if not p >= -0.5:
         raise ValidationError("orders below -1/2 are not supported")

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 invalid input or unsupported configuration (an
 output path in a missing directory, or a failed write, among them), 3
-numeric budget or estimation failure. All file outputs are written
-atomically (temp file + rename), UTF-8, with sorted JSON keys, a top-level
-"schema": 1, and a full echo of the resolved configuration; reruns with the
-same arguments (and seed, for stochastic commands) are byte-identical.
+numeric budget or estimation failure, or out of memory (a basis too large
+to allocate). All file outputs are written atomically (temp file + rename),
+UTF-8, with sorted JSON keys, a top-level "schema": 1, and a full echo of
+the resolved configuration; reruns with the same arguments (and seed, for
+stochastic commands) are byte-identical.
 """
 
 from __future__ import annotations
@@ -412,6 +413,9 @@ def main(argv=None):
         return 2
     except StableGapError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 3
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 3
 
 

@@ -54,7 +54,6 @@ from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc, gamma, jn_zeros, jv
 
 from ._quad import log_panels
 from .errors import (NumericalBudgetError, UnsupportedConfigurationError, ValidationError,
@@ -164,6 +163,8 @@ class DiskBasis:
 
     def evaluate(self, C, x):
         """sum_p C[..., p] * basis function p at the points x (evaluate_basis_sum)."""
+        from scipy.special import jv
+
         (cx, cy), r = self.domain.params
         pts = x.reshape(-1, 2)
         rho = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
@@ -220,6 +221,8 @@ def _axis_table(intervals, n):
 
 
 def _disk_basis(domain, n_modes):
+    from scipy.special import jn_zeros
+
     require_count(n_modes, "n_basis (disk modes)")
     # lowest zeros j(m, k) of J_m, each with the angular factors cos and sin
     kmax = int(np.sqrt(n_modes)) + 5
@@ -345,11 +348,17 @@ def _assemble_sine(basis, alpha):
     with identities elsewhere, and that set's diagonal tail beyond _S_MAX.
     At alpha = 2 every axis form is diagonal and every cross term an exact
     zero (c_alpha = 0), so the form is the diagonal of the Kronecker sum of
-    the omega^2, built as such: the same entries as the sum of products."""
+    the omega^2, built as such: the same entries as the sum of products. One
+    axis has no cross term, and its form is that axis form, which is exactly
+    symmetric already."""
     forms = _once_per_table(partial(_axis_form, alpha=alpha), basis.tables)
-    c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
-    if not c:
+    if alpha == 2:
         return np.diag(reduce(np.add.outer, [np.diag(A) for A in forms]).ravel())
+    if len(forms) == 1:
+        return forms[0]
+    from scipy.special import gamma
+
+    c = 0.5 * alpha / gamma(1 - 0.5 * alpha)
     eye = [np.eye(len(A)) for A in forms]
     E = sum(_kron(eye[:i] + [A[None]] + eye[i + 1 :], np.ones(1)) for i, A in enumerate(forms))
     subsets = [S for m in range(2, len(eye) + 1) for S in combinations(range(len(eye)), m)]
@@ -476,6 +485,8 @@ def _subordination_grams(table, s):
     block's wts-weighted product sum, added to every row from the first
     saturated one on by one cumulative sum over s; expm1 and the Gram product
     run only on the rows below it."""
+    from scipy.special import erfc
+
     _, hs, kk, om = table
     h, n = hs[0], kk.size
     u, nodes, wts, xi_max = _axis_quadrature(h, n)

@@ -14,7 +14,6 @@ step in any dimension, and the symmetric alpha-stable law on the line
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._quad import log_panels
 from .errors import ValidationError
@@ -31,6 +30,8 @@ def _dist_sq(x, y, dim):
 
 def cauchy_constant(dim):
     """Normalizing constant of the Cauchy kernel: Gamma((d+1)/2) / pi^((d+1)/2)."""
+    from scipy.special import gammaln
+
     return float(np.exp(gammaln((dim + 1) / 2) - (dim + 1) / 2 * np.log(np.pi)))
 
 

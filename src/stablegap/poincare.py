@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ._quad import axis_rules, tensor_rule
 from .errors import NumericalBudgetError, UnsupportedConfigurationError, ValidationError
@@ -120,6 +119,8 @@ def min_antisymmetric_quotient(profile, l):
     smallest quotient met. NumericalBudgetError past _QUOTIENT_STEPS steps,
     or when LAPACK reports a failed factorization or solve.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     m = profile.grid.size
     if m < 16:
         raise UnsupportedConfigurationError("weight grid too coarse (< 16 nodes)")
@@ -203,7 +204,7 @@ def skeleton_survival(domain, x, times):
         raise UnsupportedConfigurationError(
             "deterministic skeleton quadrature supports n <= 4 times"
         )
-    if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] <= 0:
+    if times.size == 0 or not (np.all(np.diff(times) > 0) and times[0] > 0):
         raise ValidationError("times must be nonempty, strictly increasing and positive")
     if domain.kind == "disk":
         raise UnsupportedConfigurationError("the skeleton quadrature needs a product domain")
@@ -249,7 +250,7 @@ def check_lemma_derivative(ts, fs, c):
         raise ValidationError("rate c must be positive")
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    if ts.size < 3 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
+    if ts.size < 3 or ts[0] != 0.0 or not np.all(np.diff(ts) > 0):
         raise ValidationError("need increasing samples starting at t = 0")
     df = np.gradient(fs, ts)
     integrand = (fs**2 + df**2) * np.exp(-c * ts)

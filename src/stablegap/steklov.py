@@ -87,7 +87,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import wofz
 
 from ._cpu import cpu_count as _cpu_count
 from ._quad import (
@@ -148,6 +147,14 @@ def check_truncation(trunc, domain):
 # a = |r| / (2 sqrt s) at the largest node is below this cut: elsewhere it is
 # at most e^(-a^2) < e^(-_A_CUT^2) = 3.2e-20 <= 2^-64, and it is left out
 _A_CUT = 6.7
+
+
+def wofz(z, out=None):
+    """The Faddeeva function w(z) = e^(-z^2) erfc(-i z), scipy's, imported on
+    the first call; _scaled_erf calls it by this module name."""
+    from scipy.special import wofz as faddeeva
+
+    return faddeeva(z, out=out)
 
 
 def _reach(r, s):

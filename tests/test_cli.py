@@ -211,6 +211,19 @@ def test_eig_lost_positivity_exits_3(monkeypatch, capsys):
     assert "positivity" in err
 
 
+def test_oversized_basis_exits_3(monkeypatch, capsys):
+    # what numpy raises when the form matrix of a large rectangle basis cannot
+    # be allocated; the real allocation is never attempted here
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array with shape (40000, 40000)")
+
+    monkeypatch.setattr(stablegap.cli, "solve_spectrum", no_memory)
+    code, out, err = run_cli(["eig", "--domain", "rect:-1,1,-1,1", "--n", "200"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: Unable to allocate")
+
+
 @pytest.mark.parametrize("argv", [
     ["eig", "--domain", "interval:-1,1", "--n", "16"],
     ["gap-check", "--domain", "interval:-1,1", "--n", "16"],
@@ -227,14 +240,48 @@ def test_alpha_out_of_range_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no plot files from a failed run
 
 
-def _run_module(module, argv, cwd, **env):
+def _run_python(args, cwd, **env):
     # a separate process, with the checkout's source tree on the path and
     # env added to its environment
     src = str(Path(stablegap.__file__).parents[1])
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run_module(module, argv, cwd, **env):
+    return _run_python(["-m", module, *argv], cwd, **env)
+
+
+_NUMPY_ONLY = r"""
+import contextlib, io, json, sys
+import stablegap.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = stablegap.cli.main(argv)
+    seen.append([argv[0] + " " + argv[2], code, scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_1d_eig_and_mc_load_numpy_alone(tmp_path):
+    # scipy loads inside the functions that call it, and these never do
+    runs = [
+        ["eig", "--domain", "interval:-1,1", "--n", "16"],
+        ["eig", "--domain", "intervals:-2,-0.5,0.5,2", "--n", "16"],
+        ["mc", "--domain", "interval:-1,1", "--paths", "2000", "--dt", "1e-2", "--t-max", "3",
+         "--start", "0.5", "--seed", "1"],
+    ]
+    out = _run_python(["-c", _NUMPY_ONLY, json.dumps(runs)], tmp_path)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    assert [step for step, _, _ in seen] == [
+        "import", "eig interval:-1,1", "eig intervals:-2,-0.5,0.5,2", "mc interval:-1,1"]
+    assert all(code == 0 and modules == [] for _, code, modules in seen), seen
 
 
 @pytest.mark.parametrize("argv", [

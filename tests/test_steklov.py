@@ -330,6 +330,26 @@ def test_smoothed_sine_mode_takes_scalars():
             assert np.ndim(g) == 0 and np.array_equal(g, r[0])
 
 
+@pytest.mark.parametrize("xs", [[0.0], [0.9], [0.9, 1.2], [-0.9, 0.0, 0.9]],
+                         ids=["none", "one-edge", "one-edge-two-points", "both-edges"])
+def test_every_wofz_call_goes_through_the_module_attribute(xs, monkeypatch):
+    # the traced steklov.wofz_calls and wofz_evals wrap steklov.wofz: a name
+    # bound elsewhere (scipy's wofz imported into _scaled_erf) would bypass
+    # it. At s = 1e-3 an edge is in reach within 6.7 * 2 sqrt(s) = 0.42 of it
+    original = steklov.wofz
+    sizes = []
+
+    def counting(z, out=None):
+        sizes.append(np.size(z))
+        return original(z, out=out)
+
+    monkeypatch.setattr(steklov, "wofz", counting)
+    xs, s = np.array(xs), 1e-3
+    smoothed_sine_mode(xs, s, np.pi / 2, 0.0, 1.0)
+    near = [np.abs(r) < 6.7 * 2 * np.sqrt(s) for r in (1.0 - xs, -1.0 - xs)]
+    assert sizes == [int(n.sum()) for n in near if n.any()]
+
+
 def test_engine_gradient_matches_central_differences_1d(interval_32):
     engine = ExtensionEngine(interval_32.basis)
     rows = interval_32.coefficients[:3]

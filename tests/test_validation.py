@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stablegap import ConstantField, Domain, ValidationError, check_harmonic, solve_spectrum
+from stablegap._quad import log_panels, panel_gauss
 from stablegap.bounds import (
     ball_laplacian_eigenvalues,
     bessel_zero,
@@ -20,7 +21,7 @@ from stablegap.bounds import (
 from stablegap.eigensolver import spectral_basis
 from stablegap.kernels import cauchy_kernel, gaussian_kernel, subordinator_density_half
 from stablegap.montecarlo import time_to_equilibrium_bounds
-from stablegap.poincare import check_lemma_derivative
+from stablegap.poincare import check_lemma_derivative, skeleton_survival
 
 INTERVAL = Domain.interval(-1.0, 1.0)
 
@@ -61,9 +62,16 @@ def test_counts_are_integers_and_not_bools(call, name):
     lambda: time_to_equilibrium_bounds(np.nan, 0.1, 1.0),
     lambda: check_lemma_derivative(np.linspace(0.0, 1.0, 5), np.ones(5), np.nan),
     lambda: check_harmonic(ConstantField(1), 0.0, np.nan),
+    lambda: skeleton_survival(INTERVAL, 0.0, [np.nan]),
+    lambda: skeleton_survival(INTERVAL, 0.0, [0.5, np.nan]),
+    lambda: check_lemma_derivative([0.0, np.nan, 1.0], np.ones(3), 1.0),
+    lambda: log_panels(np.nan, 1.0),
+    lambda: log_panels(1e-3, np.nan),
+    lambda: panel_gauss([0.0, np.nan, 1.0]),
 ], ids=["ball", "bracket", "gap_upper", "gap_lower_main", "disk", "rectangle", "final",
         "bessel_zero", "cauchy", "gaussian", "subordinator", "equilibrium", "lemma",
-        "harmonic-stencil"])
+        "harmonic-stencil", "skeleton-time", "skeleton-later-time", "lemma-sample-time",
+        "log_panels-lo", "log_panels-hi", "panel_gauss-edge"])
 def test_nan_fails_every_positivity_guard(call):
     # every comparison with NaN is false, so a guard written x <= 0 let it through
     with pytest.raises(ValidationError):
