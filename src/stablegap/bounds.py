@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_count
+from .errors import ValidationError, require_alpha, require_count
 
 
 _NEWTON_MAXITER = 50  # Newton steps allowed after the McMahon seed
@@ -55,8 +55,7 @@ def ball_laplacian_eigenvalues(dim, radius):
 def stable_eigenvalue_bracket(mu, alpha):
     """Bracket [mu^(alpha/2) / 2, mu^(alpha/2)] for the alpha-stable eigenvalue
     corresponding to a Dirichlet-Laplacian eigenvalue mu of the ball."""
-    if not 0 < alpha <= 2:
-        raise ValidationError("alpha must lie in (0, 2]")
+    require_alpha(alpha)
     if not mu > 0:
         raise ValidationError("mu must be positive")
     top = mu ** (alpha / 2)
@@ -74,8 +73,7 @@ def gap_upper(dim, inradius, alpha=1.0):
 
     (j(d/2,1)^alpha - j(d/2-1,1)^alpha / 2) / r^alpha.
     """
-    if not 0 < alpha <= 2:
-        raise ValidationError("alpha must lie in (0, 2]")
+    require_alpha(alpha)
     if not inradius > 0:
         raise ValidationError("inradius must be positive")
     j0 = bessel_zero(dim / 2 - 1, 1)

@@ -12,6 +12,7 @@ stochastic commands) are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -31,6 +32,7 @@ from .errors import (
     StableGapError,
     UnsupportedConfigurationError,
     ValidationError,
+    require_alpha,
 )
 from .eigensolver import solve_spectrum, spectral_basis
 from .geometry import Domain
@@ -101,14 +103,6 @@ def _write_atomic(path, data):
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit_json(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        _write_atomic(path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_columns(rows, path, header=None):
     lines = []
     if header:
@@ -118,40 +112,62 @@ def _emit_columns(rows, path, header=None):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+class _Run:
+    """The record of one subcommand run: the echo of its resolved
+    configuration, the wall time of each stage, and the output. The stage
+    times go to one stderr line, never into the JSON, so reruns stay
+    byte-identical."""
+
+    def __init__(self, args, domain, **config):
+        self.command, self.out = args.command, args.out
+        self.config = {"command": args.command.replace("-", "_"), "alpha": args.alpha,
+                       "domain": domain.to_json() if domain is not None else None, **config}
+        self.stages = []
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        t0 = time.perf_counter()
+        yield
+        self.stages.append(f"{name} {time.perf_counter() - t0:.3f} s")
+
+    def emit(self, body, note=""):
+        """The stage line (when a stage ran), then {"schema": 1, "config":
+        ..., **body} as JSON to --out or stdout."""
+        if self.stages:
+            sys.stderr.write(f"{self.command}: " + ", ".join(self.stages) + note + "\n")
+        text = json.dumps({"schema": 1, "config": self.config, **body},
+                          sort_keys=True, indent=2) + "\n"
+        if self.out:
+            _write_atomic(self.out, text)
+        else:
+            sys.stdout.write(text)
+
+
 def cmd_eig(args):
     domain = parse_domain(args.domain)
-    if args.csv:
-        # the modes reported are the first --n-report of the basis, which is
-        # built without assembly
-        size = spectral_basis(domain, args.n).size
-        top = min(args.n_report, size)
-        if not 1 <= args.csv_mode <= top:
-            raise ValidationError(f"--csv-mode {args.csv_mode} outside 1..{top}"
-                                  f" (--n-report {args.n_report}, basis size {size})")
-    t0 = time.perf_counter()  # the solve's wall time goes to stderr, never into the JSON
-    result = solve_spectrum(domain, args.alpha, n_basis=args.n, n_report=args.n_report)
-    solve_s = time.perf_counter() - t0
-    config = {
-        "command": "eig",
-        "domain": domain.to_json(),
-        "alpha": args.alpha,
-        "n": args.n,
-        "n_report": args.n_report,
-    }
-    out = {
-        "schema": 1,
-        "config": config,
+    # the modes reported are the first --n-report of the basis, which is
+    # built without assembly
+    size = spectral_basis(domain, args.n).size
+    top = min(args.n_report, size)
+    if top < 2:
+        raise ValidationError(f"lambda2 needs two reported modes, got {top} (--n {args.n}:"
+                              f" basis size {size}, --n-report {args.n_report})")
+    if args.csv and not 1 <= args.csv_mode <= top:
+        raise ValidationError(f"--csv-mode {args.csv_mode} outside 1..{top}"
+                              f" (--n-report {args.n_report}, basis size {size})")
+    run = _Run(args, domain, n=args.n, n_report=args.n_report)
+    with run.stage("solve"):
+        result = solve_spectrum(domain, args.alpha, n_basis=args.n, n_report=args.n_report)
+    run.emit({
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "symmetry": list(result.symmetry),
         "star_index": result.star_index,
         "lambda_gap": result.lambda2 - result.lambda1,
-    }
-    phi = result.eigenfunction(args.csv_mode) if args.csv else None
-    sys.stderr.write(f"eig: solve {solve_s:.3f} s\n")
-    _emit_json(out, args.out)
+    })
     if args.csv:
         n = 512 if domain.dim == 1 else 64
         pts = tensor_points([np.linspace(lo, hi, n) for lo, hi in domain.bounding_box()])
+        phi = result.eigenfunction(args.csv_mode)  # a reported mode, checked before the solve
         _emit_columns(np.column_stack([pts, phi(pts)]), args.csv)
     return 0
 
@@ -164,38 +180,28 @@ def cmd_gap_check(args):
     given = {k: v for k in ("eps", "t_max", "x_max") if (v := getattr(args, k)) is not None}
     trunc = dataclasses.replace(steklov.default_truncation(domain.dim), **given)
     steklov.check_truncation(trunc, domain)  # before the solve, which a bad box would waste
-    if args.mode is not None and args.mode < 2:
-        raise ValidationError(f"--mode {args.mode} < 2: mode 1 has no gap to lambda_1")
-    t0 = time.perf_counter()  # stage wall times go to stderr, never into the JSON
-    result = solve_spectrum(domain, args.alpha, n_basis=args.n)
-    t1 = time.perf_counter()
-    n = args.mode if args.mode is not None else (result.star_index or 2)
-    chk = steklov.gap_identity_check(result, n, trunc=trunc)
-    t2 = time.perf_counter()
+    mode = 2 if args.mode is None else args.mode  # the default, star_index or 2, is >= 2
+    if mode < 2:
+        raise ValidationError(f"--mode {mode} < 2: mode 1 has no gap to lambda_1")
+    size = spectral_basis(domain, args.n).size  # every mode of the basis is reported
+    if mode > size:
+        raise ValidationError(f"--mode {mode} outside 2..{size} (--n {args.n}: basis size {size})")
+    run = _Run(args, domain, n=args.n, truncation=[trunc.eps, trunc.t_max, trunc.x_max])
+    with run.stage("solve"):
+        result = solve_spectrum(domain, args.alpha, n_basis=args.n)
+    run.config["mode"] = n = args.mode if args.mode is not None else (result.star_index or 2)
+    with run.stage("gap identity"):
+        chk = steklov.gap_identity_check(result, n, trunc=trunc)
     if chk["tail_bound"] > 0.01 * chk["lhs"]:
         raise NumericalBudgetError(
             f"truncation tail bound {chk['tail_bound']:.3g} exceeds 1% of the gap"
         )
-    d01 = steklov.d01_lower_bound_check(result, trunc=trunc) if result.star_index else None
-    t3 = time.perf_counter()
+    with run.stage("d01"):
+        d01 = steklov.d01_lower_bound_check(result, trunc=trunc) if result.star_index else None
     # the engine's cost goes to stderr with the stage times, never into the JSON
     tallies = [c["faddeeva_entries"] for c in (chk, d01) if c]
     evaluated, skipped = (sum(t[k] for t in tallies) for k in ("evaluated", "skipped"))
-    sys.stderr.write(
-        f"gap-check: solve {t1 - t0:.3f} s, gap identity {t2 - t1:.3f} s, d01 {t3 - t2:.3f} s; "
-        f"extension engine workers {steklov.engine_workers(domain.dim)}; "
-        f"Faddeeva entries {evaluated} evaluated, {skipped} skipped\n"
-    )
-    out = {
-        "schema": 1,
-        "config": {
-            "command": "gap_check",
-            "domain": domain.to_json(),
-            "alpha": args.alpha,
-            "n": args.n,
-            "mode": n,
-            "truncation": [trunc.eps, trunc.t_max, trunc.x_max],
-        },
+    run.emit({
         "lambda_gap": chk["lhs"],
         "Q_value": chk["rhs"],
         "relative_error": chk["relative_error"],
@@ -203,8 +209,8 @@ def cmd_gap_check(args):
         "constant_field_Q": chk["constant_field_Q"],
         "d01_integral": d01["simplified_integral"] if d01 else None,
         "pass": bool(chk["relative_error"] < _GAP_REL_TOL and (d01 is None or d01["pass"])),
-    }
-    _emit_json(out, args.out)
+    }, note=f"; extension engine workers {steklov.engine_workers(domain.dim)}; "
+            f"Faddeeva entries {evaluated} evaluated, {skipped} skipped")
     return 0
 
 
@@ -226,20 +232,24 @@ def cmd_mc(args):
         cfg.validate()
     if not domain.contains(np.array([x]))[0]:
         raise ValidationError("start point must lie in D")
+    run = _Run(
+        args, domain, paths=args.paths, dt=args.dt, t_max=args.t_max, seed=args.seed,
+        start=start, record_stride=mc.McConfig.record_stride,
+        streams=mc.stream_count(configs["dt"]), bit_generator=mc.BIT_GENERATOR.__name__,
+        draw_entries=mc.DRAW_ENTRIES,
+    )
     n = 256 if domain.dim == 1 else 24
-    t0 = time.perf_counter()  # stage wall times go to stderr, never into the JSON
-    lam_hat = float(solve_spectrum(domain, args.alpha, n_basis=n).lambda1)
-    stages = [f"galerkin solve {time.perf_counter() - t0:.3f} s"]
+    with run.stage("galerkin solve"):
+        lam_hat = float(solve_spectrum(domain, args.alpha, n_basis=n).lambda1)
+    gap_star = domain.summarize().symmetric_x1 and start[0] > 0
     estimates = {}
     curves = {}
     for label, cfg in configs.items():
-        t0 = time.perf_counter()
-        curve = mc.survival_curve(domain, x, cfg)
-        stages.append(f"survival {label} {time.perf_counter() - t0:.3f} s")
+        with run.stage(f"survival {label}"):
+            curve = mc.survival_curve(domain, x, cfg)
         est = mc.estimate_lambda1(curve)
         entry = {"config": cfg.to_json(), "lambda1": est.to_json()}
-        g = domain.summarize()
-        if g.symmetric_x1 and start[0] > 0:
+        if gap_star:
             try:
                 entry["gap_star"] = mc.estimate_gap_star(domain, curve).to_json()
             except EstimationError as exc:
@@ -253,64 +263,39 @@ def cmd_mc(args):
         "n_basis": n,
         "z_score": (coarse["value"] - lam_hat) / coarse["stderr"] if coarse["stderr"] > 0 else None,
     }
-    out = {
-        "schema": 1,
-        "config": {
-            "command": "mc",
-            "domain": domain.to_json(),
-            "alpha": args.alpha,
-            "paths": args.paths,
-            "dt": args.dt,
-            "t_max": args.t_max,
-            "seed": args.seed,
-            "start": start,
-            "record_stride": mc.McConfig.record_stride,
-            "streams": mc.stream_count(configs["dt"]),
-            "bit_generator": mc.BIT_GENERATOR.__name__,
-            "draw_entries": mc.DRAW_ENTRIES,
-        },
+    run.emit({
         "estimates": estimates,
         "galerkin": galerkin,
         "dt_refinement": {
             "lambda1_delta": fine["value"] - coarse["value"],
             "stderr": float(np.hypot(fine["stderr"], coarse["stderr"])),
         },
-    }
-    sys.stderr.write("mc: " + ", ".join(stages) + "\n")
-    _emit_json(out, args.out)
+    })
     if args.csv:
         _emit_columns(curves["dt"].rows(), args.csv, header=("t", "survival", "stderr"))
     return 0
 
 
 def cmd_report(args):
-    if not 0 < args.alpha <= 2:
-        raise ValidationError("alpha must lie in (0, 2]")
+    require_alpha(args.alpha)
     if args.n is not None and args.n < 1:
         raise ValidationError("--n must be >= 1")
     domain = parse_domain(args.domain) if args.domain else None
+    if domain is not None and args.n is not None and spectral_basis(domain, args.n).size < 2:
+        raise ValidationError(f"lambda2 needs two modes, got 1 (--n {args.n}: basis size 1)")
     if (args.sweep is None) != (args.plot_prefix is None):
         raise ValidationError("--sweep and --plot-prefix must be given together")
     sweep = _floats(args.sweep) if args.sweep is not None else []
     if not all(1 <= L < np.inf for L in sweep):  # rectangle_gap_lower needs L >= 1; NaN fails too
         raise ValidationError(f"--sweep half-lengths must be finite and >= 1, got {args.sweep!r}")
-    config = {
-        "command": "report",
-        "domain": domain.to_json() if domain else None,
-        "alpha": args.alpha,
-        "n": args.n,
-        "sweep": args.sweep,
-    }
-    out = {"schema": 1, "config": config}
-    stages = []  # wall times of the stages that ran go to stderr, never into the JSON
+    run = _Run(args, domain, n=args.n, sweep=args.sweep)
     result = None  # the main domain's solve, reused by a sweep rectangle equal to it
     if domain is not None:
         lam1 = None
         spectrum = None
         if args.n is not None:
-            t0 = time.perf_counter()
-            result = solve_spectrum(domain, args.alpha, n_basis=args.n)
-            stages.append(f"solve {time.perf_counter() - t0:.3f} s")
+            with run.stage("solve"):
+                result = solve_spectrum(domain, args.alpha, n_basis=args.n)
             lam1 = float(result.lambda1)
             spectrum = {
                 "eigenvalues": [float(v) for v in result.eigenvalues],
@@ -320,34 +305,30 @@ def cmd_report(args):
                 if result.star_index else None,
             }
         report = bounds_mod.build_report(domain, alpha=args.alpha, lambda1=lam1)
-        out["report"] = report.to_json()
-        out["spectrum"] = spectrum
+        body = {"report": report.to_json(), "spectrum": spectrum}
         sys.stderr.write(bounds_mod.render_table(report) + "\n")
     else:
-        out["constants"] = {
+        body = {"constants": {
             f"d={d}": dict(zip(("C", "C_prime"), bounds_mod.main_gap_constants(d)))
             for d in (1, 2, 3)
-        }
+        }}
     if sweep:
-        t0 = time.perf_counter()
-        lower_rows, upper_rows, computed_rows = [], [], []
-        for L in sweep:
-            dom = Domain.rectangle(-L, L, -1, 1)
-            lower_rows.append((L, bounds_mod.rectangle_gap_lower(L)))
-            upper_rows.append((L, bounds_mod.gap_upper(2, 1.0, args.alpha)))
-            if args.n is not None:
-                same = result is not None and dom == domain
-                r = result if same else solve_spectrum(dom, args.alpha, n_basis=args.n)
-                computed_rows.append((L, float(r.lambda_star - r.lambda1)))
-        stages.append(f"sweep {time.perf_counter() - t0:.3f} s")
+        with run.stage("sweep"):
+            lower_rows, upper_rows, computed_rows = [], [], []
+            for L in sweep:
+                dom = Domain.rectangle(-L, L, -1, 1)
+                lower_rows.append((L, bounds_mod.rectangle_gap_lower(L)))
+                upper_rows.append((L, bounds_mod.gap_upper(2, 1.0, args.alpha)))
+                if args.n is not None:
+                    same = result is not None and dom == domain
+                    r = result if same else solve_spectrum(dom, args.alpha, n_basis=args.n)
+                    computed_rows.append((L, float(r.lambda_star - r.lambda1)))
         _emit_columns(lower_rows, args.plot_prefix + "_lower.dat", header=("L", "gap_lower"))
         _emit_columns(upper_rows, args.plot_prefix + "_upper.dat", header=("L", "gap_upper"))
         if computed_rows:
             _emit_columns(computed_rows, args.plot_prefix + "_computed.dat",
                           header=("L", "gap_star"))
-    if stages:
-        sys.stderr.write("report: " + ", ".join(stages) + "\n")
-    _emit_json(out, args.out)
+    run.emit(body)
     return 0
 
 
@@ -357,47 +338,42 @@ def build_parser():
         description="Spectra and spectral-gap bounds of killed stable processes.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of every subcommand
+    common.add_argument("--alpha", type=float, default=1.0)
+    common.add_argument("--out")
 
-    eig = sub.add_parser("eig", help="solve the Dirichlet spectrum")
+    eig = sub.add_parser("eig", parents=[common], help="solve the Dirichlet spectrum")
     eig.add_argument("--domain", required=True)
-    eig.add_argument("--alpha", type=float, default=1.0)
     eig.add_argument("--n", type=int, default=256)
     eig.add_argument("--n-report", type=int, default=8)
-    eig.add_argument("--out")
     eig.add_argument("--csv", help="dump an eigenfunction as columns")
     eig.add_argument("--csv-mode", type=int, default=1)
     eig.set_defaults(func=cmd_eig)
 
-    gap = sub.add_parser("gap-check", help="verify the variational gap identity")
+    gap = sub.add_parser("gap-check", parents=[common], help="verify the variational gap identity")
     gap.add_argument("--domain", required=True)
-    gap.add_argument("--alpha", type=float, default=1.0)
     gap.add_argument("--n", type=int, default=256)
     gap.add_argument("--mode", type=int)
     gap.add_argument("--eps", type=float)
     gap.add_argument("--t-max", type=float)
     gap.add_argument("--x-max", type=float)
-    gap.add_argument("--out")
     gap.set_defaults(func=cmd_gap_check)
 
-    run = sub.add_parser("mc", help="Monte Carlo exit-time estimates")
+    run = sub.add_parser("mc", parents=[common], help="Monte Carlo exit-time estimates")
     run.add_argument("--domain", required=True)
-    run.add_argument("--alpha", type=float, default=1.0)
     run.add_argument("--paths", type=int, default=100_000)
     run.add_argument("--dt", type=float, default=1e-3)
     run.add_argument("--t-max", type=float, default=10.0)
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--start", default="0.5")
-    run.add_argument("--out")
     run.add_argument("--csv", help="dump the survival curve as columns")
     run.set_defaults(func=cmd_mc)
 
-    rep = sub.add_parser("report", help="closed-form bound report")
+    rep = sub.add_parser("report", parents=[common], help="closed-form bound report")
     rep.add_argument("--domain")
-    rep.add_argument("--alpha", type=float, default=1.0)
     rep.add_argument("--n", type=int)
     rep.add_argument("--sweep", help="comma-separated rectangle half-lengths")
     rep.add_argument("--plot-prefix", help="prefix for two-column plot files")
-    rep.add_argument("--out")
     rep.set_defaults(func=cmd_report)
     return p
 

@@ -57,7 +57,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._quad import log_panels
 from .errors import (NumericalBudgetError, UnsupportedConfigurationError, ValidationError,
-                     require_count)
+                     require_alpha, require_count)
 from .geometry import Domain
 
 # relative spread of a cluster of cross-block ties; used only to order it antisymmetric first
@@ -335,8 +335,7 @@ def assemble_form_matrix(domain, alpha, n_basis):
     -------
     A, basis : (ndarray, SineBasis or DiskBasis)
     """
-    if not 0 < alpha <= 2:
-        raise ValidationError("alpha must lie in (0, 2]")
+    require_alpha(alpha)
     basis = spectral_basis(domain, n_basis)
     return basis.form(alpha), basis
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one check on counts."""
+"""Exception types shared across the package, and the one check on counts
+and the one on stable exponents."""
 
 import numbers
 
@@ -29,3 +30,9 @@ def require_count(value, name, least=1):
     float, even one that holds a whole number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_alpha(alpha):
+    """Raise ValidationError unless alpha, the stable exponent, lies in (0, 2]."""
+    if not 0 < alpha <= 2:
+        raise ValidationError("alpha must lie in (0, 2]")

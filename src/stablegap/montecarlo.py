@@ -40,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from ._cpu import cpu_count as _cpu_count
-from .errors import EstimationError, ValidationError, require_count
+from .errors import EstimationError, ValidationError, require_alpha, require_count
 from .kernels import sample_stable_increment, sample_subordinator_increment
 
 
@@ -55,8 +55,7 @@ class McConfig:
     partitions: int = 200
 
     def validate(self):
-        if not (0 < self.alpha <= 2):
-            raise ValidationError("alpha must lie in (0, 2]")
+        require_alpha(self.alpha)
         if not (0 < self.dt < self.t_max < np.inf):
             raise ValidationError("need finite 0 < dt < t_max")
         # integers only: a record_stride of 2.5 matches no step and leaves
@@ -376,8 +375,8 @@ def estimate_phi1(curve, t, lambda1):
     returned stderr is the survival's alone: an error of lambda1 scales the
     estimate at every start point alike, which the normalization absorbs.
     """
-    if t > curve.times[-1]:
-        raise ValidationError("t beyond simulated horizon")
+    if not 0 < t <= curve.times[-1]:  # NaN fails too
+        raise ValidationError("t must lie in (0, simulated horizon]")
     j = int(np.searchsorted(curve.times, t))
     comp = np.exp(lambda1.value * curve.times) * curve.survival
     comp_err = np.exp(lambda1.value * curve.times) * curve.stderr
@@ -474,5 +473,7 @@ def time_to_equilibrium_bounds(gap, epsilon, c1):
         raise ValidationError("gap must be positive")
     if not (0 < epsilon < 1):
         raise ValidationError("epsilon must lie in (0, 1)")
+    if not 0 <= c1 < np.inf:
+        raise ValidationError("c1 must be finite and >= 0")
     lower = np.log(1.0 / epsilon) / gap
     return (float(lower), float(c1 + lower))

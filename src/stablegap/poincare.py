@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import axis_rules, tensor_rule
-from .errors import NumericalBudgetError, UnsupportedConfigurationError, ValidationError
+from .errors import (NumericalBudgetError, UnsupportedConfigurationError, ValidationError,
+                     require_count)
 from .kernels import cauchy_kernel_r2
 
 _PROFILE_CELLS = 2048  # cells of the uniform partition a profile samples
@@ -229,7 +230,8 @@ def segment_log_concavity(domain, segment, times, n_points=25):
     """Discrete log-concavity of the skeleton survival probability along an
     axis-parallel segment ((start, end) points in D). Returns the maximal
     second difference of the log (<= 0, up to quadrature noise, means
-    log-concave)."""
+    log-concave); n_points >= 3 gives at least one second difference."""
+    require_count(n_points, "n_points", 3)
     a = np.asarray(segment[0], dtype=float)
     b = np.asarray(segment[1], dtype=float)
     vals = [skeleton_survival(domain, a + s * (b - a), times) for s in np.linspace(0, 1, n_points)]

@@ -464,7 +464,8 @@ class ExtensionEngine:
 
     def values(self, coeff_rows, xs, ts):
         """Extensions of several coefficient vectors and their gradients on a
-        tensor grid of points and heights ts, each finite and > 0.
+        tensor grid of points, at least one per axis, and heights ts, each
+        finite and > 0.
 
         1D: xs is an array of points; returns (n_rows, 3, len(xs), len(ts)).
         2D: xs = (x1s, x2s); returns (n_rows, 4, len(x1s), len(x2s), len(ts)).
@@ -502,6 +503,9 @@ class ExtensionEngine:
         gw = self._time_weights(ts)
         chunks = _live_chunks(gw)
         points, tables = _axes(xs, len(self.basis.tables)), self.basis.tables
+        for i, p in enumerate(points, 1):
+            if p.size == 0:
+                raise ValidationError(f"point axis x{i} is empty")
         C = rows.reshape((len(rows),) + tuple(t[0].size for t in tables))
         out = np.zeros((len(rows), len(points) + 2) + tuple(p.size for p in points) + (ts.size,))
         for g, sel in _mode_groups(C):

@@ -83,7 +83,10 @@ def test_gap_check_rerun_is_byte_identical(tmp_path, capsys):
             ["gap-check", "--domain", "interval:-1,1", "--n", "16", "--out", str(f)], capsys)
         assert code == 0
         # stage wall times and the engine's worker count go to stderr only
-        assert err.startswith("gap-check: solve ") and "extension engine workers" in err
+        workers = stablegap.steklov.engine_workers(1)
+        assert re.fullmatch(r"gap-check: solve \d+\.\d{3} s, gap identity \d+\.\d{3} s, "
+                            rf"d01 \d+\.\d{{3}} s; extension engine workers {workers}; "
+                            r"Faddeeva entries [1-9]\d* evaluated, \d+ skipped\n", err)
     assert a.read_bytes() == b.read_bytes()
     assert "workers" not in a.read_text()
 
@@ -446,8 +449,13 @@ def test_report_sweep_checked_before_solving(sweep, monkeypatch, capsys, tmp_pat
     (["eig", "--n-report", "3", "--csv-mode", "4"], "--csv-mode"),
     (["gap-check", "--mode", "1"], "--mode"),
     (["gap-check", "--mode", "-1"], "--mode"),
+    (["eig", "--n-report", "1"], "--n-report"),
+    (["eig", "--n", "1"], "--n 1"),
+    (["report", "--n", "1"], "--n 1"),
+    (["gap-check", "--n", "16", "--mode", "100"], "--mode"),
 ], ids=["csv-mode-above-n-report", "csv-mode0", "csv-mode-above-n-report3",
-        "gap-check-mode1", "gap-check-mode-1"])
+        "gap-check-mode1", "gap-check-mode-1", "eig-n-report1", "eig-n1", "report-n1",
+        "gap-check-mode-above-basis"])
 def test_mode_flags_checked_before_solving(argv, flag, monkeypatch, capsys, tmp_path):
     # a mode number that cannot be reported is refused before the solve it would waste
     def no_solve(*args, **kwargs):

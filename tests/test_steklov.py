@@ -864,6 +864,16 @@ def test_every_height_is_finite_and_positive(interval_32, bad):
             call()
 
 
+def test_every_point_axis_is_nonempty(interval_32, rect_8):
+    # an empty axis leaves the engine no entries to batch its chunks by
+    calls = [(lambda: extend(interval_32, 1).values(np.array([]), [0.5]), "x1"),
+             (lambda: extend(rect_8, 1).values((np.array([0.3]), np.array([])), [0.5]), "x2"),
+             (lambda: ground_state_domination_check(interval_32, xs=[]), "x1")]
+    for call, axis in calls:
+        with pytest.raises(ValidationError, match=f"point axis {axis} is empty"):
+            call()
+
+
 @pytest.mark.parametrize("case", ["interval_32", "rect_8"])
 def test_values_are_the_value_plane_of_values_and_grad(case, request):
     # to the bit, for an extension and a ratio: at one point and height,

@@ -20,10 +20,20 @@ from stablegap.bounds import (
 )
 from stablegap.eigensolver import spectral_basis
 from stablegap.kernels import cauchy_kernel, gaussian_kernel, subordinator_density_half
-from stablegap.montecarlo import time_to_equilibrium_bounds
-from stablegap.poincare import check_lemma_derivative, skeleton_survival
+from stablegap.montecarlo import (
+    McConfig,
+    McEstimate,
+    estimate_phi1,
+    survival_curve,
+    time_to_equilibrium_bounds,
+)
+from stablegap.poincare import check_lemma_derivative, segment_log_concavity, skeleton_survival
 
 INTERVAL = Domain.interval(-1.0, 1.0)
+
+
+def _curve():
+    return survival_curve(INTERVAL, 0.5, McConfig(paths=2_000, dt=1e-2, t_max=3.0, seed=1))
 
 
 # a bool is an Integral but no count, and a float is no count even when whole
@@ -39,9 +49,12 @@ INTERVAL = Domain.interval(-1.0, 1.0)
     (lambda: bessel_zero(0, 2.0), "index k"),
     (lambda: main_gap_constants(True), "dimension"),
     (lambda: weighted_poincare_constant(np.True_), "dimension"),
+    (lambda: segment_log_concavity(INTERVAL, (-0.8, 0.8), [0.5], n_points=2), "n_points"),
+    (lambda: segment_log_concavity(INTERVAL, (-0.8, 0.8), [0.5], n_points=1), "n_points"),
+    (lambda: segment_log_concavity(INTERVAL, (-0.8, 0.8), [0.5], n_points=0), "n_points"),
 ], ids=["n_basis-True", "n_basis-2.7", "n_basis-4.0", "rect-counts-2.5", "disk-2.5",
         "n_report-2.5", "n_report-True", "bessel-k-True", "bessel-k-2.0",
-        "main-dim-True", "poincare-dim-np.True_"])
+        "main-dim-True", "poincare-dim-np.True_", "n_points-2", "n_points-1", "n_points-0"])
 def test_counts_are_integers_and_not_bools(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
@@ -68,10 +81,12 @@ def test_counts_are_integers_and_not_bools(call, name):
     lambda: log_panels(np.nan, 1.0),
     lambda: log_panels(1e-3, np.nan),
     lambda: panel_gauss([0.0, np.nan, 1.0]),
+    lambda: estimate_phi1(_curve(), np.nan, McEstimate(1.0, 0.01, 2_000)),
+    lambda: time_to_equilibrium_bounds(1.0, 0.1, np.nan),
 ], ids=["ball", "bracket", "gap_upper", "gap_lower_main", "disk", "rectangle", "final",
         "bessel_zero", "cauchy", "gaussian", "subordinator", "equilibrium", "lemma",
         "harmonic-stencil", "skeleton-time", "skeleton-later-time", "lemma-sample-time",
-        "log_panels-lo", "log_panels-hi", "panel_gauss-edge"])
+        "log_panels-lo", "log_panels-hi", "panel_gauss-edge", "phi1-time", "equilibrium-c1"])
 def test_nan_fails_every_positivity_guard(call):
     # every comparison with NaN is false, so a guard written x <= 0 let it through
     with pytest.raises(ValidationError):
