@@ -81,10 +81,8 @@ from .steklov import (
     extend,
     extend_ratio,
     gap_identity_check,
-    gradient_scale_fit,
     ground_state_domination_check,
     q_functional,
-    ratio_boundedness_check,
 )
 
 __version__ = "0.1.0"

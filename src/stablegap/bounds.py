@@ -192,7 +192,7 @@ def build_report(domain, alpha=1.0, lambda1=None):
         report.rows["C_prime_d"] = cpd
         if domain.kind == "disk":
             report.rows["gap_lower_disk"] = disk_gap_lower(r)
-        if domain.kind == "rectangle" and abs(r - 1.0) < 1e-12 and L >= 1:
+        elif d == 2 and abs(r - 1.0) < 1e-12 and L >= 1:  # a convex 2D product: a rectangle
             report.rows["gap_lower_rectangle"] = rectangle_gap_lower(L)
         if lambda1 is not None and d == 2 and abs(r - 1.0) < 1e-12:
             report.rows["gap_lower_from_lambda1"] = final_inequality(lambda1, L)

@@ -285,6 +285,9 @@ def cmd_report(args):
         raise ValidationError(f"lambda2 needs two modes, got 1 (--n {args.n}: basis size 1)")
     if (args.sweep is None) != (args.plot_prefix is None):
         raise ValidationError("--sweep and --plot-prefix must be given together")
+    if args.sweep is not None and args.n is not None and args.n < 2:
+        # a sweep rectangle has an x1-antisymmetric mode only at n >= 2 per axis
+        raise ValidationError(f"--sweep needs --n >= 2, got --n {args.n}")
     sweep = _floats(args.sweep) if args.sweep is not None else []
     if not all(1 <= L < np.inf for L in sweep):  # rectangle_gap_lower needs L >= 1; NaN fails too
         raise ValidationError(f"--sweep half-lengths must be finite and >= 1, got {args.sweep!r}")

@@ -4,11 +4,13 @@ The quadratic form of the symmetric alpha-stable process killed outside D is
 
     E(u, u) = (2 pi)^(-d) * integral over R^d of |xi|^alpha |Fu(xi)|^2 dxi
 
-(F the non-unitary Fourier transform). Interval unions and rectangles are
-products of interval unions (Domain.axis_components), and the solver projects
-this form onto one basis for both: products of the Dirichlet-Laplacian sine
-modes of each axis's components, whose transforms have closed forms. The form
-of one axis is evaluated by panel Gauss-Legendre quadrature in xi with an
+(F the non-unitary Fourier transform). Interval unions, rectangles and boxes
+in R^3 are one domain kind, products of interval unions (Domain.product), and
+the solver projects this form onto one basis for all of them: products of the
+Dirichlet-Laplacian sine modes of each axis's components, whose transforms
+have closed forms. An axis with more than one interval is supported in d = 1
+only: _sine_basis refuses it in d >= 2 (UnsupportedConfigurationError). The
+form of one axis is evaluated by panel Gauss-Legendre quadrature in xi with an
 analytic power-law tail beyond the truncation point, in real arithmetic: on
 one interval the transforms of odd modes are real and those of even modes
 imaginary, so the form splits into same-parity blocks (pairs of different
@@ -18,8 +20,8 @@ coordinate where every mode frequency is an even integer
 (_parity_amplitudes, which builds each parity's rows contiguously). A union
 adds, per pair of components, the same Gram products weighted by the cos of
 the phase between their centres on same-parity pairs and by its sin on the
-others. A product of d interval unions (a rectangle at d = 2) needs only 1D
-pieces: by subordination,
+others. A product of d intervals (a rectangle at d = 2, a box at d = 3)
+needs only 1D pieces: by subordination,
 
     |xi|^alpha = c_alpha * integral_0^inf (1 - e^(-s |xi|^2)) s^(-1-alpha/2) ds,
 
@@ -71,7 +73,7 @@ _CHUNK_ENTRIES = 1 << 21
 
 @dataclass(frozen=True, eq=False)
 class SineBasis:
-    """Orthonormal Dirichlet basis of an interval union or a rectangle:
+    """Orthonormal Dirichlet basis of a product of interval unions:
     products of one sine mode per axis of Domain.axis_components(), indexed
     row-major over the axes, x1 slowest (j * n2 + m on a rectangle).
 
@@ -108,9 +110,10 @@ class SineBasis:
 
     def probe_point(self):
         """Per axis, a fixed fraction of its last component: 0.618 on the last
-        axis, 0.809 on x1 of a rectangle."""
+        axis, 0.809 on every other."""
         comps = self.domain.axis_components()
-        point = [a + f * (b - a) for f, (*_, (a, b)) in zip((0.809, 0.618)[-len(comps) :], comps)]
+        fracs = (0.809,) * (len(comps) - 1) + (0.618,)
+        point = [a + f * (b - a) for f, (*_, (a, b)) in zip(fracs, comps)]
         return np.array(point if len(point) > 1 else point[0])
 
     def evaluate(self, C, x):
@@ -199,8 +202,14 @@ def spectral_basis(domain, n_basis):
 
 def _sine_basis(domain, n_basis):
     """Sine basis with n_basis modes per interval component: one int for
-    every axis, or one int per axis."""
+    every axis, or one int per axis. A union axis needs d = 1: in d >= 2 the
+    cross terms (_subordination_grams) and the parity blocks (labels) hold
+    for one interval per axis alone."""
     comps = domain.axis_components()
+    if len(comps) > 1 and max(map(len, comps)) > 1:
+        raise UnsupportedConfigurationError(
+            f"an axis with more than one interval needs d = 1, got components per axis "
+            f"{[len(ivs) for ivs in comps]}")
     counts = (n_basis,) * len(comps) if np.isscalar(n_basis) else tuple(n_basis)
     if len(counts) != len(comps):
         raise ValidationError(f"need one mode count per axis ({len(comps)})")
@@ -527,8 +536,8 @@ class SpectralResult:
     coefficients[n-1] holds the basis coefficients of mode n (1-based mode
     numbering throughout). symmetry[n-1] is its x1-reflection block, "symmetric"
     or "antisymmetric"; "none" only on a domain that is not x1-symmetric. On a
-    rectangle each mode also has one parity per axis after x1: its coefficients
-    on the modes of the other parity are exactly 0.0.
+    product of d >= 2 intervals each mode also has one parity per axis after
+    x1: its coefficients on the modes of the other parity are exactly 0.0.
     star_index is the 1-based index of the lowest antisymmetric mode when it is
     among the reported modes, else None.
     """

@@ -1,11 +1,12 @@
-"""Bounded domains: finite interval unions in 1D, axis-aligned rectangles and disks in 2D.
+"""Bounded domains: products of finite interval unions in any dimension, and disks in 2D.
 
-An interval union and a rectangle are both products of interval unions, one
-per axis (Domain.axis_components): a union has one axis holding all of its
-components, a rectangle one component per side. Every query (membership,
-geometric summaries, x1-symmetry, scaling, bounding box) has one path over
-those axis components and one for the disk. Domains serialize to a small JSON
-object so CLI runs can echo their inputs.
+A product has one tuple of sorted, disjoint (lo, hi) components per axis
+(Domain.product): an interval union is a product with one axis, a rectangle
+one with two axes of one component each. Every query (membership, geometric
+summaries, x1-symmetry, scaling, bounding box) has one path over those axis
+components and one for the disk. Domains serialize to a small JSON object so
+CLI runs can echo their inputs: the kinds "interval_union", "rectangle" and
+"disk". Any other product has no JSON form yet, and to_json refuses it.
 """
 
 from __future__ import annotations
@@ -45,13 +46,15 @@ def _floats(*values):
 
 def _union_components(intervals):
     """Finite, nonempty, disjoint (lo, hi) pairs as floats, sorted."""
-    ivs = tuple(_floats(a, b) for a, b in intervals)
+    try:
+        ivs = tuple(sorted((float(a), float(b)) for a, b in intervals))
+    except (TypeError, ValueError):
+        raise ValidationError(f"an axis needs (lo, hi) number pairs, got {intervals!r}") from None
     if not ivs:
         raise ValidationError("interval union needs at least one component")
     for a, b in ivs:
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValidationError(f"degenerate interval ({a}, {b})")
-    ivs = tuple(sorted(ivs))
     for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
         if a1 < b0:
             raise ValidationError("interval components must be disjoint")
@@ -71,11 +74,10 @@ def _in_union(u, ivs):
 class Domain:
     """A bounded open set, one of the supported kinds.
 
-    kind: "interval_union" | "rectangle" | "disk"
+    kind: "product" | "disk"
     params:
-      interval_union: tuple of (lo, hi) pairs, disjoint, increasing
-      rectangle:      ((x1lo, x1hi), (x2lo, x2hi))
-      disk:           ((cx, cy), radius)
+      product: one tuple of (lo, hi) pairs per axis, disjoint, increasing
+      disk:    ((cx, cy), radius)
     """
 
     kind: str
@@ -84,17 +86,22 @@ class Domain:
     # ---------------- constructors ----------------
 
     @staticmethod
+    def product(*unions):
+        """The product of interval unions, one iterable of (lo, hi) pairs per axis;
+        no axis at all is refused as one empty union."""
+        return Domain("product", tuple(map(_union_components, unions or [()])))
+
+    @staticmethod
     def interval(lo, hi):
-        return Domain.interval_union([(lo, hi)])
+        return Domain.product([(lo, hi)])
 
     @staticmethod
     def interval_union(intervals):
-        return Domain("interval_union", _union_components(intervals))
+        return Domain.product(intervals)
 
     @staticmethod
     def rectangle(x1lo, x1hi, x2lo, x2hi):
-        sides = ((x1lo, x1hi), (x2lo, x2hi))
-        return Domain("rectangle", tuple(_union_components([side])[0] for side in sides))
+        return Domain.product([(x1lo, x1hi)], [(x2lo, x2hi)])
 
     @staticmethod
     def disk(cx, cy, radius):
@@ -107,17 +114,15 @@ class Domain:
 
     @property
     def dim(self):
-        return 1 if self.kind == "interval_union" else 2
+        return 2 if self.kind == "disk" else len(self.params)
 
     def axis_components(self):
-        """Interval components per axis, for domains that are products of
-        interval unions: a union has one axis holding every component, a
-        rectangle one component per side. Disks raise ValidationError."""
-        if self.kind == "interval_union":
-            return (self.params,)
-        if self.kind == "rectangle":
-            return tuple((side,) for side in self.params)
-        raise ValidationError("a disk is not a product of interval unions")
+        """Interval components per axis of a product: a union has one axis
+        holding every component, a rectangle one component per side. Disks
+        raise ValidationError."""
+        if self.kind == "disk":
+            raise ValidationError("a disk is not a product of interval unions")
+        return self.params
 
     def summarize(self):
         """Inradius, horizontal half-extent, diameter, x1-symmetry, convexity."""
@@ -149,11 +154,11 @@ class Domain:
     def contains(self, x):
         """Vectorized open-set membership; boundary points count as outside.
 
-        x: array of shape (..., dim) in 2D, or (...,) in 1D.
+        x: array of shape (..., dim) for dim >= 2, or (...,) in 1D.
         """
         x = np.asarray(x, dtype=float)
-        if self.dim == 2 and x.shape[-1:] != (2,):
-            raise ValidationError("2D domain expects points of shape (..., 2)")
+        if self.dim > 1 and x.shape[-1:] != (self.dim,):
+            raise ValidationError(f"{self.dim}D domain expects points of shape (..., {self.dim})")
         if self.kind == "disk":
             (cx, cy), r = self.params
             return (x[..., 0] - cx) ** 2 + (x[..., 1] - cy) ** 2 < r**2
@@ -167,11 +172,7 @@ class Domain:
         if self.kind == "disk":
             (cx, cy), r = self.params
             return Domain.disk(k * cx, k * cy, k * r)
-        axes = [[(k * a, k * b) for a, b in ivs] for ivs in self.axis_components()]
-        if len(axes) == 1:
-            return Domain.interval_union(axes[0])
-        (x1,), (x2,) = axes
-        return Domain.rectangle(*x1, *x2)
+        return Domain.product(*[[(k * a, k * b) for a, b in ivs] for ivs in self.params])
 
     def bounding_box(self):
         """((x1lo, x1hi), ...) covering the domain."""
@@ -183,13 +184,17 @@ class Domain:
     # ---------------- serialization ----------------
 
     def to_json(self):
-        if self.kind == "interval_union":
-            params = {"intervals": [list(iv) for iv in self.params]}
-        elif self.kind == "rectangle":
-            params = {"x1": list(self.params[0]), "x2": list(self.params[1])}
+        """{"kind", "params"} of a disk, an interval union or a rectangle;
+        ValidationError on any other product, which has no JSON form yet."""
+        if self.kind == "disk":
+            kind, params = "disk", {"center": list(self.params[0]), "radius": self.params[1]}
+        elif self.dim == 1:
+            kind, params = "interval_union", {"intervals": [list(iv) for iv in self.params[0]]}
+        elif list(map(len, self.params)) == [1, 1]:
+            kind, params = "rectangle", {f"x{i}": list(s) for i, (s,) in enumerate(self.params, 1)}
         else:
-            params = {"center": list(self.params[0]), "radius": self.params[1]}
-        return {"kind": self.kind, "params": params}
+            raise ValidationError(f"no JSON form yet for the product {self.params}")
+        return {"kind": kind, "params": params}
 
     @staticmethod
     def from_json(obj):

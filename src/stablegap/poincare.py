@@ -74,9 +74,9 @@ def ground_state_weight(result):
     WeightProfile on (-l, l), sampled as phi_1(x + c)^2: the quotient
     is translation invariant."""
     domain = result.domain
-    if domain.kind != "interval_union" or len(domain.params) != 1:
+    if domain.dim != 1 or len(domain.params[0]) != 1:
         raise ValidationError("the ground-state weight needs a single interval")
-    ((a, b),) = domain.params
+    ((a, b),) = domain.params[0]
     c, l = 0.5 * (a + b), 0.5 * (b - a)
     phi = result.eigenfunction(1)
     return WeightProfile.from_function(lambda x: phi(x + c) ** 2, l)
@@ -172,7 +172,7 @@ def directional_quotient_2d(domain, weight, f, tol=1e-10):
     for an x1-antisymmetric test function f and x1-symmetric weight w, both
     callables of an (n, 2) array. Returns {"lhs", "rhs", "pass"}.
     """
-    if domain.kind != "rectangle":
+    if domain.kind == "disk" or list(map(len, domain.params)) != [1, 1]:
         raise ValidationError("directional quotient is defined on rectangles")
     if not domain.summarize().symmetric_x1:
         raise ValidationError("rectangle must be symmetric in x1")

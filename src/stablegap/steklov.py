@@ -62,7 +62,8 @@ half of each axis's modes, and hold their field arrays on that part alone.
 Odd pairings, mixed rows, off-centre windows and domains symmetric only to
 within a tolerance keep the full rule.
 
-The engine loop is the same in every dimension and runs in two phases.
+The engine loop is the same in one and two dimensions (d = 3 is refused,
+_require_extendable) and runs in two phases.
 Phase 1 evaluates the smoothed modes of a chunk of nodes and sums them
 against the coefficients; it is mapped over a batch of chunks, on one thread
 per CPU of the process's affinity mask in a 1D pass large enough to pay for
@@ -95,9 +96,8 @@ from ._quad import (
     mirror_linspace,
     panel_gauss,
     tensor_points,
-    union_linspaces,
 )
-from .errors import ValidationError
+from .errors import UnsupportedConfigurationError, ValidationError
 from .eigensolver import _CHUNK_ENTRIES, SineBasis, SpectralResult, mirror_index, mode_parity
 from .kernels import subordination_grid, subordinator_density_half
 
@@ -439,14 +439,23 @@ def _require_positive_times(ts):
         raise ValidationError(f"heights t must be finite and > 0, got {ts!r}")
 
 
+def _require_extendable(basis):
+    """ValidationError unless basis is a sine basis; UnsupportedConfigurationError
+    beyond d = 2, where _contract_spec and _TAIL_CONSTANTS stop."""
+    if not isinstance(basis, SineBasis):
+        raise ValidationError("harmonic extensions need a sine basis")
+    if len(basis.tables) > 2:
+        raise UnsupportedConfigurationError(
+            f"harmonic extensions support d <= 2, got d = {len(basis.tables)}")
+
+
 class ExtensionEngine:
     """Evaluates P_t applied to arbitrary coefficient vectors of a sine basis
     together with its gradient, batched over tensor grids of points and
     heights t > 0."""
 
     def __init__(self, basis):
-        if not isinstance(basis, SineBasis):
-            raise ValidationError("harmonic extensions need a sine basis")
+        _require_extendable(basis)
         self.basis = basis
         self.s_nodes, self.s_weights = subordination_grid()
         # Faddeeva entries of every values call so far, [evaluated, skipped]:
@@ -629,6 +638,7 @@ def extend(result: SpectralResult, n: int) -> HarmonicExtension:
     """Harmonic extension of mode n (1-based) of a Cauchy-process result."""
     if result.alpha != 1.0:
         raise ValidationError("harmonic extensions apply to alpha = 1 results")
+    _require_extendable(result.basis)
     result.check_mode(n)
     return HarmonicExtension(result, n)
 
@@ -756,15 +766,6 @@ def check_boundary_derivative(result, n, x, h=1e-4):
         return abs(u_h)
     phi_v = float(result.eigenfunction(n)(pt)[0])
     return abs((u_h - phi_v) / h + result.eigenvalues[n - 1] * phi_v)
-
-
-def _interior_axes(domain, n):
-    """Axes of n evenly spaced interior points per interval component, closed
-    under x -> -x on an axis symmetric about 0 (union_linspaces)."""
-    return [
-        np.concatenate([e[1:-1] for e in union_linspaces(comps, n + 2)])
-        for comps in domain.axis_components()
-    ]
 
 
 def ground_state_domination_check(result, xs=None, ts=None):
@@ -1005,35 +1006,6 @@ def gap_identity_check(result, n=None, trunc=None):
         "constant_field_Q": q.diagnostics["constant_field"],
         "faddeeva_entries": q.diagnostics["faddeeva_entries"],
     }
-
-
-def ratio_boundedness_check(result, n=None):
-    """max |u_n / u_1| over a probe grid of the half-space above D.
-
-    The ratio is bounded; the returned maximum should sit far below the
-    coarse sanity ceiling 1e6 * ||phi_n||_inf / min-grid phi_1. |u_n / u_1|
-    is even on an axis where the ratio is even or odd, so only the second
-    half of a mirror grid is evaluated there (_half_rules).
-    """
-    w = extend_ratio(result, _star_mode(result) if n is None else n)
-    axes = _interior_axes(result.domain, 40 if result.domain.dim == 1 else 24)
-    axes = [x for x, _ in _half_rules([(x, None) for x in axes], (w, w))]
-    v = w.values(_xs(axes), np.geomspace(1e-3, _PROBE_T_MAX, 25))
-    return float(np.max(np.abs(v)))
-
-
-def gradient_scale_fit(result, n=None, trunc=None):
-    """Fit the constant c in |grad(u_n/u_1)| <= c / t on a probe grid of the
-    half-space above D; returns max over the grid of t * |grad(u_n/u_1)|,
-    which is even where the ratio is even or odd: there only the second half
-    of a mirror grid is evaluated (_half_rules)."""
-    w = extend_ratio(result, _star_mode(result) if n is None else n)
-    trunc = _truncation(trunc, result.domain.dim)
-    tq = np.geomspace(trunc.eps, trunc.t_max, 25)
-    axes = _interior_axes(result.domain, 30 if result.domain.dim == 1 else 14)
-    axes = [x for x, _ in _half_rules([(x, None) for x in axes], (w, w))]
-    (gw,) = _eval_fields((w,), axes, tq)
-    return float(np.max(np.sqrt(np.sum(gw[1:] ** 2, axis=0)) * tq))
 
 
 def d01_lower_bound_check(result, trunc=None):

@@ -24,11 +24,17 @@ def run_cli(argv, capsys):
 
 
 def test_parse_domain_shorthand():
-    assert parse_domain("interval:-1,1").kind == "interval_union"
-    assert parse_domain("rect:-2,2,-1,1").kind == "rectangle"
+    from stablegap import Domain
+
+    assert parse_domain("interval:-1,1") == Domain.interval(-1.0, 1.0)
+    assert parse_domain("rect:-2,2,-1,1") == Domain.rectangle(-2.0, 2.0, -1.0, 1.0)
     assert parse_domain("disk:0,0,1").kind == "disk"
     u = parse_domain("intervals:-2,-0.5,0.5,2")
-    assert u.kind == "interval_union" and len(u.params) == 2
+    assert u.dim == 1 and len(u.axis_components()[0]) == 2
+    # the JSON echo keeps the kind names of each shape
+    for text, kind in (("interval:-1,1", "interval_union"), ("rect:-2,2,-1,1", "rectangle"),
+                       ("intervals:-2,-0.5,0.5,2", "interval_union")):
+        assert parse_domain(text).to_json()["kind"] == kind
 
 
 def test_parse_domain_json():
@@ -453,9 +459,12 @@ def test_report_sweep_checked_before_solving(sweep, monkeypatch, capsys, tmp_pat
     (["eig", "--n", "1"], "--n 1"),
     (["report", "--n", "1"], "--n 1"),
     (["gap-check", "--n", "16", "--mode", "100"], "--mode"),
+    # a union has two modes at --n 1, but no sweep rectangle has an antisymmetric one
+    (["report", "--domain", "intervals:-2,-0.5,0.5,2", "--n", "1", "--sweep", "1,2",
+      "--plot-prefix", "p"], "--n 1"),
 ], ids=["csv-mode-above-n-report", "csv-mode0", "csv-mode-above-n-report3",
         "gap-check-mode1", "gap-check-mode-1", "eig-n-report1", "eig-n1", "report-n1",
-        "gap-check-mode-above-basis"])
+        "gap-check-mode-above-basis", "report-sweep-n1"])
 def test_mode_flags_checked_before_solving(argv, flag, monkeypatch, capsys, tmp_path):
     # a mode number that cannot be reported is refused before the solve it would waste
     def no_solve(*args, **kwargs):

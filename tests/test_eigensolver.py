@@ -27,7 +27,6 @@ from stablegap.eigensolver import (
     _X_SAT,
     _axis_form,
     _axis_quadrature,
-    _axis_table,
     _parity_amplitudes,
     _sine_basis,
     _subordination_grams,
@@ -97,6 +96,16 @@ def test_alpha2_disk_matches_bessel_zeros():
 def test_disk_fractional_unsupported():
     with pytest.raises(UnsupportedConfigurationError):
         solve_spectrum(Domain.disk(0.0, 0.0, 1.0), 1.0, 8)
+
+
+def test_union_axis_beyond_one_dimension_unsupported():
+    # the cross terms and the parity blocks of d >= 2 hold for one interval per axis
+    union_x_interval = Domain.product([(-2.0, -0.5), (0.5, 2.0)], [(-1.0, 1.0)])
+    for domain in (union_x_interval, Domain.product([(-1.0, 1.0)], [(-2.0, -0.5), (0.5, 2.0)])):
+        with pytest.raises(UnsupportedConfigurationError, match="more than one interval"):
+            eigensolver.spectral_basis(domain, 4)
+        with pytest.raises(UnsupportedConfigurationError):
+            solve_spectrum(domain, 2.0, 4)
 
 
 def test_scaling_covariance(interval_128):
@@ -418,18 +427,32 @@ def test_alpha2_diagonal_equals_the_kronecker_sum(domain, n):
     assert np.array_equal(eigensolver._assemble_sine(basis, 2.0), 0.5 * (E + E.T))
 
 
+CUBE = Domain.product([(-1.0, 1.0)], [(-1.0, 1.0)], [(-1.0, 1.0)])
+LONG_BOX = Domain.product([(-2.0, 2.0)], [(-1.0, 1.0)], [(-1.0, 1.0)])
+
+
 def test_three_axis_form_reproduces_cube_lambda1():
-    # the assembly has one path for every number of axes: on (-1, 1)^3, built
-    # from axis tables alone, lambda1 at n = 6 per axis is the d = 3 Kronecker
-    # form's value in ROADMAP item 13's table
-    tables = (_axis_table([(-1.0, 1.0)], 6),) * 3
-    basis = eigensolver.SineBasis(Domain.interval(-1.0, 1.0), 6**3, (6, 6, 6), tables)
+    # the assembly has one path for every number of axes: on (-1, 1)^3, lambda1
+    # at n = 6 per axis is the d = 3 Kronecker form's value in ROADMAP item 13's
+    # table, and the form never couples modes of different parity on an axis
+    basis = eigensolver.spectral_basis(CUBE, 6)
+    assert basis.size == 6**3 and basis.counts == (6, 6, 6)
     parity = np.array(np.meshgrid(*[np.arange(6) % 2] * 3, indexing="ij")).reshape(3, -1)
     cross = (parity[:, :, None] != parity[:, None, :]).any(axis=0)
     for alpha, lam1 in ((0.5, 1.495472), (1.0, 2.389885), (1.5, 4.066274)):
         A = eigensolver._assemble_sine(basis, alpha)
         assert np.array_equal(A, A.T) and np.all(A[cross] == 0.0), alpha
         assert round(np.linalg.eigvalsh(A)[0], 6) == lam1, alpha
+    # every n = 6 row of item 13's table: lambda1 and lambda* - lambda1 of the solve
+    for domain, rows in ((CUBE, ((0.5, 1.495472, 0.34782), (1.0, 2.389885, 1.14562),
+                                 (1.5, 4.066274, 2.99701))),
+                         (LONG_BOX, ((0.5, 1.376320, 0.15663), (1.0, 2.040035, 0.42216),
+                                     (1.5, 3.242677, 0.90775)))):
+        for alpha, lam1, gap in rows:
+            r = solve_spectrum(domain, alpha, 6)
+            assert round(r.lambda1, 6) == lam1, (domain, alpha)
+            assert round(r.lambda_star - r.lambda1, 5) == gap, (domain, alpha)
+            assert r.symmetry[r.star_index - 1] == "antisymmetric"
     # the Kronecker helper against nested np.kron, with one factor free of s
     rng = np.random.default_rng(13)
     for sizes in ((3,), (3, 2), (3, 2, 4)):

@@ -1,8 +1,12 @@
 """Domain construction, geometry summaries, and symmetry helpers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stablegap
 from stablegap import Domain, ValidationError
 
 
@@ -101,3 +105,75 @@ def test_axis_components():
     assert rect.axis_components() == (((-2.0, 2.0),), ((-1.0, 1.0),))
     with pytest.raises(ValidationError):
         Domain.disk(0.0, 0.0, 1.0).axis_components()
+
+
+def test_product_is_the_one_constructor():
+    assert Domain.product([(-1.0, 1.0)]) == Domain.interval(-1.0, 1.0)
+    assert Domain.product([(0.5, 2.0), (-2.0, -0.5)]) == Domain.interval_union(
+        [(-2.0, -0.5), (0.5, 2.0)])
+    assert Domain.product([(-2, 2)], [(-1, 1)]) == Domain.rectangle(-2.0, 2.0, -1.0, 1.0)
+    # no axis, an empty axis, a degenerate or overlapping axis, and axes that are not pairs
+    for bad in ((), ([],), ([(-1.0, 1.0)], [(1.0, 0.0)]), ([(0.0, 2.0), (1.0, 3.0)],),
+                ((-1.0, 1.0), (-1.0, 1.0)), ([(0.0, 1.0, 2.0)],), ("ab",), ([(0.0, "x")],)):
+        with pytest.raises(ValidationError):
+            Domain.product(*bad)
+
+
+def test_box_in_three_dimensions():
+    box = Domain.product([(-2.0, 2.0)], [(-1.0, 1.0)], [(0.0, 3.0)])
+    assert box.dim == 3
+    g = box.summarize()
+    assert g.dim == 3 and g.convex and g.symmetric_x1
+    assert g.inradius == 1.0 and g.half_extent == 2.0
+    assert g.diameter == pytest.approx(np.sqrt(16.0 + 4.0 + 9.0), rel=1e-15)
+    assert box.bounding_box() == ((-2.0, 2.0), (-1.0, 1.0), (0.0, 3.0))
+    assert box.scale(0.5) == Domain.product([(-1.0, 1.0)], [(-0.5, 0.5)], [(0.0, 1.5)])
+    pts = np.array([[[0.0, 0.0, 1.0], [1.9, 0.9, 2.9]], [[0.0, 0.0, -0.1], [2.1, 0.0, 1.0]]])
+    assert box.contains(pts).tolist() == [[True, True], [False, False]]
+    for shape in ((4, 2), (2,), (4, 4)):
+        with pytest.raises(ValidationError, match=r"\(\.\.\., 3\)"):
+            box.contains(np.zeros(shape))
+
+
+def test_products_without_a_json_form_are_refused():
+    # only the interval union and the rectangle have JSON names; CLI runs echo those alone
+    for d in (Domain.product([(-2.0, -0.5), (0.5, 2.0)], [(-1.0, 1.0)]),
+              Domain.product([(-1.0, 1.0)], [(-1.0, 1.0)], [(-1.0, 1.0)])):
+        with pytest.raises(ValidationError, match="no JSON form"):
+            d.to_json()
+    assert Domain.product([(-1.0, 1.0)], [(0.0, 1.0)]).to_json() == {
+        "kind": "rectangle", "params": {"x1": [-1.0, 1.0], "x2": [0.0, 1.0]}}
+    assert Domain.product([(0.5, 2.0), (-2.0, -0.5)]).to_json() == {
+        "kind": "interval_union", "params": {"intervals": [[-2.0, -0.5], [0.5, 2.0]]}}
+
+
+def _kind_name_owners(tree, names):
+    """The owner of every string constant in names: the innermost enclosing
+    function or class, or the names a module-level assignment binds."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        elif isinstance(node, ast.Assign) and owner is None:
+            owner = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.Constant) and node.value in names:
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
+
+
+def test_json_kind_names_stay_in_the_json_form():
+    # every product is one kind; its JSON names are the JSON form's business.
+    # Code elsewhere asks for the shape (dim, axis_components), so a new
+    # branch on "rectangle" or "interval_union" fails here
+    names = {"rectangle", "interval_union"}
+    owners = {}
+    for path in sorted(Path(stablegap.__file__).parent.glob("*.py")):
+        found = _kind_name_owners(ast.parse(path.read_text(), str(path)), names)
+        if found:
+            owners[path.name] = set(found)
+    assert owners == {"geometry.py": {"_KINDS", "to_json", "from_json"}}

@@ -233,7 +233,7 @@ def test_skeleton_survival_2d(rect_domain):
     assert v < one
     # one observation: the 2D Cauchy density integrates over the rectangle to
     # (1 / 2 pi) times the signed corner sum of arctan(u v / (t sqrt(t^2 + u^2 + v^2)))
-    (a1, b1), (a2, b2) = rect_domain.params
+    (a1, b1), (a2, b2) = rect_domain.bounding_box()
 
     def corner(u, v, t):
         return np.arctan(u * v / (t * np.sqrt(t**2 + u**2 + v**2)))
