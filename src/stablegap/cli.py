@@ -217,9 +217,6 @@ def cmd_gap_check(args):
 def cmd_mc(args):
     domain = parse_domain(args.domain)
     start = _floats(args.start)
-    if len(start) != domain.dim:
-        raise ValidationError("start point dimension mismatch")
-    x = start[0] if domain.dim == 1 else np.array(start)
     configs = {
         label: mc.McConfig(
             alpha=args.alpha, paths=args.paths, dt=dt, t_max=args.t_max, seed=args.seed,
@@ -230,8 +227,7 @@ def cmd_mc(args):
     # any of them rejects exits before a path is simulated
     for cfg in configs.values():
         cfg.validate()
-    if not domain.contains(np.array([x]))[0]:
-        raise ValidationError("start point must lie in D")
+    x = mc.start_point(domain, start)
     run = _Run(
         args, domain, paths=args.paths, dt=args.dt, t_max=args.t_max, seed=args.seed,
         start=start, record_stride=mc.McConfig.record_stride,

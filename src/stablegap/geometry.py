@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-_KINDS = ("interval_union", "rectangle", "disk")
+# each JSON kind and the keys of its params
+_KINDS = {"interval_union": ("intervals",), "rectangle": ("x1", "x2"), "disk": ("center", "radius")}
 _SYMMETRY_TOL = 1e-12  # absolute tolerance of the x1-reflection symmetry test
 
 
@@ -199,20 +200,28 @@ class Domain:
     @staticmethod
     def from_json(obj):
         """Inverse of to_json, from the object or its JSON text; ValidationError
-        when the text, the keys or the parameter shapes are malformed."""
+        when the text, the keys or the parameter shapes are malformed, or on a
+        key that the kind does not have."""
         try:
             if isinstance(obj, str):
                 obj = json.loads(obj)
             kind, params = obj["kind"], obj["params"]
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ValidationError(
+                    f"unknown domain kind {kind!r}; expected one of {tuple(_KINDS)}")
+            for where, given, known in (("domain JSON", obj, ("kind", "params")),
+                                        (f"{kind} params", params, _KINDS[kind])):
+                unknown = [key for key in given if key not in known]
+                if unknown:
+                    raise ValidationError(
+                        f"unknown key {unknown[0]!r} in {where}; expected {known}")
             if kind == "interval_union":
                 return Domain.interval_union(params["intervals"])
             if kind == "rectangle":
                 return Domain.rectangle(*params["x1"], *params["x2"])
-            if kind == "disk":
-                return Domain.disk(*params["center"], params["radius"])
+            return Domain.disk(*params["center"], params["radius"])
         except ValidationError:
             raise
         except (TypeError, KeyError, IndexError, ValueError) as exc:  # JSONDecodeError too
             raise ValidationError(f"malformed domain JSON: {exc!r}") from None
-        raise ValidationError(f"unknown domain kind {kind!r}; expected one of {_KINDS}")
 

@@ -198,8 +198,9 @@ def directional_quotient_2d(domain, weight, f, tol=1e-10):
 def skeleton_survival(domain, x, times):
     """P_x(X_{t_1} in D, ..., X_{t_n} in D) for the free Cauchy process
     (alpha = 1, closed-form kernel) observed on a finite time skeleton, by
-    iterated kernel quadrature over D^n (n <= 4). The kernel matrix is applied
-    in row blocks, so its memory does not grow with the square of the nodes."""
+    iterated kernel quadrature over D^n (n <= 4), D a product in one or two
+    dimensions. The kernel matrix is applied in row blocks, so its memory does
+    not grow with the square of the nodes."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size > 4:
         raise UnsupportedConfigurationError(
@@ -209,6 +210,11 @@ def skeleton_survival(domain, x, times):
         raise ValidationError("times must be nonempty, strictly increasing and positive")
     if domain.kind == "disk":
         raise UnsupportedConfigurationError("the skeleton quadrature needs a product domain")
+    # a box in R^3 has 96^3 nodes, and each time past the first costs N^2 kernel entries
+    if domain.dim > 2:
+        raise UnsupportedConfigurationError(
+            f"the skeleton quadrature supports 1D and 2D products, not {domain.dim}D"
+        )
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(domain.contains(x0)):
         raise ValidationError("starting point must lie in D")

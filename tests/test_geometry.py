@@ -1,6 +1,7 @@
 """Domain construction, geometry summaries, and symmetry helpers."""
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,28 @@ def test_json_roundtrip():
         d2 = Domain.from_json(d.to_json())
         assert d2.kind == d.kind
         assert d2.params == d.params
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [({"kind": "rectangle", "params": {"x1": [0, 1], "x2": [0, 1], "x3": [0, 1]}}, "x3"),
+     ({"kind": "disk", "params": {"center": [0, 0], "radius": 1}, "scale": 2}, "scale"),
+     ({"kind": "interval_union", "params": {"intervals": [[-1, 1]], "radius": 2}}, "radius")],
+    ids=["rectangle-x3", "disk-top-level", "union-radius"],
+)
+def test_from_json_refuses_unknown_keys(obj, key):
+    # each of these loaded as the kind with the key dropped: a third side as a
+    # 2D rectangle, an extra top-level key as a plain disk, a radius as the union
+    for given in (obj, json.dumps(obj)):
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            Domain.from_json(given)
+
+
+def test_json_text_roundtrip_is_byte_identical():
+    for d in (Domain.interval(-1.0, 1.0), Domain.rectangle(-2.0, 2.0, -1.0, 1.0),
+              Domain.disk(0.1, -0.2, 2.0), Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)])):
+        text = json.dumps(d.to_json(), sort_keys=True)
+        assert json.dumps(Domain.from_json(text).to_json(), sort_keys=True) == text
 
 
 def test_invalid_domains_raise():

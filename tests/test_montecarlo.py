@@ -1,7 +1,9 @@
 """Skeleton Monte Carlo: survival curves, rate estimators, determinism."""
 
+import ast
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,12 +109,16 @@ def _tally_digest(curve):
 # in DRAW_ENTRIES = 1 << 17 entries as one chunk, and while not even one
 # record fits, that record in pieces of as many steps as fit. The interval
 # pins are those of the direct stable steps (one uniform per step at
-# alpha = 1, a uniform and an exponential at 1.5); the rectangle pin is that
-# of the subordinated Gaussian step
+# alpha = 1, a uniform and an exponential at 1.5), and at alpha = 2 that of
+# the Gaussian step with dS = dt; the rectangle pins are those of the
+# subordinated Gaussian step, with the closed-form beta = 1/2 subordinator
+# at alpha = 1 and the general Kanter product at 1.5
 STREAM_PINS = {
     "interval-alpha1": "d22a1974236a285ac0df318ef8ce12b98d40fa4c85ce5804d7d488794bef153c",
     "rect-alpha1": "e095c575ec1732037ec3cf9bdee82c061eaafe9d3c3a3d5cf9ce5b9d57375123",
     "interval-alpha1.5": "4e8f40bfb7e9cd4934e88579116e6f13e68894fdaa41be0b1ed2ff10a89527c7",
+    "interval-alpha2": "6285677e407a92b5611391921c46cbfab8249de2d1020de0d7df728d1d18242d",
+    "rect-alpha1.5": "98df7ced62a5c26fc15f1d6bf80ef31b828c84fd8da67004845d768a90525123",
 }
 
 
@@ -126,6 +132,10 @@ def test_stream_pins(interval, rect_domain):
                         McConfig(alpha=1.0, paths=30_000, dt=2e-3, t_max=3.0, seed=47)),
         "interval-alpha1.5": (interval, 0.5,
                               McConfig(alpha=1.5, paths=20_000, dt=2e-3, t_max=2.0, seed=11)),
+        "interval-alpha2": (interval, 0.5,
+                            McConfig(alpha=2.0, paths=20_000, dt=2e-3, t_max=2.0, seed=11)),
+        "rect-alpha1.5": (rect_domain, np.array([0.5, 0.0]),
+                          McConfig(alpha=1.5, paths=20_000, dt=2e-3, t_max=2.0, seed=47)),
     }
     got = {name: _tally_digest(simulate_skeleton(*run)) for name, run in runs.items()}
     assert got == STREAM_PINS
@@ -294,10 +304,11 @@ def test_tally_over_records_matches_one_bincount_per_record(parts, records):
 
 
 class _ScriptedSteps:
-    """_draw_steps stand-in that hands path i the increments inc[:, i] in
-    order. It follows the compaction of the stream it feeds by stepping every
-    path itself: when the stream asks for fewer columns, the paths it kept are
-    those still alive at the last step drawn."""
+    """_draw_steps stand-in for a 1D domain that hands path i the increments
+    inc[:, i] in order, as steps of shape (rows, paths, 1). It follows the
+    compaction of the stream it feeds by stepping every path itself: when the
+    stream asks for fewer columns, the paths it kept are those still alive at
+    the last step drawn."""
 
     def __init__(self, domain, x, inc):
         self.inc, self.step, self.shapes = inc, 0, []
@@ -310,7 +321,7 @@ class _ScriptedSteps:
             self.ids = self.ids[self.alive[self.step - 1, self.ids]]
         assert len(self.ids) == m
         self.shapes.append(shape)
-        out = self.inc[self.step : self.step + rows, self.ids].copy()
+        out = self.inc[self.step : self.step + rows, self.ids, None].copy()
         self.step += rows
         return out
 
@@ -529,6 +540,59 @@ def test_rectangle_curve(rect_domain):
     assert curve.alive[-1] > 0
 
 
+# the exact to_json() of both decay-rate estimators: each window search is a
+# function of the tallies alone, so a rewrite of it or of the simulation that
+# keeps the tallies keeps these to the last bit. The base curve is the
+# 200 000-path interval run at alpha = 1, the rectangle curve that of
+# test_rectangle_curve
+ESTIMATE_PINS = {
+    "interval-lambda1": {"schema": 1, "value": 1.1718783068781886, "stderr": 0.015375327126354558,
+                         "n_effective": 101,
+                         "diagnostics": {"window_start": 0.01, "window_end": 6.48}},
+    "interval-gap_star": {"schema": 1, "value": 1.5760834549515654, "stderr": 0.06402657859534826,
+                          "n_effective": 41752,
+                          "diagnostics": {"window_start": 0.75, "window_end": 1.34,
+                                          "bootstrap_samples": 200}},
+    "rect-lambda1": {"schema": 1, "value": 1.3720702609977824, "stderr": 0.01905875655960335,
+                     "n_effective": 644, "diagnostics": {"window_start": 1.0, "window_end": 3.0}},
+    "rect-gap_star": {"schema": 1, "value": 0.7448690722590667, "stderr": 0.03670352399693202,
+                      "n_effective": 6936,
+                      "diagnostics": {"window_start": 0.44, "window_end": 1.28,
+                                      "bootstrap_samples": 200}},
+}
+
+
+def test_estimate_pins(interval, rect_domain, base_curve):
+    cfg = McConfig(alpha=1.0, paths=30_000, dt=2e-3, t_max=3.0, seed=47)
+    rect = survival_curve(rect_domain, np.array([0.5, 0.0]), cfg)
+    got = {}
+    for name, domain, curve in (("interval", interval, base_curve), ("rect", rect_domain, rect)):
+        got[f"{name}-lambda1"] = estimate_lambda1(curve).to_json()
+        got[f"{name}-gap_star"] = estimate_gap_star(domain, curve).to_json()
+    assert got == ESTIMATE_PINS
+
+
+def test_window_refusal_pins(interval):
+    # each window search refuses in its own words: 3 000 Brownian paths
+    # whose block rates never agree, and an exact signed ratio
+    # 0.5 e^-t + 0.4 e^-3t whose second mode never dies out by t = 2
+    cfg = McConfig(alpha=2.0, paths=3_000, dt=2e-3, t_max=3.0, seed=90)
+    with pytest.raises(EstimationError) as lam:
+        estimate_lambda1(survival_curve(interval, 0.5, cfg))
+    assert str(lam.value) == ("no stable fitting window: survival decay rate never settles "
+                              "within tolerance")
+    times = np.linspace(0.01, 2.0, 200)
+    alive = np.rint(1e12 * np.exp(-times)).astype(np.int64)
+    plus = np.rint(alive * (1.0 + 0.5 * np.exp(-times) + 0.4 * np.exp(-3.0 * times)) / 2)
+    plus = plus.astype(np.int64)
+    curve = montecarlo.SurvivalCurve(times, alive[None], plus[None], (alive - plus)[None],
+                                     McConfig(paths=10**12, dt=0.01, t_max=2.0, partitions=1),
+                                     np.array([0.5]))
+    with pytest.raises(EstimationError) as gap:
+        estimate_gap_star(interval, curve)
+    assert str(gap.value) == "no stable fitting window: signed decay rate never settles"
+
+
 def test_time_to_equilibrium_bounds():
     lo, hi = time_to_equilibrium_bounds(1.6, 0.01, 2.0)
     assert lo == pytest.approx(np.log(100.0) / 1.6)
@@ -546,3 +610,27 @@ def test_curve_rows_roundtrip(base_curve):
     t, s, se = rows[0]
     assert t == base_curve.times[0]
     assert s == base_curve.survival[0]
+
+
+def _dim_comparisons(node, owner=None):
+    """(innermost enclosing function, comparison) for every comparison under
+    node that reads a name `dim` or an attribute `.dim`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Name) and n.id == "dim" or isinstance(n, ast.Attribute)
+            and n.attr == "dim" for n in ast.walk(node)):
+        yield owner, node
+    for child in ast.iter_child_nodes(node):
+        yield from _dim_comparisons(child, owner)
+
+
+def test_simulation_compares_the_dimension_once():
+    # one code path in every dimension: positions and steps are (paths, d)
+    # arrays throughout, and the one question the simulation asks of d is
+    # whether a step is a direct stable draw on the line. A new 1D branch
+    # fails here
+    source = Path(montecarlo.__file__).read_text()
+    found = [(owner, ast.get_source_segment(source, node))
+             for owner, node in _dim_comparisons(ast.parse(source))]
+    assert found == [("_draw_steps", "dim == 1")]

@@ -260,6 +260,19 @@ def test_skeleton_survival_rejects_no_times(interval_domain, times):
         skeleton_survival(interval_domain, 0.0, times)
 
 
+def test_skeleton_survival_refuses_three_dimensions(monkeypatch):
+    # a box in R^3 has 96^3 = 884 736 nodes, so each time past the first
+    # applies about 7.8e11 kernel entries; it is refused before the rule is
+    # built, a single time as well
+    def no_rule(*args, **kwargs):
+        raise AssertionError("the quadrature rule was built")
+
+    monkeypatch.setattr(stablegap.poincare, "axis_rules", no_rule)
+    box = Domain.product([(-2.0, 2.0)], [(-1.0, 1.0)], [(-1.0, 1.0)])
+    with pytest.raises(UnsupportedConfigurationError, match="3D"):
+        skeleton_survival(box, np.zeros(3), [1.0])
+
+
 def test_segment_log_concavity(interval_domain):
     worst = segment_log_concavity(interval_domain, (-0.8, 0.8), [0.5, 1.0])
     assert worst <= 1e-7
