@@ -60,7 +60,7 @@ from numpy.polynomial.legendre import leggauss
 from ._quad import log_panels
 from .errors import (NumericalBudgetError, UnsupportedConfigurationError, ValidationError,
                      require_alpha, require_count)
-from .geometry import Domain
+from .geometry import Domain, as_points
 
 # relative spread of a cluster of cross-block ties; used only to order it antisymmetric first
 _DEGENERACY_TOL = 1e-9
@@ -109,27 +109,26 @@ class SineBasis:
         return np.tile(label, self.size // label.size)
 
     def probe_point(self):
-        """Per axis, a fixed fraction of its last component: 0.618 on the last
-        axis, 0.809 on every other."""
+        """The point, shape (d,), at a fixed fraction of the last component of
+        each axis: 0.618 on the last axis, 0.809 on every other."""
         comps = self.domain.axis_components()
         fracs = (0.809,) * (len(comps) - 1) + (0.618,)
-        point = [a + f * (b - a) for f, (*_, (a, b)) in zip(fracs, comps)]
-        return np.array(point if len(point) > 1 else point[0])
+        return np.array([a + f * (b - a) for f, (*_, (a, b)) in zip(fracs, comps)])
 
     def evaluate(self, C, x):
-        """sum_p C[..., p] * basis function p at the points x (evaluate_basis_sum)."""
+        """sum_p C[..., p] * basis function p at the points x, shape (..., d)
+        (evaluate_basis_sum)."""
         d = len(self.tables)
-        coords = [x] if d == 1 else [x[..., i] for i in range(d)]
         # per axis: the sine factors of its modes, zero outside their component
         factors = []
-        for (c, h, _, om), u in zip(self.tables, coords):
+        for (c, h, _, om), u in zip(self.tables, np.moveaxis(x, -1, 0)):
             local = u.reshape(-1, 1) - c
             inside = np.abs(local) < h
             factors.append(np.where(inside, np.sin(om * (local + h)) / np.sqrt(h), 0.0))
         axes = "jklm"[:d]
         spec = ",".join(f"p{a}" for a in axes) + f",...{axes}->...p"
         Ct = C.reshape(C.shape[:-1] + tuple(t[0].size for t in self.tables))
-        return np.einsum(spec, *factors, Ct, optimize=True).reshape(C.shape[:-1] + coords[0].shape)
+        return np.einsum(spec, *factors, Ct, optimize=True).reshape(C.shape[:-1] + x.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -575,7 +574,8 @@ class SpectralResult:
             raise ValidationError(f"mode {n} outside 1..{len(self.coefficients)}")
 
     def eigenfunction(self, n):
-        """Callable evaluating mode n (1-based) at points in R^d."""
+        """Callable evaluating mode n (1-based) at points of shape (..., d)
+        (evaluate_basis_sum)."""
         self.check_mode(n)
         return partial(evaluate_basis_sum, self.basis, self.coefficients[n - 1])
 
@@ -645,11 +645,12 @@ def _normalize_signs(basis, coeffs):
 def evaluate_basis_sum(basis, coeffs, x):
     """Evaluate sum_p coeffs[p] * basis mode p at points x (vectorized).
 
-    x has shape (...) in 1D and (..., 2) in 2D; the result has shape (...),
-    a float for a single point. ``coeffs`` may also be a stack (m, size) of
-    coefficient vectors; the result then gains a leading axis of length m.
+    x has shape (..., d) in every dimension d (geometry.as_points); the
+    result has shape (...), a float for a single point of shape (d,).
+    ``coeffs`` may also be a stack (m, size) of coefficient vectors; the
+    result then gains a leading axis of length m.
     """
-    out = basis.evaluate(np.asarray(coeffs, dtype=float), np.asarray(x, dtype=float))
+    out = basis.evaluate(np.asarray(coeffs, dtype=float), as_points(x, basis.domain.dim))
     return float(out) if out.ndim == 0 else out
 
 

@@ -62,6 +62,16 @@ def _union_components(intervals):
     return ivs
 
 
+def as_points(x, dim):
+    """x as a float array of points of R^dim, shape (..., dim); ValidationError
+    on any other last axis. A single point is as_points(np.ravel(x), dim):
+    anything that reshapes to (dim,), a scalar in 1D among them."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise ValidationError(f"points of R^{dim} need shape (..., {dim}), got {x.shape}")
+    return x
+
+
 def _in_union(u, ivs):
     """Open-set membership of the coordinates u in a union of intervals."""
     (a, b), *rest = ivs
@@ -155,16 +165,13 @@ class Domain:
     def contains(self, x):
         """Vectorized open-set membership; boundary points count as outside.
 
-        x: array of shape (..., dim) for dim >= 2, or (...,) in 1D.
+        x: points of shape (..., dim) (as_points); the result has shape (...).
         """
-        x = np.asarray(x, dtype=float)
-        if self.dim > 1 and x.shape[-1:] != (self.dim,):
-            raise ValidationError(f"{self.dim}D domain expects points of shape (..., {self.dim})")
+        x = as_points(x, self.dim)
         if self.kind == "disk":
             (cx, cy), r = self.params
             return (x[..., 0] - cx) ** 2 + (x[..., 1] - cy) ** 2 < r**2
-        coords = [x] if self.dim == 1 else np.moveaxis(x, -1, 0)
-        return reduce(operator.and_, map(_in_union, coords, self.axis_components()))
+        return reduce(operator.and_, map(_in_union, np.moveaxis(x, -1, 0), self.axis_components()))
 
     def scale(self, k):
         """Image of the domain under x -> k x (homothety about the origin)."""

@@ -17,15 +17,18 @@ import numpy as np
 
 from ._quad import log_panels
 from .errors import ValidationError
+from .geometry import as_points
 
 
-def _dist_sq(x, y, dim):
+def _squared_distance(x, y):
+    """|x - y|^2 of two arrays of points of shape (..., d), broadcast against
+    each other, and d, read from the last axis of x; ValidationError unless y
+    has that last axis too (as_points)."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if dim == 1:
-        return (x - y) ** 2
-    d = x - y
-    return np.sum(d * d, axis=-1)
+    if x.ndim == 0:
+        raise ValidationError("points need shape (..., d), got a scalar")
+    diff = x - as_points(y, x.shape[-1])
+    return np.sum(diff * diff, axis=-1), diff.shape[-1]
 
 
 def cauchy_constant(dim):
@@ -35,15 +38,16 @@ def cauchy_constant(dim):
     return float(np.exp(gammaln((dim + 1) / 2) - (dim + 1) / 2 * np.log(np.pi)))
 
 
-def cauchy_kernel(t, x, y, dim):
+def cauchy_kernel(t, x, y):
     """Transition density of the symmetric 1-stable process in R^d.
 
-    p(t, x, y) = c_d * t / (t^2 + |x-y|^2)^((d+1)/2). In 1D, x and y are
-    arrays of points; in 2D their last axis holds the coordinates.
+    p(t, x, y) = c_d * t / (t^2 + |x-y|^2)^((d+1)/2), for x and y arrays of
+    points of shape (..., d) in every dimension, broadcast against each
+    other; d is their last axis, which must agree (ValidationError).
     """
     if not np.all(np.asarray(t) > 0):
         raise ValidationError("time must be positive")
-    return cauchy_kernel_r2(t, _dist_sq(x, y, dim), dim)
+    return cauchy_kernel_r2(t, *_squared_distance(x, y))
 
 
 def cauchy_kernel_r2(t, r2, dim):
@@ -52,14 +56,16 @@ def cauchy_kernel_r2(t, r2, dim):
     return cauchy_constant(dim) * t / (t**2 + r2) ** ((dim + 1) / 2)
 
 
-def gaussian_kernel(t, x, y, dim=1):
+def gaussian_kernel(t, x, y):
     """Transition density with multiplier exp(-t |xi|^2):
 
-    p(t, x, y) = (4 pi t)^(-d/2) exp(-|x-y|^2 / (4 t)).
+    p(t, x, y) = (4 pi t)^(-d/2) exp(-|x-y|^2 / (4 t)),
+
+    with x and y points of shape (..., d), as in cauchy_kernel.
     """
     if not np.all(np.asarray(t) > 0):
         raise ValidationError("time must be positive")
-    r2 = _dist_sq(x, y, dim)
+    r2, dim = _squared_distance(x, y)
     return np.exp(-dim / 2 * np.log(4 * np.pi * t) - r2 / (4 * t))
 
 
@@ -94,14 +100,16 @@ def subordination_grid():
     return log_panels(1e-16, 1e12, panels_per_decade=2, nodes_per_panel=12)
 
 
-def subordinated_gaussian(t, x, y, dim=1):
-    """Integral over s of gaussian_kernel(s, x, y) * g_{1/2}(t, s).
+def subordinated_gaussian(t, x, y):
+    """Integral over s of gaussian_kernel(s, x, y) * g_{1/2}(t, s), at points
+    of shape (..., d) as in cauchy_kernel.
 
     By the subordination identity this equals cauchy_kernel(t, x, y); the
     quadrature is independent of that closed form and is used to verify it.
     """
     s, w = subordination_grid()
-    r2 = np.atleast_1d(_dist_sq(x, y, dim))
+    r2, dim = _squared_distance(x, y)
+    r2 = np.atleast_1d(r2)
     g = subordinator_density_half(t, s)
     vals = np.exp(-dim / 2 * np.log(4 * np.pi * s)[None, :] - r2[:, None] / (4 * s)[None, :])
     out = vals @ (w * g)

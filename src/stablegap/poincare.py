@@ -28,6 +28,7 @@ from ._quad import axis_rules, tensor_rule
 from .errors import (NumericalBudgetError, UnsupportedConfigurationError, ValidationError,
                      require_count)
 from .kernels import cauchy_kernel_r2
+from .montecarlo import start_point
 
 _PROFILE_CELLS = 2048  # cells of the uniform partition a profile samples
 _QUOTIENT_TOL = 1e-4  # min_antisymmetric_quotient: slack below its bound
@@ -42,7 +43,8 @@ _LEMMA_TOL = 1e-12  # check_lemma_derivative: absolute slack below its bound
 @dataclass(frozen=True)
 class WeightProfile:
     """Positive weight sampled on a uniform grid (cell centers of (-l, l)),
-    symmetric: the grid and the samples are checked to be even."""
+    symmetric: the grid is checked to be strictly increasing and odd, the
+    samples to be even."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -54,6 +56,8 @@ class WeightProfile:
         object.__setattr__(self, "values", v)
         if g.ndim != 1 or g.shape != v.shape:
             raise ValidationError("grid and values must be matching 1D arrays")
+        if not np.all(np.diff(g) > 0):  # from_function(fn, l) with l <= 0 or NaN
+            raise ValidationError("the grid must be strictly increasing")
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise ValidationError("weight samples must be positive and finite")
         sym_err = np.max(np.abs(v - v[::-1]))
@@ -79,7 +83,7 @@ def ground_state_weight(result):
     ((a, b),) = domain.params[0]
     c, l = 0.5 * (a + b), 0.5 * (b - a)
     phi = result.eigenfunction(1)
-    return WeightProfile.from_function(lambda x: phi(x + c) ** 2, l)
+    return WeightProfile.from_function(lambda x: phi((x + c)[:, None]) ** 2, l)
 
 
 def is_log_concave(profile, tol=1e-9):
@@ -129,7 +133,8 @@ def min_antisymmetric_quotient(profile, l):
     if m % 2 != 0:
         raise UnsupportedConfigurationError("need an even number of cell samples")
     extent = profile.grid[-1] + 0.5 * (profile.grid[1] - profile.grid[0])
-    if not abs(l - extent) <= 1e-9 * extent:  # NaN, 0 and l < 0 fail it too
+    # extent > 0 on an increasing odd grid, so NaN, 0 and l < 0 fail it too
+    if not abs(l - extent) <= 1e-9 * extent:
         raise ValidationError(f"l = {l!r} differs from the profile's half-extent {extent!r}")
     gc = profile.values[m // 2 :]
     h = l / gc.size
@@ -199,8 +204,9 @@ def skeleton_survival(domain, x, times):
     """P_x(X_{t_1} in D, ..., X_{t_n} in D) for the free Cauchy process
     (alpha = 1, closed-form kernel) observed on a finite time skeleton, by
     iterated kernel quadrature over D^n (n <= 4), D a product in one or two
-    dimensions. The kernel matrix is applied in row blocks, so its memory does
-    not grow with the square of the nodes."""
+    dimensions, from the start point x (montecarlo.start_point). The kernel
+    matrix is applied in row blocks, so its memory does not grow with the
+    square of the nodes."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size > 4:
         raise UnsupportedConfigurationError(
@@ -215,9 +221,7 @@ def skeleton_survival(domain, x, times):
         raise UnsupportedConfigurationError(
             f"the skeleton quadrature supports 1D and 2D products, not {domain.dim}D"
         )
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(domain.contains(x0)):
-        raise ValidationError("starting point must lie in D")
+    x0 = start_point(domain, x)
     pts, ww = tensor_rule(axis_rules(domain, _SKELETON_PANELS, _SKELETON_NODES))
     block = max(1, _KERNEL_BLOCK_ENTRIES // len(pts))
     v = np.ones(len(pts))

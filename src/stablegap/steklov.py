@@ -99,6 +99,7 @@ from ._quad import (
 )
 from .errors import UnsupportedConfigurationError, ValidationError
 from .eigensolver import _CHUNK_ENTRIES, SineBasis, SpectralResult, mirror_index, mode_parity
+from .geometry import as_points
 from .kernels import subordination_grid, subordinator_density_half
 
 
@@ -415,20 +416,19 @@ def _time_contract(M, G, split):
     return out.reshape(M.shape[:-1] + (G.shape[0],))
 
 
-def _axes(xs, dim):
-    """Point axes as a list of 1D arrays: [xs] in 1D, [x1s, x2s] in 2D."""
-    axes = [xs] if dim == 1 else list(xs)
-    return [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
-
-
-def _xs(axes):
-    """Inverse of _axes: the point argument of the field samplers."""
-    return axes[0] if len(axes) == 1 else tuple(axes)
-
-
-def _grid_points(axes):
-    """The tensor grid of the axes as points: an array in 1D, (n, 2) in 2D."""
-    return axes[0] if len(axes) == 1 else tensor_points(axes)
+def _axes(axes, dim):
+    """The point axes of a tensor grid in R^dim as a list of dim 1D float
+    arrays, a scalar taken as an axis of one point; ValidationError unless
+    there are dim of them, each 1D with a point."""
+    axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
+    if len(axes) != dim:
+        raise ValidationError(f"a grid in R^{dim} needs {dim} point axes, got {len(axes)}")
+    for i, a in enumerate(axes, 1):
+        if a.size == 0:
+            raise ValidationError(f"point axis x{i} is empty")
+        if a.ndim != 1:
+            raise ValidationError(f"point axis x{i} must be 1D, got shape {a.shape}")
+    return axes
 
 
 def _require_positive_times(ts):
@@ -471,16 +471,16 @@ class ExtensionEngine:
         gw = subordinator_density_half(t, self.s_nodes[None, :]) * self.s_weights
         return np.vstack([gw, gw * (1.0 / t - t / (2.0 * self.s_nodes))])
 
-    def values(self, coeff_rows, xs, ts):
+    def values(self, coeff_rows, axes, ts):
         """Extensions of several coefficient vectors and their gradients on a
-        tensor grid of points, at least one per axis, and heights ts, each
-        finite and > 0.
+        tensor grid of points, given as its d point axes (x1s, ..., xds)
+        with at least one point each (ValidationError otherwise, _axes), and
+        heights ts, each finite and > 0.
 
-        1D: xs is an array of points; returns (n_rows, 3, len(xs), len(ts)).
-        2D: xs = (x1s, x2s); returns (n_rows, 4, len(x1s), len(x2s), len(ts)).
-        The axis after the rows holds the value, d/dx (or d/dx1, d/dx2) and
-        d/dt, all from the same mode arrays: the x-derivatives come with the
-        smoothed modes, and d/dt is the same subordination sum taken against
+        Returns (n_rows, d + 2, len(x1s), ..., len(xds), len(ts)). The axis
+        after the rows holds the value, d/dx1, ..., d/dxd and d/dt, all from
+        the same mode arrays: the x-derivatives come with the smoothed
+        modes, and d/dt is the same subordination sum taken against
         dg/dt = g (1/t - t / (2 s)). Boundary values at t = 0 are the
         eigenfunctions themselves (SpectralResult.eigenfunction). Only the
         chunks of subordination nodes that carry weight at these heights are
@@ -511,10 +511,7 @@ class ExtensionEngine:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         gw = self._time_weights(ts)
         chunks = _live_chunks(gw)
-        points, tables = _axes(xs, len(self.basis.tables)), self.basis.tables
-        for i, p in enumerate(points, 1):
-            if p.size == 0:
-                raise ValidationError(f"point axis x{i} is empty")
+        points, tables = _axes(axes, len(self.basis.tables)), self.basis.tables
         C = rows.reshape((len(rows),) + tuple(t[0].size for t in tables))
         out = np.zeros((len(rows), len(points) + 2) + tuple(p.size for p in points) + (ts.size,))
         for g, sel in _mode_groups(C):
@@ -624,14 +621,14 @@ class HarmonicExtension:
     def dim(self):
         return self.result.domain.dim
 
-    def values(self, xs, ts):
+    def values(self, axes, ts):
         """The value plane [0] of values_and_grad."""
-        return self.values_and_grad(xs, ts)[0]
+        return self.values_and_grad(axes, ts)[0]
 
-    def values_and_grad(self, xs, ts):
-        """Value and gradient stacked on the first axis, at heights ts > 0
-        (see ExtensionEngine.values)."""
-        return _eval_fields((self,), _axes(xs, self.dim), ts)[0]
+    def values_and_grad(self, axes, ts):
+        """Value and gradient stacked on the first axis, on the tensor grid of
+        the d point axes and at heights ts > 0 (see ExtensionEngine.values)."""
+        return _eval_fields((self,), axes, ts)[0]
 
 
 def extend(result: SpectralResult, n: int) -> HarmonicExtension:
@@ -733,14 +730,14 @@ def _require_step(h):
 
 def check_harmonic(field, x, t, h=1e-3):
     """Residual of the (d+1)-dimensional Laplacian of the field u at (x, t),
-    h-stencil, normalized by |u(x, t)| + 1. Any field with dim and values
-    (a HarmonicExtension, for one) will do."""
+    h-stencil, normalized by |u(x, t)| + 1, at one point x of R^d (anything
+    that reshapes to (d,), geometry.as_points). Any field with dim and
+    values on d point axes (a HarmonicExtension, for one) will do."""
     _require_step(h)
     if not t - h > 0:
         raise ValidationError("stencil must stay inside t > 0")
     stencil = np.array([-h, 0.0, h])
-    axes = [xi + stencil for xi in _axes(x, field.dim)]
-    v = field.values(_xs(axes), t + stencil)
+    v = field.values([xi + stencil for xi in as_points(np.ravel(x), field.dim)], t + stencil)
     # the 3^(d+1) grid around (x, t): sum over axes of the second differences
     center = v[(1,) * v.ndim]
     lap = sum(
@@ -752,19 +749,16 @@ def check_harmonic(field, x, t, h=1e-3):
 
 def check_boundary_derivative(result, n, x, h=1e-4):
     """One-sided residual |(u(x, h) - phi(x)) / h + lambda_n phi(x)| at one
-    point x in D. For x outside the closure of D returns |u(x, h)| instead
-    (the boundary value there is zero)."""
+    point x in D, anything that reshapes to (d,) (geometry.as_points). For x
+    outside the closure of D returns |u(x, h)| instead (the boundary value
+    there is zero)."""
     _require_step(h)
     ext = extend(result, n)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (result.domain.dim,):
-        raise ValidationError(f"x must be one point of R^{result.domain.dim}, got {x.shape}")
-    axes = [c[None] for c in x]
-    u_h = ext.values(_xs(axes), [h]).item()
-    pt = _grid_points(axes)
-    if not result.domain.contains(pt)[0]:
+    x = as_points(np.ravel(x), result.domain.dim)
+    u_h = ext.values(x[:, None], [h]).item()
+    if not result.domain.contains(x):
         return abs(u_h)
-    phi_v = float(result.eigenfunction(n)(pt)[0])
+    phi_v = result.eigenfunction(n)(x)
     return abs((u_h - phi_v) / h + result.eigenvalues[n - 1] * phi_v)
 
 
@@ -780,15 +774,16 @@ def ground_state_domination_check(result, xs=None, ts=None):
     boundary of D the Galerkin residual (order 1e-4 for a 512-mode sine
     basis) swamps the slack, which is why the default grid starts above it.
     On an axis where u_1 is exactly even the margin is too, so only the
-    second half of a mirror grid is evaluated (_half_rules).
+    second half of a mirror grid is evaluated (_half_rules). xs and ts
+    replace the d point axes and the heights of default_field_grid.
     """
     axes, gt = default_field_grid(result.domain)
     axes = axes if xs is None else _axes(xs, result.domain.dim)
     ts = np.atleast_1d(np.asarray(gt if ts is None else ts, dtype=float))
     u1 = extend(result, 1)
     axes = [x for x, _ in _half_rules([(x, None) for x in axes], (u1,))]  # even where u_1 is
-    u = u1.values(_xs(axes), ts)
-    pts = _grid_points(axes)
+    u = u1.values(axes, ts)
+    pts = tensor_points(axes)
     phi1 = np.where(result.domain.contains(pts), result.eigenfunction(1)(pts), 0.0)
     lower = np.exp(-result.lambda1 * ts) * phi1.reshape(u.shape[:-1])[..., None]
     return float(np.min(u - lower))
@@ -849,14 +844,15 @@ class ConstantField:
         self.dim = dim
         self.value = float(value)
 
-    def values(self, xs, ts):
-        """A read-only view, with zero strides over the grid of heights ts > 0."""
+    def values(self, axes, ts):
+        """A read-only view, with zero strides over the tensor grid of the dim
+        point axes and the heights ts > 0."""
         _require_positive_times(ts)
-        shape = tuple(a.size for a in _axes(xs, self.dim)) + (np.atleast_1d(ts).size,)
+        shape = tuple(a.size for a in _axes(axes, self.dim)) + (np.atleast_1d(ts).size,)
         return np.broadcast_to(self.value, shape)
 
-    def values_and_grad(self, xs, ts):
-        v = self.values(xs, ts)
+    def values_and_grad(self, axes, ts):
+        v = self.values(axes, ts)
         stack = np.array([self.value] + [0.0] * (self.dim + 1))
         return np.broadcast_to(stack.reshape((-1,) + (1,) * v.ndim), stack.shape + v.shape)
 
@@ -876,18 +872,17 @@ def _eval_fields(fields, axes, ts, tally=None):
         if isinstance(f, HarmonicExtension):
             modes = batches.setdefault(id(f.result), (f.result, []))[1]
             modes.extend(n for n in (f.n, f.over) if n is not None and n not in modes)
-    xs = _xs(axes)
     rows = {}  # (id(result), mode) -> its value and gradient
     for key, (result, modes) in batches.items():
         engine = ExtensionEngine(result.basis)
-        v = engine.values(np.vstack([result.coefficients[n - 1] for n in modes]), xs, ts)
+        v = engine.values(np.vstack([result.coefficients[n - 1] for n in modes]), axes, ts)
         if tally is not None:
             tally += engine.faddeeva_entries
         rows.update(((key, n), vn) for n, vn in zip(modes, v))
 
     def evaluate(f):
         if not isinstance(f, HarmonicExtension):
-            return f.values_and_grad(xs, ts)
+            return f.values_and_grad(axes, ts)
         u = rows[id(f.result), f.n]
         if f.over is None:
             return u
@@ -1032,7 +1027,7 @@ def d01_lower_bound_check(result, trunc=None):
     axes = [x for x, _ in x_rules]
     tally = np.zeros(2, dtype=np.int64)
     gw, g1 = _eval_fields((w, u1), axes, tq, tally=tally)
-    phi1 = result.eigenfunction(1)(_grid_points(axes)).reshape(g1.shape[1:-1])
+    phi1 = result.eigenfunction(1)(tensor_points(axes)).reshape(g1.shape[1:-1])
     weight = np.exp(-2 * lam1 * tq) * phi1[..., None] ** 2
     value = _integrate(_energy(gw, gw, weight), [xw for _, xw in x_rules] + [tw])
     gap = float(result.lambda_star - lam1)

@@ -154,8 +154,8 @@ def test_criterion_07_subordination_identity():
         xs = np.geomspace(0.05, 5.0, 5)
         for t in ts:
             for x in xs:
-                a = subordinated_gaussian(t, x, 0.0, dim=dim)
-                b = cauchy_kernel(t, x, 0.0, dim=dim)
+                a = subordinated_gaussian(t, np.eye(dim)[0] * x, np.zeros(dim))
+                b = cauchy_kernel(t, np.eye(dim)[0] * x, np.zeros(dim))
                 worst = max(worst, abs(a - b))
     ok = worst < 1e-7
     _verdict("criterion-7 subordination identity", ok,

@@ -121,8 +121,8 @@ def test_scaling_covariance(interval_128):
 def test_eigenfunction_orthonormality(interval_128):
     f1 = interval_128.eigenfunction(1)
     f2 = interval_128.eigenfunction(3)  # same parity as mode 1
-    n11, _ = quad(lambda x: f1(np.array([x]))[0] ** 2, -1, 1, limit=100)
-    n13, _ = quad(lambda x: f1(np.array([x]))[0] * f2(np.array([x]))[0], -1, 1,
+    n11, _ = quad(lambda x: f1(np.array([[x]]))[0] ** 2, -1, 1, limit=100)
+    n13, _ = quad(lambda x: f1(np.array([[x]]))[0] * f2(np.array([[x]]))[0], -1, 1,
                   limit=100)
     assert abs(n11 - 1.0) < 1e-8
     assert abs(n13) < 1e-8
@@ -130,7 +130,7 @@ def test_eigenfunction_orthonormality(interval_128):
 
 def test_eigenfunction_vanishes_outside(interval_128):
     f1 = interval_128.eigenfunction(1)
-    assert np.all(f1(np.array([1.5, -2.0, 7.0])) == 0.0)
+    assert np.all(f1(np.array([[1.5], [-2.0], [7.0]])) == 0.0)
 
 
 def test_union_domain_spectrum():
@@ -670,7 +670,7 @@ def test_star_index_counts_reported_modes_only(domain, n, n_report):
     "domain, alpha, n, x",
     [
         (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), 1.0, 8,
-         np.linspace(-2.5, 2.5, 41)),
+         np.linspace(-2.5, 2.5, 41)[:, None]),
         (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), 1.0, 5,
          np.column_stack([np.linspace(-2.5, 2.5, 23), np.linspace(-1.2, 0.9, 23)])),
         (Domain.disk(0.0, 0.0, 1.0), 2.0, 12,
@@ -709,7 +709,7 @@ def test_reflection_matrix_reflects_x1(domain, n, span):
     assert np.array_equal(image[image], np.arange(basis.size))  # an involution
     C = np.random.default_rng(3).standard_normal((2, basis.size))
     x = np.random.default_rng(4).uniform(-span, span, (29, 2))
-    x = x[:, 0] if domain.dim == 1 else x
+    x = x[:, :1] if domain.dim == 1 else x
     mirrored = -x if domain.dim == 1 else x * [-1.0, 1.0]
     np.testing.assert_allclose(evaluate_basis_sum(basis, _reflect(basis, C), x),
                                evaluate_basis_sum(basis, C, mirrored), rtol=0, atol=1e-12)
@@ -730,7 +730,7 @@ def _direct_modes(intervals, n, x):
     "domain, comps, counts, x",
     [
         (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), [[(-2.0, -0.5), (0.5, 2.0)]], [8],
-         np.linspace(-2.5, 2.5, 61)),
+         np.linspace(-2.5, 2.5, 61)[:, None]),
         (Domain.rectangle(0.3, 2.1, -0.4, 1.0), [[(0.3, 2.1)], [(-0.4, 1.0)]], [7, 6],
          np.column_stack([np.linspace(0.0, 2.4, 37), np.linspace(1.2, -0.6, 37)])),
     ],
@@ -739,7 +739,7 @@ def _direct_modes(intervals, n, x):
 def test_basis_sum_matches_direct_sine_formula(domain, comps, counts, x):
     basis = _sine_basis(domain, counts)
     C = np.random.default_rng(7).standard_normal((3, basis.size))
-    coords = [x] if domain.dim == 1 else [x[:, 0], x[:, 1]]
+    coords = list(x.T)
     mats = [_direct_modes(ivs, n, u) for ivs, n, u in zip(comps, counts, coords)]
     # basis function p is the product of one mode per axis, in row-major order
     direct = sum(

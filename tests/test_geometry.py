@@ -44,7 +44,7 @@ def test_interval_union_contains_and_symmetry():
     d = Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)])
     assert d.summarize().symmetric_x1
     assert not d.summarize().convex
-    inside = d.contains(np.array([-1.0, 1.0, 0.0, 3.0]))
+    inside = d.contains(np.array([[-1.0], [1.0], [0.0], [3.0]]))
     assert list(inside) == [True, True, False, False]
     asym = Domain.interval_union([(-2.0, -0.5), (0.4, 2.0)])
     assert not asym.summarize().symmetric_x1

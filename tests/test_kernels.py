@@ -26,13 +26,13 @@ def test_cauchy_constant_closed_form():
 def test_cauchy_kernel_matches_explicit_1d():
     t, x, y = 0.7, 0.3, -0.4
     expected = t / (np.pi * (t**2 + (x - y) ** 2))
-    assert abs(cauchy_kernel(t, x, y, dim=1) - expected) < 1e-14
+    assert abs(cauchy_kernel(t, [x], [y]) - expected) < 1e-14
     # two 1D points give two densities; the dimension is never guessed
     xs = np.array([0.1, 0.2])
-    got = cauchy_kernel(1.0, xs, 0.0, dim=1)
+    got = cauchy_kernel(1.0, xs[:, None], [0.0])
     assert got.shape == (2,)
     assert np.allclose(got, 1.0 / (np.pi * (1.0 + xs**2)), rtol=1e-14, atol=0.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         cauchy_kernel(1.0, xs, 0.0)
 
 
@@ -40,12 +40,12 @@ def test_cauchy_kernel_matches_explicit_2d():
     t = 0.5
     r = 1.3
     expected = t / (2 * np.pi * (t**2 + r**2) ** 1.5)
-    assert abs(cauchy_kernel(t, r, 0.0, dim=2) - expected) < 1e-14
+    assert abs(cauchy_kernel(t, [r, 0.0], [0.0, 0.0]) - expected) < 1e-14
 
 
 def test_cauchy_kernel_normalizes_1d():
     t = 0.9
-    total, _ = quad(lambda y: cauchy_kernel(t, 0.0, y, dim=1), -np.inf, np.inf)
+    total, _ = quad(lambda y: cauchy_kernel(t, [0.0], [y]), -np.inf, np.inf)
     assert abs(total - 1.0) < 1e-10
 
 
@@ -53,7 +53,7 @@ def test_gaussian_kernel_matches_normal_density():
     # variance of the kernel is 2t per coordinate
     t, x = 0.31, 0.7
     expected = np.exp(-(x**2) / (4 * t)) / np.sqrt(4 * np.pi * t)
-    assert abs(gaussian_kernel(t, x, 0.0, dim=1) - expected) < 1e-14
+    assert abs(gaussian_kernel(t, [x], [0.0]) - expected) < 1e-14
 
 
 def test_subordination_reproduces_cauchy_kernel():
@@ -64,8 +64,8 @@ def test_subordination_reproduces_cauchy_kernel():
     for dim in (1, 2):
         for t in ts:
             for x in xs:
-                a = subordinated_gaussian(t, x, 0.0, dim=dim)
-                b = cauchy_kernel(t, x, 0.0, dim=dim)
+                a = subordinated_gaussian(t, np.eye(dim)[0] * x, np.zeros(dim))
+                b = cauchy_kernel(t, np.eye(dim)[0] * x, np.zeros(dim))
                 assert abs(a - b) <= 1e-7 * max(1.0, abs(b))
 
 
@@ -189,4 +189,4 @@ def test_stable_sampler_validation():
 
 def test_kernel_validation():
     with pytest.raises(ValidationError):
-        cauchy_kernel(-1.0, 0.0, 0.0, dim=1)
+        cauchy_kernel(-1.0, [0.0], [0.0])

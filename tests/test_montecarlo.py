@@ -313,7 +313,8 @@ class _ScriptedSteps:
     def __init__(self, domain, x, inc):
         self.inc, self.step, self.shapes = inc, 0, []
         self.ids = np.arange(inc.shape[1])
-        self.alive = np.logical_and.accumulate(domain.contains(_running(x, inc)), axis=0)
+        self.alive = np.logical_and.accumulate(domain.contains(_running(x, inc)[..., None]),
+                                               axis=0)
 
     def __call__(self, cfg, dim, rng, shape):
         rows, m = shape
@@ -339,7 +340,7 @@ def _per_step_tallies(domain, x, cfg, inc):
     # the tallies of paths observed at every step, killed at their first
     # step outside D, and counted at every record_stride-th step
     path = _running(x, inc)
-    alive = np.logical_and.accumulate(domain.contains(path), axis=0)
+    alive = np.logical_and.accumulate(domain.contains(path[..., None]), axis=0)
     stride = cfg.record_stride
     rec = slice(stride - 1, len(inc) - len(inc) % stride, stride)
     part = np.arange(cfg.paths) * cfg.partitions // cfg.paths
@@ -477,7 +478,7 @@ def test_phi1_ratio_against_galerkin(interval, base_curve, interval_128):
     curve0 = survival_curve(interval, 0.0, cfg0)
     b = estimate_phi1(curve0, 3.0, lam)
     phi = interval_128.eigenfunction(1)
-    expected = phi(np.array([0.5]))[0] / phi(np.array([0.0]))[0]
+    expected = phi(np.array([[0.5]]))[0] / phi(np.array([[0.0]]))[0]
     got = a.value / b.value
     rel_se = got * np.hypot(a.stderr / a.value, b.stderr / b.value)
     assert abs(got - expected) < 4 * rel_se + 0.02

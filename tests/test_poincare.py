@@ -46,6 +46,14 @@ def test_weight_profile_validation():
         WeightProfile.from_function(lambda x: np.exp(x), 1.0)  # not symmetric
 
 
+@pytest.mark.parametrize("l", [0.0, -1.0])
+def test_weight_profile_needs_an_increasing_grid(l):
+    # (-l, l) with l <= 0 has no cells: from_function would sample an all-zero
+    # or a decreasing grid, on which the quotient divides by a zero cell width
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        WeightProfile.from_function(lambda x: np.ones_like(x), l)
+
+
 def test_flat_weight_recovers_free_constant():
     flat = WeightProfile.from_function(lambda x: np.ones_like(x), 1.0)
     out = min_antisymmetric_quotient(flat, 1.0)
@@ -252,6 +260,13 @@ def test_skeleton_survival_validation(interval_domain):
         skeleton_survival(interval_domain, 0.0, [1.0, 0.5])  # not increasing
     with pytest.raises(UnsupportedConfigurationError):
         skeleton_survival(interval_domain, 0.0, [1, 2, 3, 4, 5])
+
+
+def test_skeleton_survival_takes_one_start_point(interval_domain):
+    # two 1D points are no start point: montecarlo.start_point refuses them,
+    # where the kernel once summed over both
+    with pytest.raises(ValidationError, match="dimension"):
+        skeleton_survival(interval_domain, [0.1, 0.2], [0.5])
 
 
 @pytest.mark.parametrize("times", [[], np.array([])])

@@ -62,10 +62,10 @@ def assert_gradient_matches(analytic, difference):
 def test_extension_boundary_values(interval_128):
     ext = extend(interval_128, 1)
     xs = np.linspace(-0.9, 0.9, 7)
-    phi = interval_128.eigenfunction(1)(xs)
+    phi = interval_128.eigenfunction(1)(xs[:, None])
     with pytest.raises(ValidationError):  # the boundary values are the eigenfunction's
-        ext.values(xs, np.array([0.0]))
-    near_zero = ext.values(xs, np.array([1e-6]))[:, 0]
+        ext.values([xs], np.array([0.0]))
+    near_zero = ext.values([xs], np.array([1e-6]))[:, 0]
     assert np.max(np.abs(near_zero - phi)) < 1e-4
 
 
@@ -109,7 +109,7 @@ def test_check_harmonic_stencil_is_exact_for_cubics():
         dim = 1
 
         def values(self, xs, ts):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
+            xs = np.atleast_1d(np.asarray(xs[0], dtype=float))
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             return xs[:, None] ** 3 - 3.0 * xs[:, None] * ts[None, :] ** 2
 
@@ -117,7 +117,7 @@ def test_check_harmonic_stencil_is_exact_for_cubics():
     # and it detects a non-harmonic field
     class Bad(Poly):
         def values(self, xs, ts):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
+            xs = np.atleast_1d(np.asarray(xs[0], dtype=float))
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             return xs[:, None] ** 2 + 0.0 * ts[None, :]
 
@@ -153,13 +153,13 @@ def test_boundary_derivative_matches_principal_value_oracle(interval_128):
     phi = r.eigenfunction(n)
 
     def deficit(y):
-        return (2 * phi(np.array([x0]))[0]
-                - phi(np.array([x0 + y]))[0]
-                - phi(np.array([x0 - y]))[0]) / y**2
+        return (2 * phi(np.array([[x0]]))[0]
+                - phi(np.array([[x0 + y]]))[0]
+                - phi(np.array([[x0 - y]]))[0]) / y**2
 
     inner, _ = quad(deficit, 0.0, 1.0 - x0, limit=400)
     outer, _ = quad(deficit, 1.0 - x0, np.inf, limit=400)
-    oracle = abs((inner + outer) / np.pi - r.lambda1 * phi(np.array([x0]))[0])
+    oracle = abs((inner + outer) / np.pi - r.lambda1 * phi(np.array([[x0]]))[0])
     resid = check_boundary_derivative(r, n, x0, h=1e-5)
     assert resid == pytest.approx(oracle, rel=0.15)
 
@@ -232,7 +232,7 @@ def test_ground_state_domination_default_grid(interval_512):
 
 def test_ground_state_domination_needs_positive_heights(interval_128):
     with pytest.raises(ValidationError):
-        ground_state_domination_check(interval_128, np.linspace(-1, 1, 5), [0.0])
+        ground_state_domination_check(interval_128, [np.linspace(-1, 1, 5)], [0.0])
 
 
 def test_q_functional_algebra(interval_128):
@@ -342,11 +342,11 @@ def test_engine_gradient_matches_central_differences_1d(interval_32):
     rows = interval_32.coefficients[:3]
     xs = np.array([-1.3, -0.7, 0.0, 0.45, 0.9, 1.6])
     h = FD_STEP
-    g = engine.values(rows, xs, TIMES)
+    g = engine.values(rows, [xs], TIMES)
     assert g.shape == (3, 3, xs.size, TIMES.size)
 
     def vals(a, ts=TIMES):
-        return engine.values(rows, a, ts)[:, 0]
+        return engine.values(rows, [a], ts)[:, 0]
 
     assert np.array_equal(g[:, 0], vals(xs))
     dx = (vals(xs + h) - vals(xs - h)) / (2 * h)
@@ -375,10 +375,11 @@ def test_ratio_field_quotient_rule(interval_32):
     w = extend_ratio(interval_32, 2)
     xs = np.array([-0.8, -0.2, 0.35, 0.95])
     h = FD_STEP
-    g = w.values_and_grad(xs, TIMES)
-    assert np.allclose(g[0], w.values(xs, TIMES), rtol=1e-14, atol=0.0)
-    assert_gradient_matches(g[1], (w.values(xs + h, TIMES) - w.values(xs - h, TIMES)) / (2 * h))
-    assert_gradient_matches(g[2], (w.values(xs, TIMES + h) - w.values(xs, TIMES - h)) / (2 * h))
+    g = w.values_and_grad([xs], TIMES)
+    assert np.allclose(g[0], w.values([xs], TIMES), rtol=1e-14, atol=0.0)
+    dx = (w.values([xs + h], TIMES) - w.values([xs - h], TIMES)) / (2 * h)
+    assert_gradient_matches(g[1], dx)
+    assert_gradient_matches(g[2], (w.values([xs], TIMES + h) - w.values([xs], TIMES - h)) / (2 * h))
 
 
 def test_constant_field_has_zero_gradient():
@@ -444,8 +445,8 @@ def test_extend_mode_out_of_range(interval_32, rect_8):
     # numpy integers name modes like ints
     xs = np.array([-0.5, 0.2])
     for make in (extend, extend_ratio):
-        assert np.array_equal(make(interval_32, np.int64(2)).values(xs, TIMES),
-                              make(interval_32, 2).values(xs, TIMES))
+        assert np.array_equal(make(interval_32, np.int64(2)).values([xs], TIMES),
+                              make(interval_32, 2).values([xs], TIMES))
     # the boundary derivative takes one point of the domain's dimension
     with pytest.raises(ValidationError):
         check_boundary_derivative(interval_32, 1, (0.1, 0.2))
@@ -485,7 +486,7 @@ def test_ratio_field_builds_one_engine(interval_32, monkeypatch):
         init(self, basis)
 
     monkeypatch.setattr(ExtensionEngine, "__init__", counting_init)
-    extend_ratio(interval_32, 2).values_and_grad(np.array([-0.5, 0.2]), TIMES)
+    extend_ratio(interval_32, 2).values_and_grad([np.array([-0.5, 0.2])], TIMES)
     assert len(builds) == 1
 
 
@@ -542,7 +543,7 @@ def test_shuffled_points_take_the_sorted_values(interval_32, monkeypatch):
     for xs in (x, x[perm]):
         engine = ExtensionEngine(interval_32.basis)
         entries.clear()
-        values.append(engine.values(interval_32.coefficients[:3], xs, TIMES)[:, 0])
+        values.append(engine.values(interval_32.coefficients[:3], [xs], TIMES)[:, 0])
         tallies.append(engine.faddeeva_entries.copy())
         assert tallies[-1][0] == sum(entries)
     assert np.max(np.abs(values[1] - values[0][:, perm])) <= np.exp(-steklov._A_CUT**2)
@@ -635,7 +636,7 @@ def _planes(v, grad):
 def test_skipped_chunks_leave_engine_values_unchanged(case, grid, grad, request, monkeypatch):
     result = request.getfixturevalue(case)
     if result.domain.dim == 1:
-        xs = np.array([-1.3, -0.7, 0.0, 0.45, 0.9, 1.6])
+        xs = [np.array([-1.3, -0.7, 0.0, 0.45, 0.9, 1.6])]
     else:
         xs = (np.array([-2.5, -1.0, 0.3, 1.9]), np.array([-0.5, 0.1, 0.8, 1.4]))
     ts = _time_grids(result)[grid]
@@ -671,7 +672,7 @@ def test_threaded_pass_leaves_no_threads(interval_32, monkeypatch):
 
 def test_threaded_pass_with_more_workers_than_cores(interval_32, monkeypatch):
     engine = ExtensionEngine(interval_32.basis)
-    rows, xs = interval_32.coefficients[:3], np.linspace(-1.5, 1.5, 37)
+    rows, xs = interval_32.coefficients[:3], [np.linspace(-1.5, 1.5, 37)]
     ts = _time_grids(interval_32)["d01"]
     monkeypatch.setattr(steklov, "_cpu_count", lambda: 1)
     serial = engine.values(rows, xs, ts)
@@ -791,7 +792,7 @@ def test_small_and_single_cpu_passes_build_no_pool(interval_32, rect_8, monkeypa
     monkeypatch.setattr(steklov, "_cpu_count", lambda: 1)
     ts = _time_grids(interval_32)["q"]
     v = ExtensionEngine(interval_32.basis).values(interval_32.coefficients[:2],
-                                                  np.linspace(-2.0, 2.0, 50), ts)
+                                                  [np.linspace(-2.0, 2.0, 50)], ts)
     assert v.shape == (2, 3, 50, ts.size)
 
 
@@ -831,7 +832,7 @@ def test_live_chunk_counts(interval_32):
 def test_zero_row_has_a_zero_extension(case, request, monkeypatch):
     # a row with no live mode is a group of its own, with no mode to evaluate
     result = request.getfixturevalue(case)
-    xs = np.linspace(-1.5, 1.5, 7) if result.domain.dim == 1 else (np.linspace(-3, 3, 5),) * 2
+    xs = [np.linspace(-1.5, 1.5, 7)] if result.domain.dim == 1 else (np.linspace(-3, 3, 5),) * 2
     engine = ExtensionEngine(result.basis)
     rows = np.vstack([np.zeros(result.basis.size), result.coefficients[0]])
     both, alone = (engine.values(r, xs, TIMES) for r in (rows, rows[1:]))
@@ -861,9 +862,9 @@ def test_every_height_is_finite_and_positive(interval_32, bad):
 
 def test_every_point_axis_is_nonempty(interval_32, rect_8):
     # an empty axis leaves the engine no entries to batch its chunks by
-    calls = [(lambda: extend(interval_32, 1).values(np.array([]), [0.5]), "x1"),
+    calls = [(lambda: extend(interval_32, 1).values([np.array([])], [0.5]), "x1"),
              (lambda: extend(rect_8, 1).values((np.array([0.3]), np.array([])), [0.5]), "x2"),
-             (lambda: ground_state_domination_check(interval_32, xs=[]), "x1")]
+             (lambda: ground_state_domination_check(interval_32, xs=[[]]), "x1")]
     for call, axis in calls:
         with pytest.raises(ValidationError, match=f"point axis {axis} is empty"):
             call()
@@ -875,7 +876,7 @@ def test_values_are_the_value_plane_of_values_and_grad(case, request):
     # where the contraction is one-row products, and on a grid
     result = request.getfixturevalue(case)
     for x, ts in ((np.array([0.3]), np.array([1e-3])), (np.linspace(-1.5, 1.5, 13), TIMES)):
-        xs = x if result.domain.dim == 1 else (x, 0.5 * x)
+        xs = [x] if result.domain.dim == 1 else (x, 0.5 * x)
         for field in (extend(result, 1), extend_ratio(result, 2)):
             assert np.array_equal(field.values(xs, ts), field.values_and_grad(xs, ts)[0])
 
@@ -968,8 +969,8 @@ def test_folded_pass_matches_unfolded_pass(case, points, grad, request, monkeypa
     by_workers = []
     for workers in (1, 2):  # the serial pass, and in 1D the threaded one
         monkeypatch.setattr(steklov, "_cpu_count", lambda: workers)
-        whole = _planes(engine.values(rows, steklov._xs(axes), ts), grad)
-        kept = _planes(engine.values(rows, steklov._xs(half), ts), grad)
+        whole = _planes(engine.values(rows, axes, ts), grad)
+        kept = _planes(engine.values(rows, half, ts), grad)
         # the whole pass is even or odd to rounding: its first half computes
         # the mirrored mode phases at -u, which round apart from those at u
         w, m = (_conditioned(v, ts, grad) for v in (whole, _mirrored(whole, parities, grad)))
@@ -1022,7 +1023,7 @@ def test_unfolded_cases_match_the_unfolded_pass(domain, n, case, grad, monkeypat
             q = q_functional(w, w, u1)
             return q.value, q.tail_bound, q.diagnostics["halved_axes"], q.diagnostics["grid_shape"]
         if not grad:
-            return ground_state_domination_check(result, steklov._xs([x for x, _ in rules]))
+            return ground_state_domination_check(result, [x for x, _ in rules])
 
     checked = run()
     with monkeypatch.context() as m:

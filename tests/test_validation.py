@@ -4,7 +4,8 @@ positivity guards that NaN cannot pass."""
 import numpy as np
 import pytest
 
-from stablegap import ConstantField, Domain, ValidationError, check_harmonic, solve_spectrum
+from stablegap import (ConstantField, Domain, ValidationError, check_harmonic, extend,
+                       solve_spectrum)
 from stablegap._quad import log_panels, panel_gauss
 from stablegap.bounds import (
     ball_laplacian_eigenvalues,
@@ -69,8 +70,8 @@ def test_counts_are_integers_and_not_bools(call, name):
     lambda: rectangle_gap_lower(np.nan),
     lambda: final_inequality(np.nan, 2.0),
     lambda: bessel_zero(np.nan, 1),
-    lambda: cauchy_kernel(np.nan, 0.0, 0.5, 1),
-    lambda: gaussian_kernel(np.nan, 0.0, 0.5),
+    lambda: cauchy_kernel(np.nan, [0.0], [0.5]),
+    lambda: gaussian_kernel(np.nan, [0.0], [0.5]),
     lambda: subordinator_density_half(np.nan, 1.0),
     lambda: time_to_equilibrium_bounds(np.nan, 0.1, 1.0),
     lambda: check_lemma_derivative(np.linspace(0.0, 1.0, 5), np.ones(5), np.nan),
@@ -91,3 +92,35 @@ def test_nan_fails_every_positivity_guard(call):
     # every comparison with NaN is false, so a guard written x <= 0 let it through
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("what", ["contains", "eigenfunction", "kernels", "grid"])
+def test_points_need_a_last_axis_of_d(what, d):
+    # one layout in every dimension: points of shape (..., d) and tensor grids
+    # of d axes; a last axis of d - 1 or d + 1, or that many axes, is refused
+    domain = Domain.product(*[[(-1.0, 1.0)]] * d)
+    wrong = [np.full((3, k), 0.5) for k in (d - 1, d + 1) if k >= 1]
+    if what == "grid":
+        fields = [ConstantField(d)]
+        if d <= 2:  # extensions stop at d = 2
+            fields.append(extend(solve_spectrum(domain, 1.0, 2), 1))
+        for field in fields:
+            for k in (d - 1, d + 1):
+                with pytest.raises(ValidationError, match=f"needs {d} point axes"):
+                    field.values([np.linspace(-0.5, 0.5, 3)] * k, [0.5])
+            # an axis is a 1D array of points, not a column of them
+            with pytest.raises(ValidationError, match="must be 1D"):
+                field.values([np.zeros((3, 1))] * d, [0.5])
+        return
+    if what == "contains":
+        calls = [domain.contains]
+    elif what == "eigenfunction":
+        calls = [solve_spectrum(domain, 1.0, 2).eigenfunction(1)]
+    else:
+        calls = [lambda y: kernel(0.5, np.zeros((3, d)), y)
+                 for kernel in (cauchy_kernel, gaussian_kernel)]
+    for call in calls:
+        for x in wrong:
+            with pytest.raises(ValidationError, match="need shape"):
+                call(x)
