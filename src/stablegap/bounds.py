@@ -45,6 +45,7 @@ def ball_laplacian_eigenvalues(dim, radius):
 
     mu1 = j(d/2-1, 1)^2 / r^2,  mu2 = j(d/2, 1)^2 / r^2.
     """
+    require_count(dim, "dimension")
     if not radius > 0:
         raise ValidationError("radius must be positive")
     j0 = bessel_zero(dim / 2 - 1, 1)
@@ -73,6 +74,7 @@ def gap_upper(dim, inradius, alpha=1.0):
 
     (j(d/2,1)^alpha - j(d/2-1,1)^alpha / 2) / r^alpha.
     """
+    require_count(dim, "dimension")
     require_alpha(alpha)
     if not inradius > 0:
         raise ValidationError("inradius must be positive")

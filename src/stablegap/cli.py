@@ -6,7 +6,9 @@ numeric budget or estimation failure, or out of memory (a basis too large
 to allocate). All file outputs are written atomically (temp file + rename),
 UTF-8, with sorted JSON keys, a top-level "schema": 1, and a full echo of
 the resolved configuration; reruns with the same arguments (and seed, for
-stochastic commands) are byte-identical.
+stochastic commands) are byte-identical. Each handler imports the library
+module that it alone runs (steklov, montecarlo, bounds), so a subcommand
+never loads the modules of the others.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ import time
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import montecarlo as mc
-from . import steklov
 from ._quad import tensor_points
 from .errors import (
     EstimationError,
@@ -173,6 +172,8 @@ def cmd_eig(args):
 
 
 def cmd_gap_check(args):
+    from . import steklov
+
     if args.alpha != 1.0:
         raise UnsupportedConfigurationError("gap-check extensions require alpha = 1")
     domain = parse_domain(args.domain)
@@ -215,6 +216,8 @@ def cmd_gap_check(args):
 
 
 def cmd_mc(args):
+    from . import montecarlo as mc
+
     domain = parse_domain(args.domain)
     start = _floats(args.start)
     configs = {
@@ -273,6 +276,8 @@ def cmd_mc(args):
 
 
 def cmd_report(args):
+    from . import bounds as bounds_mod
+
     require_alpha(args.alpha)
     if args.n is not None and args.n < 1:
         raise ValidationError("--n must be >= 1")

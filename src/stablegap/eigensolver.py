@@ -59,8 +59,8 @@ from numpy.polynomial.legendre import leggauss
 
 from ._quad import log_panels
 from .errors import (NumericalBudgetError, UnsupportedConfigurationError, ValidationError,
-                     require_alpha, require_count)
-from .geometry import Domain, as_points
+                     as_points, require_alpha, require_count)
+from .geometry import Domain
 
 # relative spread of a cluster of cross-block ties; used only to order it antisymmetric first
 _DEGENERACY_TOL = 1e-9
@@ -645,7 +645,7 @@ def _normalize_signs(basis, coeffs):
 def evaluate_basis_sum(basis, coeffs, x):
     """Evaluate sum_p coeffs[p] * basis mode p at points x (vectorized).
 
-    x has shape (..., d) in every dimension d (geometry.as_points); the
+    x has shape (..., d) in every dimension d (errors.as_points); the
     result has shape (...), a float for a single point of shape (d,).
     ``coeffs`` may also be a stack (m, size) of coefficient vectors; the
     result then gains a leading axis of length m.

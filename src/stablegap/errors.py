@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one check on counts
-and the one on stable exponents."""
+"""Exception types shared across the package, and the one check on counts,
+the one on stable exponents and the one on the shape of point arrays."""
 
 import numbers
+
+import numpy as np
 
 
 class StableGapError(Exception):
@@ -36,3 +38,13 @@ def require_alpha(alpha):
     """Raise ValidationError unless alpha, the stable exponent, lies in (0, 2]."""
     if not 0 < alpha <= 2:
         raise ValidationError("alpha must lie in (0, 2]")
+
+
+def as_points(x, dim):
+    """x as a float array of points of R^dim, shape (..., dim); ValidationError
+    on any other last axis. A single point is as_points(np.ravel(x), dim):
+    anything that reshapes to (dim,), a scalar in 1D among them."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise ValidationError(f"points of R^{dim} need shape (..., {dim}), got {x.shape}")
+    return x

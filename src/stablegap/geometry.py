@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_points
 
 # each JSON kind and the keys of its params
 _KINDS = {"interval_union": ("intervals",), "rectangle": ("x1", "x2"), "disk": ("center", "radius")}
@@ -60,16 +60,6 @@ def _union_components(intervals):
         if a1 < b0:
             raise ValidationError("interval components must be disjoint")
     return ivs
-
-
-def as_points(x, dim):
-    """x as a float array of points of R^dim, shape (..., dim); ValidationError
-    on any other last axis. A single point is as_points(np.ravel(x), dim):
-    anything that reshapes to (dim,), a scalar in 1D among them."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (dim,):
-        raise ValidationError(f"points of R^{dim} need shape (..., {dim}), got {x.shape}")
-    return x
 
 
 def _in_union(u, ivs):

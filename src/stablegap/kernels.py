@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._quad import log_panels
-from .errors import ValidationError
-from .geometry import as_points
+from .errors import ValidationError, as_points
 
 
 def _squared_distance(x, y):

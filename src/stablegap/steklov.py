@@ -97,9 +97,8 @@ from ._quad import (
     panel_gauss,
     tensor_points,
 )
-from .errors import UnsupportedConfigurationError, ValidationError
+from .errors import UnsupportedConfigurationError, ValidationError, as_points
 from .eigensolver import _CHUNK_ENTRIES, SineBasis, SpectralResult, mirror_index, mode_parity
-from .geometry import as_points
 from .kernels import subordination_grid, subordinator_density_half
 
 
@@ -731,7 +730,7 @@ def _require_step(h):
 def check_harmonic(field, x, t, h=1e-3):
     """Residual of the (d+1)-dimensional Laplacian of the field u at (x, t),
     h-stencil, normalized by |u(x, t)| + 1, at one point x of R^d (anything
-    that reshapes to (d,), geometry.as_points). Any field with dim and
+    that reshapes to (d,), errors.as_points). Any field with dim and
     values on d point axes (a HarmonicExtension, for one) will do."""
     _require_step(h)
     if not t - h > 0:
@@ -749,7 +748,7 @@ def check_harmonic(field, x, t, h=1e-3):
 
 def check_boundary_derivative(result, n, x, h=1e-4):
     """One-sided residual |(u(x, h) - phi(x)) / h + lambda_n phi(x)| at one
-    point x in D, anything that reshapes to (d,) (geometry.as_points). For x
+    point x in D, anything that reshapes to (d,) (errors.as_points). For x
     outside the closure of D returns |u(x, h)| instead (the boundary value
     there is zero)."""
     _require_step(h)

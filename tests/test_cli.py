@@ -293,6 +293,50 @@ def test_1d_eig_and_mc_load_numpy_alone(tmp_path):
     assert all(code == 0 and modules == [] for _, code, modules in seen), seen
 
 
+_LOADED = r"""
+import contextlib, io, json, sys
+import stablegap
+argv = json.loads(sys.argv[1])
+if argv:
+    from stablegap import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+else:  # the set-up probe of perfbench/worker.py
+    from stablegap import kernels
+    kernels.subordination_grid()
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "stablegap")]))
+"""
+
+
+def _loaded(argv, cwd):
+    """(exit code, stablegap modules loaded) of one entry point in a fresh process."""
+    out = _run_python(["-c", _LOADED, json.dumps(argv)], cwd)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_probe_loads_four_modules(tmp_path):
+    assert _loaded([], tmp_path) == [0, ["stablegap", "stablegap._quad", "stablegap.errors",
+                                         "stablegap.kernels"]]
+
+
+@pytest.mark.parametrize("argv, used, unused", [
+    (["eig", "--domain", "interval:-1,1", "--n", "16"],
+     "eigensolver", ("steklov", "montecarlo", "bounds", "poincare")),
+    (["mc", "--domain", "interval:-1,1", "--paths", "2000", "--dt", "1e-2", "--t-max", "3",
+      "--start", "0.5", "--seed", "1"],
+     "montecarlo", ("steklov", "bounds", "poincare")),
+    (["gap-check", "--domain", "interval:-1,1", "--n", "8"],
+     "steklov", ("montecarlo", "bounds", "poincare")),
+], ids=["eig", "mc", "gap-check"])
+def test_subcommand_skips_the_modules_it_never_runs(argv, used, unused, tmp_path):
+    code, modules = _loaded(argv, tmp_path)
+    assert code == 0
+    assert f"stablegap.{used}" in modules
+    assert not {f"stablegap.{m}" for m in unused} & set(modules), modules
+
+
 @pytest.mark.parametrize("argv", [
     ["eig", "--domain", "interval:-1,1", "--n", "0"],
     ["eig", "--domain", "rect:-2,2,-1,1", "--n", "0"],

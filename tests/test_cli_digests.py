@@ -1,4 +1,5 @@
-"""tools/cli_digests.py: its fixed CLI invocations stay valid command lines."""
+"""tools/cli_digests.py and tools/cold_start.py: their fixed CLI invocations
+stay valid command lines."""
 
 import importlib.util
 from pathlib import Path
@@ -7,11 +8,19 @@ import pytest
 
 from stablegap import cli
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
-_SPEC = importlib.util.spec_from_file_location("cli_digests", TOOL)
-_TOOL_MODULE = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(_TOOL_MODULE)
-INVOCATIONS = _TOOL_MODULE.INVOCATIONS
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _invocations(tool):
+    spec = importlib.util.spec_from_file_location(tool, TOOLS / f"{tool}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.INVOCATIONS
+
+
+# the cold-start runs take the ids "cold_start-" + label
+INVOCATIONS = _invocations("cli_digests") + [
+    (f"cold_start-{label}", argv) for label, argv in _invocations("cold_start")]
 
 
 @pytest.mark.parametrize("label, argv", INVOCATIONS, ids=[label for label, _ in INVOCATIONS])

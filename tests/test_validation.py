@@ -50,12 +50,20 @@ def _curve():
     (lambda: bessel_zero(0, 2.0), "index k"),
     (lambda: main_gap_constants(True), "dimension"),
     (lambda: weighted_poincare_constant(np.True_), "dimension"),
+    (lambda: gap_upper(0, 1.0), "dimension"),
+    (lambda: gap_upper(1.5, 1.0), "dimension"),
+    (lambda: gap_upper(True, 1.0), "dimension"),
+    (lambda: ball_laplacian_eigenvalues(0, 1.0), "dimension"),
+    (lambda: ball_laplacian_eigenvalues(1.5, 1.0), "dimension"),
+    (lambda: ball_laplacian_eigenvalues(True, 1.0), "dimension"),
     (lambda: segment_log_concavity(INTERVAL, (-0.8, 0.8), [0.5], n_points=2), "n_points"),
     (lambda: segment_log_concavity(INTERVAL, (-0.8, 0.8), [0.5], n_points=1), "n_points"),
     (lambda: segment_log_concavity(INTERVAL, (-0.8, 0.8), [0.5], n_points=0), "n_points"),
 ], ids=["n_basis-True", "n_basis-2.7", "n_basis-4.0", "rect-counts-2.5", "disk-2.5",
         "n_report-2.5", "n_report-True", "bessel-k-True", "bessel-k-2.0",
-        "main-dim-True", "poincare-dim-np.True_", "n_points-2", "n_points-1", "n_points-0"])
+        "main-dim-True", "poincare-dim-np.True_", "gap_upper-dim-0", "gap_upper-dim-1.5",
+        "gap_upper-dim-True", "ball-dim-0", "ball-dim-1.5", "ball-dim-True",
+        "n_points-2", "n_points-1", "n_points-0"])
 def test_counts_are_integers_and_not_bools(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
