@@ -10,14 +10,16 @@ the solver projects this form onto one basis for all of them: products of the
 Dirichlet-Laplacian sine modes of each axis's components, whose transforms
 have closed forms. An axis with more than one interval is supported in d = 1
 only: _sine_basis refuses it in d >= 2 (UnsupportedConfigurationError). The
-form of one axis is evaluated by panel Gauss-Legendre quadrature in xi with an
-analytic power-law tail beyond the truncation point, in real arithmetic: on
-one interval the transforms of odd modes are real and those of even modes
-imaginary, so the form splits into same-parity blocks (pairs of different
-parity are exactly zero), each one real Gram product of amplitudes that take
-one trig value per node and one rational factor per (mode, node), in a panel
-coordinate where every mode frequency is an even integer
-(_parity_amplitudes, which builds each parity's rows contiguously). A union
+form of one axis is evaluated by panel Gauss-Legendre quadrature in xi, on
+panels no wider than one period of the fastest term of that form
+(_axis_quadrature), with an analytic power-law tail beyond the truncation
+point, in real arithmetic: on one interval the transforms of odd modes are
+real and those of even modes imaginary, so the form splits into same-parity
+blocks (pairs of different parity are exactly zero), each one real Gram
+product of amplitudes that take one trig value per node and one rational
+factor per (mode, node), in a panel coordinate where every mode frequency is
+an even integer (_parity_amplitudes, which builds each parity's rows
+contiguously). A union
 adds, per pair of components, the same Gram products weighted by the cos of
 the phase between their centres on same-parity pairs and by its sin on the
 others. A product of d intervals (a rectangle at d = 2, a box at d = 3)
@@ -50,6 +52,7 @@ construction, and each coefficient vector is exactly zero off its block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
@@ -276,6 +279,8 @@ def basis_mode_transform(table, xi):
 
 _GL_NODES = 10  # Gauss-Legendre nodes per xi panel
 _TAIL_FACTOR = 8.0  # xi cut-off / largest mode frequency of the axis
+# unit panels at the start of a grid of wider panels (_axis_quadrature)
+_FINE_PANELS = 8
 # cross terms of two or more axes: log panels in s on [_S_MIN, _S_MAX];
 # beyond _S_MAX, each product of the D_i(s) is taken as I
 _S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES = 1e-10, 1e10, 2, 10
@@ -284,21 +289,46 @@ _S_MIN, _S_MAX, _S_PANELS_PER_DECADE, _S_NODES = 1e-10, 1e10, 2, 10
 _X_SAT, _SAT_PANELS = 40.0, 32
 
 
-def _axis_quadrature(h, n_modes):
-    """GL panel grid on [0, Xi] for an axis with half-length h and n_modes modes.
+def _panel_width(table):
+    """The xi panel width of an axis table in the panel coordinate u of
+    _axis_quadrature: the largest power of two P not above one period,
+    8 h_min / F, of the fastest term F of the axis form. The Gram product of
+    components a and b oscillates at most like cos(xi (|c_b - c_a| + h_a + h_b))
+    (a = b: cos(2 xi h_a)), so F is the largest of those. P = 4 on one
+    interval; separated or unequal components take P < 1."""
+    c, h, kk, _ = table
+    m = int(kk.max())  # modes per component, each component's rows consecutive
+    c, h = c[::m], h[::m]
+    fastest = (np.abs(c[:, None] - c) + h[:, None] + h).max()
+    return math.ldexp(1.0, math.frexp(8 * h.min() / fastest)[1] - 1)
 
-    The panels have width pi / (4 h), so in the panel coordinate
-    u = xi / (pi / (4 h)) they are the unit intervals [p, p + 1] and the mode
-    frequencies omega_k are the even integers 2k, panel edges that no node
-    reaches. Returns the nodes in u (built as p + 1/2 + x_GL / 2, for
-    _parity_amplitudes), the same nodes in xi, their weights in xi, and Xi.
+
+def _axis_quadrature(table):
+    """GL panel grid on [0, Xi] for an axis table, Xi = _TAIL_FACTOR omega_max.
+
+    In the panel coordinate u = xi / (pi / (4 h_min)) of the shortest
+    component the mode frequencies omega_k are the even integers 2k, and the
+    panels are P wide (_panel_width). A power of two keeps every 2k on a panel
+    edge, or at the midpoint of a P = 4 panel, so no node comes nearer to it
+    than the outermost Gauss-Legendre offset of its panel. For P >= 1 the
+    first _FINE_PANELS panels (u in [0, 8]) are unit wide, so the nodes next
+    to xi = 0, where xi^alpha is not smooth, are those of a P = 1 grid; for
+    P < 1 every panel is P wide. Returns the nodes in u (built as
+    p + P/2 + P x_GL / 2, for _parity_amplitudes), the same nodes in xi, their
+    weights in xi, and Xi.
     """
-    panel_w = np.pi / (4 * h)
-    npan = int(np.ceil(_TAIL_FACTOR * 2 * n_modes))  # Xi = _TAIL_FACTOR * omega_max
+    _, h, kk, _ = table
+    panel_w = np.pi / (4 * h.min())
+    end = int(np.ceil(_TAIL_FACTOR * 2 * kk.max()))  # Xi in u
+    P = _panel_width(table)
+    fine = _FINE_PANELS if P >= 1 else 0
+    width = np.repeat([1.0, P], [fine, int((end - fine) / P)])
+    left = (np.cumsum(width) - width)[:, None]  # panel edges, exact multiples of P
+    half = 0.5 * width[:, None]
     xg, wg = leggauss(_GL_NODES)
-    u = (np.arange(npan)[:, None] + 0.5 + 0.5 * xg).ravel()
-    wts = np.tile(0.5 * panel_w * wg, npan)
-    return u, u * panel_w, wts, npan * panel_w
+    u = (left + half + half * xg).ravel()
+    wts = (half * panel_w * wg).ravel()
+    return u, u * panel_w, wts, end * panel_w
 
 
 def _tail_integrals(om, kk, h, alpha, xi_max):
@@ -444,7 +474,9 @@ def _parity_amplitudes(h, n_modes, u, weight=None):
 def _axis_form(table, alpha):
     """Form matrix of an axis table (an interval union): per pair of components
     (a, b), the Gram product of their amplitudes (_parity_amplitudes) times
-    cos(xi (c_b - c_a)) on same-parity entries, +-sin on the others (+ on odd-k rows)."""
+    cos(xi (c_b - c_a)) on same-parity entries, +-sin on the others (+ on odd-k rows),
+    on the xi grid of the table (_axis_quadrature), whose panels hold at most
+    one period of the fastest of those terms."""
     c, h, kk, om = table
     if alpha == 2:
         # the sine modes are Laplacian eigenfunctions: omega^2 on the diagonal
@@ -452,7 +484,7 @@ def _axis_form(table, alpha):
     m = int(kk.max())  # modes per component, each component's rows consecutive
     starts = range(0, c.size, m)
     h_min = h.min()
-    u, nodes, wts, xi_max = _axis_quadrature(h_min, m)
+    u, nodes, wts, xi_max = _axis_quadrature(table)
     root_w = np.sqrt(wts * nodes**alpha)
     pars = (slice(0, m, 2), slice(1, m, 2))  # the rows of odd k, of even k
     A = np.zeros((c.size, c.size))
@@ -484,9 +516,10 @@ def _axis_form(table, alpha):
 
 def _subordination_grams(table, s):
     """D(s) (module docstring) at every s (ascending), shape (len(s), n, n),
-    for the axis table of one interval, on the xi grid and parity blocks of
-    _axis_form. Per parity block only the entries j <= k are formed, then
-    mirrored. The xi nodes go in blocks of _SAT_PANELS whole panels: where
+    for the axis table of one interval, on the xi grid (_axis_quadrature: unit
+    panels on u in [0, 8], then panels 4 wide) and parity blocks of _axis_form.
+    Per parity block only the entries j <= k are formed, then mirrored. The xi
+    nodes go in blocks of _SAT_PANELS whole panels: where
     s xi_0^2 >= _X_SAT at the block's smallest node xi_0, the weight
     -expm1(-s xi^2) is exactly 1 on the whole block, so those rows take the
     block's wts-weighted product sum, added to every row from the first
@@ -496,7 +529,7 @@ def _subordination_grams(table, s):
 
     _, hs, kk, om = table
     h, n = hs[0], kk.size
-    u, nodes, wts, xi_max = _axis_quadrature(h, n)
+    u, nodes, wts, xi_max = _axis_quadrature(table)
     rows = [np.arange(n)[par] for par in (slice(0, n, 2), slice(1, n, 2))]
     upper = [np.triu_indices(r.size) for r in rows]
     live = [np.zeros((s.size, j.size)) for j, _ in upper]

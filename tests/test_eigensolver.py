@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc, jn_zeros
+from scipy.special import erfc, gamma, jn_zeros
 
 from stablegap import (
     Domain,
@@ -19,6 +19,7 @@ from stablegap import (
 from stablegap import eigensolver
 from stablegap._quad import log_panels
 from stablegap.eigensolver import (
+    _FINE_PANELS,
     _GL_NODES,
     _S_MAX,
     _S_MIN,
@@ -27,6 +28,7 @@ from stablegap.eigensolver import (
     _X_SAT,
     _axis_form,
     _axis_quadrature,
+    _panel_width,
     _parity_amplitudes,
     _sine_basis,
     _subordination_grams,
@@ -218,15 +220,16 @@ def _sinc_amplitudes(h, n, xi):
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
 def test_centred_amplitudes_match_sinc_transform(h, n):
-    u, xi, _, _ = _axis_quadrature(h, n)
+    (table,) = _sine_basis(Domain.interval(-h, h), n).tables
+    u, xi, _, _ = _axis_quadrature(table)
     k = np.arange(1, n + 1)
     for i0 in range(0, u.size, 4096):  # node chunks keep the complex transform small
         rows = slice(i0, i0 + 4096)
         np.testing.assert_allclose(_centred_amplitudes(h, n, u[rows]),
                                    _sinc_amplitudes(h, n, xi[rows]), rtol=0, atol=1e-13)
     # the node nearest omega_k, where both factors of the closed form vanish:
-    # in u, omega_k = 2k is a panel edge, so no node is closer to it than the
-    # outermost Gauss-Legendre offset
+    # in u, omega_k = 2k is a panel edge or the midpoint of a 4-wide panel, so
+    # no node is closer to it than the outermost Gauss-Legendre offset
     i = np.searchsorted(u, 2 * k)  # u[i - 1] < 2k < u[i]
     near = np.where(2 * k - u[i - 1] < u[i] - 2 * k, i - 1, i)
     G = _centred_amplitudes(h, n, u[near])[k - 1, np.arange(n)]
@@ -241,7 +244,7 @@ def _sinc_gram_form(table, alpha):
     # of the sinc transforms [Re S | Im S] of every component at once
     c, h, k, om = table
     m = int(k.max())
-    _, xi, w, xi_max = _axis_quadrature(h.min(), m)
+    _, xi, w, xi_max = _axis_quadrature(table)
     S = basis_mode_transform(table, xi) * np.sqrt(w * xi**alpha)
     X = np.concatenate([S.real, S.imag], axis=1)
     ref = X @ X.T / np.pi
@@ -266,7 +269,7 @@ def _interleaved_axis_form(table, alpha):
     # rows gathered into a contiguous copy for its Gram product
     _, h, k, om = table
     m = k.size
-    u, xi, w, xi_max = _axis_quadrature(h[0], m)
+    u, xi, w, xi_max = _axis_quadrature(table)
     root_w = np.sqrt(w * xi**alpha)
     A = np.zeros((m, m))
     chunk = max(1, eigensolver._CHUNK_ENTRIES // m)
@@ -285,7 +288,7 @@ def _dense_subordination_grams(table, s):
     # every pair (j, k) of a parity block, saturated or not
     _, hs, kk, om = table
     h, n = hs[0], kk.size
-    u, nodes, wts, xi_max = _axis_quadrature(h, n)
+    u, nodes, wts, xi_max = _axis_quadrature(table)
     D = np.zeros((s.size, n, n))
     chunk = max(1, eigensolver._CHUNK_ENTRIES // max(s.size, ((n + 1) // 2) ** 2))
     for i0 in range(0, nodes.size, chunk):
@@ -388,6 +391,121 @@ def test_union_assembly_takes_no_sinc_transform(monkeypatch):
     monkeypatch.setattr(eigensolver, "basis_mode_transform", no_sinc)
     r = solve_spectrum(Domain.interval_union([(-2.0, -0.5), (0.5, 2.5)]), 1.0, 16)
     assert r.lambda1 > 0
+
+
+def _separated(c):
+    # two copies of (-1, 1), centred at -c and c
+    return Domain.interval_union([(-c - 1.0, -c + 1.0), (c - 1.0, c + 1.0)])
+
+
+def _unit_panel_grid(h_min, n):
+    # the xi grid of unit panels in u = xi / (pi / (4 h_min)) up to
+    # Xi = 8 omega_max, written out: (u, xi, weights, Xi)
+    panel_w = np.pi / (4 * h_min)
+    npan = int(np.ceil(8.0 * 2 * n))
+    xg, wg = np.polynomial.legendre.leggauss(10)
+    u = (np.arange(npan)[:, None] + 0.5 + 0.5 * xg).ravel()
+    wts = np.tile(0.5 * panel_w * wg, npan)
+    return u, u * panel_w, wts, npan * panel_w
+
+
+@pytest.mark.parametrize("domain, widths", [
+    (Domain.interval(-1.0, 1.0), [4.0]),
+    (Domain.rectangle(-2.0, 2.0, -1.0, 1.0), [4.0, 4.0]),
+    (Domain.interval_union([(-2.0, -0.5), (0.5, 2.0)]), [1.0]),
+    (Domain.interval_union([(-3.0, -2.0), (-1.0, 0.5), (1.0, 2.2)]), [0.5]),
+    (_separated(32.0), [1 / 16]),
+], ids=["interval", "rectangle", "union", "three", "separated"])
+def test_panel_width_is_one_period_of_the_fastest_term(domain, widths):
+    # P = the largest power of two not above 8 h_min / F, F the largest
+    # |c_b - c_a| + h_a + h_b over pairs of components (a = b included)
+    n = 8
+    tables = _sine_basis(domain, n).tables
+    assert [_panel_width(t) for t in tables] == widths
+    for t, P in zip(tables, widths):
+        u, _, w, xi_max = _axis_quadrature(t)
+        panel_w = np.pi / (4 * t[1].min())
+        # unit panels first when P >= 1, then P-wide panels, tiling [0, 16 n] in u
+        fine = _FINE_PANELS if P >= 1 else 0
+        expected = [1.0] * fine + [P] * int((16 * n - fine) / P)
+        assert u.size == _GL_NODES * len(expected)
+        np.testing.assert_allclose(w.reshape(-1, _GL_NODES).sum(axis=1) / panel_w, expected,
+                                   rtol=1e-14)
+        assert xi_max == 16 * n * panel_w
+        if P == 4:  # one interval: 40 n + 60 nodes
+            assert u.size == 40 * n + 60
+
+
+@pytest.mark.parametrize("intervals, n", [
+    ([(-1.0, 1.0)], 16), ([(-0.5, 1.7)], 64), ([(-2.0, -0.5), (0.5, 2.0)], 24),
+], ids=["interval", "off-centre", "union"])
+def test_unit_panels_keep_their_nodes(intervals, n):
+    # the first _FINE_PANELS panels of a wide-panel grid, and a whole P = 1
+    # grid, are the unit-panel grid to the bit
+    (table,) = _sine_basis(Domain.interval_union(intervals), n).tables
+    head = slice(None) if _panel_width(table) == 1 else slice(0, _FINE_PANELS * _GL_NODES)
+    u, xi, w, xi_max = _axis_quadrature(table)
+    ref = _unit_panel_grid(table[1].min(), n)
+    for got, want in zip((u, xi, w), ref):
+        assert np.array_equal(got[head], want[head])
+    assert xi_max == ref[3]
+
+
+@pytest.mark.parametrize("c, expected", [(16.0, 1.160618), (32.0, 1.161032), (64.0, 1.161135)])
+def test_separated_union_lambda1(c, expected):
+    # alpha = 1, n = 48 per component. References: the same assembly at 40
+    # and at 80 Gauss-Legendre nodes per unit panel, which agree to every
+    # digit shown
+    r = solve_spectrum(_separated(c), 1.0, 48, 1)
+    assert abs(r.lambda1 - expected) < 1e-6
+    # Rayleigh-Ritz: the union basis holds the basis of each component
+    assert r.lambda1 <= solve_spectrum(Domain.interval(-1.0, 1.0), 1.0, 48, 1).lambda1
+    # E(u1 + u2) = E(u1) + E(u2) - 2 integral u1(x) u2(y) J(x - y) for u_i on
+    # disjoint components, so the exact lambda_1 of the union lies at most
+    # J(2c - 2) sqrt(|D_1| |D_2|) below that of (-1, 1); J(r) = 1 / (pi r^2)
+    assert r.lambda1 >= KNOWN_LAMBDA1 - 2.0 / (np.pi * (2 * c - 2) ** 2)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("c, tol", [(16.0, 2.5e-3), (32.0, 1e-3), (64.0, 1e-3)])
+def test_separated_union_gap_follows_the_tunnelling_law(c, tol, alpha):
+    # the jump kernel J(r) = C_(1,alpha) |r|^(-1-alpha) (Kwasnicki, "Ten
+    # equivalent definitions of the fractional Laplace operator", FCAA 2017)
+    # couples the ground states phi_1 of the two components by
+    # -J(2c) (integral phi_1)^2 to first order, so the gap tends to
+    # 2 C_(1,alpha) (integral phi_1)^2 / (2c)^(1+alpha) as c grows
+    one = solve_spectrum(Domain.interval(-1.0, 1.0), alpha, 64, 1)
+    ((_, h, k, om),) = one.basis.tables
+    # sin(omega_k (x + h)) / sqrt(h) integrates over (-h, h) to
+    # 2 / (omega_k sqrt(h)) for odd k and to 0 for even k
+    mass = one.coefficients[0] @ (np.where(k % 2 == 1, 2.0, 0.0) / (om * np.sqrt(h)))
+    C = alpha * 2 ** (alpha - 1) * gamma((1 + alpha) / 2) / (np.sqrt(np.pi) * gamma(1 - alpha / 2))
+    r = solve_spectrum(_separated(c), alpha, 64, 2)
+    ratio = (r.lambda_star - r.lambda1) / (2 * C * mass**2 / (2 * c) ** (1 + alpha))
+    assert abs(ratio - 1) < tol
+
+
+@pytest.mark.parametrize("n, expected", [(16, 1.167), (32, 1.163), (64, 1.160)])
+def test_unequal_union_lambda1(n, expected):
+    # components 40 times apart in size; references from the same assembly
+    # at 160 Gauss-Legendre nodes per unit panel, to the digits shown
+    r = solve_spectrum(Domain.interval_union([(-1.0, 1.0), (1.5, 1.55)]), 1.0, n, 1)
+    assert abs(r.lambda1 - expected) < 1e-3
+    # the union lies inside (-1, 1.55), whose lambda_1 is that of (-1, 1)
+    # over its half-length 1.275 (alpha = 1)
+    assert r.lambda1 >= KNOWN_LAMBDA1 / 1.275
+
+
+@pytest.mark.parametrize("domain", [_separated(32.0),
+                                    Domain.interval_union([(-1.0, 1.0), (1.5, 1.55)])],
+                         ids=["separated", "unequal"])
+def test_union_grid_is_resolved(domain, monkeypatch):
+    # twice the Gauss-Legendre nodes on every panel move lambda_1..lambda_4
+    # by rounding alone (alpha = 1, where xi^alpha is smooth at 0)
+    lam = solve_spectrum(domain, 1.0, 32, 4).eigenvalues
+    monkeypatch.setattr(eigensolver, "_GL_NODES", 2 * _GL_NODES)
+    np.testing.assert_allclose(lam, solve_spectrum(domain, 1.0, 32, 4).eigenvalues,
+                               rtol=1e-12, atol=0)
 
 
 def test_rectangle_form_vanishes_across_parity():

@@ -100,11 +100,15 @@ def test_quotient_iteration_is_capped(monkeypatch):
 
 def test_import_leaves_out_scipy_sparse():
     # the quotient runs on LAPACK's tridiagonal solver: scipy.sparse (and with
-    # it ARPACK, whose threaded BLAS is a second pool beside numpy's) stays out
+    # it ARPACK, whose threaded BLAS is a second pool beside numpy's) stays
+    # out of a process that has loaded the module and run the quotient
     src = str(Path(stablegap.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, stablegap; "
+    code = ("import sys, numpy as np; "
+            "from stablegap.poincare import WeightProfile, min_antisymmetric_quotient; "
+            "min_antisymmetric_quotient("
+            "WeightProfile.from_function(lambda x: np.exp(-x**2), 1.0), 1.0); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)

@@ -29,6 +29,8 @@ INVOCATIONS = [
     ("eig-interval", ["eig", "--domain", "interval:-1,1", "--n", "32"]),
     ("eig-rect", ["eig", "--domain", "rect:-2,2,-1,1", "--n", "8"]),
     ("eig-union", ["eig", "--domain", "intervals:-2,-0.5,0.5,2", "--n", "24"]),
+    ("eig-union-separated", ["eig", "--domain", "intervals:-33,-31,31,33", "--n", "48"]),
+    ("eig-union-unequal", ["eig", "--domain", "intervals:-1,1,1.5,1.55", "--n", "32"]),
     ("eig-disk", ["eig", "--domain", "disk:0,0,1", "--alpha", "2", "--n", "24"]),
     ("eig-interval-csv", ["eig", "--domain", "interval:-1,1", "--n", "32", "--csv", "phi.csv"]),
     ("gap-interval", ["gap-check", "--domain", "interval:-1,1", "--n", "32"]),
